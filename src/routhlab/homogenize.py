@@ -22,7 +22,7 @@ for degenerate (1-homogeneous) velocity Hessians.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,108 +188,107 @@ def solve_energy_scale(
 ) -> EnergyScaleResult:
     """Solve E(x, y/s) = e for the positive scale s.
 
-    The residual is strictly decreasing in s wherever L is strongly convex
-    along the ray, so a sign-change bracket plus safeguarded Newton is
-    globally convergent. When the bracket expansion stagnates or runs out of
-    fiber domain before a sign change, the requested level does not exist on
-    the ray and :class:`EnergyUnreachable` is raised.
+    Each probe at s evaluates one fiber jet and gives the residual
+    r = E(x, y/s) - e and q = v.L_vv.v = -dE/d(ln s). The solve fits the
+    model E(s) = C + A s^(-k) to the probe, so that q = k (E - C), and steps
+    to the model's root s ((q/k) / (q/k - r))^(1/k). With k = 2 the step is
+    exact for quadratic-plus-linear Lagrangians, and after every further
+    probe k is refitted as ln(q_prev/q) / ln(s/s_prev), which makes it exact
+    for fiberwise-homogeneous ones; a refit outside (1, 64) resets k to 2.
+
+    The residual falls as s grows wherever L is strongly convex along the
+    ray, so the probes' signs keep a bracket lo < root < hi (the rtsafe
+    safeguard of Numerical Recipes, section 9.4). A model step gives way to
+    a geometric step when it is undefined (q <= 0 or q/k <= r), leaves the
+    bracket, probes outside the fiber domain, or follows a model step that
+    kept the residual's sign without halving it. Once both ends of the
+    bracket are known the geometric step is a log-bisection, placed a
+    quarter of the way from the end a model step overshot; before that it
+    doubles or halves s toward the missing end. Only those expansions
+    decide that the requested level does not exist on the ray:
+    :class:`EnergyUnreachable` is raised when one leaves the fiber domain,
+    when the residual stagnates, or after 200 of them. The result is the
+    first probed s with |r| <= tol (1 + |e|); ``iterations`` counts probes.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    s0 = float(np.linalg.norm(y))
-    if s0 == 0.0:
+    s = float(np.linalg.norm(y))
+    if s == 0.0:
         raise DomainError("the energy scale is undefined on the zero velocity")
     atol = tol * (1.0 + abs(e))
     stall_tol = 1e-14 * (1.0 + abs(e))
-    evals = 0
 
     def probe(s):
-        # residual E(x, y/s) - e and the slope quantity q = v.(d_yy v) > 0
-        val, d_y, d_yy = L.fiber_jet(x, y / s)
         w = y / s
+        val, d_y, d_yy = L.fiber_jet(x, w)
         return float(w @ d_y) - val - e, float(w @ (d_yy @ w))
 
-    r0, q0 = probe(s0)
-    evals += 1
-    if abs(r0) <= atol:
-        return _finish_scale(L, x, y, s0, r0, evals, derivatives)
-
-    # geometric bracket expansion: the residual decreases in s, so a root
-    # needs residual(lo) > 0 > residual(hi) with lo < hi
-    if r0 > 0.0:
-        lo, hi, r_hi = s0, s0, r0
-        prev, stalls = r0, 0
-        for _ in range(200):
-            hi *= 2.0
-            try:
-                r_hi, _ = probe(hi)
-            except DomainError as exc:
-                raise EnergyUnreachable(
-                    f"energy level {e} is unreachable along this ray "
-                    "(fiber domain ends before the level)"
-                ) from exc
-            evals += 1
-            if r_hi <= 0.0:
-                break
-            stalls = stalls + 1 if abs(prev - r_hi) <= stall_tol else 0
-            if stalls >= 3:
-                raise EnergyUnreachable(
-                    f"energy level {e} is unreachable along this ray "
-                    f"(residual stagnates at {r_hi:.3e} as the scale grows)"
+    r, q = probe(s)
+    evals, steps, expansions, stalls = 1, 0, 0, 0
+    lo, hi = (s, math.inf) if r > 0.0 else (0.0, s)  # residual(lo) > 0 > residual(hi)
+    k, skip_model = 2.0, False
+    while abs(r) > atol:
+        bracketed = lo > 0.0 and hi < math.inf
+        t, w = None, 0.5  # w: where a bisection falls in [lo, hi], in ln s
+        if not skip_model and q > 0.0 and q / k > r:
+            t = s * ((q / k) / (q / k - r)) ** (1.0 / k)
+            if t == s and bracketed:
+                # the model puts the root within one ulp of s
+                t = float(np.nextafter(s, hi if r > 0.0 else lo))
+            if not lo < t < hi:
+                # the model overshot an end of the bracket, so the root is
+                # likely near that end: bisect a quarter of the way from it
+                t, w = None, (0.25 if t <= lo else 0.75)
+        model = t is not None
+        if model or bracketed:
+            steps += 1
+            if steps > max_iter:
+                raise NoConvergence(
+                    f"energy scale solve stalled after {max_iter} iterations "
+                    f"(|residual| = {abs(r):.3e})"
                 )
-            lo, prev = hi, r_hi
+            if not model:
+                t = lo ** (1.0 - w) * hi**w
         else:
-            raise EnergyUnreachable(f"energy level {e} is unreachable along this ray")
-    else:
-        lo, hi, r_lo = s0, s0, r0
-        prev, stalls = r0, 0
-        for _ in range(200):
-            lo *= 0.5
-            try:
-                r_lo, _ = probe(lo)
-            except DomainError as exc:
-                raise EnergyUnreachable(
-                    f"energy level {e} is unreachable along this ray "
-                    "(fiber domain ends before the level)"
-                ) from exc
-            evals += 1
-            if r_lo >= 0.0:
-                break
-            stalls = stalls + 1 if abs(prev - r_lo) <= stall_tol else 0
-            if stalls >= 3:
-                raise EnergyUnreachable(
-                    f"energy level {e} is unreachable along this ray "
-                    f"(residual stagnates at {r_lo:.3e} as the scale shrinks)"
-                )
-            hi, prev = lo, r_lo
-        else:
-            raise EnergyUnreachable(f"energy level {e} is unreachable along this ray")
-
-    # safeguarded Newton inside the bracket
-    s = 0.5 * (lo + hi)
-    r = None
-    for _ in range(max_iter):
+            expansions += 1
+            if expansions > 200:
+                raise EnergyUnreachable(f"energy level {e} is unreachable along this ray")
+            t = 2.0 * s if r > 0.0 else 0.5 * s
         try:
-            r, q = probe(s)
-        except DomainError:
-            s = 0.5 * (lo + s)
+            r_t, q_t = probe(t)
+        except DomainError as exc:
+            if not (model or bracketed):
+                raise EnergyUnreachable(
+                    f"energy level {e} is unreachable along this ray "
+                    "(fiber domain ends before the level)"
+                ) from exc
+            # a failed model step gives way to a geometric one; a failed
+            # bisection narrows the bracket from above
+            skip_model = model
+            if not model:
+                hi = t
             continue
         evals += 1
-        if abs(r) <= atol:
-            return _finish_scale(L, x, y, s, r, evals, derivatives)
+        if not (model or bracketed):
+            stalls = stalls + 1 if abs(r - r_t) <= stall_tol else 0
+            if stalls >= 3:
+                raise EnergyUnreachable(
+                    f"energy level {e} is unreachable along this ray "
+                    f"(residual stagnates at {r_t:.3e} as the scale "
+                    f"{'grows' if r > 0.0 else 'shrinks'})"
+                )
+        # a model step that keeps the residual's sign without halving it is
+        # creeping toward the root: the next step is geometric
+        skip_model = model and r * r_t > 0.0 and abs(r_t) > 0.5 * abs(r)
+        if q > 0.0 < q_t and t != s:
+            k = math.log(q / q_t) / math.log(t / s)
+            k = k if 1.0 < k < 64.0 else 2.0
+        s, r, q = t, r_t, q_t
         if r > 0.0:
             lo = s
         else:
             hi = s
-        if q <= 0.0:
-            s = 0.5 * (lo + hi)
-            continue
-        s_new = s + r * s / q
-        s = s_new if lo < s_new < hi else 0.5 * (lo + hi)
-    raise NoConvergence(
-        f"energy scale solve stalled after {max_iter} iterations "
-        f"(|residual| = {abs(r):.3e})"
-    )
+    return _finish_scale(L, x, y, s, r, evals, derivatives)
 
 
 def _finish_scale(L, x, y, s, r, evals, derivatives):
@@ -322,14 +321,11 @@ class JacobiFinslerModel(FinslerModel):
 
     family = "jacobi"
 
-    def __init__(self, base: LagrangianModel, e: float, tol: float = 1e-12,
-                 cache_size: int = 256):
+    def __init__(self, base: LagrangianModel, e: float, tol: float = 1e-12):
         self.base = base
         self.e = float(e)
         self.dim = base.dim
         self.tol = float(tol)
-        self._cache: OrderedDict = OrderedDict()
-        self._cache_size = int(cache_size)
 
     def describe(self) -> dict:
         return {
@@ -346,18 +342,8 @@ class JacobiFinslerModel(FinslerModel):
         self.base.domain_check(np.asarray(x, float), y)
 
     def energy_scale(self, x, y) -> float:
-        """The eliminated scale s at (x, y), cached per exact input."""
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        key = (x.tobytes(), y.tobytes())
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        s = solve_energy_scale(self.base, x, y, self.e, tol=self.tol).s
-        self._cache[key] = s
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-        return s
+        """The eliminated scale s at (x, y)."""
+        return solve_energy_scale(self.base, x, y, self.e, tol=self.tol).s
 
     def eval(self, x, y) -> SecondJet:
         x = np.asarray(x, float)

@@ -18,6 +18,77 @@ def conformal_magnetic():
     )
 
 
+def relativistic():
+    return rl.parse_lagrangian("-sqrt(1 - v1^2 - v2^2) - 0.1*x1^2", dim=2)
+
+
+def scale_families():
+    """name -> (model, energy range, fiber-jet probes allowed per solve)."""
+    return {
+        "mechanical": (rl.MechanicalLagrangian(
+            2, np.diag([1.0, 2.0]), potential=lambda xs: 0.5 * (xs[0] ** 2 + xs[1] ** 2)),
+            (0.5, 5.0), 2),
+        "magnetic": (conformal_magnetic(), (0.5, 5.0), 2),
+        "disk": (rl.poincare_disk_lagrangian(), (0.5, 16.0), 2),
+        "power3": (rl.PowerQuadraticLagrangian(2, np.diag([1.0, 1.5]), degree=3), (0.1, 10.0), 3),
+        "power4": (rl.PowerQuadraticLagrangian(2, np.diag([1.0, 1.5]), degree=4), (0.1, 10.0), 3),
+    }
+
+
+def scale_cases(rng, lo_e, hi_e, n=40):
+    for _ in range(n):
+        x = rng.uniform(-0.5, 0.5, 2)
+        y = rng.uniform(-3.0, 3.0, 2)
+        if y @ y < 0.05:
+            continue
+        yield x, y, float(np.exp(rng.uniform(np.log(lo_e), np.log(hi_e))))
+
+
+def bisection_scale(L, x, y, e):
+    """Reference root of E(x, y/s) = e by plain bisection down to adjacent floats."""
+    def res(s):
+        return rl.energy(L, x, y / s) - e
+
+    lo = hi = float(np.linalg.norm(y))
+    while res(lo) <= 0.0:
+        lo *= 0.5
+    while res(hi) > 0.0:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return min((lo, hi), key=lambda s: abs(res(s)))
+        if res(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+# rays, energies and roots of the relativistic model at x = (0.3, 0), with the
+# probe counts of the bracket-then-Newton solve that the model step replaced
+RELATIVISTIC_ROOTS = [
+    ((0.1, 0.05), 1.2, 0.2058395840401688, 8),
+    ((0.1, 0.05), 5.0, 0.11411744844263146, 12),
+    ((0.1, 0.05), 40.0, 0.11183836956554388, 18),
+    ((3.0, 1.0), 1.2, 5.822022628456863, 8),
+    ((3.0, 1.0), 5.0, 3.2277288658196364, 12),
+    ((3.0, 1.0), 40.0, 3.163266780665731, 18),
+    ((0.9, 0.1), 1.2, 1.6671735644118248, 8),
+    ((0.9, 0.1), 5.0, 0.9242808868315496, 12),
+    ((0.9, 0.1), 40.0, 0.9058217548195637, 18),
+]
+
+
+class HoledKinetic:
+    """L = |v|^2 / 2 whose fiber jet fails for 1 < |v| < 2."""
+
+    def fiber_jet(self, x, y):
+        y = np.asarray(y, float)
+        if 1.0 < float(np.linalg.norm(y)) < 2.0:
+            raise rl.DomainError("hole in the fiber domain")
+        return 0.5 * float(y @ y), y.copy(), np.eye(len(y))
+
+
 class TestHomogenization:
     def test_restriction_to_unit_slot_recovers_the_lagrangian(self, rng):
         L = conformal_magnetic()
@@ -115,6 +186,53 @@ class TestEnergyScale:
                 - rl.solve_energy_scale(L, x, ym, e).s
             ) / (2 * h)
             assert res.s_y[i] == pytest.approx(fd, abs=1e-7)
+
+    @pytest.mark.parametrize("name", ["mechanical", "magnetic", "disk", "power3", "power4"])
+    def test_probe_budget(self, rng, name):
+        # the model step is exact for quadratic-plus-linear families and,
+        # once k is refitted, for fiberwise-homogeneous ones
+        L, (lo_e, hi_e), budget = scale_families()[name]
+        for x, y, e in scale_cases(rng, lo_e, hi_e):
+            assert rl.solve_energy_scale(L, x, y, e).iterations <= budget
+
+    def test_matches_reference_bisection(self, rng):
+        for name, (L, (lo_e, hi_e), _) in scale_families().items():
+            for x, y, e in scale_cases(rng, lo_e, hi_e, n=10):
+                s = rl.solve_energy_scale(L, x, y, e).s
+                assert s == pytest.approx(bisection_scale(L, x, y, e), rel=1e-12), name
+
+    @pytest.mark.parametrize("ray,e,root,probes", RELATIVISTIC_ROOTS)
+    def test_relativistic_rays(self, ray, e, root, probes):
+        # the level sits next to the light-cone pole of the energy, where
+        # the model is poor and the bracket does the work
+        L = relativistic()
+        x, y = np.array([0.3, 0.0]), np.array(ray)
+        res = rl.solve_energy_scale(L, x, y, e)
+        assert res.iterations <= probes
+        assert res.s == pytest.approx(root, rel=1e-12)
+        assert res.s == pytest.approx(bisection_scale(L, x, y, e), rel=1e-12)
+
+    def test_solves_are_independent_of_call_order(self, rng):
+        Fe = rl.jacobi_finsler(conformal_magnetic(), 2.0)
+        cases = [(x, y) for x, y, _ in scale_cases(rng, 1.0, 2.0)]
+        first = [Fe.energy_scale(x, y) for x, y in cases]
+        order = rng.permutation(len(cases))
+        again = {int(i): Fe.energy_scale(*cases[i]) for i in order}
+        assert [again[i] for i in range(len(cases))] == first
+
+    def test_domain_hole_inside_the_bracket_is_reported(self):
+        # every probe strictly between the bracket ends fails: the solve
+        # must give up with a diagnosis that carries the last finite residual
+        with pytest.raises((rl.NoConvergence, rl.EnergyUnreachable)) as info:
+            rl.solve_energy_scale(
+                HoledKinetic(), np.zeros(2), np.array([1.0, 0.0]), 1.125, max_iter=20
+            )
+        if info.type is rl.NoConvergence:
+            assert "|residual| = 8.750e-01" in str(info.value)
+
+    def test_relativistic_level_below_rest_energy_is_unreachable(self):
+        with pytest.raises(rl.EnergyUnreachable, match="stagnates"):
+            rl.solve_energy_scale(relativistic(), np.array([0.3, 0.0]), np.array([0.1, 0.05]), 0.5)
 
     def test_unreachable_energy_raises(self):
         # kinetic-only energy is bounded below by the potential: e below
