@@ -13,6 +13,8 @@ or an ``outer(a, b) + outer(b, a)`` pair.
 
 Math functions (:func:`sqrt`, :func:`exp`, ...) dispatch on type so the same
 model code runs on plain floats, :class:`Grad`, or :class:`HyperDual`.
+:func:`power` is the one constant-exponent rule for floats and duals, so a
+float and a dual evaluation of ``z ** p`` take the same value.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "seed_second",
     "value_of",
     "grad_of",
+    "power",
     "sqrt",
     "exp",
     "log",
@@ -38,6 +41,8 @@ __all__ = [
 
 
 def _as_float(z):
+    if type(z) is float:
+        return z
     if isinstance(z, (numbers.Real, np.floating, np.integer)):
         return float(z)
     return None
@@ -169,7 +174,7 @@ class HyperDual:
 
     def __mul__(self, other):
         if isinstance(other, HyperDual):
-            og = np.outer(self.g, other.g)
+            og = self.g[:, None] * other.g
             return HyperDual(
                 self.v * other.v,
                 self.g * other.v + other.g * self.v,
@@ -187,7 +192,7 @@ class HyperDual:
             bv = other.v
             val = self.v / bv
             g = (self.g - val * other.g) / bv
-            og = np.outer(g, other.g)
+            og = g[:, None] * other.g
             h = (self.h - val * other.h - og - og.T) / bv
             return HyperDual(val, g, h)
         c = _as_float(other)
@@ -201,8 +206,9 @@ class HyperDual:
             return NotImplemented
         bv = self.v
         val = c / bv
-        g = (-val / bv) * self.g
-        og = np.outer(g, self.g)
+        # rounds as __truediv__ does for a numerator with zero gradient
+        g = (-val * self.g) / bv
+        og = g[:, None] * self.g
         h = (-val * self.h - og - og.T) / bv
         return HyperDual(val, g, h)
 
@@ -224,32 +230,39 @@ class HyperDual:
 
     def chain(self, f0: float, f1: float, f2: float) -> "HyperDual":
         """Compose with a scalar map given its value and two derivatives at self.v."""
-        return HyperDual(f0, f1 * self.g, f1 * self.h + f2 * np.outer(self.g, self.g))
+        return HyperDual(f0, f1 * self.g, f1 * self.h + f2 * (self.g[:, None] * self.g))
 
     def __repr__(self):
         return f"HyperDual({self.v!r})"
 
 
+def power(z, p: float):
+    """z ** p for a constant exponent p, by one rule for floats and duals.
+
+    The value is z * z for p = 2 and an integer power for other integer p;
+    a negative base with a fractional exponent raises ValueError instead of
+    turning complex. Duals take their value from this rule and add the
+    derivatives.
+    """
+    if isinstance(z, (Grad, HyperDual)):
+        return _pow_const(z, p)
+    if p == 2.0:
+        return z * z
+    if p == int(p):
+        return z ** int(p)
+    if z < 0.0:
+        raise ValueError("negative base with fractional exponent")
+    return z ** p
+
+
 def _pow_const(z, p: float):
     v = z.v
-    if p == int(p):
-        pi = int(p)
-        if pi == 0:
-            return z.chain(1.0, 0.0, 0.0)
-        if pi == 1:
-            return z
-        if pi == 2:
-            return z.chain(v * v, 2.0 * v, 2.0)
-        f0 = v ** pi
-        f1 = pi * v ** (pi - 1)
-        f2 = pi * (pi - 1) * v ** (pi - 2)
-        return z.chain(f0, f1, f2)
-    if v < 0.0:
-        raise ValueError("negative base with fractional exponent")
-    f0 = v ** p
-    f1 = p * v ** (p - 1.0)
-    f2 = p * (p - 1.0) * v ** (p - 2.0)
-    return z.chain(f0, f1, f2)
+    f0 = power(v, p)
+    if p == 0.0:
+        return z.chain(1.0, 0.0, 0.0)
+    if p == 1.0:
+        return z
+    return z.chain(f0, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
 
 
 # -- seeds and accessors ----------------------------------------------------
@@ -265,7 +278,7 @@ def seed_first(values) -> list:
 
 def seed_second(values) -> list:
     """Lift values to HyperDual variables with identity gradients, zero Hessians."""
-    values = [float(v) for v in values]
+    values = np.asarray(values, float).tolist()
     m = len(values)
     eye = np.eye(m)
     return [HyperDual(values[i], eye[i].copy(), np.zeros((m, m))) for i in range(m)]

@@ -11,6 +11,8 @@ Grammar (whitespace-insensitive, standard precedence):
 Functions: sqrt, sin, cos, exp, log. Variables: x1..xn for positions,
 v1..vn for velocities. Parsed expressions evaluate over plain floats or the
 dual types, so one parse serves value evaluation and jet propagation alike.
+A constant exponent follows :func:`routhlab.duals.power`; an exponent that
+reads a variable is evaluated as ``exp(e * log(b))``, which needs b > 0.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ class _Parser:
         self.pos = 0
         self.max_x = 0
         self.max_v = 0
+        self.n_vars = 0  # variable references parsed so far
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -137,8 +140,15 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
+            before = self.n_vars
             exponent = self.unary()
-            return lambda xs, ys, b=base, e=exponent: b(xs, ys) ** e(xs, ys)
+            if self.n_vars == before:
+                pw = duals.power
+                return lambda xs, ys, b=base, e=exponent: pw(b(xs, ys), e(xs, ys))
+            # a variable exponent takes the exp-log form on floats and duals
+            # alike, so a position-only power rounds the same either way
+            exp, log = duals.exp, duals.log
+            return lambda xs, ys, b=base, e=exponent: exp(e(xs, ys) * log(b(xs, ys)))
         return base
 
     def atom(self):
@@ -156,6 +166,7 @@ class _Parser:
             m = _VAR_RE.match(tok.text)
             if m:
                 kind, idx = m.group(1), int(m.group(2)) - 1
+                self.n_vars += 1
                 if kind == "x":
                     self.max_x = max(self.max_x, idx + 1)
                     return lambda xs, ys, i=idx: xs[i]

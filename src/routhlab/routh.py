@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,12 @@ __all__ = [
 ]
 
 
+def _index_array(indices) -> np.ndarray:
+    a = np.array(indices, dtype=int)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class CyclicSplit:
     """Partition of coordinate indices into cyclic and shape groups."""
@@ -67,13 +74,13 @@ class CyclicSplit:
         shape = tuple(i for i in range(dim) if i not in cyclic)
         return cls(dim=dim, cyclic=cyclic, shape=shape)
 
-    @property
+    @cached_property
     def cyc_idx(self) -> np.ndarray:
-        return np.array(self.cyclic, dtype=int)
+        return _index_array(self.cyclic)
 
-    @property
+    @cached_property
     def shape_idx(self) -> np.ndarray:
-        return np.array(self.shape, dtype=int)
+        return _index_array(self.shape)
 
     def embed(self, shape_vals, cyclic_vals) -> np.ndarray:
         full = np.zeros(self.dim)
@@ -162,7 +169,7 @@ def solve_momentum(
         residual = d_y[cyc] - mu
         if np.linalg.norm(residual) <= scale:
             return z
-        block = d_yy[np.ix_(cyc, cyc)]
+        block = d_yy[cyc[:, None], cyc]
         try:
             step = np.linalg.solve(block, residual)
         except np.linalg.LinAlgError as exc:
@@ -232,16 +239,16 @@ class ReducedLagrangian(LagrangianModel):
         full_x, full_y, z = self._lift(x, y)
         j = self.base.eval(full_x, full_y)
         cyc, shp = self.split.cyc_idx, self.split.shape_idx
-        g_cc = j.d_yy[np.ix_(cyc, cyc)]
-        g_cs = j.d_yy[np.ix_(cyc, shp)]
-        g_sc = j.d_yy[np.ix_(shp, cyc)]
+        g_cc = j.d_yy[cyc[:, None], cyc]
+        g_cs = j.d_yy[cyc[:, None], shp]
+        g_sc = j.d_yy[shp[:, None], cyc]
         try:
             w = np.linalg.solve(g_cc, g_cs)
         except np.linalg.LinAlgError as exc:
             raise SingularBlock(f"cyclic velocity block is singular at x={full_x}") from exc
-        d_yy = j.d_yy[np.ix_(shp, shp)] - g_sc @ w
+        d_yy = j.d_yy[shp[:, None], shp] - g_sc @ w
         d_yy = 0.5 * (d_yy + d_yy.T)
-        d_xy = j.d_xy[np.ix_(shp, shp)] - j.d_xy[np.ix_(shp, cyc)] @ w
+        d_xy = j.d_xy[shp[:, None], shp] - j.d_xy[shp[:, None], cyc] @ w
         return SecondJet(
             value=j.value - float(self.mu @ z),
             d_x=j.d_x[shp],
@@ -258,13 +265,13 @@ class ReducedLagrangian(LagrangianModel):
         full_x, full_y, z = self._lift(np.asarray(x, float), np.asarray(y, float))
         val, d_y, d_yy = self.base.fiber_jet(full_x, full_y)
         cyc, shp = self.split.cyc_idx, self.split.shape_idx
-        g_cc = d_yy[np.ix_(cyc, cyc)]
-        g_cs = d_yy[np.ix_(cyc, shp)]
+        g_cc = d_yy[cyc[:, None], cyc]
+        g_cs = d_yy[cyc[:, None], shp]
         try:
             w = np.linalg.solve(g_cc, g_cs)
         except np.linalg.LinAlgError as exc:
             raise SingularBlock(f"cyclic velocity block is singular at x={full_x}") from exc
-        h = d_yy[np.ix_(shp, shp)] - d_yy[np.ix_(shp, cyc)] @ w
+        h = d_yy[shp[:, None], shp] - d_yy[shp[:, None], cyc] @ w
         return val - float(self.mu @ z), d_y[shp], 0.5 * (h + h.T)
 
 

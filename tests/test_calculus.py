@@ -122,6 +122,19 @@ def test_jet_validates_shapes_and_finiteness():
         jet(L, np.array([np.nan, 0.0]), np.ones(2))
 
 
+# DSL sources whose velocity-only fiber jet must equal the full jet exactly:
+# the two round-trip models, a relativistic one, transcendental coefficients,
+# and powers and quotients mixing position-only and velocity operands
+PARITY_SOURCES = [
+    "0.5*(v1^2 + x1^2*v2^2) + 1/x1",
+    "0.5*(v1^2 + x1^2*v2^2) - 0.5*x1^2",
+    "-sqrt(1 - v1^2 - v2^2) - 0.1*x1^2",
+    "exp(x1)*v1^2/2 + sin(x2)*v1*v2 + cos(x1*x2)*v2^2 + log(2+x1)*v1 - x1^3",
+    "(1+x1^2)^1.5*v1^2 + v2^4/(3+x2^2) + x1^v1",
+    "x1/(1 + v1^2 + x2*v2^2) + v1^x2 + 2^(v1*x1)",
+]
+
+
 def test_fiber_jet_agrees_with_full_jet(rng):
     for model in _models(rng):
         x, y = _sample_state(model, rng)
@@ -130,3 +143,29 @@ def test_fiber_jet_agrees_with_full_jet(rng):
         assert np.isclose(val, full.value, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(d_y, full.d_y, atol=1e-12)
         np.testing.assert_allclose(d_yy, full.d_yy, atol=1e-12)
+    for source in PARITY_SOURCES:
+        model = rl.parse_lagrangian(source, dim=2)
+        checked = 0
+        for _ in range(1000):
+            x = rng.uniform(-1.5, 1.5, 2)
+            y = rng.uniform(-1.0, 1.0, 2)
+            try:
+                full = model.eval(x, y)
+            except rl.DomainError:
+                continue
+            val, d_y, d_yy = model.fiber_jet(x, y)
+            assert val == full.value, source
+            np.testing.assert_array_equal(d_y, full.d_y, err_msg=source)
+            np.testing.assert_array_equal(d_yy, full.d_yy, err_msg=source)
+            checked += 1
+        assert checked >= 200, source
+    # position-only operands are floats in the fiber jet, so sqrt(x1) at
+    # x1 = 0 evaluates there, as in value(), while the full jet's dual sqrt
+    # refuses it
+    model = rl.parse_lagrangian("sqrt(x1)*v1^2", dim=1)
+    with pytest.raises(rl.DomainError):
+        model.eval([0.0], [0.5])
+    val, d_y, d_yy = model.fiber_jet([0.0], [0.5])
+    assert val == model.value([0.0], [0.5]) == 0.0
+    np.testing.assert_array_equal(d_y, [0.0])
+    np.testing.assert_array_equal(d_yy, [[0.0]])

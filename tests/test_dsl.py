@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from routhlab import ArityError, ParseError, parse_expression
+from routhlab import (
+    ArityError,
+    DomainError,
+    ParseError,
+    StencilDomainError,
+    fd_jet,
+    parse_expression,
+    parse_lagrangian,
+)
 
 
 def ev(text, xs=(), ys=()):
@@ -102,3 +110,28 @@ def test_expression_works_on_dual_inputs():
     assert math.isclose(out.g[1], 0.25)
     # d2/dx1dv1 = 2*x1
     assert math.isclose(out.h[0, 1], 1.0)
+
+
+def test_power_follows_one_rule_for_floats_and_duals():
+    from routhlab import seed_second
+
+    # exponent 2 is a product on every path, so float and dual values agree;
+    # pow(x, 2.0) rounds this x one ulp away from x * x
+    x = 0.7559376686872161
+    (x1,) = seed_second([x])
+    assert ev("x1^2", [x]) == x * x == ev("x1^2", [x1]).v
+    assert ev("(-2)^3") == -8.0  # integer exponents allow a negative base
+    with pytest.raises(ValueError):
+        ev("(-2)^0.5")
+    with pytest.raises(ValueError):
+        ev("x1^v1", [-2.0], [3.0])  # a variable exponent needs a positive base
+
+
+@pytest.mark.parametrize("source, x", [("(x1-2)^0.5 + v1^2", 1.0), ("(-2)^0.5 + v1^2", 1.0)])
+def test_negative_base_fractional_power_is_a_domain_error(source, x):
+    L = parse_lagrangian(source, dim=1)
+    for path in (L.value, L.fiber_jet, L.eval):
+        with pytest.raises(DomainError):
+            path([x], [0.5])
+    with pytest.raises(StencilDomainError):
+        fd_jet(L, [x], [0.5])
