@@ -9,16 +9,39 @@ Grammar (whitespace-insensitive, standard precedence):
     atom   := NUMBER | FUNC '(' expr ')' | VARIABLE | '(' expr ')'
 
 Functions: sqrt, sin, cos, exp, log. Variables: x1..xn for positions,
-v1..vn for velocities. Parsed expressions evaluate over plain floats or the
-dual types, so one parse serves value evaluation and jet propagation alike.
-A constant exponent follows :func:`routhlab.duals.power`; an exponent that
-reads a variable is evaluated as ``exp(e * log(b))``, which needs b > 0.
+v1..vn for velocities. A constant exponent follows
+:func:`routhlab.duals.power`; an exponent that reads a variable is evaluated
+as ``exp(e * log(b))``, which needs b > 0.
+
+Text is parsed once, to a tree of tuples. Two evaluators derive from it:
+
+* ``Expression.__call__`` runs over plain floats or the dual types, so one
+  parse serves values, coefficient gradients and the hyper-dual jet that
+  tests use as the oracle.
+* :meth:`Expression.jet_kernel` generates and compiles, once per expression
+  and dimension, a straight-line Python function on plain floats. The
+  ``"fiber"`` kernel seeds the n velocities and returns (value, d_y, d_yy);
+  the ``"full"`` kernel seeds all 2n slots and returns the blocks of a
+  :class:`~routhlab.jets.SecondJet`, skipping the position Hessian. Each
+  derivative entry is computed by the rule and summation order of the
+  :class:`~routhlab.duals.HyperDual` operation it mirrors, with only
+  structural-zero terms dropped, so a kernel jet equals the dual jet bit for
+  bit wherever the dual jet is finite (zero entries may differ in sign).
+  Positions stay plain floats in the fiber kernel, as velocity-free
+  subexpressions follow the float rules there. Kernel code is written from
+  the tree alone, never from source text: names come from a fixed set and
+  finite constants print with ``repr``.
 """
 
 from __future__ import annotations
 
+import linecache
+import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import duals
 from .errors import ArityError, ParseError
@@ -42,6 +65,15 @@ _TOKEN_RE = re.compile(
 )
 
 _VAR_RE = re.compile(r"^([xv])([1-9][0-9]*)$")
+
+# Tree nodes are tuples:
+#   ("num", c)                  float constant
+#   ("x", i), ("v", i)          position / velocity i, zero-based
+#   ("neg", a)
+#   ("+" | "-" | "*" | "/", a, b)
+#   ("call", name, a)           name in _FUNCTIONS
+#   ("^", base, exponent)       exponent reads no variable: duals.power
+#   ("^v", base, exponent)      exponent reads a variable: exp(exponent * log(base))
 
 
 @dataclass(frozen=True)
@@ -109,8 +141,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "+-":
                 self.advance()
-                rhs = self.term()
-                node = _binop(tok.text, node, rhs)
+                node = (tok.text, node, self.term())
             else:
                 return node
 
@@ -120,8 +151,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.text in "*/":
                 self.advance()
-                rhs = self.unary()
-                node = _binop(tok.text, node, rhs)
+                node = (tok.text, node, self.unary())
             else:
                 return node
 
@@ -130,9 +160,7 @@ class _Parser:
         if tok.kind == "op" and tok.text in "+-":
             self.advance()
             inner = self.unary()
-            if tok.text == "-":
-                return lambda xs, ys, f=inner: -f(xs, ys)
-            return inner
+            return ("neg", inner) if tok.text == "-" else inner
         return self.power()
 
     def power(self):
@@ -142,36 +170,28 @@ class _Parser:
             self.advance()
             before = self.n_vars
             exponent = self.unary()
-            if self.n_vars == before:
-                pw = duals.power
-                return lambda xs, ys, b=base, e=exponent: pw(b(xs, ys), e(xs, ys))
-            # a variable exponent takes the exp-log form on floats and duals
-            # alike, so a position-only power rounds the same either way
-            exp, log = duals.exp, duals.log
-            return lambda xs, ys, b=base, e=exponent: exp(e(xs, ys) * log(b(xs, ys)))
+            return ("^" if self.n_vars == before else "^v", base, exponent)
         return base
 
     def atom(self):
         tok = self.advance()
         if tok.kind == "num":
-            c = float(tok.text)
-            return lambda xs, ys, c=c: c
+            return ("num", float(tok.text))
         if tok.kind == "ident":
             if tok.text in _FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                fn = _FUNCTIONS[tok.text]
-                return lambda xs, ys, f=fn, a=arg: f(a(xs, ys))
+                return ("call", tok.text, arg)
             m = _VAR_RE.match(tok.text)
             if m:
                 kind, idx = m.group(1), int(m.group(2)) - 1
                 self.n_vars += 1
                 if kind == "x":
                     self.max_x = max(self.max_x, idx + 1)
-                    return lambda xs, ys, i=idx: xs[i]
-                self.max_v = max(self.max_v, idx + 1)
-                return lambda xs, ys, i=idx: ys[i]
+                else:
+                    self.max_v = max(self.max_v, idx + 1)
+                return (kind, idx)
             raise ParseError(f"unknown identifier {tok.text!r}", tok.line, tok.column)
         if tok.kind == "op" and tok.text == "(":
             node = self.expr()
@@ -181,27 +201,415 @@ class _Parser:
         raise ParseError(f"unexpected {what!r}", tok.line, tok.column)
 
 
-def _binop(op: str, a, b):
-    if op == "+":
+# -- generic evaluator ---------------------------------------------------------
+
+
+def _evaluator(node):
+    """Nested closures evaluating node over floats, Grad or HyperDual."""
+    tag = node[0]
+    if tag == "num":
+        return lambda xs, ys, c=node[1]: c
+    if tag == "x":
+        return lambda xs, ys, i=node[1]: xs[i]
+    if tag == "v":
+        return lambda xs, ys, i=node[1]: ys[i]
+    if tag == "neg":
+        return lambda xs, ys, f=_evaluator(node[1]): -f(xs, ys)
+    if tag == "call":
+        return lambda xs, ys, f=_FUNCTIONS[node[1]], a=_evaluator(node[2]): f(a(xs, ys))
+    a, b = _evaluator(node[1]), _evaluator(node[2])
+    if tag == "+":
         return lambda xs, ys: a(xs, ys) + b(xs, ys)
-    if op == "-":
+    if tag == "-":
         return lambda xs, ys: a(xs, ys) - b(xs, ys)
-    if op == "*":
+    if tag == "*":
         return lambda xs, ys: a(xs, ys) * b(xs, ys)
-    return lambda xs, ys: a(xs, ys) / b(xs, ys)
+    if tag == "/":
+        return lambda xs, ys: a(xs, ys) / b(xs, ys)
+    if tag == "^":
+        return lambda xs, ys, pw=duals.power: pw(a(xs, ys), b(xs, ys))
+    # a variable exponent takes the exp-log form on floats and duals alike,
+    # so a position-only power rounds the same either way
+    return lambda xs, ys, exp=duals.exp, log=duals.log: exp(b(xs, ys) * log(a(xs, ys)))
+
+
+# -- jet kernels -----------------------------------------------------------------
+
+
+def _sqrt_domain():
+    raise ValueError("sqrt of non-positive value")
+
+
+def _log_domain():
+    raise ValueError("log of non-positive value")
+
+
+def _negative_base():
+    raise ValueError("negative base with fractional exponent")
+
+
+#: the only global names kernel code can read; temporaries are t0, t1, ...
+_KERNEL_GLOBALS = {
+    "_sqrt": math.sqrt,
+    "_sin": math.sin,
+    "_cos": math.cos,
+    "_exp": math.exp,
+    "_log": math.log,
+    "_power": duals.power,
+    "_array": np.array,
+    "_sqrt_domain": _sqrt_domain,
+    "_log_domain": _log_domain,
+    "_negative_base": _negative_base,
+    "_INF": math.inf,
+    "_NAN": math.nan,
+}
+
+_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "**": operator.pow,
+}
+
+_COMPARE = {"<=": operator.le, "<": operator.lt}
+
+
+def _fold(fn, *args):
+    """fn(*args) as a float, or None where the call raises (or turns complex)."""
+    try:
+        return float(fn(*args))
+    except (ArithmeticError, ValueError, TypeError):
+        return None
+
+
+def _const(a) -> bool:
+    return type(a) is float
+
+
+def _is(a, c: float) -> bool:
+    return type(a) is float and a == c
+
+
+class _KernelWriter:
+    """Writes one jet kernel as Python source.
+
+    An operand is a float known while writing, or the name of a temporary.
+    A jet is ``(value, g, h)``: ``g`` lists one operand per seeded slot and
+    ``h`` one per entry of ``self.pairs``, or both are None for a node that
+    reads no seeded variable and so evaluates as a plain float, as it does
+    on the dual path. Values and chain-rule coefficients are computed exactly
+    as the dual path computes them, so they raise where it raises; derivative
+    entries only add, subtract, multiply and divide by values, which cannot
+    raise, and drop terms that are structural zeros.
+    """
+
+    def __init__(self, n: int, full: bool):
+        self.n = n
+        self.full = full
+        self.m = 2 * n if full else n
+        # the full kernel skips the x-x block, which SecondJet never holds
+        rows = range(2 * n) if full else range(n)
+        cols = range(n, 2 * n) if full else range(n)
+        self.pairs = [(i, j) for i in rows for j in cols]
+        self.lines = []
+        self.count = 2 * n  # t0 .. t(2n-1) are the arguments: x, then y
+
+    # -- operands -----------------------------------------------------------
+
+    @staticmethod
+    def lit(a) -> str:
+        if not _const(a):
+            return a
+        if math.isnan(a):
+            return "_NAN"
+        if math.isinf(a):
+            return "_INF" if a > 0 else "(-_INF)"
+        return f"({a!r})" if math.copysign(1.0, a) < 0 else repr(a)
+
+    def emit(self, text: str) -> str:
+        name = f"t{self.count}"
+        self.count += 1
+        self.lines.append(f"    {name} = {text}")
+        return name
+
+    def op(self, sym: str, a, b):
+        """a sym b, rounded as the dual path rounds it: values and coefficients."""
+        if sym == "**" and _is(b, 0.0):
+            return 1.0  # float_pow returns 1.0 for any base
+        if _const(a) and _const(b):
+            c = _fold(_OPS[sym], a, b)
+            if c is not None:
+                return c
+        return self.emit(f"{self.lit(a)} {sym} {self.lit(b)}")
+
+    def call(self, name: str, a):
+        if _const(a):
+            c = _fold(getattr(math, name), a)
+            if c is not None:
+                return c
+        return self.emit(f"_{name}({self.lit(a)})")
+
+    def require(self, a, cmp: str, helper: str):
+        """Call helper, which raises, where ``a cmp 0.0``, as the dual path does."""
+        if _const(a):
+            if _COMPARE[cmp](a, 0.0):
+                self.lines.append(f"    {helper}()")
+            return
+        self.lines.append(f"    if {a} {cmp} 0.0:")
+        self.lines.append(f"        {helper}()")
+
+    # -- derivative entries, structural zeros dropped ---------------------------
+
+    def neg(self, a):
+        return -a if _const(a) else self.emit(f"-{a}")
+
+    def add(self, a, b):
+        if _const(a) and _const(b):
+            return a + b
+        if _is(a, 0.0):
+            return b
+        if _is(b, 0.0):
+            return a
+        return self.emit(f"{self.lit(a)} + {self.lit(b)}")
+
+    def sub(self, a, b):
+        if _const(a) and _const(b):
+            return a - b
+        if _is(b, 0.0):
+            return a
+        if _is(a, 0.0):
+            return self.neg(b)
+        return self.emit(f"{self.lit(a)} - {self.lit(b)}")
+
+    def mul(self, a, b):
+        if _const(a) and _const(b):
+            return a * b
+        if _is(a, 0.0) or _is(b, 0.0):
+            return 0.0
+        if _is(a, 1.0):
+            return b
+        if _is(b, 1.0):
+            return a
+        return self.emit(f"{self.lit(a)} * {self.lit(b)}")
+
+    def div(self, a, b):
+        if _const(a) and _const(b):
+            c = _fold(operator.truediv, a, b)
+            if c is not None:
+                return c
+        if _is(a, 0.0):
+            return 0.0
+        if _is(b, 1.0):
+            return a
+        return self.emit(f"{self.lit(a)} / {self.lit(b)}")
+
+    # -- hyper-dual rules -------------------------------------------------------
+
+    def node(self, node):
+        tag = node[0]
+        if tag == "num":
+            return node[1], None, None
+        if tag in ("x", "v"):
+            i = node[1]
+            if i >= self.n:
+                raise ArityError(f"expression references index {i + 1} beyond dimension {self.n}")
+            arg = i if tag == "x" else self.n + i
+            if tag == "x" and not self.full:
+                return f"t{arg}", None, None  # positions stay floats
+            slot = arg if self.full else i
+            g = [1.0 if k == slot else 0.0 for k in range(self.m)]
+            return f"t{arg}", g, [0.0] * len(self.pairs)
+        if tag == "neg":
+            v, g, h = self.node(node[1])
+            if g is None:
+                return self.neg(v), None, None
+            return self.neg(v), [self.neg(e) for e in g], [self.neg(e) for e in h]
+        if tag == "call":
+            return self.func(node[1], self.node(node[2]))
+        if tag == "^":
+            base = self.node(node[1])
+            p, _, _ = self.node(node[2])
+            return self.power(base, p)
+        if tag == "^v":
+            e = self.node(node[2])  # the exponent evaluates first
+            return self.func("exp", self.binop("*", e, self.func("log", self.node(node[1]))))
+        return self.binop(tag, self.node(node[1]), self.node(node[2]))
+
+    def binop(self, sym: str, a, b):
+        av, ag, ah = a
+        bv, bg, bh = b
+        v = self.op(sym, av, bv)
+        if ag is None and bg is None:
+            return v, None, None
+        pairs = self.pairs
+        if sym == "+":
+            if ag is None:
+                return v, bg, bh
+            if bg is None:
+                return v, ag, ah
+            return v, list(map(self.add, ag, bg)), list(map(self.add, ah, bh))
+        if sym == "-":
+            if bg is None:
+                return v, ag, ah
+            if ag is None:
+                return v, [self.neg(e) for e in bg], [self.neg(e) for e in bh]
+            return v, list(map(self.sub, ag, bg)), list(map(self.sub, ah, bh))
+        mul, add, sub, div = self.mul, self.add, self.sub, self.div
+        if sym == "*":
+            if bg is None:
+                return v, [mul(e, bv) for e in ag], [mul(e, bv) for e in ah]
+            if ag is None:
+                return v, [mul(e, av) for e in bg], [mul(e, av) for e in bh]
+            g = [add(mul(ag[k], bv), mul(bg[k], av)) for k in range(self.m)]
+            h = [
+                add(add(add(mul(ah[p], bv), mul(bh[p], av)), mul(ag[i], bg[j])), mul(ag[j], bg[i]))
+                for p, (i, j) in enumerate(pairs)
+            ]
+            return v, g, h
+        if bg is None:  # dual / float
+            return v, [div(e, bv) for e in ag], [div(e, bv) for e in ah]
+        if ag is None:  # float / dual, which rounds as (-val * g) / b
+            nv = self.neg(v)
+            g = [div(mul(nv, e), bv) for e in bg]
+            h = [
+                div(sub(sub(mul(nv, bh[p]), mul(g[i], bg[j])), mul(g[j], bg[i])), bv)
+                for p, (i, j) in enumerate(pairs)
+            ]
+            return v, g, h
+        g = [div(sub(ag[k], mul(v, bg[k])), bv) for k in range(self.m)]
+        h = [
+            div(sub(sub(sub(ah[p], mul(v, bh[p])), mul(g[i], bg[j])), mul(g[j], bg[i])), bv)
+            for p, (i, j) in enumerate(pairs)
+        ]
+        return v, g, h
+
+    def chain(self, a, f0, f1, f2):
+        _, g, h = a
+        mul = self.mul
+        return (
+            f0,
+            [mul(f1, e) for e in g],
+            [self.add(mul(f1, h[p]), mul(f2, mul(g[i], g[j]))) for p, (i, j) in enumerate(self.pairs)],
+        )
+
+    def func(self, name: str, a):
+        v, g, _ = a
+        if g is None:
+            return self.call(name, v), None, None
+        op = self.op
+        if name == "sqrt":
+            self.require(v, "<=", "_sqrt_domain")
+            s = self.call("sqrt", v)
+            return self.chain(a, s, op("/", 0.5, s), op("/", -0.25, op("*", s, v)))
+        if name == "log":
+            self.require(v, "<=", "_log_domain")
+            return self.chain(a, self.call("log", v), op("/", 1.0, v), op("/", -1.0, op("*", v, v)))
+        if name == "exp":
+            f = self.call("exp", v)
+            return self.chain(a, f, f, f)
+        s, c = self.call("sin", v), self.call("cos", v)
+        if name == "sin":
+            return self.chain(a, s, c, self.neg(s))
+        return self.chain(a, c, self.neg(s), self.neg(c))
+
+    def power_value(self, v, p: float):
+        """duals.power(v, p) on a float operand and a finite constant p."""
+        if p == 2.0:
+            return self.op("*", v, v)
+        if p != int(p):
+            self.require(v, "<", "_negative_base")
+        return self.op("**", v, p)
+
+    def power(self, a, p):
+        v, g, h = a
+        if not (_const(p) and math.isfinite(p)):
+            # reached only where p's own evaluation raised or duals.power
+            # raises on it, so the derivatives are never read
+            f0 = self.emit(f"_power({self.lit(v)}, {self.lit(p)})")
+            return f0, g, h
+        if g is not None and p == 1.0:
+            return a  # _pow_const returns z itself; z ** 1 cannot raise
+        f0 = self.power_value(v, p)
+        if g is None:
+            return f0, None, None
+        if p == 0.0:
+            return self.chain(a, 1.0, 0.0, 0.0)
+        op = self.op
+        f1 = op("*", p, op("**", v, p - 1.0))
+        f2 = op("*", p * (p - 1.0), op("**", v, p - 2.0))
+        return self.chain(a, f0, f1, f2)
+
+    # -- the kernel ---------------------------------------------------------------
+
+    def write(self, tree) -> str:
+        v, g, h = self.node(tree)
+        n, lit = self.n, self.lit
+        if g is None:
+            g, h = [0.0] * self.m, [0.0] * len(self.pairs)
+
+        def vec(entries):
+            return "_array([" + ", ".join(lit(e) for e in entries) + "])"
+
+        def mat(entries):
+            rows = [entries[r * n:(r + 1) * n] for r in range(len(entries) // n)]
+            return "_array([" + ", ".join("[" + ", ".join(lit(e) for e in row) + "]" for row in rows) + "])"
+
+        if self.full:
+            half = n * n
+            out = [lit(v), vec(g[:n]), vec(g[n:]), mat(h[half:]), mat(h[:half])]
+        else:
+            out = [lit(v), vec(g), mat(h)]
+        args = ", ".join(f"t{k}" for k in range(2 * n))
+        return "\n".join([f"def kernel({args}):", *self.lines, "    return " + ", ".join(out), ""])
+
+
+def _compile_kernel(source: str, tree, kind: str, n: int):
+    if kind not in ("fiber", "full"):
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    text = _KernelWriter(n, full=kind == "full").write(tree)
+    filename = f"<routhlab-kernel {kind} n={n}: {' '.join(source.split())}>"
+    code = compile(text, filename, "exec")
+    # lets tracebacks and profilers show the generated line
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    namespace = dict(_KERNEL_GLOBALS, __builtins__={})
+    exec(code, namespace)  # noqa: S102 - text is written from the tree alone
+    return namespace["kernel"]
 
 
 @dataclass(frozen=True)
 class Expression:
-    """A compiled expression with its variable footprint."""
+    """A parsed expression with its variable footprint.
+
+    Calling it evaluates the tree over floats or dual numbers;
+    :meth:`jet_kernel` gives the compiled float kernels.
+    """
 
     source: str
-    fn: object
+    tree: tuple
     max_x: int
     max_v: int
+    fn: object = field(init=False, repr=False, compare=False)
+    _kernels: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fn", _evaluator(self.tree))
 
     def __call__(self, xs, ys=()):
         return self.fn(xs, ys)
+
+    def jet_kernel(self, kind: str, n: int):
+        """The compiled ``"fiber"`` or ``"full"`` jet kernel for dimension n.
+
+        It takes the n positions and then the n velocities as floats. The
+        fiber kernel returns (value, d_y, d_yy), the full kernel (value, d_x,
+        d_y, d_yy, d_xy). Each is compiled on first use and kept.
+        """
+        key = (kind, n)
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            kernel = self._kernels[key] = _compile_kernel(self.source, self.tree, kind, n)
+        return kernel
 
 
 def parse_expression(text: str, dim: int | None = None, allow_velocity: bool = True) -> Expression:
@@ -214,7 +622,7 @@ def parse_expression(text: str, dim: int | None = None, allow_velocity: bool = T
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression")
     parser = _Parser(_tokenize(text))
-    fn = parser.parse()
+    tree = parser.parse()
     if dim is not None:
         if parser.max_x > dim or parser.max_v > dim:
             worst = max(parser.max_x, parser.max_v)
@@ -223,4 +631,4 @@ def parse_expression(text: str, dim: int | None = None, allow_velocity: bool = T
             )
     if not allow_velocity and parser.max_v > 0:
         raise ArityError("velocity variables are not allowed in this expression")
-    return Expression(source=text, fn=fn, max_x=parser.max_x, max_v=parser.max_v)
+    return Expression(source=text, tree=tree, max_x=parser.max_x, max_v=parser.max_v)

@@ -11,10 +11,10 @@ Index convention: ``d_xy[i, j]`` is the derivative first in ``x[i]``, then in
 :func:`jet` computes jets by hyper-dual forward propagation; fields may
 override their ``eval`` with an exact analytic assembly, which tests
 cross-check against both the dual path and the independent finite-difference
-oracle :func:`fd_jet`. The velocity-only fiber jet (value, d_y, d_yy) seeds
-the n velocities alone: positions stay plain floats, so subexpressions of
-position alone run as float arithmetic, and the result equals the matching
-blocks of the full 2n-seed jet exactly (up to the sign of zero entries).
+oracle :func:`fd_jet`. The velocity-only fiber jet (value, d_y, d_yy)
+defaults to the matching blocks of ``eval``; model families override it with
+a cheaper assembly, and DSL models with a compiled kernel that seeds only the
+velocities (:meth:`routhlab.expressions.Expression.jet_kernel`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import HyperDual, seed_second, value_of
+from .duals import seed_second, value_of
 from .errors import DomainError, StencilDomainError
 
 __all__ = ["SecondJet", "ScalarField", "jet", "fd_jet", "chain_jet", "FD_STEP"]
@@ -114,31 +114,9 @@ class ScalarField:
             raise DomainError(str(exc)) from exc
 
     def fiber_jet(self, x, y):
-        """(value, d_y, d_yy) at (x, y), with only the velocities seeded.
-
-        expr runs on plain-float positions and n-slot hyper-dual velocities,
-        so subexpressions of position alone are float arithmetic. The result
-        equals eval's (value, d_y, d_yy) exactly wherever eval succeeds; only
-        zero entries may differ in sign.
-        It can also succeed where eval cannot: a position-only ``sqrt(x1)``
-        at x1 = 0 is the float 0.0 here, as in value(), while eval raises
-        DomainError because the dual sqrt needs x1 > 0. Fields without expr
-        use eval.
-        """
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        try:
-            out = self.expr(x.tolist(), seed_second(y))
-        except NotImplementedError:
-            j = self.eval(x, y)
-            return j.value, j.d_y, j.d_yy
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(str(exc)) from exc
-        if isinstance(out, HyperDual):
-            return out.v, out.g, out.h
-        n = self.dim
-        return float(out), np.zeros(n), np.zeros((n, n))
+        """(value, d_y, d_yy) at (x, y): the velocity blocks of eval."""
+        j = self.eval(x, y)
+        return j.value, j.d_y, j.d_yy
 
 
 def jet(field: ScalarField, x, y) -> SecondJet:

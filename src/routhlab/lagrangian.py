@@ -375,7 +375,42 @@ class ExpressionLagrangian(LagrangianModel):
             raise DomainError(f"position {np.asarray(x)} outside the model domain")
 
     def expr(self, xs, ys):
-        return self.expression(xs, ys)
+        return self.expression.fn(xs, ys)
+
+    def eval(self, x, y) -> SecondJet:
+        """Second-order jet from the expression's compiled full kernel.
+
+        It equals the hyper-dual jet of ``expr`` (``ScalarField.eval``) bit
+        for bit wherever that jet is finite, up to the sign of zero entries.
+        """
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
+        self.domain_check(x, y)
+        kernel = self.expression.jet_kernel("full", self.dim)
+        try:
+            return SecondJet(*kernel(*x.tolist(), *y.tolist()))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(str(exc)) from exc
+
+    def fiber_jet(self, x, y):
+        """(value, d_y, d_yy) from the expression's compiled fiber kernel.
+
+        Only the velocities are seeded, so subexpressions of position alone
+        are float arithmetic. The result equals eval's (value, d_y, d_yy)
+        exactly wherever eval succeeds with finite entries; only zero
+        entries may differ in sign. It can also succeed where eval cannot:
+        a position-only ``sqrt(x1)`` at x1 = 0 is the float 0.0 here, as in
+        value(), while eval raises DomainError because the dual sqrt needs
+        x1 > 0.
+        """
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
+        self.domain_check(x, y)
+        kernel = self.expression.jet_kernel("fiber", self.dim)
+        try:
+            return kernel(*x.tolist(), *y.tolist())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(str(exc)) from exc
 
     def describe(self) -> dict:
         d = super().describe()

@@ -122,9 +122,11 @@ def test_jet_validates_shapes_and_finiteness():
         jet(L, np.array([np.nan, 0.0]), np.ones(2))
 
 
-# DSL sources whose velocity-only fiber jet must equal the full jet exactly:
-# the two round-trip models, a relativistic one, transcendental coefficients,
-# and powers and quotients mixing position-only and velocity operands
+# DSL sources whose compiled fiber and full jets must equal the hyper-dual
+# jet exactly: the two round-trip models, a relativistic one, transcendental
+# coefficients, powers and quotients mixing position-only and velocity
+# operands, a product whose dual d_yy is often not bitwise symmetric, and
+# every constant-exponent special case
 PARITY_SOURCES = [
     "0.5*(v1^2 + x1^2*v2^2) + 1/x1",
     "0.5*(v1^2 + x1^2*v2^2) - 0.5*x1^2",
@@ -132,7 +134,10 @@ PARITY_SOURCES = [
     "exp(x1)*v1^2/2 + sin(x2)*v1*v2 + cos(x1*x2)*v2^2 + log(2+x1)*v1 - x1^3",
     "(1+x1^2)^1.5*v1^2 + v2^4/(3+x2^2) + x1^v1",
     "x1/(1 + v1^2 + x2*v2^2) + v1^x2 + 2^(v1*x1)",
+    "(v1+v2^2+x1*v1*v2)*(v2+v1^3+sin(v1*v2))/(1+exp(v1-v2)*v2^2)",
+    "-(x1*v1)^3 + cos(v2)^0 + (v1*x2)^1 - 3/(x1-v2) + 2^(v1*x1)",
 ]
+ASYMMETRIC_SOURCE = PARITY_SOURCES[6]
 
 
 def test_fiber_jet_agrees_with_full_jet(rng):
@@ -145,20 +150,35 @@ def test_fiber_jet_agrees_with_full_jet(rng):
         np.testing.assert_allclose(d_yy, full.d_yy, atol=1e-12)
     for source in PARITY_SOURCES:
         model = rl.parse_lagrangian(source, dim=2)
-        checked = 0
+        checked = asymmetric = 0
         for _ in range(1000):
             x = rng.uniform(-1.5, 1.5, 2)
             y = rng.uniform(-1.0, 1.0, 2)
+            # the oracle: hyper-dual propagation of the generic evaluator
             try:
-                full = model.eval(x, y)
+                oracle = rl.ScalarField.eval(model, x, y)
             except rl.DomainError:
+                with pytest.raises(rl.DomainError):
+                    model.eval(x, y)
                 continue
+            full = model.eval(x, y)
+            for block in ("d_x", "d_y", "d_yy", "d_xy"):
+                np.testing.assert_array_equal(
+                    getattr(full, block), getattr(oracle, block), err_msg=source
+                )
+                assert getattr(full, block).dtype == np.float64
             val, d_y, d_yy = model.fiber_jet(x, y)
-            assert val == full.value, source
-            np.testing.assert_array_equal(d_y, full.d_y, err_msg=source)
-            np.testing.assert_array_equal(d_yy, full.d_yy, err_msg=source)
+            assert val == full.value == oracle.value, source
+            np.testing.assert_array_equal(d_y, oracle.d_y, err_msg=source)
+            np.testing.assert_array_equal(d_yy, oracle.d_yy, err_msg=source)
+            assert d_y.shape == (2,) and d_yy.shape == (2, 2)
+            asymmetric += oracle.d_yy[0, 1] != oracle.d_yy[1, 0]
             checked += 1
         assert checked >= 200, source
+        if source == ASYMMETRIC_SOURCE:
+            # each Hessian entry takes its own rule; mirroring one triangle
+            # would miss these
+            assert asymmetric >= 100
     # position-only operands are floats in the fiber jet, so sqrt(x1) at
     # x1 = 0 evaluates there, as in value(), while the full jet's dual sqrt
     # refuses it
@@ -169,3 +189,21 @@ def test_fiber_jet_agrees_with_full_jet(rng):
     assert val == model.value([0.0], [0.5]) == 0.0
     np.testing.assert_array_equal(d_y, [0.0])
     np.testing.assert_array_equal(d_yy, [[0.0]])
+
+
+def test_kernels_match_the_oracle_with_non_finite_literals():
+    # 1e999 is inf; the kernels bind it by name, and their structural zeros
+    # times inf give the same nan entries as the dual path's arrays
+    model = rl.parse_lagrangian("1e999*v1^2 + x1", dim=1)
+    x, y = [0.5], [0.3]
+    with np.errstate(invalid="ignore"):
+        oracle = rl.ScalarField.eval(model, x, y)
+    full = model.eval(x, y)
+    assert full.value == oracle.value == np.inf
+    for block in ("d_x", "d_y", "d_yy", "d_xy"):
+        np.testing.assert_array_equal(getattr(full, block), getattr(oracle, block))
+    np.testing.assert_array_equal(oracle.d_x, [np.nan])
+    val, d_y, d_yy = model.fiber_jet(x, y)
+    assert val == np.inf
+    np.testing.assert_array_equal(d_y, [np.inf])
+    np.testing.assert_array_equal(d_yy, [[np.inf]])

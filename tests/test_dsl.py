@@ -1,21 +1,28 @@
 """Expression language: grammar, precedence, and error positions."""
 
+import ast
+import inspect
 import math
+import re
+import traceback
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routhlab import (
     ArityError,
     DomainError,
     ParseError,
+    ScalarField,
     StencilDomainError,
     fd_jet,
     parse_expression,
     parse_lagrangian,
+    seed_second,
 )
+from routhlab.expressions import _KERNEL_GLOBALS
 
 
 def ev(text, xs=(), ys=()):
@@ -135,3 +142,134 @@ def test_negative_base_fractional_power_is_a_domain_error(source, x):
             path([x], [0.5])
     with pytest.raises(StencilDomainError):
         fd_jet(L, [x], [0.5])
+
+
+# -- compiled jet kernels ----------------------------------------------------
+
+_LEAVES = st.sampled_from(["x1", "x2", "v1", "v2", "0", "0.5", "2", "3"])
+_EXPONENTS = st.sampled_from(["0", "1", "2", "3", "-1", "-2", "0.5", "1.5", "(1/3)"])
+
+
+def _extend(inner):
+    return st.one_of(
+        st.builds("(-{})".format, inner),
+        st.builds("({} {} {})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("{}({})".format, st.sampled_from(["sqrt", "sin", "cos", "exp", "log"]), inner),
+        st.builds("({})^{}".format, inner, _EXPONENTS),
+        # a variable exponent when the inner tree reads one, else a constant
+        st.builds("({})^({})".format, inner, inner),
+    )
+
+
+_SOURCES = st.recursive(_LEAVES, _extend, max_leaves=8)
+
+
+def _outcome(f):
+    """f()'s result, or the type of the DomainError/OverflowError it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return f(), None
+    except (DomainError, OverflowError) as exc:
+        return None, type(exc)
+
+
+def _velocity_seeded(model, x, y):
+    # the fiber kernel's own oracle: float positions, hyper-dual velocities
+    try:
+        out = model.expr(x.tolist(), seed_second(y))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(str(exc)) from exc
+    if hasattr(out, "h"):
+        return out.v, out.g, out.h
+    return float(out), np.zeros(2), np.zeros((2, 2))
+
+
+def _finite(*parts):
+    return all(np.all(np.isfinite(p)) for p in parts)
+
+
+def _points():
+    rng = np.random.default_rng(3)
+    pts = [(rng.uniform(-1.5, 1.5, 2), rng.uniform(-1.5, 1.5, 2)) for _ in range(12)]
+    # exact zeros and ones meet the domain edges of sqrt, log and powers
+    pts += [(np.array([0.0, 0.5]), np.array([0.0, -0.5])), (np.ones(2), np.ones(2))]
+    return pts
+
+
+@settings(max_examples=300)
+@given(source=_SOURCES)
+def test_kernels_equal_the_hyper_dual_oracle(source):
+    model = parse_lagrangian(source, dim=2)
+    for x, y in _points():
+        oracle, oracle_err = _outcome(lambda: ScalarField.eval(model, x, y))
+        full, full_err = _outcome(lambda: model.eval(x, y))
+        assert full_err is oracle_err, source
+        fiber, fiber_err = _outcome(lambda: model.fiber_jet(x, y))
+        seeded, seeded_err = _outcome(lambda: _velocity_seeded(model, x, y))
+        assert fiber_err is seeded_err, source
+        if fiber_err is not None:
+            # float positions only relax the dual domain rules
+            assert oracle_err is not None, source
+        if seeded is not None and _finite(*seeded):
+            assert fiber[0] == seeded[0], source
+            np.testing.assert_array_equal(fiber[1], seeded[1], err_msg=source)
+            np.testing.assert_array_equal(fiber[2], seeded[2], err_msg=source)
+        if oracle is None or not _finite(
+            oracle.value, oracle.d_x, oracle.d_y, oracle.d_yy, oracle.d_xy
+        ):
+            continue
+        assert full.value == oracle.value, source
+        for block in ("d_x", "d_y", "d_yy", "d_xy"):
+            np.testing.assert_array_equal(
+                getattr(full, block), getattr(oracle, block), err_msg=source
+            )
+        assert fiber[0] == oracle.value, source
+        np.testing.assert_array_equal(fiber[1], oracle.d_y, err_msg=source)
+        np.testing.assert_array_equal(fiber[2], oracle.d_yy, err_msg=source)
+
+
+_KERNEL_NODES = (
+    ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Return,
+    ast.If, ast.Expr, ast.Call, ast.Compare, ast.BinOp, ast.UnaryOp, ast.List,
+    ast.Tuple, ast.Name, ast.Constant, ast.Load, ast.Store, ast.Add, ast.Sub,
+    ast.Mult, ast.Div, ast.Pow, ast.USub, ast.LtE, ast.Lt,
+)
+
+
+@settings(max_examples=100)
+@given(source=_SOURCES)
+def test_kernel_code_reads_only_whitelisted_names(source):
+    expression = parse_expression(source, dim=2)
+    for kind in ("fiber", "full"):
+        tree = ast.parse(inspect.getsource(expression.jet_kernel(kind, 2)))
+        for node in ast.walk(tree):
+            assert isinstance(node, _KERNEL_NODES), ast.dump(node)
+            if isinstance(node, ast.Name):
+                assert node.id in _KERNEL_GLOBALS or re.fullmatch(r"t\d+", node.id), node.id
+            if isinstance(node, ast.Constant):
+                assert type(node.value) is float and math.isfinite(node.value)
+
+
+def test_kernel_tracebacks_name_the_generated_file():
+    model = parse_lagrangian("x1 + sqrt(v1)", dim=1)
+    with pytest.raises(DomainError) as info:
+        model.fiber_jet([0.5], [-1.0])
+    text = "".join(traceback.format_exception(info.value))
+    assert 'File "<routhlab-kernel fiber n=1: x1 + sqrt(v1)>"' in text
+    assert "_sqrt_domain()" in text  # the generated line itself
+    with pytest.raises(DomainError) as info:
+        model.eval([0.5], [-1.0])
+    assert "<routhlab-kernel full n=1: x1 + sqrt(v1)>" in "".join(
+        traceback.format_exception(info.value)
+    )
+
+
+def test_kernels_refuse_indices_beyond_the_model_dimension():
+    # a kernel reads its inputs by position, so an index past n must not
+    # silently read another argument
+    from routhlab import ExpressionLagrangian
+
+    model = ExpressionLagrangian(parse_expression("x2 + v1^2"), dim=1)
+    for path in (model.fiber_jet, model.eval):
+        with pytest.raises(ArityError):
+            path([0.5], [0.3])
