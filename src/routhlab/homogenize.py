@@ -30,7 +30,7 @@ import numpy as np
 from .duals import HyperDual, grad_of, seed_first, seed_second, sqrt, value_of
 from .errors import DomainError, EnergyUnreachable, NoConvergence
 from .expressions import Expression, parse_expression
-from .jets import ScalarField, SecondJet
+from .jets import ScalarField, SecondJet, chain_jet
 from .lagrangian import (
     LagrangianModel,
     MagneticLagrangian,
@@ -69,9 +69,6 @@ class FinslerModel(ScalarField):
 
     family: str = "finsler"
 
-    def describe(self) -> dict:
-        return {"family": self.family, "dim": self.dim}
-
 
 # -- homogenization ------------------------------------------------------------
 
@@ -99,58 +96,38 @@ class HomogenizedLagrangian(FinslerModel):
             raise DomainError(f"scale velocity must be positive, got {y[0]}")
         self.base.domain_check(np.asarray(x[1:], float), np.asarray(y[1:], float) / y[0])
 
-    def eval(self, x, y) -> SecondJet:
+    def eval(self, x, y, order: int = 2):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         self.domain_check(x, y)
         u = y[0]
         v = y[1:] / u
-        j = self.base.eval(x[1:], v)
+        j = self.base.eval(x[1:], v, order)
+        if order == 0:
+            return u * j
+        val, bd_y, bd_yy = j if order == 1 else (j.value, j.d_y, j.d_yy)
         n = self.base.dim
-        gv = j.d_yy @ v
-
-        d_x = np.zeros(n + 1)
-        d_x[1:] = u * j.d_x
-
-        d_y = np.empty(n + 1)
-        d_y[0] = j.value - float(j.d_y @ v)
-        d_y[1:] = j.d_y
-
-        d_yy = np.empty((n + 1, n + 1))
-        d_yy[0, 0] = float(v @ gv) / u
-        d_yy[0, 1:] = -gv / u
-        d_yy[1:, 0] = -gv / u
-        d_yy[1:, 1:] = j.d_yy / u
-
-        d_xy = np.zeros((n + 1, n + 1))
-        d_xy[1:, 0] = j.d_x - j.d_xy @ v
-        d_xy[1:, 1:] = j.d_xy
-        return SecondJet(value=u * j.value, d_x=d_x, d_y=d_y, d_yy=d_yy, d_xy=d_xy)
-
-    def value(self, x, y) -> float:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        return y[0] * self.base.value(x[1:], y[1:] / y[0])
-
-    def fiber_jet(self, x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        u = y[0]
-        v = y[1:] / u
-        val, bd_y, bd_yy = self.base.fiber_jet(x[1:], v)
         gv = bd_yy @ v
-        n = self.base.dim
+
         d_y = np.empty(n + 1)
         d_y[0] = val - float(bd_y @ v)
         d_y[1:] = bd_y
+
         d_yy = np.empty((n + 1, n + 1))
         d_yy[0, 0] = float(v @ gv) / u
         d_yy[0, 1:] = -gv / u
         d_yy[1:, 0] = -gv / u
         d_yy[1:, 1:] = bd_yy / u
-        return u * val, d_y, d_yy
+        if order == 1:
+            return u * val, d_y, d_yy
+
+        d_x = np.zeros(n + 1)
+        d_x[1:] = u * j.d_x
+
+        d_xy = np.zeros((n + 1, n + 1))
+        d_xy[1:, 0] = j.d_x - j.d_xy @ v
+        d_xy[1:, 1:] = j.d_xy
+        return SecondJet(value=u * val, d_x=d_x, d_y=d_y, d_yy=d_yy, d_xy=d_xy)
 
 
 def homogenize(L: LagrangianModel) -> HomogenizedLagrangian:
@@ -160,21 +137,18 @@ def homogenize(L: LagrangianModel) -> HomogenizedLagrangian:
 
 # -- the energy-scale equation -------------------------------------------------
 
+#: probes at s = |y|, 2|y|, 4|y|, ... that the scale solve tries before it
+#: decides that the ray starts outside the fiber domain
+FIRST_PROBE_TRIES = 8
+
 
 @dataclass(frozen=True)
 class EnergyScaleResult:
-    """Root of E(x, y/s) = e with solver diagnostics.
-
-    ``s_x`` and ``s_y`` hold the implicit derivatives of the root with
-    respect to position and velocity; they are populated only when the
-    solve is asked for them.
-    """
+    """Root of E(x, y/s) = e with solver diagnostics."""
 
     s: float
     residual: float
     iterations: int
-    s_x: np.ndarray | None = None
-    s_y: np.ndarray | None = None
 
 
 def solve_energy_scale(
@@ -184,7 +158,6 @@ def solve_energy_scale(
     e: float,
     tol: float = 1e-12,
     max_iter: int = 80,
-    derivatives: bool = False,
 ) -> EnergyScaleResult:
     """Solve E(x, y/s) = e for the positive scale s.
 
@@ -208,7 +181,17 @@ def solve_energy_scale(
     decide that the requested level does not exist on the ray:
     :class:`EnergyUnreachable` is raised when one leaves the fiber domain,
     when the residual stagnates, or after 200 of them. The result is the
-    first probed s with |r| <= tol (1 + |e|); ``iterations`` counts probes.
+    first probed s with |r| <= tol (1 + |e|), or, once probes of opposite
+    sign sit at adjacent floats, the one of them with the smaller |r|;
+    ``residual`` is the probed residual and ``iterations`` counts probes.
+
+    The first probe is at s = |y|. Where it leaves the fiber domain, s
+    doubles, up to FIRST_PROBE_TRIES probes in all, before the first
+    DomainError is raised. The last scale that failed is then the lower
+    end of the bracket, and log-bisection runs until a probe replaces it:
+    the fiber domain ends between the two, where the model cannot see. If
+    that end meets the upper one at adjacent floats, the level is
+    unreachable.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -223,14 +206,40 @@ def solve_energy_scale(
         val, d_y, d_yy = L.fiber_jet(x, w)
         return float(w @ d_y) - val - e, float(w @ (d_yy @ w))
 
-    r, q = probe(s)
+    # y/|y| can round onto the edge of a bounded fiber domain such as
+    # |v| < 1; the last scale that failed is then a floor for the bracket
+    floor, first_error = 0.0, None
+    for _ in range(FIRST_PROBE_TRIES):
+        try:
+            r, q = probe(s)
+            break
+        except DomainError as exc:
+            floor, first_error = s, first_error or exc
+            s *= 2.0
+    else:
+        raise first_error
     evals, steps, expansions, stalls = 1, 0, 0, 0
-    lo, hi = (s, math.inf) if r > 0.0 else (0.0, s)  # residual(lo) > 0 > residual(hi)
+    # residual(lo) > 0 > residual(hi); r_lo and r_hi are the probed residuals
+    # at the ends, None at an end that no successful probe has set
+    lo, r_lo, hi, r_hi = (s, r, math.inf, None) if r > 0.0 else (floor, None, s, r)
     k, skip_model = 2.0, False
     while abs(r) > atol:
         bracketed = lo > 0.0 and hi < math.inf
+        if bracketed and math.nextafter(lo, hi) == hi:
+            if r_lo is None or r_hi is None:
+                raise EnergyUnreachable(
+                    f"energy level {e} is unreachable along this ray "
+                    "(fiber domain ends before the level)"
+                )
+            # the sign change lies between adjacent floats, where a steep
+            # energy can keep both residuals above atol (Brent 1973)
+            s, r = (lo, r_lo) if abs(r_lo) <= abs(r_hi) else (hi, r_hi)
+            break
         t, w = None, 0.5  # w: where a bisection falls in [lo, hi], in ln s
-        if not skip_model and q > 0.0 and q / k > r:
+        # the fiber domain ends above a lower end set by a failed first
+        # probe, where the model cannot see: bisect until a probe replaces it
+        floor_end = lo > 0.0 and r_lo is None
+        if not (skip_model or floor_end) and q > 0.0 and q / k > r:
             t = s * ((q / k) / (q / k - r)) ** (1.0 / k)
             if t == s and bracketed:
                 # the model puts the root within one ulp of s
@@ -249,6 +258,9 @@ def solve_energy_scale(
                 )
             if not model:
                 t = lo ** (1.0 - w) * hi**w
+                if not lo < t < hi:
+                    # ends a few ulps apart: the power rounds onto one of them
+                    t = 0.5 * (lo + hi)
         else:
             expansions += 1
             if expansions > 200:
@@ -263,10 +275,13 @@ def solve_energy_scale(
                     "(fiber domain ends before the level)"
                 ) from exc
             # a failed model step gives way to a geometric one; a failed
-            # bisection narrows the bracket from above
+            # bisection narrows the bracket from below while its lower end
+            # is a failed first probe, and from above otherwise
             skip_model = model
-            if not model:
-                hi = t
+            if not model and r_lo is None:
+                lo = t
+            elif not model:
+                hi, r_hi = t, None
             continue
         evals += 1
         if not (model or bracketed):
@@ -285,25 +300,10 @@ def solve_energy_scale(
             k = k if 1.0 < k < 64.0 else 2.0
         s, r, q = t, r_t, q_t
         if r > 0.0:
-            lo = s
+            lo, r_lo = s, r
         else:
-            hi = s
-    return _finish_scale(L, x, y, s, r, evals, derivatives)
-
-
-def _finish_scale(L, x, y, s, r, evals, derivatives):
-    s_x = s_y = None
-    if derivatives:
-        v = y / s
-        j = L.eval(x, v)
-        gv = j.d_yy @ v
-        q = float(v @ gv)
-        e_x = j.d_xy @ v - j.d_x
-        s_y = gv / q
-        s_x = s * e_x / q
-    return EnergyScaleResult(
-        s=float(s), residual=float(r), iterations=evals, s_x=s_x, s_y=s_y
-    )
+            hi, r_hi = s, r
+    return EnergyScaleResult(s=float(s), residual=float(r), iterations=evals)
 
 
 # -- the energy-level Finsler function ------------------------------------------
@@ -345,43 +345,30 @@ class JacobiFinslerModel(FinslerModel):
         """The eliminated scale s at (x, y)."""
         return solve_energy_scale(self.base, x, y, self.e, tol=self.tol).s
 
-    def eval(self, x, y) -> SecondJet:
+    def eval(self, x, y, order: int = 2):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         self.domain_check(x, y)
         s = self.energy_scale(x, y)
         v = y / s
-        j = self.base.eval(x, v)
-        gv = j.d_yy @ v
-        q = float(v @ gv)
-        e_x = j.d_xy @ v - j.d_x
-        d_yy = (j.d_yy - np.outer(gv, gv) / q) / s
-        return SecondJet(
-            value=s * (j.value + self.e),
-            d_x=s * j.d_x,
-            d_y=j.d_y.copy(),
-            d_yy=0.5 * (d_yy + d_yy.T),
-            d_xy=j.d_xy - np.outer(e_x, gv) / q,
-        )
-
-    def value(self, x, y) -> float:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        s = self.energy_scale(x, y)
-        return s * (self.base.value(x, y / s) + self.e)
-
-    def fiber_jet(self, x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        s = self.energy_scale(x, y)
-        v = y / s
-        val, d_y, d_yy_b = self.base.fiber_jet(x, v)
+        j = self.base.eval(x, v, order)
+        if order == 0:
+            return s * (j + self.e)
+        val, d_y, d_yy_b = j if order == 1 else (j.value, j.d_y, j.d_yy)
         gv = d_yy_b @ v
         q = float(v @ gv)
         d_yy = (d_yy_b - np.outer(gv, gv) / q) / s
-        return s * (val + self.e), d_y.copy(), 0.5 * (d_yy + d_yy.T)
+        d_yy = 0.5 * (d_yy + d_yy.T)
+        if order == 1:
+            return s * (val + self.e), d_y.copy(), d_yy
+        e_x = j.d_xy @ v - j.d_x
+        return SecondJet(
+            value=s * (val + self.e),
+            d_x=s * j.d_x,
+            d_y=d_y.copy(),
+            d_yy=d_yy,
+            d_xy=j.d_xy - np.outer(e_x, gv) / q,
+        )
 
     def level_jet(self, x, y):
         """First jet of the conserved level E_L(x, y) - e.
@@ -423,58 +410,35 @@ class RandersModel(FinslerModel):
         self._domain = domain
 
     def domain_check(self, x, y):
-        x = np.asarray(x, float)
-        if self._domain is not None and not self._domain(x):
-            raise DomainError(f"position {x} outside the model domain")
+        super().domain_check(x, y)
         y = np.asarray(y, float)
         if float(y @ y) == 0.0:
             raise DomainError("a norm-type metric is undefined on the zero velocity")
 
-    def _pieces(self, x, grads):
-        g, dg = _coeff_matrix(self.metric, x, grads)
-        b, db = _coeff_vector(self.beta, x, grads)
-        return g, dg, b, db
-
-    def eval(self, x, y) -> SecondJet:
+    def eval(self, x, y, order: int = 2):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         self.domain_check(x, y)
-        g, dg, b, db = self._pieces(x, grads=True)
+        grads = order == 2
+        g, dg = _coeff_matrix(self.metric, x, grads)
+        b, db = _coeff_vector(self.beta, x, grads)
         w = g @ y
         a = float(y @ w)
         if a <= 0.0:
             raise DomainError("metric coefficient matrix is not positive along y")
         root = np.sqrt(a)
+        val = root + float(b @ y)
+        if order == 0:
+            return float(val)
+        d_y = w / root + b
+        d_yy = g / root - np.outer(w, w) / (a * root)
+        if order == 1:
+            return val, d_y, d_yy
         da = np.einsum("bij,i,j->b", dg, y, y)
         dgy = np.einsum("bij,j->bi", dg, y)
         d_x = da / (2.0 * root) + db @ y
-        d_y = w / root + b
-        d_yy = g / root - np.outer(w, w) / (a * root)
         d_xy = dgy / root - np.outer(da, w) / (2.0 * a * root) + db
-        return SecondJet(value=root + float(b @ y), d_x=d_x, d_y=d_y,
-                         d_yy=d_yy, d_xy=d_xy)
-
-    def value(self, x, y) -> float:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        g, _, b, _ = self._pieces(x, grads=False)
-        a = float(y @ (g @ y))
-        if a <= 0.0:
-            raise DomainError("metric coefficient matrix is not positive along y")
-        return float(np.sqrt(a) + b @ y)
-
-    def fiber_jet(self, x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        g, _, b, _ = self._pieces(x, grads=False)
-        w = g @ y
-        a = float(y @ w)
-        if a <= 0.0:
-            raise DomainError("metric coefficient matrix is not positive along y")
-        root = np.sqrt(a)
-        return root + float(b @ y), w / root + b, g / root - np.outer(w, w) / (a * root)
+        return SecondJet(value=val, d_x=d_x, d_y=d_y, d_yy=d_yy, d_xy=d_xy)
 
     def expr(self, xs, ys):
         # generic dual-arithmetic path, used by tests to cross-check eval
@@ -607,37 +571,18 @@ class PowerScaledFinsler(FinslerModel):
     def domain_check(self, x, y):
         self.base.domain_check(np.asarray(x, float), np.asarray(y, float))
 
-    def _phi(self, q: float):
+    def eval(self, x, y, order: int = 2):
+        j = self.base.eval(x, y, order)
+        q = j if order == 0 else j[0] if order == 1 else j.value
         if q <= 0.0:
             raise DomainError("the closed form needs a positive base value")
         p = 1.0 / self.degree
         c = self.coefficient
-        f0 = c * q**p
+        if order == 0:
+            return c * q**p
         f1 = c * p * q ** (p - 1.0)
         f2 = c * p * (p - 1.0) * q ** (p - 2.0)
-        return f0, f1, f2
-
-    def eval(self, x, y) -> SecondJet:
-        j = self.base.eval(x, y)
-        f0, f1, f2 = self._phi(j.value)
-        return SecondJet(
-            value=f0,
-            d_x=f1 * j.d_x,
-            d_y=f1 * j.d_y,
-            d_yy=f1 * j.d_yy + f2 * np.outer(j.d_y, j.d_y),
-            d_xy=f1 * j.d_xy + f2 * np.outer(j.d_x, j.d_y),
-        )
-
-    def value(self, x, y) -> float:
-        q = self.base.value(x, y)
-        if q <= 0.0:
-            raise DomainError("the closed form needs a positive base value")
-        return self.coefficient * q ** (1.0 / self.degree)
-
-    def fiber_jet(self, x, y):
-        val, d_y, d_yy = self.base.fiber_jet(x, y)
-        f0, f1, f2 = self._phi(val)
-        return f0, f1 * d_y, f1 * d_yy + f2 * np.outer(d_y, d_y)
+        return chain_jet(j, c * q**p, f1, f2)
 
 
 def homogeneous_closed_form(L: LagrangianModel, e: float, degree: float | None = None):
@@ -688,31 +633,24 @@ class GaugeShiftedModel(ScalarField):
             return np.zeros(n), np.zeros((n, n))
         return grad_of(z, n), None
 
-    def eval(self, x, y) -> SecondJet:
+    def eval(self, x, y, order: int = 2):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
-        j = self.base.eval(x, y)
-        grad, hess = self._form_jet(x, second=True)
+        j = self.base.eval(x, y, order)
+        grad, hess = self._form_jet(x, second=order == 2)
+        shift = float(grad @ y)
+        if order == 0:
+            return j + shift
+        if order == 1:
+            val, d_y, d_yy = j
+            return val + shift, d_y + grad, d_yy
         return SecondJet(
-            value=j.value + float(grad @ y),
+            value=j.value + shift,
             d_x=j.d_x + hess @ y,
             d_y=j.d_y + grad,
             d_yy=j.d_yy,
             d_xy=j.d_xy + hess,
         )
-
-    def value(self, x, y) -> float:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        grad, _ = self._form_jet(x, second=False)
-        return self.base.value(x, y) + float(grad @ y)
-
-    def fiber_jet(self, x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        val, d_y, d_yy = self.base.fiber_jet(x, y)
-        grad, _ = self._form_jet(x, second=False)
-        return val + float(grad @ y), d_y + grad, d_yy
 
 
 def gauge_shift(model: ScalarField, f) -> GaugeShiftedModel:

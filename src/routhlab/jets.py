@@ -8,13 +8,13 @@ equation and is deliberately not part of the type.
 Index convention: ``d_xy[i, j]`` is the derivative first in ``x[i]``, then in
 ``y[j]`` (rows indexed by position, columns by velocity).
 
-:func:`jet` computes jets by hyper-dual forward propagation; fields may
-override their ``eval`` with an exact analytic assembly, which tests
-cross-check against both the dual path and the independent finite-difference
-oracle :func:`fd_jet`. The velocity-only fiber jet (value, d_y, d_yy)
-defaults to the matching blocks of ``eval``; model families override it with
-a cheaper assembly, and DSL models with a compiled kernel that seeds only the
-velocities (:meth:`routhlab.expressions.Expression.jet_kernel`).
+Every field evaluates through one method, ``eval(x, y, order)``: order 0 is
+the value, order 1 the velocity-only fiber jet (value, d_y, d_yy), and order
+2 the :class:`SecondJet`. A model family writes its formula once, and its
+lower orders skip only the coefficient gradients and blocks they do not
+need; ``value`` and ``fiber_jet`` are one-line wrappers. :func:`jet` adds
+input and output validation, and the independent finite-difference oracle
+:func:`fd_jet` cross-checks every family in the tests.
 """
 
 from __future__ import annotations
@@ -50,19 +50,23 @@ class SecondJet:
 class ScalarField:
     """A scalar function of (x, y) on an n-dimensional configuration space.
 
-    Subclasses either provide ``expr`` (generic arithmetic usable with dual
-    numbers) and inherit dual-propagation ``eval``, or override ``eval``
-    directly with an exact assembly. ``domain_check`` raises
-    :class:`DomainError` outside the declared domain and is consulted by
-    every evaluation path.
+    Subclasses override ``eval(x, y, order=2)`` with their own assembly, or
+    provide ``expr`` (generic arithmetic usable with floats and dual
+    numbers) and inherit the generic ``eval``. ``domain_check`` raises
+    :class:`DomainError` outside the declared domain and is consulted at
+    every order; by default it applies the position predicate ``_domain``
+    when a model has one.
     """
 
     dim: int = 0
+    family: str = "custom"
+    _domain = None
 
     # -- domain ---------------------------------------------------------
 
     def domain_check(self, x: np.ndarray, y: np.ndarray) -> None:
-        pass
+        if self._domain is not None and not self._domain(np.asarray(x, float)):
+            raise DomainError(f"position {np.asarray(x)} outside the model domain")
 
     def in_domain(self, x, y) -> bool:
         try:
@@ -71,16 +75,28 @@ class ScalarField:
             return False
         return True
 
-    # -- evaluation paths -------------------------------------------------
+    def describe(self) -> dict:
+        return {"family": self.family, "dim": self.dim}
+
+    # -- evaluation -------------------------------------------------------
 
     def expr(self, x, y):
         raise NotImplementedError(f"{type(self).__name__} defines no expression form")
 
-    def eval(self, x: np.ndarray, y: np.ndarray) -> SecondJet:
-        """Second-order jet at (x, y) via hyper-dual propagation of expr."""
+    def eval(self, x: np.ndarray, y: np.ndarray, order: int = 2):
+        """Value (order 0), fiber jet (order 1) or SecondJet (order 2) of expr.
+
+        Order 0 runs ``expr`` on plain floats; orders 1 and 2 read the
+        blocks of its hyper-dual propagation.
+        """
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         self.domain_check(x, y)
+        if order == 0:
+            try:
+                return float(value_of(self.expr(x.tolist(), y.tolist())))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise DomainError(str(exc)) from exc
         n = self.dim
         seeds = seed_second(np.concatenate([x, y]))
         try:
@@ -93,6 +109,8 @@ class ScalarField:
         else:
             g = np.zeros(2 * n)
             h = np.zeros((2 * n, 2 * n))
+        if order == 1:
+            return val, np.array(g[n:]), np.array(h[n:, n:])
         return SecondJet(
             value=val,
             d_x=np.array(g[:n]),
@@ -102,21 +120,12 @@ class ScalarField:
         )
 
     def value(self, x, y) -> float:
-        """Plain float evaluation; independent of the dual machinery."""
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        try:
-            return float(value_of(self.expr(x.tolist(), y.tolist())))
-        except NotImplementedError:
-            return self.eval(x, y).value
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(str(exc)) from exc
+        """The value at (x, y): ``eval`` at order 0."""
+        return self.eval(x, y, 0)
 
     def fiber_jet(self, x, y):
-        """(value, d_y, d_yy) at (x, y): the velocity blocks of eval."""
-        j = self.eval(x, y)
-        return j.value, j.d_y, j.d_yy
+        """(value, d_y, d_yy) at (x, y): ``eval`` at order 1."""
+        return self.eval(x, y, 1)
 
 
 def jet(field: ScalarField, x, y) -> SecondJet:
@@ -219,8 +228,15 @@ def _shift2(f, x, y, slot_a, step_a, slot_b, step_b):
     return f(xx, yy)
 
 
-def chain_jet(j: SecondJet, f0: float, f1: float, f2: float) -> SecondJet:
-    """Jet of phi(field) from the field's jet and phi's derivatives at j.value."""
+def chain_jet(j, f0: float, f1: float, f2: float):
+    """Jet of phi(field) from the field's jet and phi's derivatives at its value.
+
+    ``j`` is a SecondJet or a fiber jet (value, d_y, d_yy), and the result
+    is of the same kind.
+    """
+    if not isinstance(j, SecondJet):
+        _, d_y, d_yy = j
+        return f0, f1 * d_y, f1 * d_yy + f2 * np.outer(d_y, d_y)
     return SecondJet(
         value=f0,
         d_x=f1 * j.d_x,

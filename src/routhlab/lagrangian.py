@@ -122,11 +122,6 @@ def _normalize_vector_spec(spec, dim: int):
 class LagrangianModel(ScalarField):
     """A time-independent Lagrangian L(x, v) with second-order jets."""
 
-    family: str = "custom"
-
-    def describe(self) -> dict:
-        return {"family": self.family, "dim": self.dim}
-
 
 class MagneticLagrangian(LagrangianModel):
     """L = 1/2 v.g(x).v + beta(x).v - V(x).
@@ -147,44 +142,27 @@ class MagneticLagrangian(LagrangianModel):
         self.potential = potential
         self._domain = domain
 
-    def domain_check(self, x, y):
-        if self._domain is not None and not self._domain(np.asarray(x, float)):
-            raise DomainError(f"position {np.asarray(x)} outside the model domain")
-
-    def eval(self, x, y) -> SecondJet:
+    def eval(self, x, y, order: int = 2):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         self.domain_check(x, y)
-        g, dg = _coeff_matrix(self.metric, x, grads=True)
-        b, db = _coeff_vector(self.beta, x, grads=True)
-        v, dv = _coeff_scalar(self.potential, x, grads=True)
+        grads = order == 2
+        g, dg = _coeff_matrix(self.metric, x, grads)
+        b, db = _coeff_vector(self.beta, x, grads)
+        v, dv = _coeff_scalar(self.potential, x, grads)
         gy = g @ y
+        val = 0.5 * float(y @ gy) + float(b @ y) - v
+        if order == 0:
+            return val
+        if order == 1:
+            return val, gy + b, g
         return SecondJet(
-            value=0.5 * float(y @ gy) + float(b @ y) - v,
+            value=val,
             d_x=0.5 * np.einsum("bij,i,j->b", dg, y, y) + db @ y - dv,
             d_y=gy + b,
             d_yy=g,
             d_xy=np.einsum("bij,j->bi", dg, y) + db,
         )
-
-    def value(self, x, y) -> float:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        g, _ = _coeff_matrix(self.metric, x, grads=False)
-        b, _ = _coeff_vector(self.beta, x, grads=False)
-        v, _ = _coeff_scalar(self.potential, x, grads=False)
-        return 0.5 * float(y @ (g @ y)) + float(b @ y) - v
-
-    def fiber_jet(self, x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        g, _ = _coeff_matrix(self.metric, x, grads=False)
-        b, _ = _coeff_vector(self.beta, x, grads=False)
-        v, _ = _coeff_scalar(self.potential, x, grads=False)
-        gy = g @ y
-        return 0.5 * float(y @ gy) + float(b @ y) - v, gy + b, g
 
     def expr(self, xs, ys):
         # generic-arithmetic form, used to cross-check the analytic assembly
@@ -232,62 +210,31 @@ class PowerQuadraticLagrangian(LagrangianModel):
         self.degree = int(degree)
         self._domain = domain
 
-    def domain_check(self, x, y):
-        if self._domain is not None and not self._domain(np.asarray(x, float)):
-            raise DomainError(f"position {np.asarray(x)} outside the model domain")
-
-    def _quad_jet(self, x, y) -> SecondJet:
-        g, dg = _coeff_matrix(self.metric, x, grads=True)
-        gy = g @ y
-        return SecondJet(
-            value=0.5 * float(y @ gy),
-            d_x=0.5 * np.einsum("bij,i,j->b", dg, y, y),
-            d_y=gy,
-            d_yy=g,
-            d_xy=np.einsum("bij,j->bi", dg, y),
-        )
-
-    def eval(self, x, y) -> SecondJet:
+    def eval(self, x, y, order: int = 2):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         self.domain_check(x, y)
-        q = self._quad_jet(x, y)
-        p = 0.5 * self.degree
-        if p == 1.0:
-            return q
-        if q.value <= 0.0:
-            raise DomainError("velocity outside the slit domain (quadratic form not positive)")
-        u = q.value
-        return chain_jet(q, u**p, p * u ** (p - 1.0), p * (p - 1.0) * u ** (p - 2.0))
-
-    def value(self, x, y) -> float:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        g, _ = _coeff_matrix(self.metric, x, grads=False)
-        q = 0.5 * float(y @ (g @ y))
-        p = 0.5 * self.degree
-        if p == 1.0:
-            return q
-        if q <= 0.0:
-            raise DomainError("velocity outside the slit domain (quadratic form not positive)")
-        return q**p
-
-    def fiber_jet(self, x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        g, _ = _coeff_matrix(self.metric, x, grads=False)
+        g, dg = _coeff_matrix(self.metric, x, order == 2)
         gy = g @ y
         q = 0.5 * float(y @ gy)
         p = 0.5 * self.degree
-        if p == 1.0:
-            return q, gy, g
-        if q <= 0.0:
+        if p != 1.0 and q <= 0.0:
             raise DomainError("velocity outside the slit domain (quadratic form not positive)")
-        f1 = p * q ** (p - 1.0)
-        f2 = p * (p - 1.0) * q ** (p - 2.0)
-        return q**p, f1 * gy, f1 * g + f2 * np.outer(gy, gy)
+        if order == 0:
+            return q if p == 1.0 else q**p
+        if order == 1:
+            quad = q, gy, g
+        else:
+            quad = SecondJet(
+                value=q,
+                d_x=0.5 * np.einsum("bij,i,j->b", dg, y, y),
+                d_y=gy,
+                d_yy=g,
+                d_xy=np.einsum("bij,j->bi", dg, y),
+            )
+        if p == 1.0:
+            return quad
+        return chain_jet(quad, q**p, p * q ** (p - 1.0), p * (p - 1.0) * q ** (p - 2.0))
 
     def expr(self, xs, ys):
         n = self.dim
@@ -350,14 +297,8 @@ class HomogeneousLagrangian(LagrangianModel):
     def domain_check(self, x, y):
         self.base.domain_check(x, y)
 
-    def eval(self, x, y) -> SecondJet:
-        return self.base.eval(x, y)
-
-    def value(self, x, y) -> float:
-        return self.base.value(x, y)
-
-    def fiber_jet(self, x, y):
-        return self.base.fiber_jet(x, y)
+    def eval(self, x, y, order: int = 2):
+        return self.base.eval(x, y, order)
 
 
 class ExpressionLagrangian(LagrangianModel):
@@ -370,47 +311,33 @@ class ExpressionLagrangian(LagrangianModel):
         self.dim = int(dim)
         self._domain = domain
 
-    def domain_check(self, x, y):
-        if self._domain is not None and not self._domain(np.asarray(x, float)):
-            raise DomainError(f"position {np.asarray(x)} outside the model domain")
-
     def expr(self, xs, ys):
         return self.expression.fn(xs, ys)
 
-    def eval(self, x, y) -> SecondJet:
-        """Second-order jet from the expression's compiled full kernel.
+    def eval(self, x, y, order: int = 2):
+        """Value from the float closures, fiber and full jets from the kernels.
 
-        It equals the hyper-dual jet of ``expr`` (``ScalarField.eval``) bit
-        for bit wherever that jet is finite, up to the sign of zero entries.
-        """
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        kernel = self.expression.jet_kernel("full", self.dim)
-        try:
-            return SecondJet(*kernel(*x.tolist(), *y.tolist()))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(str(exc)) from exc
-
-    def fiber_jet(self, x, y):
-        """(value, d_y, d_yy) from the expression's compiled fiber kernel.
-
-        Only the velocities are seeded, so subexpressions of position alone
-        are float arithmetic. The result equals eval's (value, d_y, d_yy)
-        exactly wherever eval succeeds with finite entries; only zero
-        entries may differ in sign. It can also succeed where eval cannot:
-        a position-only ``sqrt(x1)`` at x1 = 0 is the float 0.0 here, as in
-        value(), while eval raises DomainError because the dual sqrt needs
+        The kernels equal the hyper-dual jets of ``expr`` (``ScalarField.eval``)
+        bit for bit wherever those are finite, up to the sign of zero
+        entries. The fiber kernel seeds only the velocities, so
+        subexpressions of position alone are float arithmetic, as at order
+        0. It can therefore succeed where the full kernel cannot: a
+        position-only ``sqrt(x1)`` at x1 = 0 is the float 0.0 at orders 0
+        and 1, while order 2 raises DomainError because the dual sqrt needs
         x1 > 0.
         """
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         self.domain_check(x, y)
-        kernel = self.expression.jet_kernel("fiber", self.dim)
+        if order:
+            kernel = self.expression.jet_kernel("fiber" if order == 1 else "full", self.dim)
         try:
-            return kernel(*x.tolist(), *y.tolist())
+            if order == 0:
+                return float(value_of(self.expression.fn(x.tolist(), y.tolist())))
+            out = kernel(*x.tolist(), *y.tolist())
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(str(exc)) from exc
+        return out if order == 1 else SecondJet(*out)
 
     def describe(self) -> dict:
         d = super().describe()

@@ -229,50 +229,28 @@ class ReducedLagrangian(LagrangianModel):
         full_y = self.split.embed(y_shape, z)
         return full_x, full_y, z
 
-    def domain_check(self, x, y):
-        # the base model's domain is consulted at the lifted point during eval
-        pass
-
-    def eval(self, x, y) -> SecondJet:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        full_x, full_y, z = self._lift(x, y)
-        j = self.base.eval(full_x, full_y)
-        cyc, shp = self.split.cyc_idx, self.split.shape_idx
-        g_cc = j.d_yy[cyc[:, None], cyc]
-        g_cs = j.d_yy[cyc[:, None], shp]
-        g_sc = j.d_yy[shp[:, None], cyc]
-        try:
-            w = np.linalg.solve(g_cc, g_cs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularBlock(f"cyclic velocity block is singular at x={full_x}") from exc
-        d_yy = j.d_yy[shp[:, None], shp] - g_sc @ w
-        d_yy = 0.5 * (d_yy + d_yy.T)
-        d_xy = j.d_xy[shp[:, None], shp] - j.d_xy[shp[:, None], cyc] @ w
-        return SecondJet(
-            value=j.value - float(self.mu @ z),
-            d_x=j.d_x[shp],
-            d_y=j.d_y[shp],
-            d_yy=d_yy,
-            d_xy=d_xy,
-        )
-
-    def value(self, x, y) -> float:
+    def eval(self, x, y, order: int = 2):
         full_x, full_y, z = self._lift(np.asarray(x, float), np.asarray(y, float))
-        return self.base.value(full_x, full_y) - float(self.mu @ z)
-
-    def fiber_jet(self, x, y):
-        full_x, full_y, z = self._lift(np.asarray(x, float), np.asarray(y, float))
-        val, d_y, d_yy = self.base.fiber_jet(full_x, full_y)
+        j = self.base.eval(full_x, full_y, order)
+        if order == 0:
+            return j - float(self.mu @ z)
+        val, d_y, d_yy = j if order == 1 else (j.value, j.d_y, j.d_yy)
         cyc, shp = self.split.cyc_idx, self.split.shape_idx
-        g_cc = d_yy[cyc[:, None], cyc]
-        g_cs = d_yy[cyc[:, None], shp]
         try:
-            w = np.linalg.solve(g_cc, g_cs)
+            w = np.linalg.solve(d_yy[cyc[:, None], cyc], d_yy[cyc[:, None], shp])
         except np.linalg.LinAlgError as exc:
             raise SingularBlock(f"cyclic velocity block is singular at x={full_x}") from exc
         h = d_yy[shp[:, None], shp] - d_yy[shp[:, None], cyc] @ w
-        return val - float(self.mu @ z), d_y[shp], 0.5 * (h + h.T)
+        h = 0.5 * (h + h.T)
+        if order == 1:
+            return val - float(self.mu @ z), d_y[shp], h
+        return SecondJet(
+            value=val - float(self.mu @ z),
+            d_x=j.d_x[shp],
+            d_y=d_y[shp],
+            d_yy=h,
+            d_xy=j.d_xy[shp[:, None], shp] - j.d_xy[shp[:, None], cyc] @ w,
+        )
 
 
 def routhian(

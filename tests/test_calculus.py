@@ -1,5 +1,8 @@
 """Jet evaluation versus finite differences, plus homogeneity identities."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -140,14 +143,63 @@ PARITY_SOURCES = [
 ASYMMETRIC_SOURCE = PARITY_SOURCES[6]
 
 
+def _every_family(rng):
+    """Models of every class with its own eval, wrappers over several bases."""
+    conformal, quartic, disk, parsed = _models(rng)
+    cubic = rl.PowerQuadraticLagrangian(
+        2, lambda xs: [[1.0 + xs[0] * xs[0], 0.1 * xs[1]], [0.1 * xs[1], 1.5]], degree=3)
+    kepler = rl.parse_lagrangian(PARITY_SOURCES[0], dim=2)
+    level = rl.jacobi_finsler(conformal, 2.0)
+    return [
+        conformal, disk, rl.MechanicalLagrangian(2, np.diag([1.0, 2.0])),
+        quartic, cubic, rl.PowerQuadraticLagrangian(2, np.eye(2), degree=2),
+        rl.HomogeneousLagrangian(cubic, degree=3),
+        parsed, kepler,
+        rl.homogenize(conformal), rl.homogenize(kepler),
+        level, rl.jacobi_finsler(disk, 2.0), rl.jacobi_finsler(cubic, 1.5),
+        rl.randers_closed_form(conformal, 2.0), rl.poincare_randers(0.5),
+        rl.homogeneous_closed_form(quartic, 1.7),
+        rl.gauge_shift(conformal, "0.4*x1*x2 - 0.3*x1 + sin(x2)"),
+        rl.gauge_shift(level, "0.2*x1*x2"),
+        rl.routhian(kepler, rl.CyclicSplit.of(2, [1]), np.array([0.3]), verify=False),
+        rl.routhian(rl.homogenize(conformal), rl.CyclicSplit.of(3, [0]), np.array([-2.0]),
+                    guess=np.array([1.0]), verify=False),
+    ]
+
+
+# the function routhlab.homogenize shadows the module of that name
+FAMILY_CLASSES = [
+    rl.ScalarField, rl.MagneticLagrangian, rl.PowerQuadraticLagrangian,
+    rl.HomogeneousLagrangian, rl.ExpressionLagrangian, rl.HomogenizedLagrangian,
+    rl.JacobiFinslerModel, rl.RandersModel,
+    importlib.import_module("routhlab.homogenize").PowerScaledFinsler,
+    rl.GaugeShiftedModel, rl.ReducedLagrangian,
+]
+
+
 def test_fiber_jet_agrees_with_full_jet(rng):
-    for model in _models(rng):
-        x, y = _sample_state(model, rng)
-        full = model.eval(x, y)
-        val, d_y, d_yy = model.fiber_jet(x, y)
-        assert np.isclose(val, full.value, rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(d_y, full.d_y, atol=1e-12)
-        np.testing.assert_allclose(d_yy, full.d_yy, atol=1e-12)
+    # value and fiber_jet are eval at orders 0 and 1, and each order runs the
+    # same assembly: wherever the full jet succeeds, they equal its blocks
+    # bit for bit
+    models = _every_family(rng)
+    assert {type(m) for m in models} >= set(FAMILY_CLASSES[1:])
+    for model in models:
+        checked = 0
+        for _ in range(60):
+            x = rng.uniform(-0.5, 0.5, model.dim)
+            y = rng.uniform(-1.0, 1.0, model.dim)
+            try:
+                full = model.eval(x, y)
+            except rl.RouthlabError:
+                continue
+            name = type(model).__name__
+            assert model.value(x, y) == full.value, name
+            val, d_y, d_yy = model.fiber_jet(x, y)
+            assert val == full.value, name
+            np.testing.assert_array_equal(d_y, full.d_y, err_msg=name)
+            np.testing.assert_array_equal(d_yy, full.d_yy, err_msg=name)
+            checked += 1
+        assert checked >= 20, type(model).__name__
     for source in PARITY_SOURCES:
         model = rl.parse_lagrangian(source, dim=2)
         checked = asymmetric = 0
@@ -189,6 +241,20 @@ def test_fiber_jet_agrees_with_full_jet(rng):
     assert val == model.value([0.0], [0.5]) == 0.0
     np.testing.assert_array_equal(d_y, [0.0])
     np.testing.assert_array_equal(d_yy, [[0.0]])
+
+
+def test_only_the_base_field_defines_value_and_fiber_jet():
+    # every model evaluates through its one eval; value and fiber_jet are
+    # the base class's wrappers
+    for info in pkgutil.iter_modules(rl.__path__):
+        module = importlib.import_module(f"routhlab.{info.name}")
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            if cls is not rl.ScalarField:
+                assert "value" not in vars(cls) and "fiber_jet" not in vars(cls), cls
+    for cls in FAMILY_CLASSES:
+        assert "eval" in vars(cls), cls
 
 
 def test_kernels_match_the_oracle_with_non_finite_literals():

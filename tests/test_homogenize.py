@@ -45,9 +45,17 @@ def scale_cases(rng, lo_e, hi_e, n=40):
 
 
 def bisection_scale(L, x, y, e):
-    """Reference root of E(x, y/s) = e by plain bisection down to adjacent floats."""
+    """Reference root of E(x, y/s) = e by plain bisection down to adjacent floats.
+
+    A scale whose velocity leaves the fiber domain counts as lying below the
+    root, as it does where the energy grows without bound toward the edge of
+    the domain (the light cone of the relativistic model).
+    """
     def res(s):
-        return rl.energy(L, x, y / s) - e
+        try:
+            return rl.energy(L, x, y / s) - e
+        except rl.DomainError:
+            return np.inf
 
     lo = hi = float(np.linalg.norm(y))
     while res(lo) <= 0.0:
@@ -162,31 +170,6 @@ class TestEnergyScale:
         s2 = rl.solve_energy_scale(L, x, 3.0 * y, 2.0).s
         assert s2 == pytest.approx(3.0 * s1, rel=1e-10)
 
-    def test_scale_derivatives_match_finite_differences(self):
-        L = conformal_magnetic()
-        x = np.array([0.15, -0.1])
-        y = np.array([0.8, 0.5])
-        e = 2.0
-        res = rl.solve_energy_scale(L, x, y, e, derivatives=True)
-        h = 1e-6
-        for i in range(2):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            fd = (
-                rl.solve_energy_scale(L, xp, y, e).s
-                - rl.solve_energy_scale(L, xm, y, e).s
-            ) / (2 * h)
-            assert res.s_x[i] == pytest.approx(fd, abs=1e-7)
-            yp, ym = y.copy(), y.copy()
-            yp[i] += h
-            ym[i] -= h
-            fd = (
-                rl.solve_energy_scale(L, x, yp, e).s
-                - rl.solve_energy_scale(L, x, ym, e).s
-            ) / (2 * h)
-            assert res.s_y[i] == pytest.approx(fd, abs=1e-7)
-
     @pytest.mark.parametrize("name", ["mechanical", "magnetic", "disk", "power3", "power4"])
     def test_probe_budget(self, rng, name):
         # the model step is exact for quadratic-plus-linear families and,
@@ -212,6 +195,36 @@ class TestEnergyScale:
         assert res.s == pytest.approx(root, rel=1e-12)
         assert res.s == pytest.approx(bisection_scale(L, x, y, e), rel=1e-12)
 
+    def test_first_probe_outside_a_bounded_fiber_domain(self):
+        # y/|y| often rounds onto or past the light cone |v| = 1; the level
+        # e = 2 lies above the rest energy 1 + V on every ray, so every
+        # ray has a root
+        L = relativistic()
+        rng = np.random.default_rng(0)
+        outside = 0
+        for _ in range(600):
+            x = rng.uniform(-0.5, 0.5, 2)
+            y = rng.uniform(-2.0, 2.0, 2)
+            try:
+                rl.energy(L, x, y / np.linalg.norm(y))
+            except rl.DomainError:
+                outside += 1
+            s = rl.solve_energy_scale(L, x, y, 2.0).s
+            assert s == pytest.approx(bisection_scale(L, x, y, 2.0), rel=1e-12)
+        assert outside >= 300
+
+    @pytest.mark.parametrize("e", [200.0, 1000.0, 1e4])
+    @pytest.mark.parametrize("ray", [(0.1, 0.05), (3.0, 1.0), (0.9, 0.1)])
+    def test_steep_root_between_adjacent_floats(self, ray, e):
+        # the energy is so steep at the root that no float meets the
+        # residual tolerance; the solve stops once the sign change lies
+        # between adjacent floats and reports the probed residual
+        L = relativistic()
+        x, y = np.array([0.3, 0.0]), np.array(ray)
+        res = rl.solve_energy_scale(L, x, y, e)
+        assert res.s == pytest.approx(bisection_scale(L, x, y, e), rel=1e-12)
+        assert res.residual == rl.energy(L, x, y / res.s) - e
+
     def test_solves_are_independent_of_call_order(self, rng):
         Fe = rl.jacobi_finsler(conformal_magnetic(), 2.0)
         cases = [(x, y) for x, y, _ in scale_cases(rng, 1.0, 2.0)]
@@ -233,6 +246,17 @@ class TestEnergyScale:
     def test_relativistic_level_below_rest_energy_is_unreachable(self):
         with pytest.raises(rl.EnergyUnreachable, match="stagnates"):
             rl.solve_energy_scale(relativistic(), np.array([0.3, 0.0]), np.array([0.1, 0.05]), 0.5)
+
+    def test_level_beyond_a_bounded_fiber_domain_is_unreachable(self):
+        # E = |v|^2 / 2 < 1/2 on the fiber domain |v| < 1, so e = 1 is out
+        # of reach, whether or not the first probe, at |v| = 1, rounds inside
+        L = rl.parse_lagrangian("0.5*(v1^2 + v2^2) + 0*sqrt(1 - v1^2 - v2^2)", dim=2)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            x = rng.uniform(-0.5, 0.5, 2)
+            y = rng.uniform(-2.0, 2.0, 2)
+            with pytest.raises(rl.EnergyUnreachable, match="fiber domain ends"):
+                rl.solve_energy_scale(L, x, y, 1.0)
 
     def test_unreachable_energy_raises(self):
         # kinetic-only energy is bounded below by the potential: e below
