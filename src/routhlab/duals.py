@@ -262,6 +262,8 @@ def _pow_const(z, p: float):
         return z.chain(1.0, 0.0, 0.0)
     if p == 1.0:
         return z
+    if p == 2.0:  # the general rule's bits: v ** 1.0 is v and v ** 0.0 is 1.0
+        return z.chain(f0, 2.0 * v, 2.0)
     return z.chain(f0, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
 
 

@@ -337,6 +337,8 @@ class _KernelWriter:
         """a sym b, rounded as the dual path rounds it: values and coefficients."""
         if sym == "**" and _is(b, 0.0):
             return 1.0  # float_pow returns 1.0 for any base
+        if sym == "**" and _is(b, 1.0):
+            return a  # and the base itself, as duals._pow_const uses at p = 2
         if _const(a) and _const(b):
             c = _fold(_OPS[sym], a, b)
             if c is not None:

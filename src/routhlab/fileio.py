@@ -8,7 +8,6 @@ repeated call with the same data produces an identical file.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np

@@ -128,6 +128,24 @@ class ScalarField:
         return self.eval(x, y, 1)
 
 
+def solve_linear(a: np.ndarray, b: np.ndarray, fail):
+    """a^-1 b, rounded as LAPACK's dgesv rounds it; raises ``fail()`` where a is singular.
+
+    dgesv divides a 1x1 system with one right-hand side, so that case is a
+    float division; with more columns it multiplies by the reciprocal.
+    """
+    if a.size == 1 and b.size == 1:
+        if a.item() == 0.0:
+            raise fail()
+        s = b.astype(float)
+        s.fill(b.item() / a.item())
+        return s
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise fail() from exc
+
+
 def jet(field: ScalarField, x, y) -> SecondJet:
     """Full second-order jet of field at (x, y), with input/output validation."""
     x = np.asarray(x, float)

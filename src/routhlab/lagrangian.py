@@ -20,7 +20,7 @@ from .duals import grad_of, seed_first, sqrt, value_of
 from .errors import DomainError, PreconditionError, SingularHessian
 from .expressions import Expression, parse_expression
 from .integrators import Trajectory, solve_ode
-from .jets import ScalarField, SecondJet, chain_jet
+from .jets import ScalarField, SecondJet, chain_jet, solve_linear
 
 __all__ = [
     "LagrangianModel",
@@ -41,16 +41,21 @@ __all__ = [
 # -- coefficient evaluation ---------------------------------------------------
 
 
+def _call_spec(spec, x: np.ndarray, grads: bool):
+    """A coefficient callable at x: on Grad seeds for gradients, else on floats."""
+    xs = seed_first(x) if grads else [float(c) for c in x]
+    try:
+        return spec(xs)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(str(exc)) from exc
+
+
 def _coeff_matrix(spec, x: np.ndarray, grads: bool):
     """Values (and optionally x-gradients) of an n-by-n coefficient matrix."""
     n = x.shape[0]
     if isinstance(spec, np.ndarray):
         return spec, (np.zeros((n, n, n)) if grads else None)
-    xs = seed_first(x) if grads else [float(c) for c in x]
-    try:
-        rows = spec(xs)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(str(exc)) from exc
+    rows = _call_spec(spec, x, grads)
     vals = np.empty((n, n))
     dvals = np.zeros((n, n, n)) if grads else None
     for i in range(n):
@@ -68,11 +73,7 @@ def _coeff_vector(spec, x: np.ndarray, grads: bool):
         return np.zeros(n), (np.zeros((n, n)) if grads else None)
     if isinstance(spec, np.ndarray):
         return spec, (np.zeros((n, n)) if grads else None)
-    xs = seed_first(x) if grads else [float(c) for c in x]
-    try:
-        comps = spec(xs)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(str(exc)) from exc
+    comps = _call_spec(spec, x, grads)
     vals = np.empty(n)
     dvals = np.zeros((n, n)) if grads else None
     for i in range(n):
@@ -88,11 +89,7 @@ def _coeff_scalar(spec, x: np.ndarray, grads: bool):
         return 0.0, (np.zeros(n) if grads else None)
     if isinstance(spec, (int, float)):
         return float(spec), (np.zeros(n) if grads else None)
-    xs = seed_first(x) if grads else [float(c) for c in x]
-    try:
-        z = spec(xs)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(str(exc)) from exc
+    z = _call_spec(spec, x, grads)
     return value_of(z), (grad_of(z, n) if grads else None)
 
 
@@ -114,6 +111,19 @@ def _normalize_vector_spec(spec, dim: int):
     if b.shape != (dim,):
         raise ValueError(f"one-form must have {dim} components, got {b.shape}")
     return b
+
+
+def _half_quadratic(metric, xs, ys):
+    """1/2 y.g(x).y in generic arithmetic, skipping literal zero entries of g."""
+    rows = metric(xs) if callable(metric) else metric
+    acc = 0.0
+    for i in range(len(ys)):
+        for j in range(len(ys)):
+            gij = rows[i][j]
+            if isinstance(gij, (int, float)) and gij == 0.0:
+                continue
+            acc = acc + 0.5 * gij * ys[i] * ys[j]
+    return acc
 
 
 # -- model families -----------------------------------------------------------
@@ -167,14 +177,7 @@ class MagneticLagrangian(LagrangianModel):
     def expr(self, xs, ys):
         # generic-arithmetic form, used to cross-check the analytic assembly
         n = self.dim
-        rows = self.metric(xs) if callable(self.metric) else self.metric
-        acc = 0.0
-        for i in range(n):
-            for j in range(n):
-                gij = rows[i][j]
-                if isinstance(gij, (int, float)) and gij == 0.0:
-                    continue
-                acc = acc + 0.5 * gij * ys[i] * ys[j]
+        acc = _half_quadratic(self.metric, xs, ys)
         if self.beta is not None:
             comps = self.beta(xs) if callable(self.beta) else self.beta
             for i in range(n):
@@ -237,15 +240,7 @@ class PowerQuadraticLagrangian(LagrangianModel):
         return chain_jet(quad, q**p, p * q ** (p - 1.0), p * (p - 1.0) * q ** (p - 2.0))
 
     def expr(self, xs, ys):
-        n = self.dim
-        rows = self.metric(xs) if callable(self.metric) else self.metric
-        acc = 0.0
-        for i in range(n):
-            for j in range(n):
-                gij = rows[i][j]
-                if isinstance(gij, (int, float)) and gij == 0.0:
-                    continue
-                acc = acc + 0.5 * gij * ys[i] * ys[j]
+        acc = _half_quadratic(self.metric, xs, ys)
         if self.degree == 2:
             return acc
         if self.degree % 2 == 0:
@@ -412,11 +407,8 @@ def el_acceleration(L: LagrangianModel, x, v) -> np.ndarray:
     x = np.asarray(x, float)
     v = np.asarray(v, float)
     j = L.eval(x, v)
-    rhs = j.d_x - j.d_xy.T @ v
-    try:
-        return np.linalg.solve(j.d_yy, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularHessian(f"velocity Hessian is singular at x={x}, v={v}") from exc
+    return solve_linear(j.d_yy, j.d_x - j.d_xy.T @ v, lambda: SingularHessian(
+        f"velocity Hessian is singular at x={x}, v={v}"))
 
 
 def integrate_el(
@@ -444,10 +436,8 @@ def integrate_el(
         x = s[:n]
         v = s[n:]
         j = L.eval(x, v)
-        try:
-            a = np.linalg.solve(j.d_yy, j.d_x - j.d_xy.T @ v)
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessian(f"velocity Hessian is singular at x={x}") from exc
+        a = solve_linear(j.d_yy, j.d_x - j.d_xy.T @ v, lambda: SingularHessian(
+            f"velocity Hessian is singular at x={x}"))
         return np.concatenate([v, a])
 
     dense, stats = solve_ode(rhs, np.concatenate([x0, v0]), t_end, tol=tol, max_steps=max_steps)

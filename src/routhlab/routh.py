@@ -15,6 +15,7 @@ the same way. No extra differentiation order is required.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,7 +30,7 @@ from .errors import (
     SingularBlock,
 )
 from .integrators import Trajectory
-from .jets import SecondJet
+from .jets import SecondJet, solve_linear
 from .lagrangian import LagrangianModel, energy, integrate_el
 from .reporting import VerificationReport
 
@@ -148,7 +149,8 @@ def solve_momentum(
     default). The iteration backtracks when a trial step leaves the model
     domain, raises SingularBlock when the cyclic Hessian block fails to
     factor, and NoConvergence when the budget runs out or the iterates
-    diverge (an unreachable momentum target).
+    diverge (an unreachable momentum target). With one cyclic coordinate, as
+    in every shipped reduction, it runs on floats and gives the same bits.
     """
     mu = np.asarray(mu, float)
     x_shape = np.asarray(x_shape, float)
@@ -158,6 +160,9 @@ def solve_momentum(
         raise ValueError(f"mu must have shape ({m},)")
     z = np.zeros(m) if guess is None else np.asarray(guess, float).copy()
     full_x = split.embed(x_shape, np.zeros(m))
+    if m == 1:
+        return _solve_momentum_1(L, split.cyclic[0], mu.item(), full_x,
+                                 split.embed(y_shape, z), y_shape, z.item(), tol, max_iter)
     scale = tol * (1.0 + float(np.linalg.norm(mu)))
     ceiling = 1e8 * (1.0 + float(np.linalg.norm(z)) + float(np.linalg.norm(y_shape)))
 
@@ -169,13 +174,8 @@ def solve_momentum(
         residual = d_y[cyc] - mu
         if np.linalg.norm(residual) <= scale:
             return z
-        block = d_yy[cyc[:, None], cyc]
-        try:
-            step = np.linalg.solve(block, residual)
-        except np.linalg.LinAlgError as exc:
-            raise SingularBlock(
-                f"cyclic velocity block is singular at x={full_x}"
-            ) from exc
+        step = solve_linear(d_yy[cyc[:, None], cyc], residual, lambda: SingularBlock(
+            f"cyclic velocity block is singular at x={full_x}"))
         # backtrack if the full Newton step leaves the domain
         trial = z - step
         for _ in range(30):
@@ -194,6 +194,40 @@ def solve_momentum(
         f"momentum solve did not converge in {max_iter} iterations "
         f"(residual {np.linalg.norm(residual):.3e})"
     )
+
+
+def _solve_momentum_1(L, c, mu, full_x, full_y, y_shape, z, tol, max_iter):
+    """solve_momentum's loop for the one cyclic velocity full_y[c] = z, on floats.
+
+    A 1-vector's norm is sqrt(r * r) and a 1x1 solve divides (see
+    :func:`solve_linear`), so every iterate has the vector loop's bits.
+    """
+    scale = tol * (1.0 + math.sqrt(mu * mu))
+    ceiling = 1e8 * (1.0 + math.sqrt(z * z) + float(np.linalg.norm(y_shape)))
+    r = None
+    for _ in range(max_iter):
+        _, d_y, d_yy = L.fiber_jet(full_x, full_y)
+        r = d_y.item(c) - mu
+        if math.sqrt(r * r) <= scale:
+            return np.array([z])
+        if d_yy.item(c, c) == 0.0:
+            raise SingularBlock(f"cyclic velocity block is singular at x={full_x}")
+        step = r / d_yy.item(c, c)
+        trial = z - step
+        for _ in range(30):
+            full_y[c] = trial
+            if L.in_domain(full_x, full_y):
+                break
+            step = 0.5 * step
+            trial = z - step
+        else:
+            raise NoConvergence("momentum solve could not stay inside the domain")
+        z = trial
+        if math.sqrt(z * z) > ceiling:
+            raise NoConvergence("momentum solve is diverging; "
+                                "the target momentum may be unreachable")
+    raise NoConvergence(f"momentum solve did not converge in {max_iter} iterations "
+                        f"(residual {math.sqrt(r * r):.3e})")
 
 
 class ReducedLagrangian(LagrangianModel):
@@ -236,10 +270,8 @@ class ReducedLagrangian(LagrangianModel):
             return j - float(self.mu @ z)
         val, d_y, d_yy = j if order == 1 else (j.value, j.d_y, j.d_yy)
         cyc, shp = self.split.cyc_idx, self.split.shape_idx
-        try:
-            w = np.linalg.solve(d_yy[cyc[:, None], cyc], d_yy[cyc[:, None], shp])
-        except np.linalg.LinAlgError as exc:
-            raise SingularBlock(f"cyclic velocity block is singular at x={full_x}") from exc
+        w = solve_linear(d_yy[cyc[:, None], cyc], d_yy[cyc[:, None], shp], lambda: SingularBlock(
+            f"cyclic velocity block is singular at x={full_x}"))
         h = d_yy[shp[:, None], shp] - d_yy[shp[:, None], cyc] @ w
         h = 0.5 * (h + h.T)
         if order == 1:

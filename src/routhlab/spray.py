@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, SingularHessian
 from .integrators import Trajectory, solve_ode
-from .jets import ScalarField, SecondJet
+from .jets import ScalarField, SecondJet, solve_linear
 
 __all__ = [
     "half_square_jet",
@@ -55,12 +55,8 @@ def canonical_spray(F: ScalarField):
     def accel(x, y):
         j = half_square_jet(F, x, y)
         rhs = j.d_x - j.d_xy.T @ np.asarray(y, float)
-        try:
-            return np.linalg.solve(j.d_yy, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessian(
-                f"fundamental tensor is singular at x={np.asarray(x)}"
-            ) from exc
+        return solve_linear(j.d_yy, rhs, lambda: SingularHessian(
+            f"fundamental tensor is singular at x={np.asarray(x)}"))
 
     return accel
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     DegenerateCurve,
-    DomainError,
     NoIntersection,
     PreconditionError,
     RouthlabError,

@@ -248,6 +248,18 @@ def test_kernel_code_reads_only_whitelisted_names(source):
                 assert node.id in _KERNEL_GLOBALS or re.fullmatch(r"t\d+", node.id), node.id
             if isinstance(node, ast.Constant):
                 assert type(node.value) is float and math.isfinite(node.value)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                # v ** 1.0 and v ** 0.0 are folded to v and 1.0 while writing
+                assert not (isinstance(node.right, ast.Constant) and node.right.value in (0.0, 1.0))
+
+
+@pytest.mark.parametrize("source", ["0.5*(v1^2 + x1^2*v2^2) + 1/x1", "(x1 - v2)^2 * sin(v1)^2"])
+def test_kernels_square_without_pow(source):
+    expression = parse_expression(source, dim=2)
+    for kind in ("fiber", "full"):
+        tree = ast.parse(inspect.getsource(expression.jet_kernel(kind, 2)))
+        powers = [n for n in ast.walk(tree) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)]
+        assert not powers, ast.unparse(powers[0])
 
 
 def test_kernel_tracebacks_name_the_generated_file():

@@ -1,6 +1,7 @@
 """Forward-mode first and second order numbers against finite differences."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -77,6 +78,36 @@ def test_power_rule(a, p):
     assert math.isclose(
         out.h[0, 0], p * (p - 1) * a ** (p - 2), rel_tol=1e-10, abs_tol=1e-10
     )
+
+
+def _bits(a: float) -> bytes:
+    return b"nan" if math.isnan(a) else struct.pack("<d", a)
+
+
+SQUARE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("v", SQUARE_EDGES + [0.7559376686872161, -3.25])
+def test_square_rule_has_the_bits_of_the_general_rule(v):
+    # p = 2 takes 2.0 * v and 2.0 instead of p * v ** (p - 1) and
+    # p * (p - 1) * v ** (p - 2); those are the same bits, zero signs included
+    assert _bits(v ** 1.0) == _bits(v)
+    assert v ** 0.0 == 1.0
+    p = 2.0
+    for z in (seed_first([v])[0], seed_second([v])[0]):
+        with np.errstate(all="ignore"):  # inf * 0 in the Hessian at the edges
+            out = z ** 2
+            general = z.chain(v * v, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
+        for part in ("v", "g", "h")[: 2 + isinstance(z, HyperDual)]:
+            got, want = np.ravel(getattr(out, part)), np.ravel(getattr(general, part))
+            assert list(map(_bits, got.tolist())) == list(map(_bits, want.tolist())), part
+
+
+def test_pow_one_returns_the_base_bits_on_random_doubles():
+    rng = np.random.default_rng(11)
+    values = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+    for v in values[np.isfinite(values)].tolist():
+        assert _bits(v ** 1.0) == _bits(v)
 
 
 def test_division_by_dual_and_rdiv():

@@ -165,3 +165,164 @@ def test_reduced_model_requires_dense_reduced_trajectory():
     )
     with pytest.raises(ValueError):
         rl.reconstruct(L, split, mu, stripped, cyclic_start=np.zeros(1))
+
+
+# -- one cyclic coordinate: the float path against the LAPACK path ------------
+
+OSCILLATOR = "0.5*(v1^2 + x1^2*v2^2) - 0.5*x1^2"
+# a v1 v2 coupling makes the Schur complement's division nontrivial
+COUPLED = "0.5*(v1^2 + x1^2*v2^2) + 0.2*x1*v1*v2 + 1/x1"
+
+
+def test_lapack_divides_a_one_by_one_system():
+    # solve_linear, and with it the float momentum loop, rests on dgesv
+    # rounding a 1x1 system with one right-hand side as a division
+    rng = np.random.default_rng(2)
+    a = rng.choice([-1.0, 1.0], 10_000) * 10.0 ** rng.uniform(-20, 20, 10_000)
+    b = rng.choice([-1.0, 1.0], 10_000) * 10.0 ** rng.uniform(-20, 20, 10_000)
+    for ai, bi in zip(a.tolist(), b.tolist()):
+        assert np.linalg.solve([[ai]], [bi]).tobytes() == np.array([bi / ai]).tobytes()
+        assert np.linalg.solve([[ai]], [[bi]]).tobytes() == np.array([[bi / ai]]).tobytes()
+
+
+def _lapack_solve_momentum(L, split, mu, x_shape, y_shape, guess=None, tol=1e-12, max_iter=50):
+    """The vector Newton loop of solve_momentum: LAPACK steps, numpy norms."""
+    m = len(split.cyclic)
+    z = np.zeros(m) if guess is None else np.asarray(guess, float).copy()
+    full_x = split.embed(x_shape, np.zeros(m))
+    scale = tol * (1.0 + float(np.linalg.norm(mu)))
+    ceiling = 1e8 * (1.0 + float(np.linalg.norm(z)) + float(np.linalg.norm(y_shape)))
+    cyc = split.cyc_idx
+    residual = None
+    for _ in range(max_iter):
+        _, d_y, d_yy = L.fiber_jet(full_x, split.embed(y_shape, z))
+        residual = d_y[cyc] - mu
+        if np.linalg.norm(residual) <= scale:
+            return z
+        try:
+            step = np.linalg.solve(d_yy[cyc[:, None], cyc], residual)
+        except np.linalg.LinAlgError as exc:
+            raise rl.SingularBlock(f"cyclic velocity block is singular at x={full_x}") from exc
+        trial = z - step
+        for _ in range(30):
+            if L.in_domain(full_x, split.embed(y_shape, trial)):
+                break
+            step = 0.5 * step
+            trial = z - step
+        else:
+            raise rl.NoConvergence("momentum solve could not stay inside the domain")
+        z = trial
+        if float(np.linalg.norm(z)) > ceiling:
+            raise rl.NoConvergence(
+                "momentum solve is diverging; the target momentum may be unreachable"
+            )
+    raise rl.NoConvergence(
+        f"momentum solve did not converge in {max_iter} iterations "
+        f"(residual {np.linalg.norm(residual):.3e})"
+    )
+
+
+def _lapack_reduced_eval(red, x, y, order):
+    split, mu = red.split, red.mu
+    z = _lapack_solve_momentum(red.base, split, mu, x, y, guess=red.guess)
+    full_x, full_y = split.embed(x, np.zeros(1)), split.embed(y, z)
+    j = red.base.eval(full_x, full_y, order)
+    if order == 0:
+        return j - float(mu @ z)
+    val, d_y, d_yy = j if order == 1 else (j.value, j.d_y, j.d_yy)
+    cyc, shp = split.cyc_idx, split.shape_idx
+    w = np.linalg.solve(d_yy[cyc[:, None], cyc], d_yy[cyc[:, None], shp])
+    h = d_yy[shp[:, None], shp] - d_yy[shp[:, None], cyc] @ w
+    h = 0.5 * (h + h.T)
+    if order == 1:
+        return val - float(mu @ z), d_y[shp], h
+    return (val - float(mu @ z), j.d_x[shp], d_y[shp], h,
+            j.d_xy[shp[:, None], shp] - j.d_xy[shp[:, None], cyc] @ w)
+
+
+class _LightCone(rl.ExpressionLagrangian):
+    """A cyclic velocity confined to |v2| < 1, so Newton steps can overshoot it."""
+
+    def domain_check(self, x, y):
+        super().domain_check(x, y)
+        if not abs(y[1]) < 1.0:
+            raise rl.DomainError("cyclic velocity outside the light cone")
+
+
+def _outcome(f):
+    try:
+        out = f()
+    except rl.RouthlabError as exc:
+        return type(exc), str(exc)
+    parts = out if isinstance(out, tuple) else (out,)
+    if hasattr(out, "d_xy"):
+        parts = (out.value, out.d_x, out.d_y, out.d_yy, out.d_xy)
+    return [np.asarray(p, float).tobytes() for p in parts]
+
+
+@pytest.mark.parametrize("source", [POLAR, OSCILLATOR, COUPLED])
+def test_float_momentum_solve_and_reduced_jets_equal_the_lapack_path(source):
+    L = rl.parse_lagrangian(source, dim=2, domain=lambda x: x[0] > 0.1)
+    split = CyclicSplit.of(2, [1])
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        x, y = rng.uniform(0.2, 2.5, 1), rng.uniform(-1.5, 1.5, 1)
+        mu = rng.uniform(-2.0, 2.0, 1)
+        guess = None if rng.random() < 0.5 else rng.uniform(-3.0, 3.0, 1)
+        assert _outcome(lambda: rl.solve_momentum(L, split, mu, x, y, guess=guess)) == \
+            _outcome(lambda: _lapack_solve_momentum(L, split, mu, x, y, guess=guess))
+        red = rl.ReducedLagrangian(L, split, mu, guess=guess)
+        for order in (0, 1, 2):
+            assert _outcome(lambda: red.eval(x, y, order)) == \
+                _outcome(lambda: _lapack_reduced_eval(red, x, y, order))
+
+
+def test_float_momentum_solve_backtracks_as_the_lapack_path():
+    # momentum x1^2 v2 / sqrt(1 - v2^2): a Newton step from v2 = 0 toward a
+    # large momentum lands past |v2| = 1 and must be halved back inside
+    L = _LightCone(rl.parse_expression("0.5*v1^2 - x1^2*sqrt(1 - v2^2)"), dim=2,
+                   domain=lambda x: x[0] > 0.1)
+    split = CyclicSplit.of(2, [1])
+    backtracks = 0
+    in_domain = L.in_domain
+
+    def counting(x, y):
+        nonlocal backtracks
+        inside = in_domain(x, y)
+        backtracks += not inside
+        return inside
+
+    L.in_domain = counting
+    rng = np.random.default_rng(9)
+    solved = 0
+    for _ in range(200):
+        x, y = rng.uniform(0.2, 2.0, 1), rng.uniform(-1.0, 1.0, 1)
+        mu = rng.uniform(-4.0, 4.0, 1) * x ** 2
+        guess = None if rng.random() < 0.5 else rng.uniform(-0.9, 0.9, 1)
+        counts = []
+        outcomes = []
+        for solve in (rl.solve_momentum, _lapack_solve_momentum):
+            before = backtracks
+            outcomes.append(_outcome(lambda: solve(L, split, mu, x, y, guess=guess)))
+            counts.append(backtracks - before)
+        assert outcomes[0] == outcomes[1]
+        assert counts[0] == counts[1]
+        solved += not isinstance(outcomes[0], tuple)
+    assert backtracks > 200 and solved > 100
+
+
+def test_zero_one_by_one_blocks_raise_their_own_errors():
+    L = rl.parse_lagrangian("0.5*v1^2 + v2", dim=2)
+    split = CyclicSplit.of(2, [1])
+    with pytest.raises(rl.SingularBlock, match="cyclic velocity block is singular"):
+        rl.solve_momentum(L, split, np.array([0.5]), np.zeros(1), np.zeros(1))
+    # at mu = 1 the momentum solve converges at once and the Schur
+    # complement meets the zero block
+    red = rl.ReducedLagrangian(L, split, np.array([1.0]))
+    assert red.eval(np.zeros(1), np.zeros(1), 0) == 0.0
+    for order in (1, 2):
+        with pytest.raises(rl.SingularBlock, match="cyclic velocity block is singular"):
+            red.eval(np.zeros(1), np.zeros(1), order)
+    flat = rl.parse_lagrangian("v1 + x1^2", dim=1)
+    with pytest.raises(rl.SingularHessian, match="velocity Hessian is singular"):
+        rl.el_acceleration(flat, np.array([0.5]), np.array([1.0]))
