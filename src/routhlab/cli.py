@@ -311,12 +311,7 @@ def cmd_plot(config_path, out_dir, seed):
         ]
         if e is not None:
             metric = jacobi_finsler(model, e)
-            lengths = np.array(
-                [
-                    metric.value(traj.positions[i], traj.velocities[i])
-                    for i in range(samples)
-                ]
-            )
+            lengths = metric.eval_batch(traj.positions, traj.velocities, 0)
             arc = integrate_geodesic(
                 metric,
                 x0,

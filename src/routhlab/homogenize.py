@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import HyperDual, grad_of, seed_first, seed_second, sqrt, value_of
-from .errors import DomainError, EnergyUnreachable, NoConvergence
+from .errors import DomainError, EnergyUnreachable, NoConvergence, RouthlabError
 from .expressions import Expression, parse_expression
-from .jets import ScalarField, SecondJet, chain_jet
+from .jets import ScalarField, SecondJet, batch_rows, chain_jet
 from .lagrangian import (
     LagrangianModel,
     MagneticLagrangian,
@@ -192,26 +192,55 @@ def solve_energy_scale(
     the fiber domain ends between the two, where the model cannot see. If
     that end meets the upper one at adjacent floats, the level is
     unreachable.
+
+    These rules are written once, in the step routine ``_scale_steps``,
+    and drive both evaluation paths: this function feeds it one fiber jet
+    per probe, and :meth:`JacobiFinslerModel.eval_batch` runs one routine
+    per row in lockstep (:func:`_solve_energy_scales`).
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    s = float(np.linalg.norm(y))
+    steps = _scale_steps(float(np.linalg.norm(y)), e, tol, max_iter)
+    try:
+        s = next(steps)
+        while True:
+            s = _probe(steps, L, x, y, s, e)
+    except StopIteration as done:
+        return done.value
+
+
+def _probe(steps, L, x, y, s: float, e: float) -> float:
+    """Probe the scale s of one ray with a fiber jet; the routine's next scale.
+
+    The routine receives r = E(x, y/s) - e and q = v.L_vv.v, or the
+    probe's DomainError.
+    """
+    w = y / s
+    try:
+        val, d_y, d_yy = L.fiber_jet(x, w)
+    except DomainError as exc:
+        return steps.throw(exc)
+    return steps.send((float(w @ d_y) - val - e, float(w @ (d_yy @ w))))
+
+
+def _scale_steps(s: float, e: float, tol: float, max_iter: int):
+    """The rules of :func:`solve_energy_scale` as a routine driven probe by probe.
+
+    A generator that starts from s = |y|: it yields each scale to probe,
+    receives (r, q) there or has the probe's DomainError thrown in, and
+    returns the EnergyScaleResult.
+    """
     if s == 0.0:
         raise DomainError("the energy scale is undefined on the zero velocity")
     atol = tol * (1.0 + abs(e))
     stall_tol = 1e-14 * (1.0 + abs(e))
-
-    def probe(s):
-        w = y / s
-        val, d_y, d_yy = L.fiber_jet(x, w)
-        return float(w @ d_y) - val - e, float(w @ (d_yy @ w))
 
     # y/|y| can round onto the edge of a bounded fiber domain such as
     # |v| < 1; the last scale that failed is then a floor for the bracket
     floor, first_error = 0.0, None
     for _ in range(FIRST_PROBE_TRIES):
         try:
-            r, q = probe(s)
+            r, q = yield s
             break
         except DomainError as exc:
             floor, first_error = s, first_error or exc
@@ -267,7 +296,7 @@ def solve_energy_scale(
                 raise EnergyUnreachable(f"energy level {e} is unreachable along this ray")
             t = 2.0 * s if r > 0.0 else 0.5 * s
         try:
-            r_t, q_t = probe(t)
+            r_t, q_t = yield t
         except DomainError as exc:
             if not (model or bracketed):
                 raise EnergyUnreachable(
@@ -304,6 +333,43 @@ def solve_energy_scale(
         else:
             hi, r_hi = s, r
     return EnergyScaleResult(s=float(s), residual=float(r), iterations=evals)
+
+
+def _solve_energy_scales(L: LagrangianModel, xs, ys, e: float, tol: float = 1e-12,
+                         max_iter: int = 80) -> np.ndarray:
+    """The scale s of :func:`solve_energy_scale` on every row of (xs, ys).
+
+    Each row runs its own step routine, and every round probes all pending
+    scales with one batched fiber jet, residuals from stacked matmuls. A row
+    whose batched probe raises or is not finite is probed again alone,
+    through ``fiber_jet``, as the scalar solve probes it. A row's error
+    propagates from the first round that meets it.
+    """
+    norms = np.sqrt((ys[:, None, :] @ ys[:, :, None])[:, 0, 0])
+    steps = [_scale_steps(s, e, tol, max_iter) for s in norms.tolist()]
+    pending = {i: next(st) for i, st in enumerate(steps)}
+    roots = np.empty(len(steps))
+    while pending:
+        rows = np.fromiter(pending, int, len(pending))
+        scales = np.fromiter(pending.values(), float, len(pending))
+        ws = ys[rows] / scales[:, None]
+        try:
+            val, d_y, d_yy = L.eval_batch(xs[rows], ws, 1)
+        except DomainError:
+            r = q = [math.nan] * len(rows)
+        else:
+            r = ((ws[:, None, :] @ d_y[:, :, None])[:, 0, 0] - val - e).tolist()
+            q = (ws[:, None, :] @ (d_yy @ ws[:, :, None]))[:, 0, 0].tolist()
+        for i, s, r_i, q_i in zip(rows.tolist(), scales.tolist(), r, q):
+            try:
+                if math.isfinite(r_i) and math.isfinite(q_i):
+                    pending[i] = steps[i].send((r_i, q_i))
+                else:
+                    pending[i] = _probe(steps[i], L, xs[i], ys[i], s, e)
+            except StopIteration as done:
+                roots[i] = done.value.s
+                del pending[i]
+    return roots
 
 
 # -- the energy-level Finsler function ------------------------------------------
@@ -344,6 +410,31 @@ class JacobiFinslerModel(FinslerModel):
     def energy_scale(self, x, y) -> float:
         """The eliminated scale s at (x, y)."""
         return solve_energy_scale(self.base, x, y, self.e, tol=self.tol).s
+
+    def eval_batch(self, xs, ys, order: int = 0):
+        """Batched orders 0 and 1 on one lockstep scale solve over all rows.
+
+        The scales come from :func:`_solve_energy_scales`, then one batched
+        base evaluation at (x, y/s) feeds the assembly of ``eval``, with its
+        products as stacked matmuls. A batch in which any row fails goes
+        row by row, so the first failing row raises.
+        """
+        xs, ys = batch_rows(xs, ys)
+        if order not in (0, 1) or not self._rows_in_domain(xs, ys):
+            return super().eval_batch(xs, ys, order)
+        try:
+            s = _solve_energy_scales(self.base, xs, ys, self.e, tol=self.tol)
+            vs = ys / s[:, None]
+            j = self.base.eval_batch(xs, vs, order)
+        except RouthlabError:
+            return super().eval_batch(xs, ys, order)
+        if order == 0:
+            return s * (j + self.e)
+        val, d_y, d_yy_b = j
+        gv = d_yy_b @ vs[:, :, None]
+        q = (vs[:, None, :] @ gv)[:, 0, 0]
+        d_yy = (d_yy_b - gv * gv.transpose(0, 2, 1) / q[:, None, None]) / s[:, None, None]
+        return s * (val + self.e), d_y, 0.5 * (d_yy + d_yy.transpose(0, 2, 1))
 
     def eval(self, x, y, order: int = 2):
         x = np.asarray(x, float)

@@ -12,9 +12,11 @@ Every field evaluates through one method, ``eval(x, y, order)``: order 0 is
 the value, order 1 the velocity-only fiber jet (value, d_y, d_yy), and order
 2 the :class:`SecondJet`. A model family writes its formula once, and its
 lower orders skip only the coefficient gradients and blocks they do not
-need; ``value`` and ``fiber_jet`` are one-line wrappers. :func:`jet` adds
-input and output validation, and the independent finite-difference oracle
-:func:`fd_jet` cross-checks every family in the tests.
+need; ``value`` and ``fiber_jet`` are one-line wrappers. ``eval_batch``
+evaluates orders 0 and 1 on every row of (k, n) arrays at once, with the
+bits of the row loop. :func:`jet` adds input and output validation, and the
+independent finite-difference oracle :func:`fd_jet` cross-checks every
+family in the tests.
 """
 
 from __future__ import annotations
@@ -126,6 +128,48 @@ class ScalarField:
     def fiber_jet(self, x, y):
         """(value, d_y, d_yy) at (x, y): ``eval`` at order 1."""
         return self.eval(x, y, 1)
+
+    def eval_batch(self, xs, ys, order: int = 0):
+        """``eval(x, y, order)`` on every row of (k, n) arrays, stacked; order 0 or 1.
+
+        Order 0 gives the (k,) values, order 1 the arrays (value, d_y, d_yy)
+        of shapes (k,), (k, n) and (k, n, n). This default runs the rows in
+        order through ``value`` or ``fiber_jet``, so it raises what the
+        first failing row raises. A family that overrides it returns the
+        same bits, and hands any batch it cannot evaluate whole to this loop.
+        """
+        if order not in (0, 1):
+            raise ValueError(f"eval_batch evaluates orders 0 and 1, not {order}")
+        xs, ys = batch_rows(xs, ys)
+        if order == 0:
+            return np.array([self.value(x, y) for x, y in zip(xs, ys)], float)
+        rows = [self.fiber_jet(x, y) for x, y in zip(xs, ys)]
+        k, n = ys.shape
+        return (
+            np.array([r[0] for r in rows], float),
+            np.array([r[1] for r in rows], float).reshape(k, n),
+            np.array([r[2] for r in rows], float).reshape(k, n, n),
+        )
+
+    def _rows_in_domain(self, xs, ys) -> bool:
+        """Whether ``domain_check`` passes on every row; a row that raises says no."""
+        try:
+            if type(self).domain_check is ScalarField.domain_check:
+                return self._domain is None or all(self._domain(x) for x in xs)
+            for x, y in zip(xs, ys):
+                self.domain_check(x, y)
+        except Exception:
+            return False
+        return True
+
+
+def batch_rows(xs, ys):
+    """Positions and velocities as C-contiguous float arrays of rows.
+
+    Each row is then a unit-stride vector, like the one ``eval`` gets, and a
+    stacked ``np.matmul`` hands every row to the same BLAS kernel as ``@``.
+    """
+    return np.ascontiguousarray(xs, float), np.ascontiguousarray(ys, float)
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray, fail):

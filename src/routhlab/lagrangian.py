@@ -20,7 +20,7 @@ from .duals import grad_of, seed_first, sqrt, value_of
 from .errors import DomainError, PreconditionError, SingularHessian
 from .expressions import Expression, parse_expression
 from .integrators import Trajectory, solve_ode
-from .jets import ScalarField, SecondJet, chain_jet, solve_linear
+from .jets import ScalarField, SecondJet, batch_rows, chain_jet, solve_linear
 
 __all__ = [
     "LagrangianModel",
@@ -32,6 +32,7 @@ __all__ = [
     "poincare_disk_lagrangian",
     "parse_lagrangian",
     "energy",
+    "energies",
     "strong_convexity_check",
     "el_acceleration",
     "integrate_el",
@@ -91,6 +92,70 @@ def _coeff_scalar(spec, x: np.ndarray, grads: bool):
         return float(spec), (np.zeros(n) if grads else None)
     z = _call_spec(spec, x, grads)
     return value_of(z), (grad_of(z, n) if grads else None)
+
+
+#: ufuncs whose float64 results are those of Python float arithmetic
+_EXACT_UFUNCS = frozenset({np.add, np.subtract, np.multiply, np.true_divide,
+                           np.negative, np.positive, np.absolute})
+
+
+class _Lanes(np.ndarray):
+    """One position coordinate over every row of a batch.
+
+    A coefficient callable runs once on these columns instead of once per
+    row, and each entry must come out as the row's float arithmetic gives
+    it. So +, -, *, /, abs and the signs run as ufuncs, and ``**`` runs
+    Python's float power entry by entry: numpy's power kernels, and the
+    square and square root it puts in for ``**2`` and ``**0.5``, round
+    differently from libm's ``pow``. Every other ufunc, and conversion to
+    one float, raises TypeError, and the batch goes row by row.
+    """
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs or ufunc not in _EXACT_UFUNCS:
+            return NotImplemented
+        args = [a.view(np.ndarray) if isinstance(a, _Lanes) else a for a in inputs]
+        return ufunc(*args).view(_Lanes)
+
+    def __pow__(self, p):
+        base, expo = np.broadcast_arrays(self, p)
+        pairs = zip(base.ravel().tolist(), expo.ravel().tolist())
+        return np.array([b**q for b, q in pairs], float).reshape(base.shape).view(_Lanes)
+
+    def __float__(self):
+        raise TypeError("a batch column is not one number")
+
+
+def _batch_coeff(spec, xs: np.ndarray, shape: tuple):
+    """A coefficient on every row of xs as a (k, *shape) array, or None.
+
+    Constants broadcast, and a callable runs once on the position columns.
+    None, which sends the batch row by row, means the call raised, hit a
+    floating-point exception, or gave an entry that is not finite.
+    """
+    k, n = xs.shape
+    out = np.empty((k, *shape))
+    if spec is None:
+        out.fill(0.0)
+    elif isinstance(spec, np.ndarray if shape else (int, float)):
+        out[...] = spec
+    else:
+        try:
+            with np.errstate(all="raise"):
+                z = spec([xs[:, i].view(_Lanes) for i in range(n)])
+                if len(shape) == 2:
+                    for i in range(n):
+                        for j in range(n):
+                            out[:, i, j] = z[i][j]
+                elif shape:
+                    for i in range(n):
+                        out[:, i] = z[i]
+                else:
+                    out[:] = z
+        except Exception:
+            # the row loop calls it on floats and raises what a row raises
+            return None
+    return out if np.isfinite(out).all() else None
 
 
 def _normalize_matrix_spec(spec, dim: int):
@@ -174,6 +239,27 @@ class MagneticLagrangian(LagrangianModel):
             d_xy=np.einsum("bij,j->bi", dg, y) + db,
         )
 
+    def eval_batch(self, xs, ys, order: int = 0):
+        """Batched orders 0 and 1: one coefficient call, then stacked matmuls.
+
+        Every product that ``eval`` forms with ``@`` is a stacked ``np.matmul``
+        here, which OpenBLAS rounds as it rounds the one-row product.
+        """
+        xs, ys = batch_rows(xs, ys)
+        n = self.dim
+        g = _batch_coeff(self.metric, xs, (n, n))
+        b = _batch_coeff(self.beta, xs, (n,))
+        v = _batch_coeff(self.potential, xs, ())
+        if order not in (0, 1) or g is None or b is None or v is None \
+                or not self._rows_in_domain(xs, ys):
+            return super().eval_batch(xs, ys, order)
+        gy = g @ ys[:, :, None]
+        by = (b[:, None, :] @ ys[:, :, None])[:, 0, 0]
+        val = 0.5 * (ys[:, None, :] @ gy)[:, 0, 0] + by - v
+        if order == 0:
+            return val
+        return val, gy[:, :, 0] + b, g
+
     def expr(self, xs, ys):
         # generic-arithmetic form, used to cross-check the analytic assembly
         n = self.dim
@@ -238,6 +324,30 @@ class PowerQuadraticLagrangian(LagrangianModel):
         if p == 1.0:
             return quad
         return chain_jet(quad, q**p, p * q ** (p - 1.0), p * (p - 1.0) * q ** (p - 2.0))
+
+    def eval_batch(self, xs, ys, order: int = 0):
+        """Batched orders 0 and 1, as :meth:`MagneticLagrangian.eval_batch`.
+
+        The powers of q run on Python floats, one row at a time.
+        """
+        xs, ys = batch_rows(xs, ys)
+        g = _batch_coeff(self.metric, xs, (self.dim, self.dim))
+        if order not in (0, 1) or g is None or not self._rows_in_domain(xs, ys):
+            return super().eval_batch(xs, ys, order)
+        gy = (g @ ys[:, :, None])[:, :, 0]
+        q = 0.5 * (ys[:, None, :] @ gy[:, :, None])[:, 0, 0]
+        p = 0.5 * self.degree
+        if p == 1.0:
+            return q if order == 0 else (q, gy, g)
+        if (q <= 0.0).any():
+            return super().eval_batch(xs, ys, order)
+        qs = q.tolist()
+        f0 = np.array([t**p for t in qs])
+        if order == 0:
+            return f0
+        f1 = np.array([p * t ** (p - 1.0) for t in qs])[:, None]
+        f2 = np.array([p * (p - 1.0) * t ** (p - 2.0) for t in qs])[:, None, None]
+        return f0, f1 * gy, f1[:, :, None] * g + f2 * (gy[:, :, None] * gy[:, None, :])
 
     def expr(self, xs, ys):
         acc = _half_quadratic(self.metric, xs, ys)
@@ -390,6 +500,13 @@ def energy(L: LagrangianModel, x, v) -> float:
     return float(v @ d_y) - val
 
 
+def energies(L: LagrangianModel, xs, vs) -> np.ndarray:
+    """``energy`` at every row of (k, n) position and velocity arrays, in one batch."""
+    xs, vs = batch_rows(xs, vs)
+    val, d_y, _ = L.eval_batch(xs, vs, 1)
+    return (vs[:, None, :] @ d_y[:, :, None])[:, 0, 0] - val
+
+
 def strong_convexity_check(L: LagrangianModel, x, v) -> tuple[bool, float]:
     """Whether the velocity Hessian at (x, v) is positive definite.
 
@@ -445,14 +562,11 @@ def integrate_el(
     states = dense.sample(times)
     positions = states[:, :n]
     velocities = states[:, n:]
-    energy_log = np.array(
-        [energy(L, positions[i], velocities[i]) for i in range(samples)]
-    )
     return Trajectory(
         times=times,
         positions=positions,
         velocities=velocities,
-        energy_log=energy_log,
+        energy_log=energies(L, positions, velocities),
         stats=stats,
         dense=dense,
         meta={"kind": "euler_lagrange"},

@@ -43,11 +43,6 @@ class VerificationReport:
         self.metrics.append(Metric(label, value, float(tolerance), ok))
         return ok
 
-    def check_flag(self, label: str, ok: bool) -> bool:
-        """Record a boolean condition as a 0/1 metric."""
-        self.metrics.append(Metric(label, 0.0 if ok else 1.0, 0.5, bool(ok)))
-        return bool(ok)
-
     def fail(self, message: str) -> None:
         self.error = message
 

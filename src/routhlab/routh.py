@@ -31,7 +31,7 @@ from .errors import (
 )
 from .integrators import Trajectory
 from .jets import SecondJet, solve_linear
-from .lagrangian import LagrangianModel, energy, integrate_el
+from .lagrangian import LagrangianModel, energies, integrate_el
 from .reporting import VerificationReport
 
 __all__ = [
@@ -146,11 +146,13 @@ def solve_momentum(
     """Cyclic velocities where the conjugate momenta equal mu.
 
     Newton iteration on the cyclic block, starting from ``guess`` (zero by
-    default). The iteration backtracks when a trial step leaves the model
-    domain, raises SingularBlock when the cyclic Hessian block fails to
-    factor, and NoConvergence when the budget runs out or the iterates
-    diverge (an unreachable momentum target). With one cyclic coordinate, as
-    in every shipped reduction, it runs on floats and gives the same bits.
+    default). The iteration halves a step, up to 30 times, while the new
+    iterate leaves the model domain or its fiber jet raises DomainError (a
+    bounded fiber domain such as |v| < 1), raises SingularBlock when the
+    cyclic Hessian block fails to factor, and NoConvergence when the budget
+    runs out or the iterates diverge (an unreachable momentum target). With
+    one cyclic coordinate, as in every shipped reduction, it runs on floats
+    and gives the same bits.
     """
     mu = np.asarray(mu, float)
     x_shape = np.asarray(x_shape, float)
@@ -168,28 +170,34 @@ def solve_momentum(
 
     cyc = split.cyc_idx
     residual = None
-    for _ in range(max_iter):
-        full_y = split.embed(y_shape, z)
-        _, d_y, d_yy = L.fiber_jet(full_x, full_y)
+    _, d_y, d_yy = L.fiber_jet(full_x, split.embed(y_shape, z))
+    for it in range(max_iter):
         residual = d_y[cyc] - mu
         if np.linalg.norm(residual) <= scale:
             return z
         step = solve_linear(d_yy[cyc[:, None], cyc], residual, lambda: SingularBlock(
             f"cyclic velocity block is singular at x={full_x}"))
-        # backtrack if the full Newton step leaves the domain
-        trial = z - step
+        # backtrack while the new iterate leaves the domain or its jet
+        # fails; that jet serves the next iteration, so the last takes none
         for _ in range(30):
-            if L.in_domain(full_x, split.embed(y_shape, trial)):
-                break
-            step = 0.5 * step
             trial = z - step
+            full_y = split.embed(y_shape, trial)
+            if L.in_domain(full_x, full_y):
+                if float(np.linalg.norm(trial)) > ceiling:
+                    raise NoConvergence(
+                        "momentum solve is diverging; the target momentum may be unreachable"
+                    )
+                if it + 1 == max_iter:
+                    break
+                try:
+                    _, d_y, d_yy = L.fiber_jet(full_x, full_y)
+                    break
+                except DomainError:
+                    pass
+            step = 0.5 * step
         else:
             raise NoConvergence("momentum solve could not stay inside the domain")
         z = trial
-        if float(np.linalg.norm(z)) > ceiling:
-            raise NoConvergence(
-                "momentum solve is diverging; the target momentum may be unreachable"
-            )
     raise NoConvergence(
         f"momentum solve did not converge in {max_iter} iterations "
         f"(residual {np.linalg.norm(residual):.3e})"
@@ -205,27 +213,32 @@ def _solve_momentum_1(L, c, mu, full_x, full_y, y_shape, z, tol, max_iter):
     scale = tol * (1.0 + math.sqrt(mu * mu))
     ceiling = 1e8 * (1.0 + math.sqrt(z * z) + float(np.linalg.norm(y_shape)))
     r = None
-    for _ in range(max_iter):
-        _, d_y, d_yy = L.fiber_jet(full_x, full_y)
+    _, d_y, d_yy = L.fiber_jet(full_x, full_y)
+    for it in range(max_iter):
         r = d_y.item(c) - mu
         if math.sqrt(r * r) <= scale:
             return np.array([z])
         if d_yy.item(c, c) == 0.0:
             raise SingularBlock(f"cyclic velocity block is singular at x={full_x}")
         step = r / d_yy.item(c, c)
-        trial = z - step
         for _ in range(30):
+            trial = z - step
             full_y[c] = trial
             if L.in_domain(full_x, full_y):
-                break
+                if math.sqrt(trial * trial) > ceiling:
+                    raise NoConvergence("momentum solve is diverging; "
+                                        "the target momentum may be unreachable")
+                if it + 1 == max_iter:
+                    break
+                try:
+                    _, d_y, d_yy = L.fiber_jet(full_x, full_y)
+                    break
+                except DomainError:
+                    pass
             step = 0.5 * step
-            trial = z - step
         else:
             raise NoConvergence("momentum solve could not stay inside the domain")
         z = trial
-        if math.sqrt(z * z) > ceiling:
-            raise NoConvergence("momentum solve is diverging; "
-                                "the target momentum may be unreachable")
     raise NoConvergence(f"momentum solve did not converge in {max_iter} iterations "
                         f"(residual {math.sqrt(r * r):.3e})")
 
@@ -412,12 +425,11 @@ def reconstruct(
     positions[:, split.cyc_idx] = cyclic_pos
     velocities[:, split.shape_idx] = reduced.velocities
     velocities[:, split.cyc_idx] = z_samples
-    energy_log = np.array([energy(L, positions[i], velocities[i]) for i in range(k)])
     return Trajectory(
         times=times.copy(),
         positions=positions,
         velocities=velocities,
-        energy_log=energy_log,
+        energy_log=energies(L, positions, velocities),
         stats=reduced.stats,
         dense=None,
         meta={"kind": "reconstructed", "cyclic": split.cyclic},

@@ -131,12 +131,11 @@ def integrate_geodesic(
     states = dense.sample(times)
     positions = states[:, :n]
     velocities = states[:, n:]
-    log = np.array([F.value(positions[i], velocities[i]) for i in range(samples)])
     return Trajectory(
         times=times,
         positions=positions,
         velocities=velocities,
-        energy_log=log,
+        energy_log=F.eval_batch(positions, velocities, 0),
         stats=stats,
         dense=dense,
         meta={"kind": "geodesic", "level_conserving": level is not None},

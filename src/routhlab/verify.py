@@ -21,7 +21,7 @@ from .errors import (
     RouthlabError,
 )
 from .homogenize import jacobi_finsler, solve_energy_scale
-from .lagrangian import LagrangianModel, energy, integrate_el
+from .lagrangian import LagrangianModel, energies, energy, integrate_el
 from .reporting import VerificationReport
 from .spray import integrate_geodesic
 
@@ -127,9 +127,7 @@ def check_geodesic_equivalence(
         el_drift = float(np.max(np.abs(el.energy_log - e)))
 
         # level-metric length of the Lagrangian arc, by the trapezoid rule
-        f_along = np.array(
-            [metric.value(el.positions[i], el.velocities[i]) for i in range(samples)]
-        )
+        f_along = metric.eval_batch(el.positions, el.velocities, 0)
         length = float(np.trapezoid(f_along, el.times))
 
         arc = integrate_geodesic(
@@ -140,9 +138,7 @@ def check_geodesic_equivalence(
         lvl = integrate_geodesic(
             metric, x0, v0, t_end, tol=tol, samples=samples, level=metric.level_jet
         )
-        lvl_energy = np.array(
-            [energy(L, lvl.positions[i], lvl.velocities[i]) for i in range(samples)]
-        )
+        lvl_energy = energies(L, lvl.positions, lvl.velocities)
         lvl_drift = float(np.max(np.abs(lvl_energy - e)))
 
         # trace comparison at high resolution through the dense outputs:

@@ -257,6 +257,95 @@ def test_only_the_base_field_defines_value_and_fiber_jet():
         assert "eval" in vars(cls), cls
 
 
+# the classes that override eval_batch; every other model runs the row loop
+BATCH_CLASSES = {rl.ScalarField, rl.MagneticLagrangian, rl.PowerQuadraticLagrangian,
+                 rl.JacobiFinslerModel}
+
+
+def test_only_the_batching_families_define_eval_batch():
+    for info in pkgutil.iter_modules(rl.__path__):
+        module = importlib.import_module(f"routhlab.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                assert ("eval_batch" in vars(cls)) == (cls in BATCH_CLASSES), cls
+
+
+def _row_loop(model, xs, ys, order):
+    """The results eval_batch must equal: eval on each row in turn, stacked."""
+    rows = [model.eval(x, y, order) for x, y in zip(xs, ys)]
+    if order == 0:
+        return np.array(rows, float)
+    k, n = ys.shape
+    return tuple(np.array([r[i] for r in rows], float).reshape(k, *[n] * i) for i in range(3))
+
+
+def _batch_outcome(f):
+    """dtype, shape and bytes of every returned array, or the error's type and message."""
+    try:
+        out = f()
+    except rl.RouthlabError as exc:
+        return type(exc), str(exc)
+    parts = out if isinstance(out, tuple) else (out,)
+    return [(p.dtype.str, p.shape, p.tobytes()) for p in parts]
+
+
+def test_eval_batch_equals_the_row_loop(rng):
+    # orders 0 and 1 of a batch are each row's eval bit for bit, and a batch
+    # with failing rows raises what the first of them raises
+    mixed = 0
+    for model in _every_family(rng):
+        name = type(model).__name__
+        n = model.dim
+        xs = rng.uniform(-1.2, 1.2, (120, n))
+        ys = rng.uniform(-1.5, 1.5, (120, n))
+        ys[::15] = 0.0
+        fails = []
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            try:
+                model.eval(x, y, 1)
+            except rl.RouthlabError:
+                fails.append(i)
+        good = np.setdiff1d(np.arange(120), fails)
+        assert len(good) >= 40, name
+        batches = [good, good[:1], good[:0]]
+        if fails:
+            mixed += 1
+            # one failing row among good ones; failing rows in both orders
+            batches += [np.insert(good[:30], 17, fails[0]),
+                        np.concatenate([good[:5], fails[::-1]]), np.array(fails)]
+        for rows in batches:
+            for order in (0, 1):
+                got = _batch_outcome(lambda: model.eval_batch(xs[rows], ys[rows], order))
+                want = _batch_outcome(lambda: _row_loop(model, xs[rows], ys[rows], order))
+                assert got == want, (name, order, len(rows))
+    assert mixed >= 12
+    with pytest.raises(ValueError, match="orders 0 and 1"):
+        model.eval_batch(xs[:2], ys[:2], 2)
+
+
+def test_batched_coefficients_round_as_the_rows(rng):
+    # numpy's power kernels round differently from Python's float power, and
+    # math functions refuse arrays: both must still give the rows' bits
+    powered = rl.MagneticLagrangian(
+        2,
+        lambda xs: [[1.0 + xs[0] ** 2 + 0.1 * abs(xs[1]) ** 1.5, 0.0],
+                    [0.0, 2.0 + xs[1] ** 3 / (2.0 + xs[0] ** -2)]],
+        beta=lambda xs: [xs[1] ** 0.5, -xs[0]],
+        potential=lambda xs: 0.3 * xs[0] ** 2.5 - xs[1],
+    )
+    transcendental = rl.MechanicalLagrangian(
+        2, np.diag([1.0, 2.0]), potential=lambda xs: rl.duals.sin(xs[0]) * xs[1])
+    potential = rl.parse_expression("x1^3 + 0.5*x2^2 - x1^1.5", allow_velocity=False)
+    dsl = rl.MechanicalLagrangian(2, np.eye(2), potential=lambda xs: potential(xs, ()))
+    xs = rng.uniform(0.1, 1.0, (400, 2))
+    ys = rng.uniform(-1.0, 1.0, (400, 2))
+    for model in (powered, transcendental, dsl, rl.PowerQuadraticLagrangian(
+            2, lambda xs: [[1.0 + xs[0] ** 2, 0.0], [0.0, 1.5]], degree=3)):
+        for order in (0, 1):
+            assert _batch_outcome(lambda: model.eval_batch(xs, ys, order)) == \
+                _batch_outcome(lambda: _row_loop(model, xs, ys, order))
+
+
 def test_kernels_match_the_oracle_with_non_finite_literals():
     # 1e999 is inf; the kernels bind it by name, and their structural zeros
     # times inf give the same nan entries as the dual path's arrays

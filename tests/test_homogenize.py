@@ -1,5 +1,7 @@
 """Homogenization, energy-level metrics, and their closed forms."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,45 @@ RELATIVISTIC_ROOTS = [
     ((0.9, 0.1), 5.0, 0.9242808868315496, 12),
     ((0.9, 0.1), 40.0, 0.9058217548195637, 18),
 ]
+
+
+STEEP_RAYS = [(0.1, 0.05), (3.0, 1.0), (0.9, 0.1)]
+STEEP_ENERGIES = [200.0, 1000.0, 1e4]
+
+
+def relativistic_sweep():
+    """The 600 rays at level 2 of the first-probe sweep, as (x, y, e)."""
+    rng = np.random.default_rng(0)
+    out = []
+    for _ in range(600):
+        x = rng.uniform(-0.5, 0.5, 2)
+        out.append((x, rng.uniform(-2.0, 2.0, 2), 2.0))
+    return out
+
+
+def steep_rays():
+    """The rays whose root lies where no float meets the tolerance, as (x, y, e)."""
+    return [(np.array([0.3, 0.0]), np.array(ray), e)
+            for e in STEEP_ENERGIES for ray in STEEP_RAYS]
+
+
+def assert_batch_is_row_loop(F, xs, ys):
+    """eval_batch at orders 0 and 1 has the bits, or the first error, of the row loop."""
+    def outcome(f):
+        try:
+            out = f()
+        except rl.RouthlabError as exc:
+            return type(exc), str(exc)
+        parts = out if isinstance(out, tuple) else (out,)
+        return [np.asarray(p, float).tobytes() for p in parts]
+
+    for order in (0, 1):
+        def loop():
+            rows = [F.eval(x, y, order) for x, y in zip(xs, ys)]
+            return np.array(rows) if order == 0 else tuple(
+                np.array([r[i] for r in rows]) for i in range(3))
+
+        assert outcome(lambda: F.eval_batch(xs, ys, order)) == outcome(loop), order
 
 
 class HoledKinetic:
@@ -200,11 +241,8 @@ class TestEnergyScale:
         # e = 2 lies above the rest energy 1 + V on every ray, so every
         # ray has a root
         L = relativistic()
-        rng = np.random.default_rng(0)
         outside = 0
-        for _ in range(600):
-            x = rng.uniform(-0.5, 0.5, 2)
-            y = rng.uniform(-2.0, 2.0, 2)
+        for x, y, _ in relativistic_sweep():
             try:
                 rl.energy(L, x, y / np.linalg.norm(y))
             except rl.DomainError:
@@ -213,8 +251,8 @@ class TestEnergyScale:
             assert s == pytest.approx(bisection_scale(L, x, y, 2.0), rel=1e-12)
         assert outside >= 300
 
-    @pytest.mark.parametrize("e", [200.0, 1000.0, 1e4])
-    @pytest.mark.parametrize("ray", [(0.1, 0.05), (3.0, 1.0), (0.9, 0.1)])
+    @pytest.mark.parametrize("e", STEEP_ENERGIES)
+    @pytest.mark.parametrize("ray", STEEP_RAYS)
     def test_steep_root_between_adjacent_floats(self, ray, e):
         # the energy is so steep at the root that no float meets the
         # residual tolerance; the solve stops once the sign change lies
@@ -224,6 +262,54 @@ class TestEnergyScale:
         res = rl.solve_energy_scale(L, x, y, e)
         assert res.s == pytest.approx(bisection_scale(L, x, y, e), rel=1e-12)
         assert res.residual == rl.energy(L, x, y / res.s) - e
+
+    def test_sweeps_keep_their_solves(self):
+        # s, residual and probe count of every solve on the two relativistic
+        # sweeps, as the solve gave them before its rules became a routine
+        # driven probe by probe
+        L = relativistic()
+        for sweep, digest, probes in (
+            (relativistic_sweep(), "e0b89dd33b660113", 4416),
+            (steep_rays(), "f3324d4b06b7eb7d", 169),
+        ):
+            results = np.array([
+                (r.s, r.residual, r.iterations)
+                for r in (rl.solve_energy_scale(L, x, y, e) for x, y, e in sweep)
+            ])
+            assert results[:, 2].sum() == probes
+            assert hashlib.sha256(results.tobytes()).hexdigest()[:16] == digest
+
+    def test_lockstep_batch_equals_the_row_loop_on_the_relativistic_sweeps(self):
+        # one batch of 600 rays, most of them starting outside the light cone
+        sweep = relativistic_sweep()
+        xs, ys = (np.array([case[i] for case in sweep]) for i in (0, 1))
+        assert_batch_is_row_loop(rl.jacobi_finsler(relativistic(), 2.0), xs, ys)
+        # steep rays among ordinary ones leave the lockstep rounds later
+        for e in STEEP_ENERGIES:
+            xs_e = np.concatenate([xs[:40], [[0.3, 0.0]] * len(STEEP_RAYS)])
+            ys_e = np.concatenate([ys[:40], STEEP_RAYS])
+            order = np.random.default_rng(3).permutation(len(xs_e))
+            xs_e, ys_e = xs_e[order], ys_e[order]
+            probes = {rl.solve_energy_scale(relativistic(), x, y, e).iterations
+                      for x, y in zip(xs_e, ys_e)}
+            assert len(probes) >= 3
+            assert_batch_is_row_loop(rl.jacobi_finsler(relativistic(), e), xs_e, ys_e)
+
+    def test_lockstep_batch_raises_what_the_first_failing_row_raises(self):
+        # the rest energy is 1 + 0.1 x1^2: level 1.05 lies below it where
+        # |x1| > 0.71, and those rows stagnate
+        F = rl.jacobi_finsler(relativistic(), 1.05)
+        rng = np.random.default_rng(4)
+        xs = np.stack([rng.uniform(-1.0, 1.0, 60), rng.uniform(-0.5, 0.5, 60)], 1)
+        ys = rng.uniform(-2.0, 2.0, (60, 2))
+        unreachable = 0.1 * xs[:, 0] ** 2 > 0.05
+        assert 10 <= unreachable.sum() <= 50
+        for rows in (np.arange(60), np.flatnonzero(unreachable)[::-1]):
+            with pytest.raises(rl.EnergyUnreachable, match="stagnates"):
+                F.eval_batch(xs[rows], ys[rows])
+            assert_batch_is_row_loop(F, xs[rows], ys[rows])
+        F.eval_batch(xs[~unreachable], ys[~unreachable])
+        assert_batch_is_row_loop(F, xs[~unreachable], ys[~unreachable])
 
     def test_solves_are_independent_of_call_order(self, rng):
         Fe = rl.jacobi_finsler(conformal_magnetic(), 2.0)

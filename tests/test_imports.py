@@ -1,8 +1,10 @@
-"""Every name a package module imports is used there.
+"""Structural guards over the package's syntax trees.
 
-No lint tool ships with the project, so this walks each module's syntax
-tree. A name counts as used if the module reads it anywhere, or re-exports
-it through ``__all__``.
+No lint tool ships with the project, so these walk each module's syntax
+tree. Every name a module imports is used there: it counts as used if the
+module reads it anywhere, or re-exports it through ``__all__``. And no
+module evaluates a model once per sample in a loop: per-sample diagnostics
+go through ``eval_batch``.
 """
 
 import ast
@@ -51,3 +53,46 @@ def test_the_guard_flags_an_unused_import():
     tree = ast.parse("import os\nfrom math import sqrt, pi as tau\n__all__ = ['sqrt']\n")
     names = {name for name, _ in _imported(tree)}
     assert names - _used(tree) == {"os", "tau"}
+
+
+# model evaluations at one point, and the arrays whose rows are samples
+PER_SAMPLE_CALLS = {"value", "fiber_jet", "energy"}
+SAMPLE_ARRAYS = {"positions", "velocities"}
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _per_sample_calls(tree):
+    """(line, name) of each model evaluation on a sample row inside a loop."""
+    found = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, LOOPS):
+            continue
+        for node in ast.walk(loop):
+            if not (isinstance(node, ast.Call) and _name(node.func) in PER_SAMPLE_CALLS):
+                continue
+            if any(isinstance(sub, ast.Subscript) and _name(sub.value) in SAMPLE_ARRAYS
+                   for arg in node.args for sub in ast.walk(arg)):
+                found.add((node.lineno, _name(node.func)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_per_sample_model_loops(path):
+    calls = _per_sample_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert not calls, f"{path.name} evaluates a model per sample: {calls}; use eval_batch"
+
+
+def test_the_guard_flags_a_per_sample_loop():
+    tree = ast.parse(
+        "log = [F.value(positions[i], velocities[i]) for i in range(k)]\n"
+        "for i in range(k):\n"
+        "    e = energy(L, traj.positions[i], traj.velocities[i])\n"
+        "f0 = F.value(x0, y0)\n"
+        "log = F.eval_batch(positions, velocities, 0)\n"
+        "jets = [F.fiber_jet(x, y) for x, y in pairs]\n"
+    )
+    assert _per_sample_calls(tree) == [(1, "value"), (3, "energy")]

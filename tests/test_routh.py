@@ -185,6 +185,33 @@ def test_lapack_divides_a_one_by_one_system():
         assert np.linalg.solve([[ai]], [[bi]]).tobytes() == np.array([[bi / ai]]).tobytes()
 
 
+def test_stacked_matmul_rounds_as_one_row():
+    # eval_batch rests on OpenBLAS rounding each row of a stacked np.matmul
+    # as it rounds the one-row product: 1-D @ goes through FMA, so sums and
+    # einsum would differ from it in the last bit
+    rng = np.random.default_rng(3)
+    k = 10_000
+
+    def draw(*shape):
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-5, 5, shape)
+
+    def rows(a):
+        return [r.tobytes() for r in a]
+
+    for n in range(1, 5):
+        a, b, g = draw(k, n), draw(k, n), draw(k, n, n)
+        dot = (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+        gb = g @ b[:, :, None]
+        quad = (b[:, None, :] @ gb)[:, 0, 0]
+        assert rows(dot) == rows(np.array([float(a[i] @ b[i]) for i in range(k)])), n
+        assert rows(gb[:, :, 0]) == rows(np.array([g[i] @ b[i] for i in range(k)])), n
+        assert rows(quad) == rows(np.array([float(b[i] @ (g[i] @ b[i])) for i in range(k)])), n
+        # and on stacks of one row, and with the matrix broadcast over rows
+        assert (a[:1, None, :] @ b[:1, :, None]).item() == float(a[0] @ b[0])
+        shared = np.broadcast_to(g[0], g.shape) @ b[:, :, None]
+        assert rows(shared[:, :, 0]) == rows(np.array([g[0] @ b[i] for i in range(k)])), n
+
+
 def _lapack_solve_momentum(L, split, mu, x_shape, y_shape, guess=None, tol=1e-12, max_iter=50):
     """The vector Newton loop of solve_momentum: LAPACK steps, numpy norms."""
     m = len(split.cyclic)
@@ -309,6 +336,34 @@ def test_float_momentum_solve_backtracks_as_the_lapack_path():
         assert counts[0] == counts[1]
         solved += not isinstance(outcomes[0], tuple)
     assert backtracks > 200 and solved > 100
+
+
+# a bounded cyclic fiber |v2| < 1 that only the fiber jet knows about
+BOUNDED_FIBER = "0.5*v1^2 - x1^2*sqrt(1 - v2^2)"
+
+
+@pytest.mark.parametrize("guess", [None, [0.5]])
+def test_momentum_solve_backtracks_from_a_failing_fiber_jet(guess):
+    # the first Newton step lands past |v2| = 1, where in_domain still says
+    # yes but the jet raises DomainError: the step is halved instead
+    L = rl.parse_lagrangian(BOUNDED_FIBER, dim=2)
+    split = CyclicSplit.of(2, [1])
+    x, v = np.array([1.0, 0.0]), np.array([0.2, 0.9])
+    mu = rl.momentum(L, split, x, v)
+    z = rl.solve_momentum(L, split, mu, x[:1], v[:1], guess=guess)
+    assert z.item() == pytest.approx(0.9, abs=1e-12)
+
+
+def test_vector_momentum_solve_backtracks_from_a_failing_fiber_jet():
+    L = rl.parse_lagrangian(BOUNDED_FIBER + " + 0.5*v3^2 + 0.1*v2*v3", dim=3)
+    split = CyclicSplit.of(3, [1, 2])
+    x, v = np.array([1.0, 0.0, 0.0]), np.array([0.2, 0.9, -0.4])
+    mu = rl.momentum(L, split, x, v)
+    z = rl.solve_momentum(L, split, mu, x[:1], v[:1])
+    np.testing.assert_allclose(z, [0.9, -0.4], atol=1e-12)
+    # a momentum no velocity in the fiber reaches keeps failing to the end
+    with pytest.raises(rl.NoConvergence):
+        rl.solve_momentum(L, CyclicSplit.of(3, [1]), np.array([-1e9]), x[[0, 2]], v[[0, 2]])
 
 
 def test_zero_one_by_one_blocks_raise_their_own_errors():
