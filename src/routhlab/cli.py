@@ -25,7 +25,7 @@ from .errors import (
 from .fileio import curves_svg, write_report_json, write_trajectory_csv
 from .homogenize import jacobi_finsler, quasi_definite_check, randers_closed_form
 from .lagrangian import MagneticLagrangian, energy, integrate_el, strong_convexity_check
-from .routh import check_invariance, momentum, reconstruct, routhian, verify_reduction
+from .routh import _round_trip, check_invariance, momentum, reconstruct
 from .spray import integrate_geodesic
 from .verify import check_geodesic_equivalence
 
@@ -269,16 +269,11 @@ def cmd_routh_reduce(config_path, out_dir, seed):
             if mu_cfg is None
             else np.asarray(mu_cfg, dtype=float)
         )
-        report = verify_reduction(
+        # the reduced flow the round trip integrated is the one to rebuild
+        report, reduced_traj = _round_trip(
             model, split, mu, x0, v0, t_end, tol=tol, samples=samples
         )
-        cyc = split.cyc_idx
-        shp = split.shape_idx
-        reduced_model = routhian(model, split, mu, guess=v0[cyc], verify=False)
-        reduced_traj = integrate_el(
-            reduced_model, x0[shp], v0[shp], t_end, tol=tol, samples=samples
-        )
-        full = reconstruct(model, split, mu, reduced_traj, cyclic_start=x0[cyc])
+        full = reconstruct(model, split, mu, reduced_traj, cyclic_start=x0[split.cyc_idx])
         csv_path = _outpath(out_dir, "reconstructed_trajectory.csv")
         write_trajectory_csv(csv_path, full)
         report_path = _outpath(out_dir, "reduction_report.json")

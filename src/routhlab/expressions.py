@@ -28,9 +28,13 @@ Text is parsed once, to a tree of tuples. Two evaluators derive from it:
   structural-zero terms dropped, so a kernel jet equals the dual jet bit for
   bit wherever the dual jet is finite (zero entries may differ in sign).
   Positions stay plain floats in the fiber kernel, as velocity-free
-  subexpressions follow the float rules there. Kernel code is written from
-  the tree alone, never from source text: names come from a fixed set and
-  finite constants print with ``repr``.
+  subexpressions follow the float rules there. The ``"columns"`` kernel is
+  the fiber kernel over columns: each argument holds one coordinate of many
+  rows, +, -, * and / run as numpy ufuncs, which round as Python floats do,
+  and ``**`` and the functions run the float kernels' functions entry by
+  entry. Kernel code is written from the tree alone, never from source
+  text: names come from a fixed set and finite constants print with
+  ``repr``.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import numpy as np
 
 from . import duals
 from .errors import ArityError, ParseError
+from .jets import entrywise
 
 __all__ = ["Expression", "parse_expression"]
 
@@ -264,6 +269,30 @@ _KERNEL_GLOBALS = {
     "_NAN": math.nan,
 }
 
+
+def _stack(col, entries, *shape):
+    """Column kernel entries as one (k, *shape) array, constants broadcast."""
+    out = np.empty((len(col), len(entries)))
+    for i, e in enumerate(entries):
+        out[:, i] = e
+    return out.reshape(len(col), *shape)
+
+
+#: the column kernel's names: the float kernel's functions entry by entry
+#: (a complex power fails its conversion to a float array) and ``**`` as _pow
+_COLUMN_GLOBALS = {
+    **_KERNEL_GLOBALS,
+    "_sqrt": entrywise(math.sqrt),
+    "_sin": entrywise(math.sin),
+    "_cos": entrywise(math.cos),
+    "_exp": entrywise(math.exp),
+    "_log": entrywise(math.log),
+    "_power": entrywise(duals.power),
+    "_pow": entrywise(operator.pow),
+    "_any": np.any,
+    "_stack": _stack,
+}
+
 _OPS = {
     "+": operator.add,
     "-": operator.sub,
@@ -304,9 +333,11 @@ class _KernelWriter:
     raise, and drop terms that are structural zeros.
     """
 
-    def __init__(self, n: int, full: bool):
+    def __init__(self, n: int, kind: str):
         self.n = n
-        self.full = full
+        self.full = full = kind == "full"
+        # the column kernel is the fiber kernel with its operands columns
+        self.columns = kind == "columns"
         self.m = 2 * n if full else n
         # the full kernel skips the x-x block, which SecondJet never holds
         rows = range(2 * n) if full else range(n)
@@ -343,6 +374,9 @@ class _KernelWriter:
             c = _fold(_OPS[sym], a, b)
             if c is not None:
                 return c
+        if sym == "**" and self.columns:
+            # numpy's power rounds differently from the float power
+            return self.emit(f"_pow({self.lit(a)}, {self.lit(b)})")
         return self.emit(f"{self.lit(a)} {sym} {self.lit(b)}")
 
     def call(self, name: str, a):
@@ -358,7 +392,8 @@ class _KernelWriter:
             if _COMPARE[cmp](a, 0.0):
                 self.lines.append(f"    {helper}()")
             return
-        self.lines.append(f"    if {a} {cmp} 0.0:")
+        test = f"{a} {cmp} 0.0"
+        self.lines.append(f"    if _any({test}):" if self.columns else f"    if {test}:")
         self.lines.append(f"        {helper}()")
 
     # -- derivative entries, structural zeros dropped ---------------------------
@@ -557,9 +592,14 @@ class _KernelWriter:
             rows = [entries[r * n:(r + 1) * n] for r in range(len(entries) // n)]
             return "_array([" + ", ".join("[" + ", ".join(lit(e) for e in row) + "]" for row in rows) + "])"
 
+        def stack(entries, shape=""):
+            return f"_stack(t0, [{', '.join(lit(e) for e in entries)}]{shape})"
+
         if self.full:
             half = n * n
             out = [lit(v), vec(g[:n]), vec(g[n:]), mat(h[half:]), mat(h[:half])]
+        elif self.columns:
+            out = [stack([v]), stack(g, f", {n}"), stack(h, f", {n}, {n}")]
         else:
             out = [lit(v), vec(g), mat(h)]
         args = ", ".join(f"t{k}" for k in range(2 * n))
@@ -567,14 +607,14 @@ class _KernelWriter:
 
 
 def _compile_kernel(source: str, tree, kind: str, n: int):
-    if kind not in ("fiber", "full"):
+    if kind not in ("fiber", "full", "columns"):
         raise ValueError(f"unknown kernel kind {kind!r}")
-    text = _KernelWriter(n, full=kind == "full").write(tree)
+    text = _KernelWriter(n, kind).write(tree)
     filename = f"<routhlab-kernel {kind} n={n}: {' '.join(source.split())}>"
     code = compile(text, filename, "exec")
     # lets tracebacks and profilers show the generated line
     linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
-    namespace = dict(_KERNEL_GLOBALS, __builtins__={})
+    namespace = dict(_COLUMN_GLOBALS if kind == "columns" else _KERNEL_GLOBALS, __builtins__={})
     exec(code, namespace)  # noqa: S102 - text is written from the tree alone
     return namespace["kernel"]
 
@@ -601,11 +641,14 @@ class Expression:
         return self.fn(xs, ys)
 
     def jet_kernel(self, kind: str, n: int):
-        """The compiled ``"fiber"`` or ``"full"`` jet kernel for dimension n.
+        """The compiled ``"fiber"``, ``"full"`` or ``"columns"`` jet kernel for dimension n.
 
-        It takes the n positions and then the n velocities as floats. The
-        fiber kernel returns (value, d_y, d_yy), the full kernel (value, d_x,
-        d_y, d_yy, d_xy). Each is compiled on first use and kept.
+        It takes the n positions and then the n velocities, as floats or,
+        for the column kernel, as (k,) columns of k rows. The fiber kernel
+        returns (value, d_y, d_yy), the full kernel (value, d_x, d_y, d_yy,
+        d_xy), and the column kernel the fiber blocks of every row stacked,
+        of shapes (k,), (k, n) and (k, n, n). Each is compiled on first use
+        and kept.
         """
         key = (kind, n)
         kernel = self._kernels.get(key)

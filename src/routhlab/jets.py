@@ -172,6 +172,21 @@ def batch_rows(xs, ys):
     return np.ascontiguousarray(xs, float), np.ascontiguousarray(ys, float)
 
 
+def entrywise(fn):
+    """fn on Python floats, entry by entry over its arguments broadcast together.
+
+    Batches run this where numpy's own kernel rounds differently from the
+    float function a row calls, as numpy's power does.
+    """
+
+    def each(*args):
+        cols = np.broadcast_arrays(*args)
+        flat = [c.ravel().tolist() for c in cols]
+        return np.array(list(map(fn, *flat)), float).reshape(cols[0].shape)
+
+    return each
+
+
 def solve_linear(a: np.ndarray, b: np.ndarray, fail):
     """a^-1 b, rounded as LAPACK's dgesv rounds it; raises ``fail()`` where a is singular.
 

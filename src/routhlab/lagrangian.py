@@ -14,13 +14,15 @@ The mixed-derivative convention follows :mod:`routhlab.jets`:
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .duals import grad_of, seed_first, sqrt, value_of
-from .errors import DomainError, PreconditionError, SingularHessian
+from .errors import DomainError, PreconditionError, RouthlabError, SingularHessian
 from .expressions import Expression, parse_expression
 from .integrators import Trajectory, solve_ode
-from .jets import ScalarField, SecondJet, batch_rows, chain_jet, solve_linear
+from .jets import ScalarField, SecondJet, batch_rows, chain_jet, entrywise, solve_linear
 
 __all__ = [
     "LagrangianModel",
@@ -94,6 +96,8 @@ def _coeff_scalar(spec, x: np.ndarray, grads: bool):
     return value_of(z), (grad_of(z, n) if grads else None)
 
 
+_float_pow = entrywise(operator.pow)
+
 #: ufuncs whose float64 results are those of Python float arithmetic
 _EXACT_UFUNCS = frozenset({np.add, np.subtract, np.multiply, np.true_divide,
                            np.negative, np.positive, np.absolute})
@@ -118,9 +122,7 @@ class _Lanes(np.ndarray):
         return ufunc(*args).view(_Lanes)
 
     def __pow__(self, p):
-        base, expo = np.broadcast_arrays(self, p)
-        pairs = zip(base.ravel().tolist(), expo.ravel().tolist())
-        return np.array([b**q for b, q in pairs], float).reshape(base.shape).view(_Lanes)
+        return _float_pow(self, p).view(_Lanes)
 
     def __float__(self):
         raise TypeError("a batch column is not one number")
@@ -443,6 +445,28 @@ class ExpressionLagrangian(LagrangianModel):
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(str(exc)) from exc
         return out if order == 1 else SecondJet(*out)
+
+    def eval_batch(self, xs, ys, order: int = 0):
+        """Batched orders 0 and 1: the ``"columns"`` kernel, run once on all rows.
+
+        Order 0 is the kernel's value entry, which is the float evaluation's
+        value. A batch in which a domain guard fires, a floating-point
+        operation raises or an entry is not finite goes row by row, so the
+        first failing row raises.
+        """
+        xs, ys = batch_rows(xs, ys)
+        if order not in (0, 1) or not self._rows_in_domain(xs, ys):
+            return super().eval_batch(xs, ys, order)
+        try:
+            kernel = self.expression.jet_kernel("columns", self.dim)
+            with np.errstate(all="raise"):
+                val, d_y, d_yy = kernel(*xs.T, *ys.T)
+        except (ArithmeticError, ValueError, TypeError, RouthlabError):
+            # the row loop raises what a row raises
+            return super().eval_batch(xs, ys, order)
+        if not (np.isfinite(val).all() and np.isfinite(d_y).all() and np.isfinite(d_yy).all()):
+            return super().eval_batch(xs, ys, order)
+        return val if order == 0 else (val, d_y, d_yy)
 
     def describe(self) -> dict:
         d = super().describe()

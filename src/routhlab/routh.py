@@ -27,10 +27,11 @@ from .errors import (
     InvarianceError,
     NoConvergence,
     PreconditionError,
+    RouthlabError,
     SingularBlock,
 )
 from .integrators import Trajectory
-from .jets import SecondJet, solve_linear
+from .jets import SecondJet, batch_rows, solve_linear
 from .lagrangian import LagrangianModel, energies, integrate_el
 from .reporting import VerificationReport
 
@@ -44,6 +45,11 @@ __all__ = [
     "verify_reduction",
     "reconstruct",
 ]
+
+
+#: what evaluating a model can raise; a batch that meets one runs its rows
+#: one at a time, so the first failing row raises it
+_EVAL_ERRORS = (RouthlabError, ArithmeticError, ValueError)
 
 
 def _index_array(indices) -> np.ndarray:
@@ -82,6 +88,12 @@ class CyclicSplit:
     @cached_property
     def shape_idx(self) -> np.ndarray:
         return _index_array(self.shape)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """``np.ix_`` grids of the cyclic-cyclic, cyclic-shape, shape-shape and shape-cyclic blocks."""
+        c, s = self.cyc_idx, self.shape_idx
+        return np.ix_(c, c), np.ix_(c, s), np.ix_(s, s), np.ix_(s, c)
 
     def embed(self, shape_vals, cyclic_vals) -> np.ndarray:
         full = np.zeros(self.dim)
@@ -150,9 +162,14 @@ def solve_momentum(
     iterate leaves the model domain or its fiber jet raises DomainError (a
     bounded fiber domain such as |v| < 1), raises SingularBlock when the
     cyclic Hessian block fails to factor, and NoConvergence when the budget
-    runs out or the iterates diverge (an unreachable momentum target). With
-    one cyclic coordinate, as in every shipped reduction, it runs on floats
-    and gives the same bits.
+    runs out or the iterates diverge (an unreachable momentum target).
+
+    With one cyclic coordinate, as in every shipped reduction, the
+    iteration runs on floats and gives the same bits. Its rules are then
+    written once, in the step routine ``_momentum_steps``, and drive both
+    evaluation paths: this function feeds it one fiber jet per iterate, and
+    :meth:`ReducedLagrangian.eval_batch` and :func:`reconstruct` run one
+    routine per row in lockstep (:func:`_solve_momenta`).
     """
     mu = np.asarray(mu, float)
     x_shape = np.asarray(x_shape, float)
@@ -163,8 +180,17 @@ def solve_momentum(
     z = np.zeros(m) if guess is None else np.asarray(guess, float).copy()
     full_x = split.embed(x_shape, np.zeros(m))
     if m == 1:
-        return _solve_momentum_1(L, split.cyclic[0], mu.item(), full_x,
-                                 split.embed(y_shape, z), y_shape, z.item(), tol, max_iter)
+        full_y = split.embed(y_shape, z)
+        c = split.cyclic[0]
+        # np.linalg.norm's own sqrt of a dot product, without its overhead
+        steps = _momentum_steps(L, c, mu.item(), full_x, full_y, z.item(),
+                                math.sqrt(y_shape @ y_shape), tol, max_iter)
+        try:
+            next(steps)
+            while True:
+                _jet_step(steps, L, c, full_x, full_y)
+        except StopIteration as done:
+            return np.array([done.value])
     scale = tol * (1.0 + float(np.linalg.norm(mu)))
     ceiling = 1e8 * (1.0 + float(np.linalg.norm(z)) + float(np.linalg.norm(y_shape)))
 
@@ -175,7 +201,7 @@ def solve_momentum(
         residual = d_y[cyc] - mu
         if np.linalg.norm(residual) <= scale:
             return z
-        step = solve_linear(d_yy[cyc[:, None], cyc], residual, lambda: SingularBlock(
+        step = solve_linear(d_yy[split.blocks[0]], residual, lambda: SingularBlock(
             f"cyclic velocity block is singular at x={full_x}"))
         # backtrack while the new iterate leaves the domain or its jet
         # fails; that jet serves the next iteration, so the last takes none
@@ -204,23 +230,42 @@ def solve_momentum(
     )
 
 
-def _solve_momentum_1(L, c, mu, full_x, full_y, y_shape, z, tol, max_iter):
-    """solve_momentum's loop for the one cyclic velocity full_y[c] = z, on floats.
+def _jet_step(steps, L, c, full_x, full_y):
+    """Evaluate one fiber jet at the routine's pending iterate and hand it over.
 
-    A 1-vector's norm is sqrt(r * r) and a 1x1 solve divides (see
+    The routine receives (d_y[c], d_yy[c, c]), or the jet's DomainError.
+    """
+    try:
+        _, d_y, d_yy = L.fiber_jet(full_x, full_y)
+    except DomainError as exc:
+        return steps.throw(exc)
+    return steps.send((d_y.item(c), d_yy.item(c, c)))
+
+
+def _momentum_steps(L, c, mu, full_x, full_y, z, shape_norm, tol, max_iter):
+    """The rules of :func:`solve_momentum` for one cyclic velocity, driven jet by jet.
+
+    A generator over floats: it writes each iterate z into full_y[c] and
+    yields it when it needs the fiber jet there, receives (d_y[c], d_yy[c, c])
+    or has the jet's DomainError thrown in, and returns the solved z. A
+    1-vector's norm is sqrt(r * r) and a 1x1 solve divides (see
     :func:`solve_linear`), so every iterate has the vector loop's bits.
+    ``shape_norm`` is the norm of the shape velocity.
     """
     scale = tol * (1.0 + math.sqrt(mu * mu))
-    ceiling = 1e8 * (1.0 + math.sqrt(z * z) + float(np.linalg.norm(y_shape)))
+    ceiling = 1e8 * (1.0 + math.sqrt(z * z) + shape_norm)
     r = None
-    _, d_y, d_yy = L.fiber_jet(full_x, full_y)
+    full_y[c] = z
+    p, h = yield z
     for it in range(max_iter):
-        r = d_y.item(c) - mu
+        r = p - mu
         if math.sqrt(r * r) <= scale:
-            return np.array([z])
-        if d_yy.item(c, c) == 0.0:
+            return z
+        if h == 0.0:
             raise SingularBlock(f"cyclic velocity block is singular at x={full_x}")
-        step = r / d_yy.item(c, c)
+        step = r / h
+        # backtrack while the new iterate leaves the domain or its jet
+        # fails; that jet serves the next iteration, so the last takes none
         for _ in range(30):
             trial = z - step
             full_y[c] = trial
@@ -231,7 +276,7 @@ def _solve_momentum_1(L, c, mu, full_x, full_y, y_shape, z, tol, max_iter):
                 if it + 1 == max_iter:
                     break
                 try:
-                    _, d_y, d_yy = L.fiber_jet(full_x, full_y)
+                    p, h = yield trial
                     break
                 except DomainError:
                     pass
@@ -241,6 +286,71 @@ def _solve_momentum_1(L, c, mu, full_x, full_y, y_shape, z, tol, max_iter):
         z = trial
     raise NoConvergence(f"momentum solve did not converge in {max_iter} iterations "
                         f"(residual {math.sqrt(r * r):.3e})")
+
+
+def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_shape,
+                   ys_shape, guesses, tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
+    """:func:`solve_momentum` on every row, from the row's guess; a (k, m) array.
+
+    With one cyclic coordinate each row runs its own step routine, and each
+    round evaluates the pending iterates of all rows with one batched fiber
+    jet. A row whose batched jet raises or is not finite is evaluated again
+    alone, through ``fiber_jet``, as the scalar solve evaluates it. Where
+    any row fails, and with more cyclic coordinates, the rows run in order
+    through ``solve_momentum``, so the first failing row raises.
+    """
+    xs_shape, ys_shape = batch_rows(xs_shape, ys_shape)
+    if len(split.cyclic) == 1:
+        try:
+            return _lockstep_momenta(L, split, mu.item(), xs_shape, ys_shape, guesses,
+                                     tol, max_iter)[:, None]
+        except _EVAL_ERRORS:
+            pass
+    z = [solve_momentum(L, split, mu, x, y, guess=g, tol=tol, max_iter=max_iter)
+         for x, y, g in zip(xs_shape, ys_shape, guesses)]
+    return np.array(z, float).reshape(len(guesses), len(split.cyclic))
+
+
+def _embed_rows(split: CyclicSplit, shape_rows, cyclic_rows) -> np.ndarray:
+    """:meth:`CyclicSplit.embed` on every row."""
+    full = np.empty((len(shape_rows), split.dim))
+    full[:, split.shape_idx] = shape_rows
+    full[:, split.cyc_idx] = cyclic_rows
+    return full
+
+
+def _lockstep_momenta(L, split, mu: float, xs_shape, ys_shape, guesses, tol, max_iter):
+    """The (k,) solved cyclic velocities of :func:`_solve_momenta` with m = 1."""
+    k = len(xs_shape)
+    c = split.cyclic[0]
+    full_x = _embed_rows(split, xs_shape, 0.0)
+    full_y = _embed_rows(split, ys_shape, 0.0)
+    norms = np.sqrt((ys_shape[:, None, :] @ ys_shape[:, :, None])[:, 0, 0]).tolist()
+    # each routine writes its iterates into its own row of full_y
+    steps = [_momentum_steps(L, c, mu, full_x[i], full_y[i], z, norms[i], tol, max_iter)
+             for i, z in enumerate(np.ravel(guesses).tolist())]
+    for st in steps:
+        next(st)
+    pending = list(range(k))
+    roots = np.empty(k)
+    while pending:
+        try:
+            _, d_y, d_yy = L.eval_batch(full_x[pending], full_y[pending], 1)
+            p, h = d_y[:, c].tolist(), d_yy[:, c, c].tolist()
+        except _EVAL_ERRORS:
+            p = h = [math.nan] * len(pending)  # every row is evaluated again alone
+        still = []
+        for i, p_i, h_i in zip(pending, p, h):
+            try:
+                if math.isfinite(p_i) and math.isfinite(h_i):
+                    steps[i].send((p_i, h_i))
+                else:
+                    _jet_step(steps[i], L, c, full_x[i], full_y[i])
+                still.append(i)
+            except StopIteration as done:
+                roots[i] = done.value
+        pending = still
+    return roots
 
 
 class ReducedLagrangian(LagrangianModel):
@@ -276,16 +386,51 @@ class ReducedLagrangian(LagrangianModel):
         full_y = self.split.embed(y_shape, z)
         return full_x, full_y, z
 
+    def eval_batch(self, xs, ys, order: int = 0):
+        """Batched orders 0 and 1: one lockstep momentum solve, then stacked Schur steps.
+
+        The cyclic velocities come from :func:`_solve_momenta` with the
+        model's guess on every row, and one batched base evaluation feeds
+        the assembly of ``eval``. The Schur step divides where the cyclic
+        block is 1x1 with one column, as :func:`solve_linear` does, and is a
+        stacked ``np.linalg.solve`` otherwise; products are stacked matmuls.
+        A batch in which any row fails goes row by row, so the first failing
+        row raises.
+        """
+        xs, ys = batch_rows(xs, ys)
+        if order not in (0, 1):
+            return super().eval_batch(xs, ys, order)
+        split = self.split
+        try:
+            z = _solve_momenta(self.base, split, self.mu, xs, ys,
+                               np.broadcast_to(self.guess, (len(xs), len(split.cyclic))))
+            j = self.base.eval_batch(_embed_rows(split, xs, 0.0), _embed_rows(split, ys, z), order)
+            mu_z = (self.mu[None, None, :] @ z[:, :, None])[:, 0, 0]
+            if order == 0:
+                return j - mu_z
+            val, d_y, d_yy = j
+            cc, cs, ss, sc = split.blocks
+            a, b = d_yy[(..., *cc)], d_yy[(..., *cs)]
+            with np.errstate(divide="raise", invalid="raise"):
+                w = b / a if a.shape[1:] == b.shape[1:] == (1, 1) else np.linalg.solve(a, b)
+        except _EVAL_ERRORS:
+            return super().eval_batch(xs, ys, order)
+        h = d_yy[(..., *ss)] - d_yy[(..., *sc)] @ w
+        return val - mu_z, d_y[:, split.shape_idx], 0.5 * (h + h.transpose(0, 2, 1))
+
     def eval(self, x, y, order: int = 2):
         full_x, full_y, z = self._lift(np.asarray(x, float), np.asarray(y, float))
         j = self.base.eval(full_x, full_y, order)
         if order == 0:
             return j - float(self.mu @ z)
+        if self.base.dim == 2:
+            return self._schur_on_floats(full_x, j, z, order)
         val, d_y, d_yy = j if order == 1 else (j.value, j.d_y, j.d_yy)
-        cyc, shp = self.split.cyc_idx, self.split.shape_idx
-        w = solve_linear(d_yy[cyc[:, None], cyc], d_yy[cyc[:, None], shp], lambda: SingularBlock(
+        shp = self.split.shape_idx
+        cc, cs, ss, sc = self.split.blocks
+        w = solve_linear(d_yy[cc], d_yy[cs], lambda: SingularBlock(
             f"cyclic velocity block is singular at x={full_x}"))
-        h = d_yy[shp[:, None], shp] - d_yy[shp[:, None], cyc] @ w
+        h = d_yy[ss] - d_yy[sc] @ w
         h = 0.5 * (h + h.T)
         if order == 1:
             return val - float(self.mu @ z), d_y[shp], h
@@ -294,8 +439,28 @@ class ReducedLagrangian(LagrangianModel):
             d_x=j.d_x[shp],
             d_y=d_y[shp],
             d_yy=h,
-            d_xy=j.d_xy[shp[:, None], shp] - j.d_xy[shp[:, None], cyc] @ w,
+            d_xy=j.d_xy[ss] - j.d_xy[sc] @ w,
         )
+
+    def _schur_on_floats(self, full_x, j, z, order):
+        """``eval``'s assembly for one cyclic and one shape velocity, on floats.
+
+        LAPACK divides a 1x1 system (see :func:`solve_linear`), and a 1x1
+        matrix product, or a dot product of 1-vectors, adds the one product
+        to 0.0, so every entry has the bits of the array assembly.
+        """
+        (c,), (s,) = self.split.cyclic, self.split.shape
+        val, d_y, d_yy = j if order == 1 else (j.value, j.d_y, j.d_yy)
+        if d_yy.item(c, c) == 0.0:
+            raise SingularBlock(f"cyclic velocity block is singular at x={full_x}")
+        w = d_yy.item(c, s) / d_yy.item(c, c)
+        h = d_yy.item(s, s) - (0.0 + d_yy.item(s, c) * w)
+        value = val - (0.0 + self.mu.item() * z.item())
+        d_y, d_yy = d_y[[s]], np.array([[0.5 * (h + h)]])
+        if order == 1:
+            return value, d_y, d_yy
+        d_xy = j.d_xy.item(s, s) - (0.0 + j.d_xy.item(s, c) * w)
+        return SecondJet(value=value, d_x=j.d_x[[s]], d_y=d_y, d_yy=d_yy, d_xy=np.array([[d_xy]]))
 
 
 def routhian(
@@ -332,6 +497,11 @@ def verify_reduction(
 
     Precondition: the initial data must realize the requested momentum.
     """
+    return _round_trip(L, split, mu, x0, y0, t_end, tol, samples, shape_tol)[0]
+
+
+def _round_trip(L, split, mu, x0, y0, t_end, tol=1e-11, samples=801, shape_tol=1e-8):
+    """:func:`verify_reduction`'s report and the reduced trajectory it integrated."""
     x0 = np.asarray(x0, float)
     y0 = np.asarray(y0, float)
     mu = np.asarray(mu, float)
@@ -350,13 +520,14 @@ def verify_reduction(
     mismatch = float(np.max(np.abs(full.positions[:, shp] - reduced.positions)))
     report.check("shape_trajectory_mismatch", mismatch, shape_tol)
 
-    drift = max(
-        float(np.linalg.norm(momentum(L, split, full.positions[i], full.velocities[i]) - mu))
-        for i in range(0, samples, max(1, samples // 200))
-    )
+    every = max(1, samples // 200)
+    _, d_y, _ = L.eval_batch(full.positions[::every], full.velocities[::every], 1)
+    gaps = d_y[:, cyc] - mu
+    # each row's norm as np.linalg.norm takes it, and the row loop's max()
+    drift = max(np.sqrt((gaps[:, None, :] @ gaps[:, :, None])[:, 0, 0]).tolist())
     report.check("momentum_drift", drift, 1e-8)
     report.notes.append(f"t_end={t_end}, tol={tol}, dim={L.dim}, cyclic={split.cyclic}")
-    return report
+    return report, reduced
 
 
 def reconstruct(
@@ -390,18 +561,17 @@ def reconstruct(
     z_prev = np.zeros(m) if guess is None else np.asarray(guess, float)
     jumps = []
 
-    def iota(xs, ys, z0):
-        return solve_momentum(L, split, mu, xs, ys, guess=z0)
-
+    # each sample warm-starts from the one before, so these run in order;
+    # each midpoint starts from the sample before it, so those run in lockstep
     z_samples = np.empty((len(times), m))
-    z_mids = np.empty((len(mids), m))
     for i, t in enumerate(times):
-        z_samples[i] = iota(reduced.positions[i], reduced.velocities[i], z_prev)
+        z_samples[i] = solve_momentum(L, split, mu, reduced.positions[i], reduced.velocities[i],
+                                      guess=z_prev)
         if i > 0:
             jumps.append(float(np.linalg.norm(z_samples[i] - z_samples[i - 1])))
         z_prev = z_samples[i]
-    for i in range(len(mids)):
-        z_mids[i] = iota(mid_states[i, :n_red], mid_states[i, n_red:], z_samples[i])
+    z_mids = _solve_momenta(L, split, mu, mid_states[:, :n_red], mid_states[:, n_red:],
+                            z_samples[:-1])
 
     if len(jumps) > 3:
         typical = np.median([j for j in jumps if j > 0.0] or [0.0])

@@ -259,7 +259,7 @@ def test_only_the_base_field_defines_value_and_fiber_jet():
 
 # the classes that override eval_batch; every other model runs the row loop
 BATCH_CLASSES = {rl.ScalarField, rl.MagneticLagrangian, rl.PowerQuadraticLagrangian,
-                 rl.JacobiFinslerModel}
+                 rl.JacobiFinslerModel, rl.ExpressionLagrangian, rl.ReducedLagrangian}
 
 
 def test_only_the_batching_families_define_eval_batch():
@@ -321,6 +321,33 @@ def test_eval_batch_equals_the_row_loop(rng):
     assert mixed >= 12
     with pytest.raises(ValueError, match="orders 0 and 1"):
         model.eval_batch(xs[:2], ys[:2], 2)
+
+
+def test_dsl_batches_equal_the_row_loop(rng):
+    # the column kernel gives every row's fiber jet and value bit for bit,
+    # and a batch with failing rows raises what the first of them raises
+    for source in PARITY_SOURCES:
+        model = rl.parse_lagrangian(source, dim=2, domain=lambda x: x[0] > -1.2)
+        xs = rng.uniform(-1.5, 1.5, (300, 2))
+        ys = rng.uniform(-1.0, 1.0, (300, 2))
+        fails = []
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            try:
+                model.eval(x, y, 1)
+            except rl.RouthlabError:
+                fails.append(i)
+        good = np.setdiff1d(np.arange(300), fails)
+        assert len(good) >= 100 and fails, source
+        batches = [good, good[:1], np.insert(good[:40], 25, fails[0]),
+                   np.concatenate([good[:5], fails[::-1]]), np.array(fails)]
+        for rows in batches:
+            for order in (0, 1):
+                got = _batch_outcome(lambda: model.eval_batch(xs[rows], ys[rows], order))
+                want = _batch_outcome(lambda: _row_loop(model, xs[rows], ys[rows], order))
+                assert got == want, (source, order, len(rows))
+        # a batch of good rows never reaches the row loop
+        model.fiber_jet = model.value = None
+        model.eval_batch(xs[good], ys[good], 1)
 
 
 def test_batched_coefficients_round_as_the_rows(rng):

@@ -22,7 +22,7 @@ from routhlab import (
     parse_lagrangian,
     seed_second,
 )
-from routhlab.expressions import _KERNEL_GLOBALS
+from routhlab.expressions import _COLUMN_GLOBALS, _KERNEL_GLOBALS
 
 
 def ev(text, xs=(), ys=()):
@@ -240,17 +240,46 @@ _KERNEL_NODES = (
 @given(source=_SOURCES)
 def test_kernel_code_reads_only_whitelisted_names(source):
     expression = parse_expression(source, dim=2)
-    for kind in ("fiber", "full"):
+    for kind, names in (("fiber", _KERNEL_GLOBALS), ("full", _KERNEL_GLOBALS),
+                        ("columns", _COLUMN_GLOBALS)):
         tree = ast.parse(inspect.getsource(expression.jet_kernel(kind, 2)))
         for node in ast.walk(tree):
             assert isinstance(node, _KERNEL_NODES), ast.dump(node)
             if isinstance(node, ast.Name):
-                assert node.id in _KERNEL_GLOBALS or re.fullmatch(r"t\d+", node.id), node.id
+                assert node.id in names or re.fullmatch(r"t\d+", node.id), node.id
             if isinstance(node, ast.Constant):
-                assert type(node.value) is float and math.isfinite(node.value)
+                # the column kernel's only integers are the shapes it stacks to
+                assert type(node.value) is float and math.isfinite(node.value) or \
+                    kind == "columns" and node.value == 2, node.value
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                # numpy's power rounds differently from the float power
+                assert kind != "columns", ast.unparse(node)
                 # v ** 1.0 and v ** 0.0 are folded to v and 1.0 while writing
                 assert not (isinstance(node.right, ast.Constant) and node.right.value in (0.0, 1.0))
+
+
+def _row_outcome(f):
+    """dtype, shape and bytes of every returned array, or the error's type and message."""
+    try:
+        out = f()
+    except (DomainError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    parts = out if isinstance(out, tuple) else (out,)
+    return [(p.dtype.str, p.shape, p.tobytes()) for p in parts]
+
+
+@settings(max_examples=300)
+@given(source=_SOURCES)
+def test_column_kernel_batches_equal_the_row_loop(source):
+    # eval_batch runs the column kernel once over all rows; a batch with a
+    # failing row raises what the first failing row raises
+    model = parse_lagrangian(source, dim=2)
+    xs, ys = (np.array(c) for c in zip(*_points()))
+    for rows in (slice(None), slice(None, None, -1), slice(0, 1), slice(0, 0)):
+        for order in (0, 1):
+            assert _row_outcome(lambda: model.eval_batch(xs[rows], ys[rows], order)) == \
+                _row_outcome(lambda: ScalarField.eval_batch(model, xs[rows], ys[rows], order)), \
+                (source, rows, order)
 
 
 @pytest.mark.parametrize("source", ["0.5*(v1^2 + x1^2*v2^2) + 1/x1", "(x1 - v2)^2 * sin(v1)^2"])

@@ -56,7 +56,7 @@ def test_the_guard_flags_an_unused_import():
 
 
 # model evaluations at one point, and the arrays whose rows are samples
-PER_SAMPLE_CALLS = {"value", "fiber_jet", "energy"}
+PER_SAMPLE_CALLS = {"value", "fiber_jet", "energy", "momentum"}
 SAMPLE_ARRAYS = {"positions", "velocities"}
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
@@ -94,5 +94,6 @@ def test_the_guard_flags_a_per_sample_loop():
         "f0 = F.value(x0, y0)\n"
         "log = F.eval_batch(positions, velocities, 0)\n"
         "jets = [F.fiber_jet(x, y) for x, y in pairs]\n"
+        "drift = max(norm(momentum(L, s, full.positions[i], full.velocities[i])) for i in rows)\n"
     )
-    assert _per_sample_calls(tree) == [(1, "value"), (3, "energy")]
+    assert _per_sample_calls(tree) == [(1, "value"), (3, "energy"), (7, "momentum")]

@@ -185,6 +185,22 @@ def test_lapack_divides_a_one_by_one_system():
         assert np.linalg.solve([[ai]], [[bi]]).tobytes() == np.array([[bi / ai]]).tobytes()
 
 
+def test_one_by_one_products_add_to_zero():
+    # the reduced jets of a two-dimensional model take their Schur step on
+    # floats: that rests on a 1x1 matmul and a dot of 1-vectors giving the
+    # one product added to 0.0, signed zeros and underflow included
+    rng = np.random.default_rng(4)
+    a = rng.choice([-1.0, 1.0], 10_000) * 10.0 ** rng.uniform(-200, 200, 10_000)
+    b = rng.choice([-1.0, 1.0], 10_000) * 10.0 ** rng.uniform(-200, 200, 10_000)
+    a[:8], b[:8] = [0.0, -0.0, 0.0, -0.0, 1e-200, -1e-200, 3.0, -0.0], \
+        [1.0, -1.0, -1.0, 1.0, -1e-200, 1e-200, -0.0, -2.0]
+    with np.errstate(over="ignore"):
+        for ai, bi in zip(a.tolist(), b.tolist()):
+            want = np.array(0.0 + ai * bi).tobytes()
+            assert (np.array([[ai]]) @ np.array([[bi]])).tobytes() == want
+            assert np.array(np.array([ai]) @ np.array([bi])).tobytes() == want
+
+
 def test_stacked_matmul_rounds_as_one_row():
     # eval_batch rests on OpenBLAS rounding each row of a stacked np.matmul
     # as it rounds the one-row product: 1-D @ goes through FMA, so sums and
@@ -381,3 +397,131 @@ def test_zero_one_by_one_blocks_raise_their_own_errors():
     flat = rl.parse_lagrangian("v1 + x1^2", dim=1)
     with pytest.raises(rl.SingularHessian, match="velocity Hessian is singular"):
         rl.el_acceleration(flat, np.array([0.5]), np.array([1.0]))
+
+
+# -- the lockstep momentum solve against the row loop ---------------------------
+
+
+def _rows(f):
+    """f()'s arrays as dtype, shape and bytes, or its error's type and message."""
+    try:
+        out = f()
+    except rl.RouthlabError as exc:
+        return type(exc), str(exc)
+    parts = out if isinstance(out, tuple) else (out,)
+    return [(p.dtype.str, p.shape, p.tobytes()) for p in parts]
+
+
+def _counting_batches(L):
+    """Record the rows of each batched fiber jet L evaluates, and 0 for each single one."""
+    sizes = []
+    batch, single = L.eval_batch, L.fiber_jet
+
+    def counting_batch(xs, ys, order=0):
+        sizes.append(len(xs))
+        return batch(xs, ys, order)
+
+    def counting_single(x, y):
+        sizes.append(0)
+        return single(x, y)
+
+    L.eval_batch, L.fiber_jet = counting_batch, counting_single
+    return sizes
+
+
+LOCKSTEP_MODELS = [
+    (POLAR, 0.3, None),
+    (OSCILLATOR, -0.8, [0.4]),
+    (COUPLED, 1.1, [-0.2]),
+    # Newton steps overshoot |v2| = 1, where the fiber jet raises
+    (BOUNDED_FIBER, 0.9, None),
+]
+
+
+@pytest.mark.parametrize("source, mu, guess", LOCKSTEP_MODELS)
+def test_reduced_batches_equal_the_row_loop(source, mu, guess):
+    L = rl.parse_lagrangian(source, dim=2, domain=lambda x: x[0] > 0.1)
+    sizes = _counting_batches(L)
+    red = rl.ReducedLagrangian(L, CyclicSplit.of(2, [1]), np.array([mu]), guess=guess)
+    rng = np.random.default_rng(10)
+    xs, ys = rng.uniform(0.3, 2.0, (200, 1)), rng.uniform(-1.5, 1.5, (200, 1))
+    for order in (0, 1):
+        sizes.clear()
+        got = _rows(lambda: red.eval_batch(xs, ys, order))
+        # one batched jet per round and one at the roots; rows leave the
+        # lockstep as they converge, and only a jet past |v2| = 1 sends a
+        # round row by row
+        assert sizes[0] == sizes[-1] == 200 and len(sizes) >= 3
+        if source == BOUNDED_FIBER:
+            assert len(set(sizes) - {0}) >= 3, sizes
+        else:
+            assert 0 not in sizes, sizes
+        assert got == _rows(lambda: rl.ScalarField.eval_batch(red, xs, ys, order)), order
+        assert not isinstance(got, tuple), got
+    # rows that fail, first at the position predicate, then at an
+    # unreachable momentum, raise what the first of them raises
+    xs[[70, 150]] = 0.05
+    assert _rows(lambda: red.eval_batch(xs, ys, 1)) == \
+        _rows(lambda: rl.ScalarField.eval_batch(red, xs, ys, 1))
+    far = rl.ReducedLagrangian(L, CyclicSplit.of(2, [1]), np.array([1e9]), guess=guess)
+    assert _rows(lambda: far.eval_batch(xs[::-1], ys[::-1], 1)) == \
+        _rows(lambda: rl.ScalarField.eval_batch(far, xs[::-1], ys[::-1], 1))
+
+
+@pytest.mark.parametrize("guess", [None, [0.3]])
+def test_lockstep_momentum_solve_backtracks_as_the_rows(guess):
+    # the light cone backtracks on in_domain, the bounded fiber on a jet
+    # that raises; some momenta are out of reach of every |v2| < 1
+    rng = np.random.default_rng(11)
+    split = CyclicSplit.of(2, [1])
+    xs, ys = rng.uniform(0.2, 2.0, (150, 1)), rng.uniform(-1.0, 1.0, (150, 1))
+    guesses = np.broadcast_to(np.zeros(1) if guess is None else guess, (150, 1))
+    for L in (_LightCone(rl.parse_expression(BOUNDED_FIBER), dim=2, domain=lambda x: x[0] > 0.1),
+              rl.parse_lagrangian(BOUNDED_FIBER, dim=2)):
+        solved = 0
+        for mu in rng.uniform(-4.0, 4.0, 6):
+            mu = np.array([mu])
+            one_by_one = [_rows(lambda: rl.solve_momentum(L, split, mu, x, y, guess=g))
+                          for x, y, g in zip(xs, ys, guesses)]
+            # the lockstep solve, row by row where no row fails
+            got = _rows(lambda: rl.routh._solve_momenta(L, split, mu, xs, ys, guesses))
+            if all(isinstance(r, list) for r in one_by_one):
+                solved += 1
+                assert got == [("<f8", (150, 1), b"".join(r[0][2] for r in one_by_one))]
+            else:
+                assert got == next(r for r in one_by_one if isinstance(r, tuple))
+        assert solved >= 2
+
+
+@pytest.mark.parametrize("source", [POLAR, OSCILLATOR, COUPLED])
+def test_reconstruction_midpoints_equal_the_row_loop(source, monkeypatch):
+    L = rl.parse_lagrangian(source, dim=2, domain=lambda x: x[0] > 0.1)
+    split = CyclicSplit.of(2, [1])
+    x0, v0 = np.array([1.0, 0.3]), np.array([0.3, 1.2])
+    mu = rl.momentum(L, split, x0, v0)
+    red = rl.routhian(L, split, mu, ref_x=x0)
+    traj = rl.integrate_el(red, x0[:1], v0[:1], 1.5, tol=1e-11, samples=301)
+    sizes = _counting_batches(L)
+    lockstep = rl.reconstruct(L, split, mu, traj, cyclic_start=x0[1:])
+    # the sample grid's 301 solves take two jets each, one at a time
+    assert sizes[602] == 300 and 0 not in sizes[603:]
+    # where the lockstep solve fails, the midpoints run through solve_momentum
+    def refuse(*args):
+        raise rl.DomainError("row by row")
+
+    monkeypatch.setattr(rl.routh, "_lockstep_momenta", refuse)
+    rows = rl.reconstruct(L, split, mu, traj, cyclic_start=x0[1:])
+    for name in ("positions", "velocities", "energy_log"):
+        assert getattr(lockstep, name).tobytes() == getattr(rows, name).tobytes(), name
+
+
+def test_two_cyclic_reductions_batch_as_the_rows():
+    # m >= 2 solves row by row; the stacked Schur step is np.linalg.solve
+    L = rl.parse_lagrangian(BOUNDED_FIBER + " + 0.5*v3^2 + 0.1*v2*v3", dim=3)
+    red = rl.ReducedLagrangian(L, CyclicSplit.of(3, [1, 2]), np.array([0.5, -0.3]))
+    rng = np.random.default_rng(12)
+    xs, ys = rng.uniform(0.5, 2.0, (60, 1)), rng.uniform(-1.0, 1.0, (60, 1))
+    for order in (0, 1):
+        got = _rows(lambda: red.eval_batch(xs, ys, order))
+        assert not isinstance(got, tuple)
+        assert got == _rows(lambda: rl.ScalarField.eval_batch(red, xs, ys, order))
