@@ -30,7 +30,7 @@ import numpy as np
 from .duals import HyperDual, grad_of, seed_first, seed_second, sqrt, value_of
 from .errors import DomainError, EnergyUnreachable, NoConvergence, RouthlabError
 from .expressions import Expression, parse_expression
-from .jets import ScalarField, SecondJet, batch_rows, chain_jet
+from .jets import ScalarField, SecondJet, batch_rows, chain_jet, drive, lockstep
 from .lagrangian import (
     LagrangianModel,
     MagneticLagrangian,
@@ -193,34 +193,21 @@ def solve_energy_scale(
     that end meets the upper one at adjacent floats, the level is
     unreachable.
 
-    These rules are written once, in the step routine ``_scale_steps``,
-    and drive both evaluation paths: this function feeds it one fiber jet
-    per probe, and :meth:`JacobiFinslerModel.eval_batch` runs one routine
-    per row in lockstep (:func:`_solve_energy_scales`).
+    These rules are written once, in the step routine ``_scale_steps``: on
+    one ray :func:`jets.drive` feeds it one fiber jet per probe, and
+    :func:`_solve_energy_scales` runs it on every row at once.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     steps = _scale_steps(float(np.linalg.norm(y)), e, tol, max_iter)
-    try:
-        s = next(steps)
-        while True:
-            s = _probe(steps, L, x, y, s, e)
-    except StopIteration as done:
-        return done.value
+    return drive(steps, lambda s: _scale_probe(L, x, y, s, e))
 
 
-def _probe(steps, L, x, y, s: float, e: float) -> float:
-    """Probe the scale s of one ray with a fiber jet; the routine's next scale.
-
-    The routine receives r = E(x, y/s) - e and q = v.L_vv.v, or the
-    probe's DomainError.
-    """
+def _scale_probe(L, x, y, s: float, e: float):
+    """(r, q) = (E(x, v) - e, v.L_vv.v) at v = y/s, from one fiber jet."""
     w = y / s
-    try:
-        val, d_y, d_yy = L.fiber_jet(x, w)
-    except DomainError as exc:
-        return steps.throw(exc)
-    return steps.send((float(w @ d_y) - val - e, float(w @ (d_yy @ w))))
+    val, d_y, d_yy = L.fiber_jet(x, w)
+    return float(w @ d_y) - val - e, float(w @ (d_yy @ w))
 
 
 def _scale_steps(s: float, e: float, tol: float, max_iter: int):
@@ -345,31 +332,22 @@ def _solve_energy_scales(L: LagrangianModel, xs, ys, e: float, tol: float = 1e-1
     through ``fiber_jet``, as the scalar solve probes it. A row's error
     propagates from the first round that meets it.
     """
-    norms = np.sqrt((ys[:, None, :] @ ys[:, :, None])[:, 0, 0])
-    steps = [_scale_steps(s, e, tol, max_iter) for s in norms.tolist()]
-    pending = {i: next(st) for i, st in enumerate(steps)}
-    roots = np.empty(len(steps))
-    while pending:
-        rows = np.fromiter(pending, int, len(pending))
-        scales = np.fromiter(pending.values(), float, len(pending))
-        ws = ys[rows] / scales[:, None]
+
+    def batch(rows, scales):
+        ws = ys[rows] / np.array(scales)[:, None]
         try:
             val, d_y, d_yy = L.eval_batch(xs[rows], ws, 1)
         except DomainError:
-            r = q = [math.nan] * len(rows)
-        else:
-            r = ((ws[:, None, :] @ d_y[:, :, None])[:, 0, 0] - val - e).tolist()
-            q = (ws[:, None, :] @ (d_yy @ ws[:, :, None]))[:, 0, 0].tolist()
-        for i, s, r_i, q_i in zip(rows.tolist(), scales.tolist(), r, q):
-            try:
-                if math.isfinite(r_i) and math.isfinite(q_i):
-                    pending[i] = steps[i].send((r_i, q_i))
-                else:
-                    pending[i] = _probe(steps[i], L, xs[i], ys[i], s, e)
-            except StopIteration as done:
-                roots[i] = done.value.s
-                del pending[i]
-    return roots
+            return [None] * len(rows)
+        r = ((ws[:, None, :] @ d_y[:, :, None])[:, 0, 0] - val - e).tolist()
+        q = (ws[:, None, :] @ (d_yy @ ws[:, :, None]))[:, 0, 0].tolist()
+        return [(r_i, q_i) if math.isfinite(r_i) and math.isfinite(q_i) else None
+                for r_i, q_i in zip(r, q)]
+
+    norms = np.sqrt((ys[:, None, :] @ ys[:, :, None])[:, 0, 0])
+    steps = [_scale_steps(s, e, tol, max_iter) for s in norms.tolist()]
+    done = lockstep(steps, lambda i, s: _scale_probe(L, xs[i], ys[i], s, e), batch)
+    return np.array([result.s for result in done])
 
 
 # -- the energy-level Finsler function ------------------------------------------

@@ -17,6 +17,10 @@ evaluates orders 0 and 1 on every row of (k, n) arrays at once, with the
 bits of the row loop. :func:`jet` adds input and output validation, and the
 independent finite-difference oracle :func:`fd_jet` cross-checks every
 family in the tests.
+
+The implicit solves (energy scale, cyclic velocities) write their rules
+once, as step routines: :func:`lockstep` runs them on every row of a batch,
+:func:`drive` runs one of them at one point.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from .duals import seed_second, value_of
 from .errors import DomainError, StencilDomainError
 
-__all__ = ["SecondJet", "ScalarField", "jet", "fd_jet", "chain_jet", "FD_STEP"]
+__all__ = ["SecondJet", "ScalarField", "jet", "fd_jet", "chain_jet", "lockstep", "drive", "FD_STEP"]
 
 #: default finite-difference step scale (cube root of machine epsilon)
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -203,6 +207,55 @@ def solve_linear(a: np.ndarray, b: np.ndarray, fail):
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise fail() from exc
+
+
+def lockstep(routines, probe, batch=None) -> list:
+    """Run step routines to their returns in rounds; the list of what they return.
+
+    A step routine is a generator that yields the point it needs probed, is
+    sent the probe's result or has its DomainError thrown in, and returns
+    its answer. Each round probes the points of the routines still running,
+    with one ``batch(rows, points)`` call where given, which gives one result
+    per row or None for a row to probe alone, and ``probe(i, point)`` per
+    row otherwise. Any other error propagates from the round that meets it.
+    """
+    points = {i: next(r) for i, r in enumerate(routines)}
+    returns = [None] * len(routines)
+    while points:
+        rows = list(points)
+        results = batch(rows, list(points.values())) if batch else [None] * len(rows)
+        for i, result in zip(rows, results):
+            try:
+                if result is None:
+                    try:
+                        result = probe(i, points[i])
+                    except DomainError as exc:
+                        points[i] = routines[i].throw(exc)
+                        continue
+                points[i] = routines[i].send(result)
+            except StopIteration as done:
+                returns[i] = done.value
+                del points[i]
+    return returns
+
+
+def drive(routine, probe):
+    """:func:`lockstep` on one routine, with ``probe(point)``; what it returns.
+
+    A single-point solve takes two or three probes, and the upkeep of
+    lockstep's rounds would cost it about a fifth more time.
+    """
+    try:
+        point = next(routine)
+        while True:
+            try:
+                result = probe(point)
+            except DomainError as exc:
+                point = routine.throw(exc)
+            else:
+                point = routine.send(result)
+    except StopIteration as done:
+        return done.value
 
 
 def jet(field: ScalarField, x, y) -> SecondJet:

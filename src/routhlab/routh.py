@@ -31,7 +31,7 @@ from .errors import (
     SingularBlock,
 )
 from .integrators import Trajectory
-from .jets import SecondJet, batch_rows, solve_linear
+from .jets import SecondJet, batch_rows, drive, lockstep, solve_linear
 from .lagrangian import LagrangianModel, energies, integrate_el
 from .reporting import VerificationReport
 
@@ -164,12 +164,11 @@ def solve_momentum(
     cyclic Hessian block fails to factor, and NoConvergence when the budget
     runs out or the iterates diverge (an unreachable momentum target).
 
-    With one cyclic coordinate, as in every shipped reduction, the
-    iteration runs on floats and gives the same bits. Its rules are then
-    written once, in the step routine ``_momentum_steps``, and drive both
-    evaluation paths: this function feeds it one fiber jet per iterate, and
-    :meth:`ReducedLagrangian.eval_batch` and :func:`reconstruct` run one
-    routine per row in lockstep (:func:`_solve_momenta`).
+    The rules are written once, in the step routine ``_momentum_steps``: on
+    one point :func:`jets.drive` feeds it one fiber jet per iterate, and
+    :func:`_solve_momenta` runs it on every row at once for
+    :meth:`ReducedLagrangian.eval_batch` and :func:`reconstruct`. With one
+    cyclic coordinate, as in every shipped reduction, it runs on floats.
     """
     mu = np.asarray(mu, float)
     x_shape = np.asarray(x_shape, float)
@@ -179,98 +178,56 @@ def solve_momentum(
         raise ValueError(f"mu must have shape ({m},)")
     z = np.zeros(m) if guess is None else np.asarray(guess, float).copy()
     full_x = split.embed(x_shape, np.zeros(m))
-    if m == 1:
-        full_y = split.embed(y_shape, z)
-        c = split.cyclic[0]
-        # np.linalg.norm's own sqrt of a dot product, without its overhead
-        steps = _momentum_steps(L, c, mu.item(), full_x, full_y, z.item(),
-                                math.sqrt(y_shape @ y_shape), tol, max_iter)
-        try:
-            next(steps)
-            while True:
-                _jet_step(steps, L, c, full_x, full_y)
-        except StopIteration as done:
-            return np.array([done.value])
-    scale = tol * (1.0 + float(np.linalg.norm(mu)))
-    ceiling = 1e8 * (1.0 + float(np.linalg.norm(z)) + float(np.linalg.norm(y_shape)))
-
-    cyc = split.cyc_idx
-    residual = None
-    _, d_y, d_yy = L.fiber_jet(full_x, split.embed(y_shape, z))
-    for it in range(max_iter):
-        residual = d_y[cyc] - mu
-        if np.linalg.norm(residual) <= scale:
-            return z
-        step = solve_linear(d_yy[split.blocks[0]], residual, lambda: SingularBlock(
-            f"cyclic velocity block is singular at x={full_x}"))
-        # backtrack while the new iterate leaves the domain or its jet
-        # fails; that jet serves the next iteration, so the last takes none
-        for _ in range(30):
-            trial = z - step
-            full_y = split.embed(y_shape, trial)
-            if L.in_domain(full_x, full_y):
-                if float(np.linalg.norm(trial)) > ceiling:
-                    raise NoConvergence(
-                        "momentum solve is diverging; the target momentum may be unreachable"
-                    )
-                if it + 1 == max_iter:
-                    break
-                try:
-                    _, d_y, d_yy = L.fiber_jet(full_x, full_y)
-                    break
-                except DomainError:
-                    pass
-            step = 0.5 * step
-        else:
-            raise NoConvergence("momentum solve could not stay inside the domain")
-        z = trial
-    raise NoConvergence(
-        f"momentum solve did not converge in {max_iter} iterations "
-        f"(residual {np.linalg.norm(residual):.3e})"
-    )
+    full_y = split.embed(y_shape, z)
+    one = m == 1
+    c = split.cyclic[0] if one else split.cyc_idx
+    # np.linalg.norm's own sqrt of a dot product, without its overhead
+    steps = _momentum_steps(L, c, mu.item() if one else mu, full_x, full_y,
+                            z.item() if one else z, math.sqrt(y_shape @ y_shape), tol, max_iter)
+    z = drive(steps, lambda _: _cyclic_jet(L, c, full_x, full_y))
+    return np.array([z]) if one else z
 
 
-def _jet_step(steps, L, c, full_x, full_y):
-    """Evaluate one fiber jet at the routine's pending iterate and hand it over.
-
-    The routine receives (d_y[c], d_yy[c, c]), or the jet's DomainError.
-    """
-    try:
-        _, d_y, d_yy = L.fiber_jet(full_x, full_y)
-    except DomainError as exc:
-        return steps.throw(exc)
-    return steps.send((d_y.item(c), d_yy.item(c, c)))
+def _cyclic_jet(L, c, x, y):
+    """(d_y[c], d_yy[c, c]) of L's fiber jet at (x, y); floats where c is one index."""
+    _, d_y, d_yy = L.fiber_jet(x, y)
+    if isinstance(c, np.ndarray):
+        return d_y[c], d_yy[c[:, None], c]
+    return d_y.item(c), d_yy.item(c, c)
 
 
 def _momentum_steps(L, c, mu, full_x, full_y, z, shape_norm, tol, max_iter):
-    """The rules of :func:`solve_momentum` for one cyclic velocity, driven jet by jet.
+    """The rules of :func:`solve_momentum` as a step routine, driven jet by jet.
 
-    A generator over floats: it writes each iterate z into full_y[c] and
-    yields it when it needs the fiber jet there, receives (d_y[c], d_yy[c, c])
-    or has the jet's DomainError thrown in, and returns the solved z. A
-    1-vector's norm is sqrt(r * r) and a 1x1 solve divides (see
-    :func:`solve_linear`), so every iterate has the vector loop's bits.
-    ``shape_norm`` is the norm of the shape velocity.
+    It writes each iterate z into full_y[c] and yields it, receives
+    (d_y[c], d_yy[c, c]) there or the jet's DomainError, and returns the
+    solved z; ``shape_norm`` is the norm of the shape velocity. With one
+    cyclic velocity, mu, z and the jet's entries are floats, a norm is
+    sqrt(r * r) and a step divides, as LAPACK does for a 1x1 system (see
+    :func:`solve_linear`); with more they are arrays, a norm is sqrt(r @ r),
+    as ``np.linalg.norm`` takes it, and a step is ``np.linalg.solve``.
     """
-    scale = tol * (1.0 + math.sqrt(mu * mu))
-    ceiling = 1e8 * (1.0 + math.sqrt(z * z) + shape_norm)
+    one = isinstance(z, float)
+    scale = tol * (1.0 + math.sqrt(mu * mu if one else mu @ mu))
+    ceiling = 1e8 * (1.0 + math.sqrt(z * z if one else z @ z) + shape_norm)
     r = None
     full_y[c] = z
     p, h = yield z
     for it in range(max_iter):
         r = p - mu
-        if math.sqrt(r * r) <= scale:
+        if math.sqrt(r * r if one else r @ r) <= scale:
             return z
-        if h == 0.0:
-            raise SingularBlock(f"cyclic velocity block is singular at x={full_x}")
-        step = r / h
+        try:
+            step = r / h if one else np.linalg.solve(h, r)
+        except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
+            raise SingularBlock(f"cyclic velocity block is singular at x={full_x}") from exc
         # backtrack while the new iterate leaves the domain or its jet
         # fails; that jet serves the next iteration, so the last takes none
         for _ in range(30):
             trial = z - step
             full_y[c] = trial
             if L.in_domain(full_x, full_y):
-                if math.sqrt(trial * trial) > ceiling:
+                if math.sqrt(trial * trial if one else trial @ trial) > ceiling:
                     raise NoConvergence("momentum solve is diverging; "
                                         "the target momentum may be unreachable")
                 if it + 1 == max_iter:
@@ -285,30 +242,48 @@ def _momentum_steps(L, c, mu, full_x, full_y, z, shape_norm, tol, max_iter):
             raise NoConvergence("momentum solve could not stay inside the domain")
         z = trial
     raise NoConvergence(f"momentum solve did not converge in {max_iter} iterations "
-                        f"(residual {math.sqrt(r * r):.3e})")
+                        f"(residual {math.sqrt(r * r if one else r @ r):.3e})")
 
 
 def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_shape,
                    ys_shape, guesses, tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
     """:func:`solve_momentum` on every row, from the row's guess; a (k, m) array.
 
-    With one cyclic coordinate each row runs its own step routine, and each
-    round evaluates the pending iterates of all rows with one batched fiber
-    jet. A row whose batched jet raises or is not finite is evaluated again
-    alone, through ``fiber_jet``, as the scalar solve evaluates it. Where
-    any row fails, and with more cyclic coordinates, the rows run in order
+    Each row runs its own step routine under :func:`jets.lockstep`. With one
+    cyclic coordinate a round evaluates all pending iterates with one batched
+    fiber jet, and a row whose batched jet raises or is not finite is
+    evaluated again alone, as the scalar solve evaluates it; with more, each
+    row takes its own jets. Where any row fails, the rows run in order
     through ``solve_momentum``, so the first failing row raises.
     """
     xs_shape, ys_shape = batch_rows(xs_shape, ys_shape)
-    if len(split.cyclic) == 1:
+    k, m = len(guesses), len(split.cyclic)
+    full_x = _embed_rows(split, xs_shape, 0.0)
+    full_y = _embed_rows(split, ys_shape, 0.0)
+    norms = np.sqrt((ys_shape[:, None, :] @ ys_shape[:, :, None])[:, 0, 0]).tolist()
+    if m == 1:
+        c, mu_c, zs = split.cyclic[0], mu.item(), np.ravel(guesses).tolist()
+    else:
+        c, mu_c, zs = split.cyc_idx, mu, [np.array(g, float) for g in guesses]
+
+    def batch(rows, _):
         try:
-            return _lockstep_momenta(L, split, mu.item(), xs_shape, ys_shape, guesses,
-                                     tol, max_iter)[:, None]
+            _, d_y, d_yy = L.eval_batch(full_x[rows], full_y[rows], 1)
         except _EVAL_ERRORS:
-            pass
-    z = [solve_momentum(L, split, mu, x, y, guess=g, tol=tol, max_iter=max_iter)
-         for x, y, g in zip(xs_shape, ys_shape, guesses)]
-    return np.array(z, float).reshape(len(guesses), len(split.cyclic))
+            return [None] * len(rows)
+        return [(p, h) if math.isfinite(p) and math.isfinite(h) else None
+                for p, h in zip(d_y[:, c].tolist(), d_yy[:, c, c].tolist())]
+
+    # each routine writes its iterates into its own row of full_y
+    steps = [_momentum_steps(L, c, mu_c, full_x[i], full_y[i], z, norms[i], tol, max_iter)
+             for i, z in enumerate(zs)]
+    try:
+        z = lockstep(steps, lambda i, _: _cyclic_jet(L, c, full_x[i], full_y[i]),
+                     batch if m == 1 else None)
+    except _EVAL_ERRORS:
+        z = [solve_momentum(L, split, mu, x, y, guess=g, tol=tol, max_iter=max_iter)
+             for x, y, g in zip(xs_shape, ys_shape, guesses)]
+    return np.array(z, float).reshape(k, m)
 
 
 def _embed_rows(split: CyclicSplit, shape_rows, cyclic_rows) -> np.ndarray:
@@ -317,40 +292,6 @@ def _embed_rows(split: CyclicSplit, shape_rows, cyclic_rows) -> np.ndarray:
     full[:, split.shape_idx] = shape_rows
     full[:, split.cyc_idx] = cyclic_rows
     return full
-
-
-def _lockstep_momenta(L, split, mu: float, xs_shape, ys_shape, guesses, tol, max_iter):
-    """The (k,) solved cyclic velocities of :func:`_solve_momenta` with m = 1."""
-    k = len(xs_shape)
-    c = split.cyclic[0]
-    full_x = _embed_rows(split, xs_shape, 0.0)
-    full_y = _embed_rows(split, ys_shape, 0.0)
-    norms = np.sqrt((ys_shape[:, None, :] @ ys_shape[:, :, None])[:, 0, 0]).tolist()
-    # each routine writes its iterates into its own row of full_y
-    steps = [_momentum_steps(L, c, mu, full_x[i], full_y[i], z, norms[i], tol, max_iter)
-             for i, z in enumerate(np.ravel(guesses).tolist())]
-    for st in steps:
-        next(st)
-    pending = list(range(k))
-    roots = np.empty(k)
-    while pending:
-        try:
-            _, d_y, d_yy = L.eval_batch(full_x[pending], full_y[pending], 1)
-            p, h = d_y[:, c].tolist(), d_yy[:, c, c].tolist()
-        except _EVAL_ERRORS:
-            p = h = [math.nan] * len(pending)  # every row is evaluated again alone
-        still = []
-        for i, p_i, h_i in zip(pending, p, h):
-            try:
-                if math.isfinite(p_i) and math.isfinite(h_i):
-                    steps[i].send((p_i, h_i))
-                else:
-                    _jet_step(steps[i], L, c, full_x[i], full_y[i])
-                still.append(i)
-            except StopIteration as done:
-                roots[i] = done.value
-        pending = still
-    return roots
 
 
 class ReducedLagrangian(LagrangianModel):
@@ -379,12 +320,6 @@ class ReducedLagrangian(LagrangianModel):
         return solve_momentum(
             self.base, self.split, self.mu, x_shape, y_shape, guess=self.guess
         )
-
-    def _lift(self, x_shape, y_shape):
-        z = self.cyclic_velocity(x_shape, y_shape)
-        full_x = self.split.embed(x_shape, np.zeros(len(self.split.cyclic)))
-        full_y = self.split.embed(y_shape, z)
-        return full_x, full_y, z
 
     def eval_batch(self, xs, ys, order: int = 0):
         """Batched orders 0 and 1: one lockstep momentum solve, then stacked Schur steps.
@@ -419,7 +354,9 @@ class ReducedLagrangian(LagrangianModel):
         return val - mu_z, d_y[:, split.shape_idx], 0.5 * (h + h.transpose(0, 2, 1))
 
     def eval(self, x, y, order: int = 2):
-        full_x, full_y, z = self._lift(np.asarray(x, float), np.asarray(y, float))
+        x, y = np.asarray(x, float), np.asarray(y, float)
+        z = self.cyclic_velocity(x, y)
+        full_x, full_y = self.split.embed(x, np.zeros(len(z))), self.split.embed(y, z)
         j = self.base.eval(full_x, full_y, order)
         if order == 0:
             return j - float(self.mu @ z)

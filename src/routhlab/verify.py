@@ -108,8 +108,8 @@ def check_geodesic_equivalence(
     traces overlap fully); and the level-conserving geodesic from (x0, v0)
     itself, which matches the Lagrangian flow pointwise in time. Numerical
     failures inside the runs are folded into the report as failures rather
-    than raised; a wrong initial energy raises PreconditionError since the
-    comparison is meaningless off the level.
+    than raised, named by the run that raised; a wrong initial energy raises
+    PreconditionError since the comparison is meaningless off the level.
     """
     x0 = np.asarray(x0, float)
     v0 = np.asarray(v0, float)
@@ -122,11 +122,13 @@ def check_geodesic_equivalence(
 
     report = VerificationReport(name=f"geodesic equivalence at e={e}")
     metric = jacobi_finsler(L, e)
+    run = "Euler-Lagrange flow"
     try:
         el = integrate_el(L, x0, v0, t_end, tol=tol, samples=samples)
         el_drift = float(np.max(np.abs(el.energy_log - e)))
 
         # level-metric length of the Lagrangian arc, by the trapezoid rule
+        run = "affine geodesic"
         f_along = metric.eval_batch(el.positions, el.velocities, 0)
         length = float(np.trapezoid(f_along, el.times))
 
@@ -135,6 +137,7 @@ def check_geodesic_equivalence(
         )
         arc_drift = float(np.max(np.abs(arc.energy_log - arc.energy_log[0])))
 
+        run = "level geodesic"
         lvl = integrate_geodesic(
             metric, x0, v0, t_end, tol=tol, samples=samples, level=metric.level_jet
         )
@@ -154,7 +157,7 @@ def check_geodesic_equivalence(
             np.max(np.linalg.norm(el.positions - lvl.positions, axis=1))
         )
     except RouthlabError as exc:
-        report.fail(f"{type(exc).__name__}: {exc}")
+        report.fail(f"{run}: {type(exc).__name__}: {exc}")
         return report
 
     report.check("trace_distance", trace_gap, pointset_tol)

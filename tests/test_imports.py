@@ -4,7 +4,8 @@ No lint tool ships with the project, so these walk each module's syntax
 tree. Every name a module imports is used there: it counts as used if the
 module reads it anywhere, or re-exports it through ``__all__``. And no
 module evaluates a model once per sample in a loop: per-sample diagnostics
-go through ``eval_batch``.
+go through ``eval_batch``. And only ``jets`` drives step routines: their
+``send`` and ``throw`` calls live in ``jets.lockstep`` and ``jets.drive``.
 """
 
 import ast
@@ -97,3 +98,38 @@ def test_the_guard_flags_a_per_sample_loop():
         "drift = max(norm(momentum(L, s, full.positions[i], full.velocities[i])) for i in rows)\n"
     )
     assert _per_sample_calls(tree) == [(1, "value"), (3, "energy"), (7, "momentum")]
+
+
+# what drives a step routine: sending it a probe's result, or throwing in its error
+ROUTINE_CALLS = {"send", "throw"}
+
+
+def _routine_calls(tree):
+    """(line, name) of each ``.send(...)`` or ``.throw(...)`` call."""
+    return sorted(
+        (node.lineno, node.func.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ROUTINE_CALLS
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_jets_drives_step_routines(path):
+    calls = _routine_calls(ast.parse(path.read_text(), filename=str(path)))
+    if path.name == "jets.py":
+        assert calls, "jets.py no longer drives the step routines"
+    else:
+        assert not calls, f"{path.name} drives a step routine by hand: {calls}; use jets.lockstep"
+
+
+def test_the_guard_flags_a_routine_driven_by_hand():
+    tree = ast.parse(
+        "pending[i] = steps[i].send((r, q))\n"
+        "s = lockstep(steps, probe, batch)\n"
+        "point = routine.throw(exc)\n"
+        "sock.sendall(data)\n"
+        "send(x)\n"
+    )
+    assert _routine_calls(tree) == [(1, "send"), (3, "throw")]

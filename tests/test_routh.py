@@ -172,6 +172,7 @@ def test_reduced_model_requires_dense_reduced_trajectory():
 OSCILLATOR = "0.5*(v1^2 + x1^2*v2^2) - 0.5*x1^2"
 # a v1 v2 coupling makes the Schur complement's division nontrivial
 COUPLED = "0.5*(v1^2 + x1^2*v2^2) + 0.2*x1*v1*v2 + 1/x1"
+TWO_CYCLIC = "0.5*(v1^2 + x1^2*v2^2 + (1 + x1^2)*v3^2) + 0.3*v2*v3 - 1/x1"
 
 
 def test_lapack_divides_a_one_by_one_system():
@@ -303,15 +304,17 @@ def _outcome(f):
     return [np.asarray(p, float).tobytes() for p in parts]
 
 
-@pytest.mark.parametrize("source", [POLAR, OSCILLATOR, COUPLED])
+@pytest.mark.parametrize("source", [POLAR, OSCILLATOR, COUPLED, TWO_CYCLIC])
 def test_float_momentum_solve_and_reduced_jets_equal_the_lapack_path(source):
-    L = rl.parse_lagrangian(source, dim=2, domain=lambda x: x[0] > 0.1)
-    split = CyclicSplit.of(2, [1])
+    # v2 and v3 are cyclic in TWO_CYCLIC, whose solve runs the step routine on arrays
+    dim = 3 if source == TWO_CYCLIC else 2
+    L = rl.parse_lagrangian(source, dim=dim, domain=lambda x: x[0] > 0.1)
+    split = CyclicSplit.of(dim, range(1, dim))
     rng = np.random.default_rng(8)
     for _ in range(200):
         x, y = rng.uniform(0.2, 2.5, 1), rng.uniform(-1.5, 1.5, 1)
-        mu = rng.uniform(-2.0, 2.0, 1)
-        guess = None if rng.random() < 0.5 else rng.uniform(-3.0, 3.0, 1)
+        mu = rng.uniform(-2.0, 2.0, dim - 1)
+        guess = None if rng.random() < 0.5 else rng.uniform(-3.0, 3.0, dim - 1)
         assert _outcome(lambda: rl.solve_momentum(L, split, mu, x, y, guess=guess)) == \
             _outcome(lambda: _lapack_solve_momentum(L, split, mu, x, y, guess=guess))
         red = rl.ReducedLagrangian(L, split, mu, guess=guess)
@@ -471,26 +474,32 @@ def test_reduced_batches_equal_the_row_loop(source, mu, guess):
 @pytest.mark.parametrize("guess", [None, [0.3]])
 def test_lockstep_momentum_solve_backtracks_as_the_rows(guess):
     # the light cone backtracks on in_domain, the bounded fiber on a jet
-    # that raises; some momenta are out of reach of every |v2| < 1
+    # that raises, and with two cyclic velocities each row runs the vector
+    # rules on its own jets
     rng = np.random.default_rng(11)
-    split = CyclicSplit.of(2, [1])
+    one = CyclicSplit.of(2, [1])
     xs, ys = rng.uniform(0.2, 2.0, (150, 1)), rng.uniform(-1.0, 1.0, (150, 1))
-    guesses = np.broadcast_to(np.zeros(1) if guess is None else guess, (150, 1))
-    for L in (_LightCone(rl.parse_expression(BOUNDED_FIBER), dim=2, domain=lambda x: x[0] > 0.1),
-              rl.parse_lagrangian(BOUNDED_FIBER, dim=2)):
+    for L, split in (
+        (_LightCone(rl.parse_expression(BOUNDED_FIBER), dim=2, domain=lambda x: x[0] > 0.1), one),
+        (rl.parse_lagrangian(BOUNDED_FIBER, dim=2), one),
+        (rl.parse_lagrangian(BOUNDED_FIBER + " + 0.5*v3^2 + 0.1*v2*v3", dim=3),
+         CyclicSplit.of(3, [1, 2])),
+    ):
+        m = len(split.cyclic)
+        guesses = np.broadcast_to(np.zeros(m) if guess is None else guess, (150, m))
         solved = 0
-        for mu in rng.uniform(-4.0, 4.0, 6):
-            mu = np.array([mu])
+        # the steep target 100 is out of the Newton budget's reach on some rows
+        for mu in [*rng.uniform(-4.0, 4.0, (6, m)), np.full(m, 100.0)]:
             one_by_one = [_rows(lambda: rl.solve_momentum(L, split, mu, x, y, guess=g))
                           for x, y, g in zip(xs, ys, guesses)]
             # the lockstep solve, row by row where no row fails
             got = _rows(lambda: rl.routh._solve_momenta(L, split, mu, xs, ys, guesses))
             if all(isinstance(r, list) for r in one_by_one):
                 solved += 1
-                assert got == [("<f8", (150, 1), b"".join(r[0][2] for r in one_by_one))]
+                assert got == [("<f8", (150, m), b"".join(r[0][2] for r in one_by_one))]
             else:
                 assert got == next(r for r in one_by_one if isinstance(r, tuple))
-        assert solved >= 2
+        assert 2 <= solved < 7
 
 
 @pytest.mark.parametrize("source", [POLAR, OSCILLATOR, COUPLED])
@@ -505,18 +514,24 @@ def test_reconstruction_midpoints_equal_the_row_loop(source, monkeypatch):
     lockstep = rl.reconstruct(L, split, mu, traj, cyclic_start=x0[1:])
     # the sample grid's 301 solves take two jets each, one at a time
     assert sizes[602] == 300 and 0 not in sizes[603:]
-    # where the lockstep solve fails, the midpoints run through solve_momentum
-    def refuse(*args):
-        raise rl.DomainError("row by row")
+    # where the lockstep solve fails, the midpoints run through solve_momentum,
+    # which drives one routine at a time
+    lockstep_rows = rl.routh.lockstep
 
-    monkeypatch.setattr(rl.routh, "_lockstep_momenta", refuse)
+    def one_at_a_time(routines, probe, batch=None):
+        if len(routines) > 1:
+            raise rl.DomainError("row by row")
+        return lockstep_rows(routines, probe, batch)
+
+    monkeypatch.setattr(rl.routh, "lockstep", one_at_a_time)
     rows = rl.reconstruct(L, split, mu, traj, cyclic_start=x0[1:])
     for name in ("positions", "velocities", "energy_log"):
         assert getattr(lockstep, name).tobytes() == getattr(rows, name).tobytes(), name
 
 
 def test_two_cyclic_reductions_batch_as_the_rows():
-    # m >= 2 solves row by row; the stacked Schur step is np.linalg.solve
+    # m >= 2 solves in lockstep on per-row jets; the stacked Schur step is
+    # np.linalg.solve
     L = rl.parse_lagrangian(BOUNDED_FIBER + " + 0.5*v3^2 + 0.1*v2*v3", dim=3)
     red = rl.ReducedLagrangian(L, CyclicSplit.of(3, [1, 2]), np.array([0.5, -0.3]))
     rng = np.random.default_rng(12)

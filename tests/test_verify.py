@@ -167,13 +167,22 @@ class TestEquivalenceReport:
 
     def test_report_fails_when_flow_leaves_domain(self):
         # hyperbolic disk at high energy: the flow crosses the boundary in
-        # finite time, which must surface as a failed report rather than
-        # an exception
-        L = rl.poincare_disk_lagrangian()
-        e = 16.0
-        x0 = np.array([0.3, 0.0])
-        v0 = rl.rescale_to_energy(L, x0, np.array([0.2, 1.0]), e)
-        report = rl.check_geodesic_equivalence(L, e, x0, v0, 5.0)
-        assert not report.overall
-        assert report.error is not None
-        assert "DomainError" in report.error or "StepFailure" in report.error
+        # finite time; the isotropic oscillator from the origin at e = 0.5
+        # reaches the zero-velocity (Hill) curve, where the unit-speed
+        # affine run fails. Each must surface as a failed report naming
+        # the run that raised, rather than an exception
+        oscillator = rl.MechanicalLagrangian(
+            2, np.eye(2), potential=lambda xs: 0.5 * (xs[0] * xs[0] + xs[1] * xs[1])
+        )
+        for L, e, x0, y0, t_end, run in (
+            (rl.poincare_disk_lagrangian(), 16.0, [0.3, 0.0], [0.2, 1.0], 5.0,
+             "Euler-Lagrange flow: "),
+            (oscillator, 0.5, [0.0, 0.0], [1.0, 0.7], 1.5, "affine geodesic: StepFailure: "),
+        ):
+            x0 = np.array(x0)
+            v0 = rl.rescale_to_energy(L, x0, np.array(y0), e)
+            report = rl.check_geodesic_equivalence(L, e, x0, v0, t_end)
+            assert not report.overall
+            assert report.error is not None
+            assert "DomainError" in report.error or "StepFailure" in report.error
+            assert report.error.startswith(run), report.error
