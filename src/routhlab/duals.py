@@ -12,7 +12,8 @@ symmetric by construction because every update is either a symmetric matrix
 or an ``outer(a, b) + outer(b, a)`` pair.
 
 Math functions (:func:`sqrt`, :func:`exp`, ...) dispatch on type so the same
-model code runs on plain floats, :class:`Grad`, or :class:`HyperDual`.
+model code runs on plain floats, :class:`Grad`, :class:`HyperDual`, or a
+:class:`Symbol`, which records the operations as an expression tree.
 :func:`power` is the one constant-exponent rule for floats and duals, so a
 float and a dual evaluation of ``z ** p`` take the same value.
 """
@@ -27,11 +28,13 @@ import numpy as np
 __all__ = [
     "Grad",
     "HyperDual",
+    "Symbol",
     "seed_first",
     "seed_second",
     "value_of",
     "grad_of",
     "power",
+    "positive",
     "sqrt",
     "exp",
     "log",
@@ -236,16 +239,72 @@ class HyperDual:
         return f"HyperDual({self.v!r})"
 
 
+def _untraceable(*_):
+    raise TypeError("a traced value is not a number")
+
+
+def _records(tag: str, reflected: bool = False):
+    """The Symbol operator that records ``tag`` on itself and the other operand."""
+
+    def op(self, other):
+        if not isinstance(other, Symbol):
+            c = _as_float(other)
+            if c is None:
+                return NotImplemented
+            other = Symbol(("num", c))
+        return Symbol((tag, other.node, self.node) if reflected else (tag, self.node, other.node))
+
+    return op
+
+
+class Symbol:
+    """A traced scalar: each operation on it builds a node of an expression tree.
+
+    Numbers enter as ``("num", c)`` nodes, and ``**`` with a constant
+    exponent records :func:`power`, as duals apply it. Whatever needs the
+    number raises TypeError: ``float()``, truth tests, comparisons, numpy
+    ufuncs and the ``math`` functions.
+    """
+
+    __slots__ = ("node",)
+    __array_ufunc__ = None  # numpy scalars and arrays defer to the reflected operators
+
+    def __init__(self, node: tuple):
+        self.node = node
+
+    __add__, __radd__ = _records("+"), _records("+", True)
+    __sub__, __rsub__ = _records("-"), _records("-", True)
+    __mul__, __rmul__ = _records("*"), _records("*", True)
+    __truediv__, __rtruediv__ = _records("/"), _records("/", True)
+    __rpow__ = _records("^v", True)
+    __float__ = __bool__ = __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _untraceable
+
+    def __pow__(self, p):
+        # a symbolic exponent takes the exp-log form, as it does on duals
+        return _records("^v" if isinstance(p, Symbol) else "^")(self, p)
+
+    def __neg__(self):
+        return Symbol(("neg", self.node))
+
+    def call(self, name: str) -> "Symbol":
+        return Symbol(("call", name, self.node))
+
+    def __repr__(self):
+        return f"Symbol({self.node!r})"
+
+
 def power(z, p: float):
     """z ** p for a constant exponent p, by one rule for floats and duals.
 
     The value is z * z for p = 2 and an integer power for other integer p;
     a negative base with a fractional exponent raises ValueError instead of
     turning complex. Duals take their value from this rule and add the
-    derivatives.
+    derivatives; a Symbol records the rule, not the product it takes at p = 2.
     """
     if isinstance(z, (Grad, HyperDual)):
         return _pow_const(z, p)
+    if isinstance(z, Symbol):
+        return z**p
     if p == 2.0:
         return z * z
     if p == int(p):
@@ -253,6 +312,15 @@ def power(z, p: float):
     if z < 0.0:
         raise ValueError("negative base with fractional exponent")
     return z ** p
+
+
+def positive(z, message: str):
+    """z where its value is positive, else ValueError(message); a Symbol records the test."""
+    if isinstance(z, Symbol):
+        return Symbol(("pos", z.node, message))
+    if value_of(z) <= 0.0:
+        raise ValueError(message)
+    return z
 
 
 def _pow_const(z, p: float):
@@ -307,14 +375,14 @@ def sqrt(z):
             raise ValueError("sqrt of non-positive value")
         s = math.sqrt(z.v)
         return z.chain(s, 0.5 / s, -0.25 / (s * z.v))
-    return math.sqrt(z)
+    return z.call("sqrt") if isinstance(z, Symbol) else math.sqrt(z)
 
 
 def exp(z):
     if isinstance(z, (Grad, HyperDual)):
         f = math.exp(z.v)
         return z.chain(f, f, f)
-    return math.exp(z)
+    return z.call("exp") if isinstance(z, Symbol) else math.exp(z)
 
 
 def log(z):
@@ -322,18 +390,18 @@ def log(z):
         if z.v <= 0.0:
             raise ValueError("log of non-positive value")
         return z.chain(math.log(z.v), 1.0 / z.v, -1.0 / (z.v * z.v))
-    return math.log(z)
+    return z.call("log") if isinstance(z, Symbol) else math.log(z)
 
 
 def sin(z):
     if isinstance(z, (Grad, HyperDual)):
         s, c = math.sin(z.v), math.cos(z.v)
         return z.chain(s, c, -s)
-    return math.sin(z)
+    return z.call("sin") if isinstance(z, Symbol) else math.sin(z)
 
 
 def cos(z):
     if isinstance(z, (Grad, HyperDual)):
         s, c = math.sin(z.v), math.cos(z.v)
         return z.chain(c, -s, -c)
-    return math.cos(z)
+    return z.call("cos") if isinstance(z, Symbol) else math.cos(z)

@@ -13,7 +13,9 @@ v1..vn for velocities. A constant exponent follows
 :func:`routhlab.duals.power`; an exponent that reads a variable is evaluated
 as ``exp(e * log(b))``, which needs b > 0.
 
-Text is parsed once, to a tree of tuples. Two evaluators derive from it:
+Text is parsed once, to a tree of tuples; :func:`trace_expression` records
+the same kind of tree from generic arithmetic run once on symbols. Two
+evaluators derive from a tree:
 
 * ``Expression.__call__`` runs over plain floats or the dual types, so one
   parse serves values, coefficient gradients and the hyper-dual jet that
@@ -51,7 +53,7 @@ from . import duals
 from .errors import ArityError, ParseError
 from .jets import entrywise
 
-__all__ = ["Expression", "parse_expression"]
+__all__ = ["Expression", "parse_expression", "trace_expression"]
 
 _FUNCTIONS = {
     "sqrt": duals.sqrt,
@@ -79,6 +81,9 @@ _VAR_RE = re.compile(r"^([xv])([1-9][0-9]*)$")
 #   ("call", name, a)           name in _FUNCTIONS
 #   ("^", base, exponent)       exponent reads no variable: duals.power
 #   ("^v", base, exponent)      exponent reads a variable: exp(exponent * log(base))
+#   ("pos", a, message)         a where positive, else ValueError(message): duals.positive
+# Only traced trees (trace_expression) hold "pos" nodes or share a node, one
+# per value the traced function reuses; a kernel computes it once.
 
 
 @dataclass(frozen=True)
@@ -222,6 +227,8 @@ def _evaluator(node):
         return lambda xs, ys, f=_evaluator(node[1]): -f(xs, ys)
     if tag == "call":
         return lambda xs, ys, f=_FUNCTIONS[node[1]], a=_evaluator(node[2]): f(a(xs, ys))
+    if tag == "pos":
+        return lambda xs, ys, f=_evaluator(node[1]), m=node[2]: duals.positive(f(xs, ys), m)
     a, b = _evaluator(node[1]), _evaluator(node[2])
     if tag == "+":
         return lambda xs, ys: a(xs, ys) + b(xs, ys)
@@ -253,6 +260,10 @@ def _negative_base():
     raise ValueError("negative base with fractional exponent")
 
 
+def _not_positive(message):
+    raise ValueError(message)
+
+
 #: the only global names kernel code can read; temporaries are t0, t1, ...
 _KERNEL_GLOBALS = {
     "_sqrt": math.sqrt,
@@ -265,6 +276,7 @@ _KERNEL_GLOBALS = {
     "_sqrt_domain": _sqrt_domain,
     "_log_domain": _log_domain,
     "_negative_base": _negative_base,
+    "_not_positive": _not_positive,
     "_INF": math.inf,
     "_NAN": math.nan,
 }
@@ -345,6 +357,7 @@ class _KernelWriter:
         self.pairs = [(i, j) for i in rows for j in cols]
         self.lines = []
         self.count = 2 * n  # t0 .. t(2n-1) are the arguments: x, then y
+        self.done = {}  # id of a node already written: its jet
 
     # -- operands -----------------------------------------------------------
 
@@ -386,15 +399,15 @@ class _KernelWriter:
                 return c
         return self.emit(f"_{name}({self.lit(a)})")
 
-    def require(self, a, cmp: str, helper: str):
+    def require(self, a, cmp: str, helper: str, arg: str = ""):
         """Call helper, which raises, where ``a cmp 0.0``, as the dual path does."""
         if _const(a):
             if _COMPARE[cmp](a, 0.0):
-                self.lines.append(f"    {helper}()")
+                self.lines.append(f"    {helper}({arg})")
             return
         test = f"{a} {cmp} 0.0"
         self.lines.append(f"    if _any({test}):" if self.columns else f"    if {test}:")
-        self.lines.append(f"        {helper}()")
+        self.lines.append(f"        {helper}({arg})")
 
     # -- derivative entries, structural zeros dropped ---------------------------
 
@@ -444,6 +457,13 @@ class _KernelWriter:
     # -- hyper-dual rules -------------------------------------------------------
 
     def node(self, node):
+        """The jet of node, written once however often the tree reuses it."""
+        jet = self.done.get(id(node))
+        if jet is None:
+            jet = self.done[id(node)] = self.rule(node)
+        return jet
+
+    def rule(self, node):
         tag = node[0]
         if tag == "num":
             return node[1], None, None
@@ -464,6 +484,9 @@ class _KernelWriter:
             return self.neg(v), [self.neg(e) for e in g], [self.neg(e) for e in h]
         if tag == "call":
             return self.func(node[1], self.node(node[2]))
+        if tag == "pos":
+            self.require(self.node(node[1])[0], "<=", "_not_positive", repr(node[2]))
+            return self.node(node[1])
         if tag == "^":
             base = self.node(node[1])
             p, _, _ = self.node(node[2])
@@ -677,3 +700,39 @@ def parse_expression(text: str, dim: int | None = None, allow_velocity: bool = T
     if not allow_velocity and parser.max_v > 0:
         raise ArityError("velocity variables are not allowed in this expression")
     return Expression(source=text, tree=tree, max_x=parser.max_x, max_v=parser.max_v)
+
+
+#: the deepest traced tree compiled: the kernel writer recurses two frames a level
+MAX_TRACE_DEPTH = 200
+
+
+def _footprint(tree) -> tuple[int, int, int]:
+    """(max_x, max_v, depth): the highest indices a tree reads, 1-based, and its levels."""
+    top, depths = {"x": 0, "v": 0}, {}
+
+    def walk(node):
+        if id(node) not in depths:
+            if node[0] in top:
+                top[node[0]] = max(top[node[0]], node[1] + 1)
+            depths[id(node)] = 1 + max((walk(c) for c in node[1:] if type(c) is tuple), default=0)
+        return depths[id(node)]
+
+    depth = walk(tree)
+    return top["x"], top["v"], depth
+
+
+def trace_expression(fn, dim: int, source: str) -> Expression | None:
+    """The Expression that ``fn(xs, ys)`` records on Symbol stand-ins, or None.
+
+    fn runs once. None means that it needs numbers (``float()``, a branch
+    on a value, numpy ufuncs, ``math`` functions), raised, returned neither
+    a symbol nor a number, or built a tree deeper than MAX_TRACE_DEPTH.
+    """
+    xs, ys = ([duals.Symbol((kind, i)) for i in range(dim)] for kind in "xv")
+    try:
+        out = fn(xs, ys)
+        tree = out.node if isinstance(out, duals.Symbol) else ("num", float(out))
+        max_x, max_v, depth = _footprint(tree)
+    except Exception:  # raised again on numbers, where the hyper-dual path reports it
+        return None
+    return Expression(source, tree, max_x, max_v) if depth <= MAX_TRACE_DEPTH else None

@@ -34,9 +34,6 @@ from .jets import ScalarField, SecondJet, batch_rows, chain_jet, drive, lockstep
 from .lagrangian import (
     LagrangianModel,
     MagneticLagrangian,
-    _coeff_matrix,
-    _coeff_scalar,
-    _coeff_vector,
     _normalize_matrix_spec,
     _normalize_vector_spec,
 )
@@ -327,16 +324,17 @@ def _solve_energy_scales(L: LagrangianModel, xs, ys, e: float, tol: float = 1e-1
     """The scale s of :func:`solve_energy_scale` on every row of (xs, ys).
 
     Each row runs its own step routine, and every round probes all pending
-    scales with one batched fiber jet, residuals from stacked matmuls. A row
-    whose batched probe raises or is not finite is probed again alone,
-    through ``fiber_jet``, as the scalar solve probes it. A row's error
-    propagates from the first round that meets it.
+    scales with one batched fiber jet (skipping L's position predicate, which
+    the caller has run), residuals from stacked matmuls. A row whose batched
+    probe raises or is not finite is probed again alone, through
+    ``fiber_jet``, as the scalar solve probes it. A row's error propagates
+    from the first round that meets it.
     """
 
     def batch(rows, scales):
         ws = ys[rows] / np.array(scales)[:, None]
         try:
-            val, d_y, d_yy = L.eval_batch(xs[rows], ws, 1)
+            val, d_y, d_yy = L._eval_rows(xs[rows], ws, 1)
         except DomainError:
             return [None] * len(rows)
         r = ((ws[:, None, :] @ d_y[:, :, None])[:, 0, 0] - val - e).tolist()
@@ -392,18 +390,21 @@ class JacobiFinslerModel(FinslerModel):
     def eval_batch(self, xs, ys, order: int = 0):
         """Batched orders 0 and 1 on one lockstep scale solve over all rows.
 
-        The scales come from :func:`_solve_energy_scales`, then one batched
-        base evaluation at (x, y/s) feeds the assembly of ``eval``, with its
-        products as stacked matmuls. A batch in which any row fails goes
-        row by row, so the first failing row raises.
+        The rows are checked once: zero velocities in one stacked product,
+        the base's domain row by row. The scales come from
+        :func:`_solve_energy_scales`, then one batched base evaluation at
+        (x, y/s) feeds the assembly of ``eval``, with its products as
+        stacked matmuls. A batch in which any row fails goes row by row, so
+        the first failing row raises.
         """
         xs, ys = batch_rows(xs, ys)
-        if order not in (0, 1) or not self._rows_in_domain(xs, ys):
+        if order not in (0, 1) or ((ys[:, None, :] @ ys[:, :, None]) == 0.0).any() \
+                or not self.base._rows_in_domain(xs, ys):
             return super().eval_batch(xs, ys, order)
         try:
             s = _solve_energy_scales(self.base, xs, ys, self.e, tol=self.tol)
             vs = ys / s[:, None]
-            j = self.base.eval_batch(xs, vs, order)
+            j = self.base._eval_rows(xs, vs, order)
         except RouthlabError:
             return super().eval_batch(xs, ys, order)
         if order == 0:
@@ -459,6 +460,24 @@ def jacobi_finsler(L: LagrangianModel, e: float, tol: float = 1e-12) -> JacobiFi
 # -- quadratic-plus-linear closed form ------------------------------------------
 
 
+def _coeff(spec, x: np.ndarray, shape: tuple, grads: bool = False):
+    """A coefficient at x as a float array of ``shape``, and if asked its
+    x-gradients, of shape (n, *shape), from a call on Grad seeds."""
+    n = x.shape[0]
+    if not callable(spec):
+        vals = np.broadcast_to(np.asarray(0.0 if spec is None else spec, float), shape)
+        return vals, (np.zeros((n, *shape)) if grads else None)
+    try:
+        zs = np.array(spec(seed_first(x) if grads else x.tolist()), dtype=object).ravel()
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(str(exc)) from exc
+    vals = np.array([value_of(z) for z in zs]).reshape(shape)
+    if not grads:
+        return vals, None
+    # C order, as einsum sums it: a strided view can round differently
+    return vals, np.ascontiguousarray(np.array([grad_of(z, n) for z in zs]).T.reshape(n, *shape))
+
+
 class RandersModel(FinslerModel):
     """F = sqrt(y . G(x) y) + B(x) . y with exact analytic jets.
 
@@ -488,9 +507,9 @@ class RandersModel(FinslerModel):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         self.domain_check(x, y)
-        grads = order == 2
-        g, dg = _coeff_matrix(self.metric, x, grads)
-        b, db = _coeff_vector(self.beta, x, grads)
+        n, grads = self.dim, order == 2
+        g, dg = _coeff(self.metric, x, (n, n), grads)
+        b, db = _coeff(self.beta, x, (n,), grads)
         w = g @ y
         a = float(y @ w)
         if a <= 0.0:
@@ -564,9 +583,9 @@ def randers_global_criterion(L: MagneticLagrangian, e: float, points) -> tuple[b
     worst = -np.inf
     for p in points:
         x = np.asarray(p, float)
-        g, _ = _coeff_matrix(L.metric, x, grads=False)
-        b, _ = _coeff_vector(L.beta, x, grads=False)
-        pot, _ = _coeff_scalar(L.potential, x, grads=False)
+        g, _ = _coeff(L.metric, x, (L.dim, L.dim))
+        b, _ = _coeff(L.beta, x, (L.dim,))
+        pot = float(_coeff(L.potential, x, ())[0])
         bound = 0.5 * float(b @ np.linalg.solve(g, b)) + pot
         worst = max(worst, bound)
     if not np.isfinite(worst):

@@ -11,8 +11,8 @@ Index convention: ``d_xy[i, j]`` is the derivative first in ``x[i]``, then in
 Every field evaluates through one method, ``eval(x, y, order)``: order 0 is
 the value, order 1 the velocity-only fiber jet (value, d_y, d_yy), and order
 2 the :class:`SecondJet`. A model family writes its formula once, and its
-lower orders skip only the coefficient gradients and blocks they do not
-need; ``value`` and ``fiber_jet`` are one-line wrappers. ``eval_batch``
+lower orders skip only the blocks they do not need; ``value`` and
+``fiber_jet`` are one-line wrappers. ``eval_batch``
 evaluates orders 0 and 1 on every row of (k, n) arrays at once, with the
 bits of the row loop. :func:`jet` adds input and output validation, and the
 independent finite-difference oracle :func:`fd_jet` cross-checks every
@@ -92,31 +92,29 @@ class ScalarField:
     def eval(self, x: np.ndarray, y: np.ndarray, order: int = 2):
         """Value (order 0), fiber jet (order 1) or SecondJet (order 2) of expr.
 
-        Order 0 runs ``expr`` on plain floats; orders 1 and 2 read the
-        blocks of its hyper-dual propagation.
+        Order 0 runs ``expr`` on plain floats. Orders 1 and 2 read its
+        hyper-dual propagation: order 1 seeds the velocities and keeps the
+        positions floats, and order 2 seeds all 2n slots.
         """
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         self.domain_check(x, y)
-        if order == 0:
-            try:
-                return float(value_of(self.expr(x.tolist(), y.tolist())))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DomainError(str(exc)) from exc
         n = self.dim
-        seeds = seed_second(np.concatenate([x, y]))
         try:
-            out = self.expr(seeds[:n], seeds[n:])
+            if order == 0:
+                return float(value_of(self.expr(x.tolist(), y.tolist())))
+            if order == 1:
+                out = self.expr(x.tolist(), seed_second(y))
+            else:
+                seeds = seed_second(np.concatenate([x, y]))
+                out = self.expr(seeds[:n], seeds[n:])
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(str(exc)) from exc
         val = value_of(out)
-        if hasattr(out, "h"):
-            g, h = out.g, out.h
-        else:
-            g = np.zeros(2 * n)
-            h = np.zeros((2 * n, 2 * n))
+        m = n if order == 1 else 2 * n
+        g, h = (out.g, out.h) if hasattr(out, "h") else (np.zeros(m), np.zeros((m, m)))
         if order == 1:
-            return val, np.array(g[n:]), np.array(h[n:, n:])
+            return val, np.array(g), np.array(h)
         return SecondJet(
             value=val,
             d_x=np.array(g[:n]),
@@ -154,6 +152,10 @@ class ScalarField:
             np.array([r[1] for r in rows], float).reshape(k, n),
             np.array([r[2] for r in rows], float).reshape(k, n, n),
         )
+
+    def _eval_rows(self, xs, ys, order: int):
+        """``eval_batch`` on rows whose positions passed ``_domain``, which it may skip."""
+        return self.eval_batch(xs, ys, order)
 
     def _rows_in_domain(self, xs, ys) -> bool:
         """Whether ``domain_check`` passes on every row; a row that raises says no."""

@@ -1,12 +1,14 @@
 """Lagrangian model families and the Euler-Lagrange flow.
 
-Families provide exact analytic jets assembled from their coefficient
-functions; coefficients (metric entries, magnetic one-form components,
-potential) may be constants or position-dependent callables written in
-generic arithmetic, in which case their position gradients are obtained by
-first-order dual propagation. All families also expose the generic
-expression path, so the analytic assemblies can be cross-checked against
-plain hyper-dual propagation and against finite differences.
+Each family writes its Lagrangian once, as ``expr(xs, ys)`` in generic
+arithmetic over coefficients (metric entries, magnetic one-form components,
+potential) that are constants or position callables. At construction
+``expr`` is traced once into an expression tree, which calls each callable
+once, so callables must be pure; the model then evaluates through the
+tree's compiled kernels, as DSL models do. A callable that needs numbers
+(``float()``, a branch on a value, ``math`` or numpy functions) leaves the
+model untraced, on the :class:`~routhlab.jets.ScalarField` hyper-dual
+defaults over ``expr``.
 
 The mixed-derivative convention follows :mod:`routhlab.jets`:
 ``d_xy[i, j]`` differentiates first in ``x[i]``, then in ``v[j]``.
@@ -14,15 +16,13 @@ The mixed-derivative convention follows :mod:`routhlab.jets`:
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .duals import grad_of, seed_first, sqrt, value_of
+from .duals import positive, power, value_of
 from .errors import DomainError, PreconditionError, RouthlabError, SingularHessian
-from .expressions import Expression, parse_expression
+from .expressions import Expression, parse_expression, trace_expression
 from .integrators import Trajectory, solve_ode
-from .jets import ScalarField, SecondJet, batch_rows, chain_jet, entrywise, solve_linear
+from .jets import ScalarField, SecondJet, batch_rows, solve_linear
 
 __all__ = [
     "LagrangianModel",
@@ -39,125 +39,6 @@ __all__ = [
     "el_acceleration",
     "integrate_el",
 ]
-
-
-# -- coefficient evaluation ---------------------------------------------------
-
-
-def _call_spec(spec, x: np.ndarray, grads: bool):
-    """A coefficient callable at x: on Grad seeds for gradients, else on floats."""
-    xs = seed_first(x) if grads else [float(c) for c in x]
-    try:
-        return spec(xs)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(str(exc)) from exc
-
-
-def _coeff_matrix(spec, x: np.ndarray, grads: bool):
-    """Values (and optionally x-gradients) of an n-by-n coefficient matrix."""
-    n = x.shape[0]
-    if isinstance(spec, np.ndarray):
-        return spec, (np.zeros((n, n, n)) if grads else None)
-    rows = _call_spec(spec, x, grads)
-    vals = np.empty((n, n))
-    dvals = np.zeros((n, n, n)) if grads else None
-    for i in range(n):
-        for j in range(n):
-            z = rows[i][j]
-            vals[i, j] = value_of(z)
-            if grads:
-                dvals[:, i, j] = grad_of(z, n)
-    return vals, dvals
-
-
-def _coeff_vector(spec, x: np.ndarray, grads: bool):
-    n = x.shape[0]
-    if spec is None:
-        return np.zeros(n), (np.zeros((n, n)) if grads else None)
-    if isinstance(spec, np.ndarray):
-        return spec, (np.zeros((n, n)) if grads else None)
-    comps = _call_spec(spec, x, grads)
-    vals = np.empty(n)
-    dvals = np.zeros((n, n)) if grads else None
-    for i in range(n):
-        vals[i] = value_of(comps[i])
-        if grads:
-            dvals[:, i] = grad_of(comps[i], n)
-    return vals, dvals
-
-
-def _coeff_scalar(spec, x: np.ndarray, grads: bool):
-    n = x.shape[0]
-    if spec is None:
-        return 0.0, (np.zeros(n) if grads else None)
-    if isinstance(spec, (int, float)):
-        return float(spec), (np.zeros(n) if grads else None)
-    z = _call_spec(spec, x, grads)
-    return value_of(z), (grad_of(z, n) if grads else None)
-
-
-_float_pow = entrywise(operator.pow)
-
-#: ufuncs whose float64 results are those of Python float arithmetic
-_EXACT_UFUNCS = frozenset({np.add, np.subtract, np.multiply, np.true_divide,
-                           np.negative, np.positive, np.absolute})
-
-
-class _Lanes(np.ndarray):
-    """One position coordinate over every row of a batch.
-
-    A coefficient callable runs once on these columns instead of once per
-    row, and each entry must come out as the row's float arithmetic gives
-    it. So +, -, *, /, abs and the signs run as ufuncs, and ``**`` runs
-    Python's float power entry by entry: numpy's power kernels, and the
-    square and square root it puts in for ``**2`` and ``**0.5``, round
-    differently from libm's ``pow``. Every other ufunc, and conversion to
-    one float, raises TypeError, and the batch goes row by row.
-    """
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method != "__call__" or kwargs or ufunc not in _EXACT_UFUNCS:
-            return NotImplemented
-        args = [a.view(np.ndarray) if isinstance(a, _Lanes) else a for a in inputs]
-        return ufunc(*args).view(_Lanes)
-
-    def __pow__(self, p):
-        return _float_pow(self, p).view(_Lanes)
-
-    def __float__(self):
-        raise TypeError("a batch column is not one number")
-
-
-def _batch_coeff(spec, xs: np.ndarray, shape: tuple):
-    """A coefficient on every row of xs as a (k, *shape) array, or None.
-
-    Constants broadcast, and a callable runs once on the position columns.
-    None, which sends the batch row by row, means the call raised, hit a
-    floating-point exception, or gave an entry that is not finite.
-    """
-    k, n = xs.shape
-    out = np.empty((k, *shape))
-    if spec is None:
-        out.fill(0.0)
-    elif isinstance(spec, np.ndarray if shape else (int, float)):
-        out[...] = spec
-    else:
-        try:
-            with np.errstate(all="raise"):
-                z = spec([xs[:, i].view(_Lanes) for i in range(n)])
-                if len(shape) == 2:
-                    for i in range(n):
-                        for j in range(n):
-                            out[:, i, j] = z[i][j]
-                elif shape:
-                    for i in range(n):
-                        out[:, i] = z[i]
-                else:
-                    out[:] = z
-        except Exception:
-            # the row loop calls it on floats and raises what a row raises
-            return None
-    return out if np.isfinite(out).all() else None
 
 
 def _normalize_matrix_spec(spec, dim: int):
@@ -197,7 +78,66 @@ def _half_quadratic(metric, xs, ys):
 
 
 class LagrangianModel(ScalarField):
-    """A time-independent Lagrangian L(x, v) with second-order jets."""
+    """A time-independent Lagrangian L(x, v) with second-order jets.
+
+    ``expression`` is its tree, parsed or traced, or None for a model that
+    runs the :class:`ScalarField` defaults over ``expr``.
+    """
+
+    expression: Expression | None = None
+
+    def eval(self, x, y, order: int = 2):
+        """Value from the tree's float closures, fiber and full jets from its kernels.
+
+        The kernels equal ``ScalarField.eval``, the hyper-dual jets of
+        ``expr``, bit for bit wherever those are finite, up to the sign of
+        zero entries. As there, order 1 keeps the positions floats: a
+        position-only ``sqrt(x1)`` at x1 = 0 is 0.0 at orders 0 and 1, while
+        order 2 raises DomainError because the dual sqrt needs x1 > 0.
+        """
+        if self.expression is None:
+            return super().eval(x, y, order)
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
+        self.domain_check(x, y)
+        if order:
+            kernel = self.expression.jet_kernel("fiber" if order == 1 else "full", self.dim)
+        try:
+            if order == 0:
+                return float(value_of(self.expression.fn(x.tolist(), y.tolist())))
+            out = kernel(*x.tolist(), *y.tolist())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(str(exc)) from exc
+        return out if order == 1 else SecondJet(*out)
+
+    def eval_batch(self, xs, ys, order: int = 0):
+        """Orders 0 and 1 from the ``"columns"`` kernel, run once on all rows.
+
+        A batch in which a domain guard fires, a floating-point operation
+        raises or an entry is not finite goes row by row, so the first
+        failing row raises.
+        """
+        xs, ys = batch_rows(xs, ys)
+        if self.expression is None or order not in (0, 1) or not self._rows_in_domain(xs, ys):
+            return super().eval_batch(xs, ys, order)
+        return self._columns(xs, ys, order)
+
+    def _eval_rows(self, xs, ys, order: int):
+        if self.expression is None or type(self).domain_check is not ScalarField.domain_check:
+            return self.eval_batch(xs, ys, order)
+        return self._columns(*batch_rows(xs, ys), order)
+
+    def _columns(self, xs, ys, order: int):
+        try:
+            kernel = self.expression.jet_kernel("columns", self.dim)
+            with np.errstate(all="raise"):
+                val, d_y, d_yy = kernel(*xs.T, *ys.T)
+            if np.isfinite(val).all() and np.isfinite(d_y).all() and np.isfinite(d_yy).all():
+                return val if order == 0 else (val, d_y, d_yy)
+        except (ArithmeticError, ValueError, TypeError, RouthlabError):
+            pass
+        # the row loop raises what a row raises
+        return ScalarField.eval_batch(self, xs, ys, order)
 
 
 class MagneticLagrangian(LagrangianModel):
@@ -218,52 +158,9 @@ class MagneticLagrangian(LagrangianModel):
         self.beta = _normalize_vector_spec(beta, self.dim)
         self.potential = potential
         self._domain = domain
-
-    def eval(self, x, y, order: int = 2):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        grads = order == 2
-        g, dg = _coeff_matrix(self.metric, x, grads)
-        b, db = _coeff_vector(self.beta, x, grads)
-        v, dv = _coeff_scalar(self.potential, x, grads)
-        gy = g @ y
-        val = 0.5 * float(y @ gy) + float(b @ y) - v
-        if order == 0:
-            return val
-        if order == 1:
-            return val, gy + b, g
-        return SecondJet(
-            value=val,
-            d_x=0.5 * np.einsum("bij,i,j->b", dg, y, y) + db @ y - dv,
-            d_y=gy + b,
-            d_yy=g,
-            d_xy=np.einsum("bij,j->bi", dg, y) + db,
-        )
-
-    def eval_batch(self, xs, ys, order: int = 0):
-        """Batched orders 0 and 1: one coefficient call, then stacked matmuls.
-
-        Every product that ``eval`` forms with ``@`` is a stacked ``np.matmul``
-        here, which OpenBLAS rounds as it rounds the one-row product.
-        """
-        xs, ys = batch_rows(xs, ys)
-        n = self.dim
-        g = _batch_coeff(self.metric, xs, (n, n))
-        b = _batch_coeff(self.beta, xs, (n,))
-        v = _batch_coeff(self.potential, xs, ())
-        if order not in (0, 1) or g is None or b is None or v is None \
-                or not self._rows_in_domain(xs, ys):
-            return super().eval_batch(xs, ys, order)
-        gy = g @ ys[:, :, None]
-        by = (b[:, None, :] @ ys[:, :, None])[:, 0, 0]
-        val = 0.5 * (ys[:, None, :] @ gy)[:, 0, 0] + by - v
-        if order == 0:
-            return val
-        return val, gy[:, :, 0] + b, g
+        self.expression = trace_expression(self.expr, self.dim, "MagneticLagrangian.expr")
 
     def expr(self, xs, ys):
-        # generic-arithmetic form, used to cross-check the analytic assembly
         n = self.dim
         acc = _half_quadratic(self.metric, xs, ys)
         if self.beta is not None:
@@ -288,7 +185,9 @@ class MechanicalLagrangian(MagneticLagrangian):
 class PowerQuadraticLagrangian(LagrangianModel):
     """L = (1/2 v.g(x).v)^(k/2), positively homogeneous of degree k in v.
 
-    Strongly convex on the slit v != 0 for k >= 2 and positive definite g.
+    Strongly convex on the slit v != 0 for k >= 2 and positive definite g;
+    for k != 2, evaluation where the quadratic form is not positive raises
+    DomainError.
     """
 
     family = "k_homogeneous"
@@ -300,64 +199,14 @@ class PowerQuadraticLagrangian(LagrangianModel):
         self.metric = _normalize_matrix_spec(metric, self.dim)
         self.degree = int(degree)
         self._domain = domain
-
-    def eval(self, x, y, order: int = 2):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        g, dg = _coeff_matrix(self.metric, x, order == 2)
-        gy = g @ y
-        q = 0.5 * float(y @ gy)
-        p = 0.5 * self.degree
-        if p != 1.0 and q <= 0.0:
-            raise DomainError("velocity outside the slit domain (quadratic form not positive)")
-        if order == 0:
-            return q if p == 1.0 else q**p
-        if order == 1:
-            quad = q, gy, g
-        else:
-            quad = SecondJet(
-                value=q,
-                d_x=0.5 * np.einsum("bij,i,j->b", dg, y, y),
-                d_y=gy,
-                d_yy=g,
-                d_xy=np.einsum("bij,j->bi", dg, y),
-            )
-        if p == 1.0:
-            return quad
-        return chain_jet(quad, q**p, p * q ** (p - 1.0), p * (p - 1.0) * q ** (p - 2.0))
-
-    def eval_batch(self, xs, ys, order: int = 0):
-        """Batched orders 0 and 1, as :meth:`MagneticLagrangian.eval_batch`.
-
-        The powers of q run on Python floats, one row at a time.
-        """
-        xs, ys = batch_rows(xs, ys)
-        g = _batch_coeff(self.metric, xs, (self.dim, self.dim))
-        if order not in (0, 1) or g is None or not self._rows_in_domain(xs, ys):
-            return super().eval_batch(xs, ys, order)
-        gy = (g @ ys[:, :, None])[:, :, 0]
-        q = 0.5 * (ys[:, None, :] @ gy[:, :, None])[:, 0, 0]
-        p = 0.5 * self.degree
-        if p == 1.0:
-            return q if order == 0 else (q, gy, g)
-        if (q <= 0.0).any():
-            return super().eval_batch(xs, ys, order)
-        qs = q.tolist()
-        f0 = np.array([t**p for t in qs])
-        if order == 0:
-            return f0
-        f1 = np.array([p * t ** (p - 1.0) for t in qs])[:, None]
-        f2 = np.array([p * (p - 1.0) * t ** (p - 2.0) for t in qs])[:, None, None]
-        return f0, f1 * gy, f1[:, :, None] * g + f2 * (gy[:, :, None] * gy[:, None, :])
+        self.expression = trace_expression(self.expr, self.dim, "PowerQuadraticLagrangian.expr")
 
     def expr(self, xs, ys):
-        acc = _half_quadratic(self.metric, xs, ys)
+        q = _half_quadratic(self.metric, xs, ys)
         if self.degree == 2:
-            return acc
-        if self.degree % 2 == 0:
-            return acc ** (self.degree // 2)
-        return sqrt(acc) ** self.degree
+            return q
+        slit = "velocity outside the slit domain (quadratic form not positive)"
+        return power(positive(q, slit), 0.5 * self.degree)
 
 
 class HomogeneousLagrangian(LagrangianModel):
@@ -420,53 +269,6 @@ class ExpressionLagrangian(LagrangianModel):
 
     def expr(self, xs, ys):
         return self.expression.fn(xs, ys)
-
-    def eval(self, x, y, order: int = 2):
-        """Value from the float closures, fiber and full jets from the kernels.
-
-        The kernels equal the hyper-dual jets of ``expr`` (``ScalarField.eval``)
-        bit for bit wherever those are finite, up to the sign of zero
-        entries. The fiber kernel seeds only the velocities, so
-        subexpressions of position alone are float arithmetic, as at order
-        0. It can therefore succeed where the full kernel cannot: a
-        position-only ``sqrt(x1)`` at x1 = 0 is the float 0.0 at orders 0
-        and 1, while order 2 raises DomainError because the dual sqrt needs
-        x1 > 0.
-        """
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        if order:
-            kernel = self.expression.jet_kernel("fiber" if order == 1 else "full", self.dim)
-        try:
-            if order == 0:
-                return float(value_of(self.expression.fn(x.tolist(), y.tolist())))
-            out = kernel(*x.tolist(), *y.tolist())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(str(exc)) from exc
-        return out if order == 1 else SecondJet(*out)
-
-    def eval_batch(self, xs, ys, order: int = 0):
-        """Batched orders 0 and 1: the ``"columns"`` kernel, run once on all rows.
-
-        Order 0 is the kernel's value entry, which is the float evaluation's
-        value. A batch in which a domain guard fires, a floating-point
-        operation raises or an entry is not finite goes row by row, so the
-        first failing row raises.
-        """
-        xs, ys = batch_rows(xs, ys)
-        if order not in (0, 1) or not self._rows_in_domain(xs, ys):
-            return super().eval_batch(xs, ys, order)
-        try:
-            kernel = self.expression.jet_kernel("columns", self.dim)
-            with np.errstate(all="raise"):
-                val, d_y, d_yy = kernel(*xs.T, *ys.T)
-        except (ArithmeticError, ValueError, TypeError, RouthlabError):
-            # the row loop raises what a row raises
-            return super().eval_batch(xs, ys, order)
-        if not (np.isfinite(val).all() and np.isfinite(d_y).all() and np.isfinite(d_yy).all()):
-            return super().eval_batch(xs, ys, order)
-        return val if order == 0 else (val, d_y, d_yy)
 
     def describe(self) -> dict:
         d = super().describe()

@@ -243,6 +243,14 @@ def test_fiber_jet_agrees_with_full_jet(rng):
     np.testing.assert_array_equal(d_yy, [[0.0]])
 
 
+# the classes that write an eval: the compiled path for every Lagrangian with
+# an expression tree, the hyper-dual default, and the wrappers and closed forms
+EVAL_CLASSES = {rl.ScalarField, rl.LagrangianModel, rl.HomogeneousLagrangian,
+                rl.HomogenizedLagrangian, rl.JacobiFinslerModel, rl.RandersModel,
+                importlib.import_module("routhlab.homogenize").PowerScaledFinsler,
+                rl.GaugeShiftedModel, rl.ReducedLagrangian}
+
+
 def test_only_the_base_field_defines_value_and_fiber_jet():
     # every model evaluates through its one eval; value and fiber_jet are
     # the base class's wrappers
@@ -253,13 +261,11 @@ def test_only_the_base_field_defines_value_and_fiber_jet():
                 continue
             if cls is not rl.ScalarField:
                 assert "value" not in vars(cls) and "fiber_jet" not in vars(cls), cls
-    for cls in FAMILY_CLASSES:
-        assert "eval" in vars(cls), cls
+            assert ("eval" in vars(cls)) == (cls in EVAL_CLASSES), cls
 
 
 # the classes that override eval_batch; every other model runs the row loop
-BATCH_CLASSES = {rl.ScalarField, rl.MagneticLagrangian, rl.PowerQuadraticLagrangian,
-                 rl.JacobiFinslerModel, rl.ExpressionLagrangian, rl.ReducedLagrangian}
+BATCH_CLASSES = {rl.ScalarField, rl.LagrangianModel, rl.JacobiFinslerModel, rl.ReducedLagrangian}
 
 
 def test_only_the_batching_families_define_eval_batch():
@@ -268,6 +274,48 @@ def test_only_the_batching_families_define_eval_batch():
         for cls in vars(module).values():
             if isinstance(cls, type) and cls.__module__ == module.__name__:
                 assert ("eval_batch" in vars(cls)) == (cls in BATCH_CLASSES), cls
+
+
+def _blocks(out):
+    """The arrays of an eval result at any order, in a fixed order."""
+    if isinstance(out, rl.SecondJet):
+        return [out.value, out.d_x, out.d_y, out.d_yy, out.d_xy]
+    return list(out) if isinstance(out, tuple) else [out]
+
+
+def test_traced_families_equal_the_hyper_dual_oracle(rng):
+    # a model with a tree runs its kernels, and they give the bits of
+    # ScalarField.eval, the hyper-dual propagation of expr, wherever that is
+    # finite (zeros up to sign); batches give the bits of its row loop
+    traced = [m for m in _every_family(rng) if getattr(m, "expression", None) is not None]
+    assert {type(m) for m in traced} == {rl.MagneticLagrangian, rl.MechanicalLagrangian,
+                                         rl.PowerQuadraticLagrangian, rl.ExpressionLagrangian}
+    assert len(traced) == 8
+    for model in traced:
+        name = type(model).__name__
+        n = model.dim
+        xs = rng.uniform(-0.9, 0.9, (150, n))
+        ys = rng.uniform(-1.5, 1.5, (150, n))
+        ys[::25] = 0.0
+        good = []
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            for order in (0, 1, 2):
+                try:
+                    want = rl.ScalarField.eval(model, x, y, order)
+                except rl.DomainError:
+                    with pytest.raises(rl.DomainError):
+                        model.eval(x, y, order)
+                    continue
+                got = model.eval(x, y, order)
+                for a, b in zip(_blocks(got), _blocks(want), strict=True):
+                    np.testing.assert_array_equal(a, b, err_msg=name)
+                good += [i] if order == 1 else []
+        assert len(good) >= 100, name
+        for order in (0, 1):
+            got = model.eval_batch(xs[good], ys[good], order)
+            want = rl.ScalarField.eval_batch(model, xs[good], ys[good], order)
+            for a, b in zip(_blocks(got), _blocks(want), strict=True):
+                np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def _row_loop(model, xs, ys, order):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from routhlab import (
     ArityError,
     DomainError,
+    MagneticLagrangian,
     ParseError,
     ScalarField,
     StencilDomainError,
@@ -226,6 +227,43 @@ def test_kernels_equal_the_hyper_dual_oracle(source):
         assert fiber[0] == oracle.value, source
         np.testing.assert_array_equal(fiber[1], oracle.d_y, err_msg=source)
         np.testing.assert_array_equal(fiber[2], oracle.d_yy, err_msg=source)
+
+
+def _jet_blocks(out):
+    if out is None or isinstance(out, float):
+        return [out]
+    return [out.value, out.d_x, out.d_y, out.d_yy, out.d_xy] if hasattr(out, "d_x") else list(out)
+
+
+@settings(max_examples=200)
+@given(sources=st.tuples(_SOURCES, _SOURCES, _SOURCES))
+def test_traced_coefficients_equal_the_hyper_dual_oracle(sources):
+    # random trees as the metric, one-form and potential callables of a
+    # magnetic model, config-style; the traced tree reuses each one's nodes
+    g, b, p = (parse_expression(s.replace("v", "x"), dim=2, allow_velocity=False) for s in sources)
+    model = MagneticLagrangian(
+        2,
+        lambda xs: [[g(xs, ()), b(xs, ())], [b(xs, ()), 1.5]],
+        beta=lambda xs: [b(xs, ()), g(xs, ())],
+        potential=lambda xs: p(xs, ()),
+    )
+    if model.expression is None:
+        # tracing runs a constant subtree on floats, and one that raises
+        # there, such as the log(0) of 0^x1, raises at every point
+        assert all(_outcome(lambda: ScalarField.eval(model, x, y, 0))[1] for x, y in _points())
+        return
+    for x, y in _points():
+        for order in (0, 1, 2):
+            oracle, oracle_err = _outcome(lambda: ScalarField.eval(model, x, y, order))
+            got, got_err = _outcome(lambda: model.eval(x, y, order))
+            assert got_err is oracle_err, (sources, order)
+            if oracle is not None and _finite(*_jet_blocks(oracle)):
+                for a, c in zip(_jet_blocks(got), _jet_blocks(oracle), strict=True):
+                    np.testing.assert_array_equal(a, c, err_msg=str(sources))
+    xs, ys = (np.array(c) for c in zip(*_points()))
+    for order in (0, 1):
+        assert _row_outcome(lambda: model.eval_batch(xs, ys, order)) == \
+            _row_outcome(lambda: ScalarField.eval_batch(model, xs, ys, order)), (sources, order)
 
 
 _KERNEL_NODES = (

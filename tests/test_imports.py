@@ -6,6 +6,9 @@ module reads it anywhere, or re-exports it through ``__all__``. And no
 module evaluates a model once per sample in a loop: per-sample diagnostics
 go through ``eval_batch``. And only ``jets`` drives step routines: their
 ``send`` and ``throw`` calls live in ``jets.lockstep`` and ``jets.drive``.
+And only ``expressions`` turns text into code, with ``compile`` and
+``exec``: kernel text is written from expression trees, never from the
+source of a callable.
 """
 
 import ast
@@ -133,3 +136,37 @@ def test_the_guard_flags_a_routine_driven_by_hand():
         "send(x)\n"
     )
     assert _routine_calls(tree) == [(1, "send"), (3, "throw")]
+
+
+# the builtins that turn text into code
+CODE_CALLS = {"compile", "exec"}
+
+
+def _code_calls(tree):
+    """(line, name) of each call of the builtin ``compile`` or ``exec``."""
+    return sorted(
+        (node.lineno, node.func.id)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in CODE_CALLS
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_expressions_compiles_code(path):
+    calls = _code_calls(ast.parse(path.read_text(), filename=str(path)))
+    if path.name == "expressions.py":
+        assert calls, "expressions.py no longer compiles the jet kernels"
+    else:
+        assert not calls, f"{path.name} compiles code: {calls}; kernels come from expressions"
+
+
+def test_the_guard_flags_code_built_from_text():
+    tree = ast.parse(
+        "code = compile(text, name, 'exec')\n"
+        "pattern = re.compile(r'x[0-9]+')\n"
+        "exec(code, namespace)\n"
+        "kernel = expression.jet_kernel('fiber', 2)\n"
+    )
+    assert _code_calls(tree) == [(1, "compile"), (3, "exec")]

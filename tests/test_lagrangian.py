@@ -1,9 +1,14 @@
 """Lagrangian models: frozen reference values, energy, convexity, EL flow."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 import routhlab as rl
+from routhlab.config import build_model
+from routhlab.duals import cos, sin
 
 # Reference values for the hyperbolic-disk Lagrangian with rotation number 1,
 #   L = |v|^2 / (4 (1-|x|^2)^2) + (x2 v1 - x1 v2) / (2 (1-|x|^2)),
@@ -39,7 +44,7 @@ def test_disk_domain_is_the_open_unit_ball():
 
 
 def test_analytic_jets_match_expression_route(rng):
-    """The hand-coded magnetic jets agree with the parsed-expression model."""
+    """The traced magnetic jets agree with the parsed-expression model."""
     analytic = rl.MagneticLagrangian(
         2,
         lambda xs: [[1.0 + xs[1] * xs[1], 0.0], [0.0, 2.0]],
@@ -151,3 +156,130 @@ def test_singular_velocity_hessian_is_reported():
     flat = rl.parse_lagrangian("v1^2", dim=2)  # v2 direction is flat
     with pytest.raises(rl.SingularHessian):
         rl.el_acceleration(flat, np.zeros(2), np.ones(2))
+
+
+def _orders_and_batches(model, xs, ys):
+    """Every order of eval on every row, then both orders of eval_batch."""
+    for x, y in zip(xs, ys):
+        for order in (0, 1, 2):
+            model.eval(x, y, order)
+    model.eval_batch(xs, ys, 0)
+    model.eval_batch(xs, ys, 1)
+
+
+def test_coefficient_callables_are_traced_once(rng):
+    # construction traces expr once; no evaluation calls a coefficient again
+    calls = []
+
+    def counted(value):
+        def fn(xs):
+            calls.append(fn)
+            return value(xs)
+        return fn
+
+    xs = rng.uniform(-0.5, 0.5, (20, 2))
+    ys = rng.uniform(0.5, 1.0, (20, 2))
+    models = [
+        rl.MagneticLagrangian(
+            2, counted(lambda xs: [[1.0 + xs[0] * xs[0], 0.1 * xs[1]], [0.1 * xs[1], 2.0]]),
+            beta=counted(lambda xs: [xs[1], -xs[0]]),
+            potential=counted(lambda xs: 0.3 * xs[0] * xs[1])),
+        rl.PowerQuadraticLagrangian(
+            2, counted(lambda xs: [[1.0 + xs[0] * xs[0], 0.0], [0.0, 1.5]]), degree=3),
+    ]
+    assert len(calls) == 4
+    for model in models:
+        assert model.expression is not None
+        _orders_and_batches(model, xs, ys)
+    assert len(calls) == 4
+    # a level metric over a traced base never calls them either
+    level = rl.jacobi_finsler(models[0], 2.0)
+    _orders_and_batches(level, xs, ys)
+    assert len(calls) == 4
+
+
+def test_configured_coefficients_are_traced():
+    # expression strings in a config become Expression.fn callables, which
+    # trace like any other generic arithmetic
+    cfg = {"lagrangian": {"family": "magnetic", "dim": 2,
+                          "metric": [["1 + 0.25*x1^2", 0], [0, "exp(x2)"]],
+                          "beta": ["0.5*x2", "-0.5*x1"], "potential": "sqrt(2 + x1)"}}
+    L = build_model(cfg)
+    assert L.expression is not None
+    twin = rl.parse_lagrangian(
+        "0.5*(1 + 0.25*x1^2)*v1*v1 + 0.5*exp(x2)*v2*v2 + 0.5*x2*v1 + (-0.5*x1)*v2 - sqrt(2 + x1)")
+    for x, y in [([0.3, -0.2], [0.7, 1.1]), ([-1.0, 0.5], [0.2, -0.4])]:
+        a, b = L.eval(x, y), twin.eval(x, y)
+        for block in ("d_x", "d_y", "d_yy", "d_xy"):
+            np.testing.assert_allclose(getattr(a, block), getattr(b, block), rtol=1e-14)
+
+
+# coefficient callables that need numbers, each beside a traceable twin
+UNTRACEABLE = [
+    (lambda xs: 0.3 * np.sin(xs[0]) * np.cos(xs[1]), lambda xs: 0.3 * sin(xs[0]) * cos(xs[1])),
+    (lambda xs: 0.2 * xs[0] * xs[0] if xs[0] > 0.0 else 0.0, lambda xs: 0.2 * xs[0] * xs[0]),
+    (lambda xs: 0.4 * math.cos(xs[1]) * xs[0], lambda xs: 0.4 * cos(xs[1]) * xs[0]),
+    (lambda xs: 0.2 * float(xs[0]) * xs[1], lambda xs: 0.2 * xs[0] * xs[1]),
+]
+
+
+@pytest.mark.parametrize("potential, twin", UNTRACEABLE)
+def test_untraceable_callables_fall_back_to_the_hyper_dual_defaults(rng, potential, twin):
+    metric = lambda xs: [[1.0 + 0.25 * xs[1] * xs[1], 0.0], [0.0, 1.5]]  # noqa: E731
+    L = rl.MagneticLagrangian(2, metric, beta=[0.1, -0.2], potential=potential)
+    T = rl.MagneticLagrangian(2, metric, beta=[0.1, -0.2], potential=twin)
+    assert L.expression is None and T.expression is not None
+    xs = rng.uniform(0.1, 0.9, (40, 2))  # x1 > 0, where the branch takes the twin's arm
+    ys = rng.uniform(-1.0, 1.0, (40, 2))
+    for x, y in zip(xs, ys):
+        # orders 0 and 1 read the positions as floats, and agree with the
+        # twin's kernels (numpy's sin may round apart from libm's)
+        assert L.value(x, y) == pytest.approx(T.value(x, y), rel=1e-15, abs=1e-15)
+        for a, b in zip(L.fiber_jet(x, y), T.fiber_jet(x, y)):
+            np.testing.assert_allclose(a, b, rtol=1e-15, atol=1e-15)
+        assert L.eval(x, y, 1)[0] == rl.ScalarField.eval(L, x, y, 1)[0]
+    for order in (0, 1):
+        got = L.eval_batch(xs, ys, order)
+        want = rl.ScalarField.eval_batch(L, xs, ys, order)
+        for a, b in zip(*(o if order else (o,) for o in (got, want))):
+            np.testing.assert_array_equal(a, b)
+    # a level metric over the fallback model still solves and evaluates
+    F = rl.jacobi_finsler(L, 2.0)
+    np.testing.assert_allclose(
+        F.eval_batch(xs, ys, 0), rl.jacobi_finsler(T, 2.0).eval_batch(xs, ys, 0), rtol=1e-13)
+
+
+def test_a_tree_too_deep_for_the_kernel_writer_falls_back():
+    def deep(xs):
+        acc = xs[0]
+        for _ in range(rl.expressions.MAX_TRACE_DEPTH):
+            acc = 0.5 * acc + xs[1]
+        return acc
+
+    L = rl.MechanicalLagrangian(2, np.eye(2), potential=deep)
+    assert L.expression is None
+    j = L.eval([0.1, 0.2], [0.3, 0.4])
+    assert j.value == rl.ScalarField.eval(L, [0.1, 0.2], [0.3, 0.4]).value
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_degree_k_models_keep_the_slit_diagnosis(degree):
+    # the quadratic form must be positive for k != 2, at every order and in
+    # every row of a batch; an indefinite metric makes it negative on some rays
+    L = rl.PowerQuadraticLagrangian(2, np.diag([1.0, -0.5]), degree=degree)
+    assert L.expression is not None
+    message = "velocity outside the slit domain (quadratic form not positive)"
+    x = np.array([0.2, -0.1])
+    for y in ([0.0, 0.0], [0.5, 1.0], [1.0, np.sqrt(2.0)]):  # q = 0, q < 0, q a rounding below 0
+        for order in (0, 1, 2):
+            with pytest.raises(rl.DomainError, match=re.escape(message)):
+                L.eval(x, y, order)
+    xs = np.tile(x, (4, 1))
+    ys = np.array([[1.0, 0.0], [0.3, 0.1], [0.5, 1.0], [1.0, 0.0]])
+    for order in (0, 1):
+        with pytest.raises(rl.DomainError, match=re.escape(message)):
+            L.eval_batch(xs, ys, order)
+        L.eval_batch(xs[:2], ys[:2], order)
+    # k = 2 is the quadratic form itself, defined on every velocity
+    quadratic = rl.PowerQuadraticLagrangian(2, np.diag([1.0, -0.5]), degree=2)
+    assert quadratic.value(x, [0.5, 1.0]) < 0.0
