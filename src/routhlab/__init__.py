@@ -8,7 +8,7 @@ geodesics trace the fixed-energy dynamics, geodesic sprays with projective
 reparametrization, and verification tooling comparing all of these flows.
 """
 
-from .duals import Grad, HyperDual, seed_first, seed_second
+from .duals import HyperDual, seed_second
 from .errors import (
     ArityError,
     ConfigError,
@@ -108,9 +108,7 @@ __all__ = [
     "ArityError",
     "ConfigError",
     # calculus
-    "Grad",
     "HyperDual",
-    "seed_first",
     "seed_second",
     "SecondJet",
     "ScalarField",

@@ -1,19 +1,17 @@
 """Forward-mode automatic differentiation scalars.
 
-Two truncated Taylor types over a fixed set of m seed variables:
-
-* :class:`Grad` carries value and gradient (first order).
-* :class:`HyperDual` carries value, gradient, and full symmetric Hessian
-  (second order, hyper-dual style: one evaluation pass yields every mixed
-  partial).
-
-Arithmetic is exact propagation to the carried order. Hessians stay
-symmetric by construction because every update is either a symmetric matrix
-or an ``outer(a, b) + outer(b, a)`` pair.
+:class:`HyperDual` is a second-order truncated Taylor number over a fixed
+set of m seed variables: a value, its m-gradient and its m x m Hessian
+(hyper-dual style: one evaluation pass yields every mixed partial).
+Arithmetic is exact propagation to second order. Hessians stay symmetric by
+construction because every update is either a symmetric matrix or an
+``outer(a, b) + outer(b, a)`` pair.
 
 Math functions (:func:`sqrt`, :func:`exp`, ...) dispatch on type so the same
-model code runs on plain floats, :class:`Grad`, :class:`HyperDual`, or a
-:class:`Symbol`, which records the operations as an expression tree.
+model code runs on plain floats, a :class:`HyperDual`, or a :class:`Symbol`,
+which records the operations as an expression tree. They are also the
+HyperDual methods of their names, which numpy's object loops call, so
+``np.sin`` takes a dual too; the ``math`` functions do not.
 :func:`power` is the one constant-exponent rule for floats and duals, so a
 float and a dual evaluation of ``z ** p`` take the same value.
 """
@@ -26,13 +24,10 @@ import numbers
 import numpy as np
 
 __all__ = [
-    "Grad",
     "HyperDual",
     "Symbol",
-    "seed_first",
     "seed_second",
     "value_of",
-    "grad_of",
     "power",
     "positive",
     "sqrt",
@@ -49,93 +44,6 @@ def _as_float(z):
     if isinstance(z, (numbers.Real, np.floating, np.integer)):
         return float(z)
     return None
-
-
-class Grad:
-    """First-order scalar: value plus gradient over m seed variables."""
-
-    __slots__ = ("v", "g")
-
-    def __init__(self, v: float, g: np.ndarray):
-        self.v = v
-        self.g = g
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Grad):
-            return Grad(self.v + other.v, self.g + other.g)
-        c = _as_float(other)
-        if c is None:
-            return NotImplemented
-        return Grad(self.v + c, self.g)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Grad(-self.v, -self.g)
-
-    def __sub__(self, other):
-        if isinstance(other, Grad):
-            return Grad(self.v - other.v, self.g - other.g)
-        c = _as_float(other)
-        if c is None:
-            return NotImplemented
-        return Grad(self.v - c, self.g)
-
-    def __rsub__(self, other):
-        c = _as_float(other)
-        if c is None:
-            return NotImplemented
-        return Grad(c - self.v, -self.g)
-
-    def __mul__(self, other):
-        if isinstance(other, Grad):
-            return Grad(self.v * other.v, self.g * other.v + other.g * self.v)
-        c = _as_float(other)
-        if c is None:
-            return NotImplemented
-        return Grad(self.v * c, self.g * c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Grad):
-            val = self.v / other.v
-            return Grad(val, (self.g - val * other.g) / other.v)
-        c = _as_float(other)
-        if c is None:
-            return NotImplemented
-        return Grad(self.v / c, self.g / c)
-
-    def __rtruediv__(self, other):
-        c = _as_float(other)
-        if c is None:
-            return NotImplemented
-        val = c / self.v
-        return Grad(val, (-val / self.v) * self.g)
-
-    def __pow__(self, p):
-        if isinstance(p, Grad):
-            return exp(p * log(self))
-        c = _as_float(p)
-        if c is None:
-            return NotImplemented
-        return _pow_const(self, c)
-
-    def __rpow__(self, base):
-        c = _as_float(base)
-        if c is None:
-            return NotImplemented
-        if c <= 0.0:
-            raise ValueError("power with non-positive base and varying exponent")
-        return exp(self * math.log(c))
-
-    def chain(self, f0: float, f1: float, _f2: float = 0.0) -> "Grad":
-        return Grad(f0, f1 * self.g)
-
-    def __repr__(self):
-        return f"Grad({self.v!r})"
 
 
 class HyperDual:
@@ -301,7 +209,7 @@ def power(z, p: float):
     turning complex. Duals take their value from this rule and add the
     derivatives; a Symbol records the rule, not the product it takes at p = 2.
     """
-    if isinstance(z, (Grad, HyperDual)):
+    if isinstance(z, HyperDual):
         return _pow_const(z, p)
     if isinstance(z, Symbol):
         return z**p
@@ -338,14 +246,6 @@ def _pow_const(z, p: float):
 # -- seeds and accessors ----------------------------------------------------
 
 
-def seed_first(values) -> list:
-    """Lift values to Grad variables; the i-th gets unit gradient slot i."""
-    values = [float(v) for v in values]
-    m = len(values)
-    eye = np.eye(m)
-    return [Grad(values[i], eye[i].copy()) for i in range(m)]
-
-
 def seed_second(values) -> list:
     """Lift values to HyperDual variables with identity gradients, zero Hessians."""
     values = np.asarray(values, float).tolist()
@@ -355,22 +255,16 @@ def seed_second(values) -> list:
 
 
 def value_of(z) -> float:
-    if isinstance(z, (Grad, HyperDual)):
+    if isinstance(z, HyperDual):
         return z.v
     return float(z)
-
-
-def grad_of(z, m: int) -> np.ndarray:
-    if isinstance(z, (Grad, HyperDual)):
-        return z.g
-    return np.zeros(m)
 
 
 # -- elementary functions ----------------------------------------------------
 
 
 def sqrt(z):
-    if isinstance(z, (Grad, HyperDual)):
+    if isinstance(z, HyperDual):
         if z.v <= 0.0:
             raise ValueError("sqrt of non-positive value")
         s = math.sqrt(z.v)
@@ -379,14 +273,14 @@ def sqrt(z):
 
 
 def exp(z):
-    if isinstance(z, (Grad, HyperDual)):
+    if isinstance(z, HyperDual):
         f = math.exp(z.v)
         return z.chain(f, f, f)
     return z.call("exp") if isinstance(z, Symbol) else math.exp(z)
 
 
 def log(z):
-    if isinstance(z, (Grad, HyperDual)):
+    if isinstance(z, HyperDual):
         if z.v <= 0.0:
             raise ValueError("log of non-positive value")
         return z.chain(math.log(z.v), 1.0 / z.v, -1.0 / (z.v * z.v))
@@ -394,14 +288,19 @@ def log(z):
 
 
 def sin(z):
-    if isinstance(z, (Grad, HyperDual)):
+    if isinstance(z, HyperDual):
         s, c = math.sin(z.v), math.cos(z.v)
         return z.chain(s, c, -s)
     return z.call("sin") if isinstance(z, Symbol) else math.sin(z)
 
 
 def cos(z):
-    if isinstance(z, (Grad, HyperDual)):
+    if isinstance(z, HyperDual):
         s, c = math.sin(z.v), math.cos(z.v)
         return z.chain(c, -s, -c)
     return z.call("cos") if isinstance(z, Symbol) else math.cos(z)
+
+
+# numpy's object loops call the method of a ufunc's name: np.sin(z) is z.sin()
+HyperDual.sqrt, HyperDual.exp, HyperDual.log = sqrt, exp, log
+HyperDual.sin, HyperDual.cos = sin, cos

@@ -17,9 +17,9 @@ Text is parsed once, to a tree of tuples; :func:`trace_expression` records
 the same kind of tree from generic arithmetic run once on symbols. Two
 evaluators derive from a tree:
 
-* ``Expression.__call__`` runs over plain floats or the dual types, so one
-  parse serves values, coefficient gradients and the hyper-dual jet that
-  tests use as the oracle.
+* ``Expression.__call__`` runs over plain floats, HyperDual numbers or
+  Symbols, so one parse serves values, the hyper-dual jet that tests use as
+  the oracle, and a trace into a larger tree.
 * :meth:`Expression.jet_kernel` generates and compiles, once per expression
   and dimension, a straight-line Python function on plain floats. The
   ``"fiber"`` kernel seeds the n velocities and returns (value, d_y, d_yy);
@@ -215,7 +215,7 @@ class _Parser:
 
 
 def _evaluator(node):
-    """Nested closures evaluating node over floats, Grad or HyperDual."""
+    """Nested closures evaluating node over floats, HyperDual numbers or Symbols."""
     tag = node[0]
     if tag == "num":
         return lambda xs, ys, c=node[1]: c

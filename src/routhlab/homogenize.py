@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import HyperDual, grad_of, seed_first, seed_second, sqrt, value_of
+from .duals import HyperDual, seed_second, sqrt, value_of
 from .errors import DomainError, EnergyUnreachable, NoConvergence, RouthlabError
 from .expressions import Expression, parse_expression
 from .jets import ScalarField, SecondJet, batch_rows, chain_jet, drive, lockstep
@@ -462,20 +462,21 @@ def jacobi_finsler(L: LagrangianModel, e: float, tol: float = 1e-12) -> JacobiFi
 
 def _coeff(spec, x: np.ndarray, shape: tuple, grads: bool = False):
     """A coefficient at x as a float array of ``shape``, and if asked its
-    x-gradients, of shape (n, *shape), from a call on Grad seeds."""
+    x-gradients, of shape (n, *shape), from a call on HyperDual seeds."""
     n = x.shape[0]
     if not callable(spec):
         vals = np.broadcast_to(np.asarray(0.0 if spec is None else spec, float), shape)
         return vals, (np.zeros((n, *shape)) if grads else None)
     try:
-        zs = np.array(spec(seed_first(x) if grads else x.tolist()), dtype=object).ravel()
+        zs = np.array(spec(seed_second(x) if grads else x.tolist()), dtype=object).ravel()
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(str(exc)) from exc
     vals = np.array([value_of(z) for z in zs]).reshape(shape)
     if not grads:
         return vals, None
+    dz = [z.g if isinstance(z, HyperDual) else np.zeros(n) for z in zs]
     # C order, as einsum sums it: a strided view can round differently
-    return vals, np.ascontiguousarray(np.array([grad_of(z, n) for z in zs]).T.reshape(n, *shape))
+    return vals, np.ascontiguousarray(np.array(dz).T.reshape(n, *shape))
 
 
 class RandersModel(FinslerModel):
@@ -708,24 +709,20 @@ class GaugeShiftedModel(ScalarField):
     def domain_check(self, x, y):
         self.base.domain_check(np.asarray(x, float), np.asarray(y, float))
 
-    def _form_jet(self, x: np.ndarray, second: bool):
-        xs = seed_second(x) if second else seed_first(x)
+    def _form_jet(self, x: np.ndarray):
+        """(grad f, hess f) at x, from the form run on HyperDual seeds."""
+        n = x.shape[0]
         try:
-            z = self._fn(xs)
+            z = self._fn(seed_second(x.tolist()))
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(str(exc)) from exc
-        n = x.shape[0]
-        if isinstance(z, HyperDual):
-            return z.g.copy(), z.h.copy()
-        if second:
-            return np.zeros(n), np.zeros((n, n))
-        return grad_of(z, n), None
+        return (z.g, z.h) if isinstance(z, HyperDual) else (np.zeros(n), np.zeros((n, n)))
 
     def eval(self, x, y, order: int = 2):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         j = self.base.eval(x, y, order)
-        grad, hess = self._form_jet(x, second=order == 2)
+        grad, hess = self._form_jet(x)
         shift = float(grad @ y)
         if order == 0:
             return j + shift

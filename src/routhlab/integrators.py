@@ -102,9 +102,6 @@ class DenseOutput:
             "mdp,mp->md", self.qs[idx], powers
         )
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.sample([t])[0]
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -126,13 +123,6 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.positions.shape[1]
-
-    def state(self, t: float):
-        if self.dense is None:
-            raise ValueError("trajectory carries no dense output")
-        s = self.dense(t)
-        n = self.dim
-        return s[:n], s[n:]
 
 
 def _error_norm(err, scale):

@@ -154,14 +154,26 @@ class ScalarField:
         )
 
     def _eval_rows(self, xs, ys, order: int):
-        """``eval_batch`` on rows whose positions passed ``_domain``, which it may skip."""
+        """``eval_batch`` on rows that passed ``_positions_in_domain``, which it may skip."""
         return self.eval_batch(xs, ys, order)
+
+    def _default_domain(self) -> bool:
+        """Whether ``domain_check`` is ``_domain`` alone, which ``_eval_rows`` may skip."""
+        return type(self).domain_check is ScalarField.domain_check
+
+    def _positions_in_domain(self, xs) -> bool:
+        """Whether every row passes what ``_eval_rows`` may skip."""
+        try:
+            return not self._default_domain() or self._domain is None \
+                or all(self._domain(x) for x in xs)
+        except Exception:
+            return False
 
     def _rows_in_domain(self, xs, ys) -> bool:
         """Whether ``domain_check`` passes on every row; a row that raises says no."""
+        if self._default_domain():
+            return self._positions_in_domain(xs)
         try:
-            if type(self).domain_check is ScalarField.domain_check:
-                return self._domain is None or all(self._domain(x) for x in xs)
             for x, y in zip(xs, ys):
                 self.domain_check(x, y)
         except Exception:

@@ -123,7 +123,7 @@ class LagrangianModel(ScalarField):
         return self._columns(xs, ys, order)
 
     def _eval_rows(self, xs, ys, order: int):
-        if self.expression is None or type(self).domain_check is not ScalarField.domain_check:
+        if self.expression is None or not self._default_domain():
             return self.eval_batch(xs, ys, order)
         return self._columns(*batch_rows(xs, ys), order)
 

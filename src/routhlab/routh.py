@@ -250,11 +250,13 @@ def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_sh
     """:func:`solve_momentum` on every row, from the row's guess; a (k, m) array.
 
     Each row runs its own step routine under :func:`jets.lockstep`. With one
-    cyclic coordinate a round evaluates all pending iterates with one batched
-    fiber jet, and a row whose batched jet raises or is not finite is
-    evaluated again alone, as the scalar solve evaluates it; with more, each
-    row takes its own jets. Where any row fails, the rows run in order
-    through ``solve_momentum``, so the first failing row raises.
+    cyclic coordinate and every row's position in L's domain, checked once
+    as the positions never change, a round evaluates all pending iterates
+    with one batched fiber jet that may skip L's position predicate, and a
+    row whose batched jet raises or is not finite is evaluated again alone,
+    as the scalar solve evaluates it; otherwise each row takes its own
+    jets. Where any row fails, the rows run in order through
+    ``solve_momentum``, so the first failing row raises.
     """
     xs_shape, ys_shape = batch_rows(xs_shape, ys_shape)
     k, m = len(guesses), len(split.cyclic)
@@ -268,7 +270,7 @@ def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_sh
 
     def batch(rows, _):
         try:
-            _, d_y, d_yy = L.eval_batch(full_x[rows], full_y[rows], 1)
+            _, d_y, d_yy = L._eval_rows(full_x[rows], full_y[rows], 1)
         except _EVAL_ERRORS:
             return [None] * len(rows)
         return [(p, h) if math.isfinite(p) and math.isfinite(h) else None
@@ -279,7 +281,7 @@ def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_sh
              for i, z in enumerate(zs)]
     try:
         z = lockstep(steps, lambda i, _: _cyclic_jet(L, c, full_x[i], full_y[i]),
-                     batch if m == 1 else None)
+                     batch if m == 1 and L._positions_in_domain(full_x) else None)
     except _EVAL_ERRORS:
         z = [solve_momentum(L, split, mu, x, y, guess=g, tol=tol, max_iter=max_iter)
              for x, y, g in zip(xs_shape, ys_shape, guesses)]
@@ -339,7 +341,8 @@ class ReducedLagrangian(LagrangianModel):
         try:
             z = _solve_momenta(self.base, split, self.mu, xs, ys,
                                np.broadcast_to(self.guess, (len(xs), len(split.cyclic))))
-            j = self.base.eval_batch(_embed_rows(split, xs, 0.0), _embed_rows(split, ys, z), order)
+            # every row's position passed the base's predicate in the solve
+            j = self.base._eval_rows(_embed_rows(split, xs, 0.0), _embed_rows(split, ys, z), order)
             mu_z = (self.mu[None, None, :] @ z[:, :, None])[:, 0, 0]
             if order == 0:
                 return j - mu_z

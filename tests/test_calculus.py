@@ -8,6 +8,7 @@ import pytest
 
 import routhlab as rl
 from routhlab import FD_STEP, StencilDomainError, chain_jet, fd_jet, jet
+from routhlab.duals import sin, value_of
 
 SHARP_H = float(np.finfo(float).eps) ** 0.25
 
@@ -161,6 +162,9 @@ def _every_family(rng):
         rl.homogeneous_closed_form(quartic, 1.7),
         rl.gauge_shift(conformal, "0.4*x1*x2 - 0.3*x1 + sin(x2)"),
         rl.gauge_shift(level, "0.2*x1*x2"),
+        # callable forms: one with c / f(x), one that branches on a value
+        rl.gauge_shift(disk, lambda xs: 0.3 / (1.5 + xs[0] * xs[1]) + sin(xs[0]) * xs[1]),
+        rl.gauge_shift(conformal, lambda xs: 0.2 * xs[0] * xs[1] if value_of(xs[0]) > -1 else 0.0),
         rl.routhian(kepler, rl.CyclicSplit.of(2, [1]), np.array([0.3]), verify=False),
         rl.routhian(rl.homogenize(conformal), rl.CyclicSplit.of(3, [0]), np.array([-2.0]),
                     guess=np.array([1.0]), verify=False),

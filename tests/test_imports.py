@@ -2,7 +2,8 @@
 
 No lint tool ships with the project, so these walk each module's syntax
 tree. Every name a module imports is used there: it counts as used if the
-module reads it anywhere, or re-exports it through ``__all__``. And no
+module reads it anywhere, or re-exports it through ``__all__``, so every
+name in a module's ``__all__`` must resolve on the imported module. And no
 module evaluates a model once per sample in a loop: per-sample diagnostics
 go through ``eval_batch``. And only ``jets`` drives step routines: their
 ``send`` and ``throw`` calls live in ``jets.lockstep`` and ``jets.drive``.
@@ -12,6 +13,8 @@ source of a callable.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -57,6 +60,32 @@ def test_the_guard_flags_an_unused_import():
     tree = ast.parse("import os\nfrom math import sqrt, pi as tau\n__all__ = ['sqrt']\n")
     names = {name for name, _ in _imported(tree)}
     assert names - _used(tree) == {"os", "tau"}
+
+
+def _unresolved(module):
+    """The names in module.__all__ that the module does not define or import."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+def _module(path):
+    name = "routhlab" if path.stem == "__init__" else f"routhlab.{path.stem}"
+    return importlib.import_module(name)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    # an __all__ entry counts as a use above, so a stale export would hide there
+    module = _module(path)
+    assert module.__all__, f"{path.name} declares no __all__"
+    missing = _unresolved(module)
+    assert not missing, f"{path.name} exports names it does not define: {', '.join(missing)}"
+
+
+def test_the_guard_flags_a_stale_export():
+    module = types.ModuleType("stale")
+    module.__all__ = ["kept", "Gone"]
+    module.kept = 1
+    assert _unresolved(module) == ["Gone"]
 
 
 # model evaluations at one point, and the arrays whose rows are samples

@@ -249,6 +249,25 @@ def test_untraceable_callables_fall_back_to_the_hyper_dual_defaults(rng, potenti
         F.eval_batch(xs, ys, 0), rl.jacobi_finsler(T, 2.0).eval_batch(xs, ys, 0), rtol=1e-13)
 
 
+def test_numpy_callables_have_an_order_two_jet(rng):
+    # numpy's object loops call the dual's sin method, which is duals.sin, so
+    # the untraced model's hyper-dual jet is the traced twin's kernel jet
+    L = rl.MagneticLagrangian(2, np.eye(2), potential=lambda xs: 0.3 * np.sin(xs[0]))
+    T = rl.MagneticLagrangian(2, np.eye(2), potential=lambda xs: 0.3 * sin(xs[0]))
+    assert L.expression is None and T.expression is not None
+    for x, y in zip(rng.uniform(-2.0, 2.0, (50, 2)), rng.uniform(-1.0, 1.0, (50, 2))):
+        a, b = L.eval(x, y), T.eval(x, y)
+        for block in ("value", "d_x", "d_y", "d_yy", "d_xy"):
+            np.testing.assert_array_equal(getattr(a, block), getattr(b, block), err_msg=block)
+    x0, v0 = np.array([0.4, -0.1]), np.array([0.5, 0.3])
+    traj = rl.integrate_el(L, x0, v0, 3.0, samples=101)
+    twin = rl.integrate_el(T, x0, v0, 3.0, samples=101)
+    np.testing.assert_array_equal(traj.positions, twin.positions)
+    np.testing.assert_array_equal(traj.velocities, twin.velocities)
+    # the energy log reads positions as floats, where numpy's sin may round apart
+    np.testing.assert_allclose(traj.energy_log, twin.energy_log, rtol=1e-15, atol=1e-15)
+
+
 def test_a_tree_too_deep_for_the_kernel_writer_falls_back():
     def deep(xs):
         acc = xs[0]

@@ -416,9 +416,13 @@ def _rows(f):
 
 
 def _counting_batches(L):
-    """Record the rows of each batched fiber jet L evaluates, and 0 for each single one."""
+    """Record the rows of each batched fiber jet L evaluates, and 0 for each single one.
+
+    The lockstep rounds and the root evaluation batch through ``_eval_rows``,
+    as the rows' positions passed L's predicate once, before the first round.
+    """
     sizes = []
-    batch, single = L.eval_batch, L.fiber_jet
+    batch, single = L._eval_rows, L.fiber_jet
 
     def counting_batch(xs, ys, order=0):
         sizes.append(len(xs))
@@ -428,7 +432,7 @@ def _counting_batches(L):
         sizes.append(0)
         return single(x, y)
 
-    L.eval_batch, L.fiber_jet = counting_batch, counting_single
+    L._eval_rows, L.fiber_jet = counting_batch, counting_single
     return sizes
 
 
@@ -469,6 +473,45 @@ def test_reduced_batches_equal_the_row_loop(source, mu, guess):
     far = rl.ReducedLagrangian(L, CyclicSplit.of(2, [1]), np.array([1e9]), guess=guess)
     assert _rows(lambda: far.eval_batch(xs[::-1], ys[::-1], 1)) == \
         _rows(lambda: rl.ScalarField.eval_batch(far, xs[::-1], ys[::-1], 1))
+
+
+def test_reduced_batches_check_each_position_twice_at_most():
+    # the solve checks the rows once, the one Newton step's backtracking once
+    # more; the lockstep rounds and the root evaluation skip the predicate
+    calls = []
+
+    def inside(x):
+        calls.append(1)
+        return x[0] > 0.1
+
+    L = rl.parse_lagrangian(POLAR, dim=2, domain=inside)
+    red = rl.ReducedLagrangian(L, CyclicSplit.of(2, [1]), np.array([0.3]))
+    rng = np.random.default_rng(13)
+    xs, ys = rng.uniform(0.3, 2.0, (801, 1)), rng.uniform(-1.5, 1.5, (801, 1))
+    for order in (0, 1):
+        calls.clear()
+        got = _rows(lambda: red.eval_batch(xs, ys, order))
+        assert len(calls) <= 2 * 801, len(calls)
+        assert got == _rows(lambda: rl.ScalarField.eval_batch(red, xs, ys, order)), order
+
+
+def test_reduced_batches_of_a_velocity_checked_base_run_in_lockstep():
+    # a homogenized base checks its scale velocity, the cyclic one here, whose
+    # guess the rows only hold once a round has run: the check before the
+    # rounds reads positions alone, so every round is one batch
+    H = rl.homogenize(rl.parse_lagrangian(POLAR, dim=2, domain=lambda x: x[0] > 0.1))
+    sizes = _counting_batches(H)
+    red = rl.ReducedLagrangian(H, CyclicSplit.of(3, [0]), np.array([-2.0]), guess=np.array([1.0]))
+    rng = np.random.default_rng(12)
+    xs, ys = rng.uniform(0.3, 2.0, (100, 2)), rng.uniform(-1.5, 1.5, (100, 2))
+    for order in (0, 1):
+        sizes.clear()
+        got = _rows(lambda: red.eval_batch(xs, ys, order))
+        # the base's own eval_batch is the row loop, whose fiber jets count 0
+        batches = [s for s in sizes if s]
+        assert batches[0] == batches[-1] == 100 and len(batches) >= 3, batches
+        assert got == _rows(lambda: rl.ScalarField.eval_batch(red, xs, ys, order)), order
+        assert not isinstance(got, tuple), got
 
 
 @pytest.mark.parametrize("guess", [None, [0.3]])
