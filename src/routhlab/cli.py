@@ -14,7 +14,15 @@ import os
 import click
 import numpy as np
 
-from .config import build_model, build_split, initial_state, load_config, time_settings
+from .config import (
+    build_model,
+    build_split,
+    cyclic_momentum,
+    initial_state,
+    load_config,
+    time_settings,
+    verify_tolerances,
+)
 from .errors import (
     ConfigError,
     InvarianceError,
@@ -180,11 +188,8 @@ def cmd_geodesic(config_path, out_dir, seed):
         model = build_model(cfg)
         x0, v0, e = initial_state(cfg, model)
         e = _need_energy(e)
+        t_end, samples, tol = time_settings(cfg, geodesic=True)
         gcfg = cfg.get("geodesic", {})
-        if not isinstance(gcfg, dict):
-            raise ConfigError("'geodesic' must be an object")
-        t_end, samples, tol = time_settings(cfg, require_t_end="t_end" not in gcfg)
-        t_end = float(gcfg.get("t_end", t_end))
         metric = jacobi_finsler(model, e)
         level = metric.level_jet if gcfg.get("level", False) else None
         traj = integrate_geodesic(
@@ -221,21 +226,10 @@ def cmd_verify(config_path, out_dir, seed):
         x0, v0, e = initial_state(cfg, model)
         e = _need_energy(e)
         t_end, samples, tol = time_settings(cfg)
-        vcfg = cfg.get("verify", {})
-        if not isinstance(vcfg, dict):
-            raise ConfigError("'verify' must be an object")
+        bounds = verify_tolerances(cfg)
         try:
             report = check_geodesic_equivalence(
-                model,
-                e,
-                x0,
-                v0,
-                t_end,
-                tol=tol,
-                samples=samples,
-                pointset_tol=float(vcfg.get("pointset_tol", 1e-6)),
-                pointwise_tol=float(vcfg.get("pointwise_tol", 1e-6)),
-                drift_tol=float(vcfg.get("drift_tol", 1e-8)),
+                model, e, x0, v0, t_end, tol=tol, samples=samples, **bounds
             )
         except PreconditionError as exc:
             click.echo(f"[FAIL] geodesic equivalence: {exc}")
@@ -262,13 +256,10 @@ def cmd_routh_reduce(config_path, out_dir, seed):
             raise ConfigError("routh-reduce needs a 'cyclic' list of 1-based indices")
         x0, v0, _ = initial_state(cfg, model)
         t_end, samples, tol = time_settings(cfg)
+        mu = cyclic_momentum(cfg, split)
         check_invariance(model, split, ref_x=x0, seed=seed)
-        mu_cfg = cfg.get("momentum")
-        mu = (
-            momentum(model, split, x0, v0)
-            if mu_cfg is None
-            else np.asarray(mu_cfg, dtype=float)
-        )
+        if mu is None:
+            mu = momentum(model, split, x0, v0)
         # the reduced flow the round trip integrated is the one to rebuild
         report, reduced_traj = _round_trip(
             model, split, mu, x0, v0, t_end, tol=tol, samples=samples

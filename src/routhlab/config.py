@@ -11,6 +11,7 @@ problems keep their precise :class:`ParseError` positions.
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import numpy as np
 
@@ -32,11 +33,15 @@ __all__ = [
     "load_config",
     "build_model",
     "build_split",
+    "cyclic_momentum",
     "initial_state",
     "time_settings",
+    "verify_tolerances",
 ]
 
 _FAMILIES = ("simple", "magnetic", "power", "expression", "poincare_disk")
+
+_floats = partial(np.asarray, dtype=float)
 
 
 def load_config(path: str) -> dict:
@@ -56,6 +61,26 @@ def _require(cfg: dict, key: str, where: str = "config"):
     if key not in cfg:
         raise ConfigError(f"{where} is missing required key {key!r}")
     return cfg[key]
+
+
+def _number(value, where: str, kind=float, above=None):
+    """value converted by kind (float, int or _floats); a ConfigError naming where
+    if it does not convert, or, with a bound, if it is not above it."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be numeric, got {value!r}") from exc
+    if above is not None and not out > above:
+        raise ConfigError(f"{where} must be greater than {above}, got {value!r}")
+    return out
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """The optional object cfg[name], empty where it is absent."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name!r} must be an object")
+    return section
 
 
 def _scalar_entry(entry, dim: int):
@@ -120,14 +145,11 @@ def _domain_spec(entry):
     if not isinstance(entry, dict) or len(entry) != 1:
         raise ConfigError("domain must be an object with exactly one of: ball, positive")
     if "ball" in entry:
-        r = float(entry["ball"])
-        if r <= 0:
-            raise ConfigError("domain ball radius must be positive")
+        r = _number(entry["ball"], "domain ball radius", above=0)
         return lambda x: float(x @ x) < r * r
     if "positive" in entry:
-        idx = [int(i) - 1 for i in entry["positive"]]
-        if any(i < 0 for i in idx):
-            raise ConfigError("domain 'positive' uses 1-based coordinate indices")
+        idx = [_number(i, "domain 'positive' index (1-based)", int, 0) - 1
+               for i in entry["positive"]]
         return lambda x: all(x[i] > 0.0 for i in idx)
     raise ConfigError(f"unknown domain kind {set(entry)!r}")
 
@@ -146,17 +168,16 @@ def build_model(cfg: dict) -> LagrangianModel:
     elif family == "expression":
         source = _require(spec, "source", "lagrangian")
         dim = spec.get("dim")
+        dim = None if dim is None else _number(dim, "lagrangian dim", int)
         model = parse_lagrangian(
             source, dim=dim, domain=_domain_spec(spec.get("domain"))
         )
     else:
-        dim = int(_require(spec, "dim", "lagrangian"))
-        if dim < 1:
-            raise ConfigError("lagrangian dim must be at least 1")
+        dim = _number(_require(spec, "dim", "lagrangian"), "lagrangian dim", int, 0)
         metric = _matrix_spec(_require(spec, "metric", "lagrangian"), dim)
         domain = _domain_spec(spec.get("domain"))
         if family == "power":
-            degree = float(_require(spec, "degree", "lagrangian"))
+            degree = _number(_require(spec, "degree", "lagrangian"), "lagrangian degree")
             model = PowerQuadraticLagrangian(dim, metric, degree=degree, domain=domain)
         elif family == "simple":
             model = MechanicalLagrangian(
@@ -188,12 +209,20 @@ def build_split(cfg: dict, dim: int) -> CyclicSplit | None:
     if not isinstance(cyclic, list) or not cyclic:
         raise ConfigError("'cyclic' must be a non-empty list of 1-based indices")
     try:
-        zero_based = [int(i) - 1 for i in cyclic]
-        if any(i < 0 for i in zero_based):
-            raise ValueError
-        return CyclicSplit.of(dim, zero_based)
+        return CyclicSplit.of(dim, [_number(i, "cyclic index (1-based)", int, 0) - 1
+                                    for i in cyclic])
     except ValueError as exc:
         raise ConfigError(f"bad cyclic indices {cyclic!r} for dimension {dim}: {exc}") from exc
+
+
+def cyclic_momentum(cfg: dict, split: CyclicSplit) -> np.ndarray | None:
+    """The configured momentum, one entry per cyclic coordinate, or None if not declared."""
+    if cfg.get("momentum") is None:
+        return None
+    mu = _number(cfg["momentum"], "momentum", _floats)
+    if mu.shape != (len(split.cyclic),):
+        raise ConfigError(f"momentum must list one number per cyclic coordinate, got {mu.tolist()}")
+    return mu
 
 
 def initial_state(cfg: dict, L: LagrangianModel):
@@ -206,15 +235,15 @@ def initial_state(cfg: dict, L: LagrangianModel):
     init = _require(cfg, "initial")
     if not isinstance(init, dict):
         raise ConfigError("'initial' must be an object")
-    x0 = np.asarray(_require(init, "x", "initial"), dtype=float)
-    v0 = np.asarray(_require(init, "v", "initial"), dtype=float)
+    x0 = _number(_require(init, "x", "initial"), "initial.x", _floats)
+    v0 = _number(_require(init, "v", "initial"), "initial.v", _floats)
     if x0.shape != (L.dim,) or v0.shape != (L.dim,):
         raise ConfigError(
             f"initial data must have dimension {L.dim}, "
             f"got x{list(x0.shape)} and v{list(v0.shape)}"
         )
     e = cfg.get("energy")
-    e = None if e is None else float(e)
+    e = None if e is None else _number(e, "energy")
     if init.get("rescale", False):
         if e is None:
             raise ConfigError("initial.rescale needs an 'energy' value")
@@ -222,16 +251,21 @@ def initial_state(cfg: dict, L: LagrangianModel):
     return x0, v0, e
 
 
-def time_settings(cfg: dict, require_t_end: bool = True):
-    """(t_end, samples, tol) integration settings with defaults."""
-    tc = cfg.get("time", {})
-    if not isinstance(tc, dict):
-        raise ConfigError("'time' must be an object")
+def time_settings(cfg: dict, geodesic: bool = False):
+    """(t_end, samples, tol) with defaults; ``geodesic`` lets geodesic.t_end replace time.t_end."""
+    tc = _section(cfg, "time")
     t_end = tc.get("t_end")
-    if t_end is None and require_t_end:
+    if geodesic:
+        t_end = _section(cfg, "geodesic").get("t_end", t_end)
+    if t_end is None:
         raise ConfigError("time.t_end is required for integration commands")
-    samples = int(tc.get("samples", 801))
-    if samples < 2:
-        raise ConfigError("time.samples must be at least 2")
-    tol = float(tc.get("tol", 1e-10))
-    return (None if t_end is None else float(t_end)), samples, tol
+    samples = _number(tc.get("samples", 801), "time.samples", int, 1)
+    tol = _number(tc.get("tol", 1e-10), "time.tol", above=0)
+    return _number(t_end, "t_end", above=0), samples, tol
+
+
+def verify_tolerances(cfg: dict) -> dict:
+    """The pass bounds of ``verify`` as keyword arguments, with defaults."""
+    vc = _section(cfg, "verify")
+    defaults = {"pointset_tol": 1e-6, "pointwise_tol": 1e-6, "drift_tol": 1e-8}
+    return {key: _number(vc.get(key, d), f"verify.{key}") for key, d in defaults.items()}

@@ -358,6 +358,7 @@ class _KernelWriter:
         self.lines = []
         self.count = 2 * n  # t0 .. t(2n-1) are the arguments: x, then y
         self.done = {}  # id of a node already written: its jet
+        self.names = {}  # right-hand side already written: its temporary
 
     # -- operands -----------------------------------------------------------
 
@@ -372,9 +373,12 @@ class _KernelWriter:
         return f"({a!r})" if math.copysign(1.0, a) < 0 else repr(a)
 
     def emit(self, text: str) -> str:
-        name = f"t{self.count}"
-        self.count += 1
-        self.lines.append(f"    {name} = {text}")
+        """The temporary holding text, written once: temporaries are assigned once."""
+        name = self.names.get(text)
+        if name is None:
+            name = self.names[text] = f"t{self.count}"
+            self.count += 1
+            self.lines.append(f"    {name} = {text}")
         return name
 
     def op(self, sym: str, a, b):

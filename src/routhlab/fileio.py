@@ -61,7 +61,10 @@ def read_trajectory_csv(path: str) -> Trajectory:
     if header[0] != "t" or header[-1] != "conserved" or (len(header) - 2) % 2 != 0:
         raise ConfigError(f"{path}: unrecognized trajectory header {header!r}")
     n = (len(header) - 2) // 2
-    data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+    try:
+        data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+    except ValueError as exc:  # a cell that is not a number, or rows of unequal length
+        raise ConfigError(f"{path}: malformed trajectory rows: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 2 * n + 2:
         raise ConfigError(f"{path}: malformed trajectory rows")
     return Trajectory(

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import HyperDual, seed_second, sqrt, value_of
-from .errors import DomainError, EnergyUnreachable, NoConvergence, RouthlabError
+from .errors import DomainError, EnergyUnreachable, NoConvergence
 from .expressions import Expression, parse_expression
-from .jets import ScalarField, SecondJet, batch_rows, chain_jet, drive, lockstep
+from .jets import ScalarField, SecondJet, chain_jet, drive, lockstep
 from .lagrangian import (
     LagrangianModel,
     MagneticLagrangian,
@@ -324,19 +324,17 @@ def _solve_energy_scales(L: LagrangianModel, xs, ys, e: float, tol: float = 1e-1
     """The scale s of :func:`solve_energy_scale` on every row of (xs, ys).
 
     Each row runs its own step routine, and every round probes all pending
-    scales with one batched fiber jet (skipping L's position predicate, which
-    the caller has run), residuals from stacked matmuls. A row whose batched
-    probe raises or is not finite is probed again alone, through
-    ``fiber_jet``, as the scalar solve probes it. A row's error propagates
-    from the first round that meets it.
+    scales with one batched fiber jet through L's ``_eval_rows`` (skipping
+    the domain check that the caller ran through ``_rows_in_domain``),
+    residuals from stacked matmuls. Where that raises, every pending row is
+    probed alone, and a row whose batched probe is not finite is probed
+    again alone, through ``fiber_jet``, as the scalar solve probes it. A
+    row's error propagates from the first round that meets it.
     """
 
     def batch(rows, scales):
         ws = ys[rows] / np.array(scales)[:, None]
-        try:
-            val, d_y, d_yy = L._eval_rows(xs[rows], ws, 1)
-        except DomainError:
-            return [None] * len(rows)
+        val, d_y, d_yy = L._eval_rows(xs[rows], ws, 1)
         r = ((ws[:, None, :] @ d_y[:, :, None])[:, 0, 0] - val - e).tolist()
         q = (ws[:, None, :] @ (d_yy @ ws[:, :, None]))[:, 0, 0].tolist()
         return [(r_i, q_i) if math.isfinite(r_i) and math.isfinite(q_i) else None
@@ -387,26 +385,20 @@ class JacobiFinslerModel(FinslerModel):
         """The eliminated scale s at (x, y)."""
         return solve_energy_scale(self.base, x, y, self.e, tol=self.tol).s
 
-    def eval_batch(self, xs, ys, order: int = 0):
-        """Batched orders 0 and 1 on one lockstep scale solve over all rows.
+    def _rows_in_domain(self, xs, ys) -> bool:
+        # the base's domain; a zero velocity raises in the scale solve
+        return self.base._rows_in_domain(xs, ys)
 
-        The rows are checked once: zero velocities in one stacked product,
-        the base's domain row by row. The scales come from
-        :func:`_solve_energy_scales`, then one batched base evaluation at
-        (x, y/s) feeds the assembly of ``eval``, with its products as
-        stacked matmuls. A batch in which any row fails goes row by row, so
-        the first failing row raises.
+    def _eval_rows(self, xs, ys, order: int):
+        """Orders 0 and 1 on one lockstep scale solve over all rows.
+
+        The scales come from :func:`_solve_energy_scales`, then one batched
+        base evaluation at (x, y/s) feeds the assembly of ``eval``, with its
+        products as stacked matmuls.
         """
-        xs, ys = batch_rows(xs, ys)
-        if order not in (0, 1) or ((ys[:, None, :] @ ys[:, :, None]) == 0.0).any() \
-                or not self.base._rows_in_domain(xs, ys):
-            return super().eval_batch(xs, ys, order)
-        try:
-            s = _solve_energy_scales(self.base, xs, ys, self.e, tol=self.tol)
-            vs = ys / s[:, None]
-            j = self.base._eval_rows(xs, vs, order)
-        except RouthlabError:
-            return super().eval_batch(xs, ys, order)
+        s = _solve_energy_scales(self.base, xs, ys, self.e, tol=self.tol)
+        vs = ys / s[:, None]
+        j = self.base._eval_rows(xs, vs, order)
         if order == 0:
             return s * (j + self.e)
         val, d_y, d_yy_b = j

@@ -12,11 +12,17 @@ Every field evaluates through one method, ``eval(x, y, order)``: order 0 is
 the value, order 1 the velocity-only fiber jet (value, d_y, d_yy), and order
 2 the :class:`SecondJet`. A model family writes its formula once, and its
 lower orders skip only the blocks they do not need; ``value`` and
-``fiber_jet`` are one-line wrappers. ``eval_batch``
-evaluates orders 0 and 1 on every row of (k, n) arrays at once, with the
-bits of the row loop. :func:`jet` adds input and output validation, and the
-independent finite-difference oracle :func:`fd_jet` cross-checks every
-family in the tests.
+``fiber_jet`` are one-line wrappers. :func:`jet` adds input and output
+validation, and the independent finite-difference oracle :func:`fd_jet`
+cross-checks every family in the tests.
+
+``ScalarField.eval_batch`` evaluates orders 0 and 1 on every row of (k, n)
+arrays, and it is the only one: a family supplies only ``_eval_rows``, its
+evaluation of all rows at once with the bits of the row loop. The batch
+checks the order, checks the rows once with ``_rows_in_domain``, and calls
+``_eval_rows``; where a row fails that check, or ``_eval_rows`` raises one
+of ``EVAL_ERRORS`` or gives an entry that is not finite, it runs the rows
+in order through ``value`` or ``fiber_jet``, so the first failing row raises.
 
 The implicit solves (energy scale, cyclic velocities) write their rules
 once, as step routines: :func:`lockstep` runs them on every row of a batch,
@@ -30,12 +36,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import seed_second, value_of
-from .errors import DomainError, StencilDomainError
+from .errors import DomainError, RouthlabError, StencilDomainError
 
 __all__ = ["SecondJet", "ScalarField", "jet", "fd_jet", "chain_jet", "lockstep", "drive", "FD_STEP"]
 
 #: default finite-difference step scale (cube root of machine epsilon)
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+
+#: what evaluating rows at once can raise where a row fails; a batch that
+#: meets one goes row by row, so the row's own error is the one raised
+EVAL_ERRORS = (RouthlabError, ArithmeticError, ValueError, TypeError)
 
 
 @dataclass(frozen=True)
@@ -135,45 +145,41 @@ class ScalarField:
         """``eval(x, y, order)`` on every row of (k, n) arrays, stacked; order 0 or 1.
 
         Order 0 gives the (k,) values, order 1 the arrays (value, d_y, d_yy)
-        of shapes (k,), (k, n) and (k, n, n). This default runs the rows in
-        order through ``value`` or ``fiber_jet``, so it raises what the
-        first failing row raises. A family that overrides it returns the
-        same bits, and hands any batch it cannot evaluate whole to this loop.
+        of shapes (k,), (k, n) and (k, n, n), from ``_eval_rows`` or, where a
+        row fails, from the row loop, as this module's docstring sets out.
         """
         if order not in (0, 1):
             raise ValueError(f"eval_batch evaluates orders 0 and 1, not {order}")
         xs, ys = batch_rows(xs, ys)
+        if self._rows_in_domain(xs, ys):
+            try:
+                out = self._eval_rows(xs, ys, order)
+                if all(np.isfinite(a).all() for a in (out if order else (out,))):
+                    return out
+            except EVAL_ERRORS:
+                pass
+        return ScalarField._eval_rows(self, xs, ys, order)
+
+    def _eval_rows(self, xs, ys, order: int):
+        """``eval_batch``'s results on rows that passed ``_rows_in_domain``: the row loop.
+
+        A family overrides it to give the same bits at once, skipping
+        ``domain_check``; where a row fails it may raise or give non-finite entries.
+        """
         if order == 0:
             return np.array([self.value(x, y) for x, y in zip(xs, ys)], float)
         rows = [self.fiber_jet(x, y) for x, y in zip(xs, ys)]
         k, n = ys.shape
-        return (
-            np.array([r[0] for r in rows], float),
-            np.array([r[1] for r in rows], float).reshape(k, n),
-            np.array([r[2] for r in rows], float).reshape(k, n, n),
-        )
-
-    def _eval_rows(self, xs, ys, order: int):
-        """``eval_batch`` on rows that passed ``_positions_in_domain``, which it may skip."""
-        return self.eval_batch(xs, ys, order)
-
-    def _default_domain(self) -> bool:
-        """Whether ``domain_check`` is ``_domain`` alone, which ``_eval_rows`` may skip."""
-        return type(self).domain_check is ScalarField.domain_check
-
-    def _positions_in_domain(self, xs) -> bool:
-        """Whether every row passes what ``_eval_rows`` may skip."""
-        try:
-            return not self._default_domain() or self._domain is None \
-                or all(self._domain(x) for x in xs)
-        except Exception:
-            return False
+        return tuple(np.array([r[i] for r in rows], float).reshape(k, *[n] * i) for i in range(3))
 
     def _rows_in_domain(self, xs, ys) -> bool:
-        """Whether ``domain_check`` passes on every row; a row that raises says no."""
-        if self._default_domain():
-            return self._positions_in_domain(xs)
+        """Whether ``domain_check`` passes on every row; a row that raises says no.
+
+        Where a family keeps this class's ``domain_check``, only ``_domain`` runs.
+        """
         try:
+            if type(self).domain_check is ScalarField.domain_check:
+                return self._domain is None or all(self._domain(x) for x in xs)
             for x, y in zip(xs, ys):
                 self.domain_check(x, y)
         except Exception:
@@ -231,13 +237,17 @@ def lockstep(routines, probe, batch=None) -> list:
     its answer. Each round probes the points of the routines still running,
     with one ``batch(rows, points)`` call where given, which gives one result
     per row or None for a row to probe alone, and ``probe(i, point)`` per
-    row otherwise. Any other error propagates from the round that meets it.
+    row otherwise; a batch that raises one of ``EVAL_ERRORS`` probes every
+    row alone. Any other error propagates from the round that meets it.
     """
     points = {i: next(r) for i, r in enumerate(routines)}
     returns = [None] * len(routines)
     while points:
         rows = list(points)
-        results = batch(rows, list(points.values())) if batch else [None] * len(rows)
+        try:
+            results = batch(rows, list(points.values())) if batch else [None] * len(rows)
+        except EVAL_ERRORS:
+            results = [None] * len(rows)
         for i, result in zip(rows, results):
             try:
                 if result is None:
@@ -308,7 +318,14 @@ def fd_jet(field: ScalarField, x, y, h: float | None = None) -> SecondJet:
     n = field.dim
     base = FD_STEP if h is None else float(h)
 
-    def f(xx, yy):
+    def f(*moves):
+        # the value with each (slot, step) of moves added; slots n and up are velocities
+        xx, yy = x.copy(), y.copy()
+        for slot, step in moves:
+            if slot < n:
+                xx[slot] += step
+            else:
+                yy[slot - n] += step
         try:
             return field.value(xx, yy)
         except DomainError as exc:
@@ -319,57 +336,36 @@ def fd_jet(field: ScalarField, x, y, h: float | None = None) -> SecondJet:
     hx = np.array([_snap(x[i], base * max(1.0, abs(x[i]))) for i in range(n)])
     hy = np.array([_snap(y[i], base * max(1.0, abs(y[i]))) for i in range(n)])
 
-    val = f(x, y)
-
-    def shift(dx_i=None, dx_s=0.0, dy_i=None, dy_s=0.0):
-        xx = x.copy()
-        yy = y.copy()
-        if dx_i is not None:
-            xx[dx_i] += dx_s
-        if dy_i is not None:
-            yy[dy_i] += dy_s
-        return f(xx, yy)
+    val = f()
 
     d_x = np.zeros(n)
     d_y = np.zeros(n)
     for i in range(n):
-        d_x[i] = (shift(dx_i=i, dx_s=hx[i]) - shift(dx_i=i, dx_s=-hx[i])) / (2 * hx[i])
-        d_y[i] = (shift(dy_i=i, dy_s=hy[i]) - shift(dy_i=i, dy_s=-hy[i])) / (2 * hy[i])
+        d_x[i] = (f((i, hx[i])) - f((i, -hx[i]))) / (2 * hx[i])
+        d_y[i] = (f((n + i, hy[i])) - f((n + i, -hy[i]))) / (2 * hy[i])
 
     d_yy = np.zeros((n, n))
     for i in range(n):
-        fp = shift(dy_i=i, dy_s=hy[i])
-        fm = shift(dy_i=i, dy_s=-hy[i])
+        fp = f((n + i, hy[i]))
+        fm = f((n + i, -hy[i]))
         d_yy[i, i] = (fp - 2 * val + fm) / (hy[i] * hy[i])
         for jdx in range(i + 1, n):
-            pp = _shift2(f, x, y, n + i, hy[i], n + jdx, hy[jdx])
-            pm = _shift2(f, x, y, n + i, hy[i], n + jdx, -hy[jdx])
-            mp = _shift2(f, x, y, n + i, -hy[i], n + jdx, hy[jdx])
-            mm = _shift2(f, x, y, n + i, -hy[i], n + jdx, -hy[jdx])
+            pp = f((n + i, hy[i]), (n + jdx, hy[jdx]))
+            pm = f((n + i, hy[i]), (n + jdx, -hy[jdx]))
+            mp = f((n + i, -hy[i]), (n + jdx, hy[jdx]))
+            mm = f((n + i, -hy[i]), (n + jdx, -hy[jdx]))
             d_yy[i, jdx] = d_yy[jdx, i] = (pp - pm - mp + mm) / (4 * hy[i] * hy[jdx])
 
     d_xy = np.zeros((n, n))
     for i in range(n):
         for jdx in range(n):
-            pp = _shift2(f, x, y, i, hx[i], n + jdx, hy[jdx])
-            pm = _shift2(f, x, y, i, hx[i], n + jdx, -hy[jdx])
-            mp = _shift2(f, x, y, i, -hx[i], n + jdx, hy[jdx])
-            mm = _shift2(f, x, y, i, -hx[i], n + jdx, -hy[jdx])
+            pp = f((i, hx[i]), (n + jdx, hy[jdx]))
+            pm = f((i, hx[i]), (n + jdx, -hy[jdx]))
+            mp = f((i, -hx[i]), (n + jdx, hy[jdx]))
+            mm = f((i, -hx[i]), (n + jdx, -hy[jdx]))
             d_xy[i, jdx] = (pp - pm - mp + mm) / (4 * hx[i] * hy[jdx])
 
     return SecondJet(value=val, d_x=d_x, d_y=d_y, d_yy=d_yy, d_xy=d_xy)
-
-
-def _shift2(f, x, y, slot_a, step_a, slot_b, step_b):
-    n = x.shape[0]
-    xx = x.copy()
-    yy = y.copy()
-    for slot, step in ((slot_a, step_a), (slot_b, step_b)):
-        if slot < n:
-            xx[slot] += step
-        else:
-            yy[slot - n] += step
-    return f(xx, yy)
 
 
 def chain_jet(j, f0: float, f1: float, f2: float):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .duals import positive, power, value_of
-from .errors import DomainError, PreconditionError, RouthlabError, SingularHessian
+from .errors import DomainError, PreconditionError, SingularHessian
 from .expressions import Expression, parse_expression, trace_expression
 from .integrators import Trajectory, solve_ode
 from .jets import ScalarField, SecondJet, batch_rows, solve_linear
@@ -110,34 +110,20 @@ class LagrangianModel(ScalarField):
             raise DomainError(str(exc)) from exc
         return out if order == 1 else SecondJet(*out)
 
-    def eval_batch(self, xs, ys, order: int = 0):
+    def _eval_rows(self, xs, ys, order: int):
         """Orders 0 and 1 from the ``"columns"`` kernel, run once on all rows.
 
-        A batch in which a domain guard fires, a floating-point operation
-        raises or an entry is not finite goes row by row, so the first
-        failing row raises.
+        It skips the position predicate, so a family that overrides
+        ``domain_check`` runs the row loop, and runs under
+        ``np.errstate(all="raise")``: a domain guard that fires or a
+        floating-point operation that fails on any row raises.
         """
-        xs, ys = batch_rows(xs, ys)
-        if self.expression is None or order not in (0, 1) or not self._rows_in_domain(xs, ys):
-            return super().eval_batch(xs, ys, order)
-        return self._columns(xs, ys, order)
-
-    def _eval_rows(self, xs, ys, order: int):
-        if self.expression is None or not self._default_domain():
-            return self.eval_batch(xs, ys, order)
-        return self._columns(*batch_rows(xs, ys), order)
-
-    def _columns(self, xs, ys, order: int):
-        try:
-            kernel = self.expression.jet_kernel("columns", self.dim)
-            with np.errstate(all="raise"):
-                val, d_y, d_yy = kernel(*xs.T, *ys.T)
-            if np.isfinite(val).all() and np.isfinite(d_y).all() and np.isfinite(d_yy).all():
-                return val if order == 0 else (val, d_y, d_yy)
-        except (ArithmeticError, ValueError, TypeError, RouthlabError):
-            pass
-        # the row loop raises what a row raises
-        return ScalarField.eval_batch(self, xs, ys, order)
+        if self.expression is None or type(self).domain_check is not ScalarField.domain_check:
+            return super()._eval_rows(xs, ys, order)
+        kernel = self.expression.jet_kernel("columns", self.dim)
+        with np.errstate(all="raise"):
+            val, d_y, d_yy = kernel(*xs.T, *ys.T)
+        return val if order == 0 else (val, d_y, d_yy)
 
 
 class MagneticLagrangian(LagrangianModel):

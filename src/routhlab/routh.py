@@ -27,11 +27,10 @@ from .errors import (
     InvarianceError,
     NoConvergence,
     PreconditionError,
-    RouthlabError,
     SingularBlock,
 )
 from .integrators import Trajectory
-from .jets import SecondJet, batch_rows, drive, lockstep, solve_linear
+from .jets import EVAL_ERRORS, SecondJet, batch_rows, drive, lockstep, solve_linear
 from .lagrangian import LagrangianModel, energies, integrate_el
 from .reporting import VerificationReport
 
@@ -45,11 +44,6 @@ __all__ = [
     "verify_reduction",
     "reconstruct",
 ]
-
-
-#: what evaluating a model can raise; a batch that meets one runs its rows
-#: one at a time, so the first failing row raises it
-_EVAL_ERRORS = (RouthlabError, ArithmeticError, ValueError)
 
 
 def _index_array(indices) -> np.ndarray:
@@ -174,9 +168,8 @@ def solve_momentum(
     x_shape = np.asarray(x_shape, float)
     y_shape = np.asarray(y_shape, float)
     m = len(split.cyclic)
-    if mu.shape != (m,):
-        raise ValueError(f"mu must have shape ({m},)")
     z = np.zeros(m) if guess is None else np.asarray(guess, float).copy()
+    _check_shapes(m, mu=mu, guess=z)
     full_x = split.embed(x_shape, np.zeros(m))
     full_y = split.embed(y_shape, z)
     one = m == 1
@@ -186,6 +179,13 @@ def solve_momentum(
                             z.item() if one else z, math.sqrt(y_shape @ y_shape), tol, max_iter)
     z = drive(steps, lambda _: _cyclic_jet(L, c, full_x, full_y))
     return np.array([z]) if one else z
+
+
+def _check_shapes(m: int, **arrays) -> None:
+    """Raise a ValueError naming the first of arrays whose shape is not (m,)."""
+    for name, a in arrays.items():
+        if a.shape != (m,):
+            raise ValueError(f"{name} must have shape ({m},)")
 
 
 def _cyclic_jet(L, c, x, y):
@@ -250,18 +250,19 @@ def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_sh
     """:func:`solve_momentum` on every row, from the row's guess; a (k, m) array.
 
     Each row runs its own step routine under :func:`jets.lockstep`. With one
-    cyclic coordinate and every row's position in L's domain, checked once
-    as the positions never change, a round evaluates all pending iterates
-    with one batched fiber jet that may skip L's position predicate, and a
-    row whose batched jet raises or is not finite is evaluated again alone,
-    as the scalar solve evaluates it; otherwise each row takes its own
-    jets. Where any row fails, the rows run in order through
-    ``solve_momentum``, so the first failing row raises.
+    cyclic coordinate and every row at its guess in L's domain, checked once
+    as the positions never change and the routines check each later iterate
+    with ``in_domain``, a round evaluates all pending iterates with one
+    batched fiber jet through L's ``_eval_rows``, which may skip that check.
+    The rows of a round whose batched jet raises, or a row whose jet is not
+    finite, are evaluated again alone, as the scalar solve evaluates them;
+    otherwise each row takes its own jets. Where any row fails, the rows run
+    in order through ``solve_momentum``, so the first failing row raises.
     """
     xs_shape, ys_shape = batch_rows(xs_shape, ys_shape)
     k, m = len(guesses), len(split.cyclic)
     full_x = _embed_rows(split, xs_shape, 0.0)
-    full_y = _embed_rows(split, ys_shape, 0.0)
+    full_y = _embed_rows(split, ys_shape, guesses)
     norms = np.sqrt((ys_shape[:, None, :] @ ys_shape[:, :, None])[:, 0, 0]).tolist()
     if m == 1:
         c, mu_c, zs = split.cyclic[0], mu.item(), np.ravel(guesses).tolist()
@@ -269,10 +270,7 @@ def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_sh
         c, mu_c, zs = split.cyc_idx, mu, [np.array(g, float) for g in guesses]
 
     def batch(rows, _):
-        try:
-            _, d_y, d_yy = L._eval_rows(full_x[rows], full_y[rows], 1)
-        except _EVAL_ERRORS:
-            return [None] * len(rows)
+        _, d_y, d_yy = L._eval_rows(full_x[rows], full_y[rows], 1)
         return [(p, h) if math.isfinite(p) and math.isfinite(h) else None
                 for p, h in zip(d_y[:, c].tolist(), d_yy[:, c, c].tolist())]
 
@@ -281,8 +279,8 @@ def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_sh
              for i, z in enumerate(zs)]
     try:
         z = lockstep(steps, lambda i, _: _cyclic_jet(L, c, full_x[i], full_y[i]),
-                     batch if m == 1 and L._positions_in_domain(full_x) else None)
-    except _EVAL_ERRORS:
+                     batch if m == 1 and L._rows_in_domain(full_x, full_y) else None)
+    except EVAL_ERRORS:
         z = [solve_momentum(L, split, mu, x, y, guess=g, tol=tol, max_iter=max_iter)
              for x, y, g in zip(xs_shape, ys_shape, guesses)]
     return np.array(z, float).reshape(k, m)
@@ -316,6 +314,7 @@ class ReducedLagrangian(LagrangianModel):
         self.dim = len(split.shape)
         m = len(split.cyclic)
         self.guess = np.zeros(m) if guess is None else np.asarray(guess, float)
+        _check_shapes(m, mu=self.mu, guess=self.guess)
 
     def cyclic_velocity(self, x_shape, y_shape) -> np.ndarray:
         """The eliminated cyclic velocities at a shape-space point."""
@@ -323,36 +322,28 @@ class ReducedLagrangian(LagrangianModel):
             self.base, self.split, self.mu, x_shape, y_shape, guess=self.guess
         )
 
-    def eval_batch(self, xs, ys, order: int = 0):
-        """Batched orders 0 and 1: one lockstep momentum solve, then stacked Schur steps.
+    def _eval_rows(self, xs, ys, order: int):
+        """Orders 0 and 1: one lockstep momentum solve, then stacked Schur steps.
 
         The cyclic velocities come from :func:`_solve_momenta` with the
         model's guess on every row, and one batched base evaluation feeds
         the assembly of ``eval``. The Schur step divides where the cyclic
         block is 1x1 with one column, as :func:`solve_linear` does, and is a
         stacked ``np.linalg.solve`` otherwise; products are stacked matmuls.
-        A batch in which any row fails goes row by row, so the first failing
-        row raises.
         """
-        xs, ys = batch_rows(xs, ys)
-        if order not in (0, 1):
-            return super().eval_batch(xs, ys, order)
         split = self.split
-        try:
-            z = _solve_momenta(self.base, split, self.mu, xs, ys,
-                               np.broadcast_to(self.guess, (len(xs), len(split.cyclic))))
-            # every row's position passed the base's predicate in the solve
-            j = self.base._eval_rows(_embed_rows(split, xs, 0.0), _embed_rows(split, ys, z), order)
-            mu_z = (self.mu[None, None, :] @ z[:, :, None])[:, 0, 0]
-            if order == 0:
-                return j - mu_z
-            val, d_y, d_yy = j
-            cc, cs, ss, sc = split.blocks
-            a, b = d_yy[(..., *cc)], d_yy[(..., *cs)]
-            with np.errstate(divide="raise", invalid="raise"):
-                w = b / a if a.shape[1:] == b.shape[1:] == (1, 1) else np.linalg.solve(a, b)
-        except _EVAL_ERRORS:
-            return super().eval_batch(xs, ys, order)
+        z = _solve_momenta(self.base, split, self.mu, xs, ys,
+                           np.broadcast_to(self.guess, (len(xs), len(split.cyclic))))
+        # every row passed the base's domain check in the solve
+        j = self.base._eval_rows(_embed_rows(split, xs, 0.0), _embed_rows(split, ys, z), order)
+        mu_z = (self.mu[None, None, :] @ z[:, :, None])[:, 0, 0]
+        if order == 0:
+            return j - mu_z
+        val, d_y, d_yy = j
+        cc, cs, ss, sc = split.blocks
+        a, b = d_yy[(..., *cc)], d_yy[(..., *cs)]
+        with np.errstate(divide="raise", invalid="raise"):
+            w = b / a if a.shape[1:] == b.shape[1:] == (1, 1) else np.linalg.solve(a, b)
         h = d_yy[(..., *ss)] - d_yy[(..., *sc)] @ w
         return val - mu_z, d_y[:, split.shape_idx], 0.5 * (h + h.transpose(0, 2, 1))
 
@@ -490,8 +481,7 @@ def reconstruct(
     mu = np.asarray(mu, float)
     cyclic_start = np.asarray(cyclic_start, float)
     m = len(split.cyclic)
-    if cyclic_start.shape != (m,):
-        raise ValueError(f"cyclic_start must have shape ({m},)")
+    _check_shapes(m, cyclic_start=cyclic_start)
 
     times = reduced.times
     n_red = reduced.dim

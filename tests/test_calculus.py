@@ -268,16 +268,18 @@ def test_only_the_base_field_defines_value_and_fiber_jet():
             assert ("eval" in vars(cls)) == (cls in EVAL_CLASSES), cls
 
 
-# the classes that override eval_batch; every other model runs the row loop
+# the classes that define _eval_rows; every other model runs the row loop
 BATCH_CLASSES = {rl.ScalarField, rl.LagrangianModel, rl.JacobiFinslerModel, rl.ReducedLagrangian}
 
 
 def test_only_the_batching_families_define_eval_batch():
+    # eval_batch is written once, and a family supplies only _eval_rows
     for info in pkgutil.iter_modules(rl.__path__):
         module = importlib.import_module(f"routhlab.{info.name}")
         for cls in vars(module).values():
             if isinstance(cls, type) and cls.__module__ == module.__name__:
-                assert ("eval_batch" in vars(cls)) == (cls in BATCH_CLASSES), cls
+                assert ("eval_batch" in vars(cls)) == (cls is rl.ScalarField), cls
+                assert ("_eval_rows" in vars(cls)) == (cls in BATCH_CLASSES), cls
 
 
 def _blocks(out):
@@ -317,7 +319,7 @@ def test_traced_families_equal_the_hyper_dual_oracle(rng):
         assert len(good) >= 100, name
         for order in (0, 1):
             got = model.eval_batch(xs[good], ys[good], order)
-            want = rl.ScalarField.eval_batch(model, xs[good], ys[good], order)
+            want = _row_loop(model, xs[good], ys[good], order)
             for a, b in zip(_blocks(got), _blocks(want), strict=True):
                 np.testing.assert_array_equal(a, b, err_msg=name)
 
@@ -400,6 +402,59 @@ def test_dsl_batches_equal_the_row_loop(rng):
         # a batch of good rows never reaches the row loop
         model.fiber_jet = model.value = None
         model.eval_batch(xs[good], ys[good], 1)
+
+
+class _Capped(rl.ExpressionLagrangian):
+    """Velocities confined to |v| < 1.2 by domain_check alone, which no kernel sees."""
+
+    def domain_check(self, x, y):
+        super().domain_check(x, y)
+        if not float(y @ y) < 1.44:
+            raise rl.DomainError("velocity outside |v| < 1.2")
+
+
+def test_a_velocity_check_outside_the_expression_holds_in_batches():
+    # the level metric's scale solve probes its base at velocities no batch
+    # check saw; at e = 2 the level lies outside |v| < 1.2 on every ray
+    L = _Capped(rl.parse_expression("0.5*(v1^2 + v2^2) - 0.5*x1^2"), dim=2)
+    xs = np.array([[0.1, 0.0], [0.2, 0.1], [0.3, -0.2]])
+    ys = np.array([[0.5, 0.5], [0.3, -0.6], [1.5, 0.0]])
+    for model in (L, rl.jacobi_finsler(L, 2.0), rl.jacobi_finsler(L, 0.3)):
+        for rows in (slice(0, 2), slice(None)):
+            for order in (0, 1):
+                got = _batch_outcome(lambda: model.eval_batch(xs[rows], ys[rows], order))
+                want = _batch_outcome(lambda: _row_loop(model, xs[rows], ys[rows], order))
+                assert got == want, (model, rows, order)
+
+
+def _no_row_loops(model):
+    """model with value and fiber_jet unset on it and every base below it."""
+    while model is not None:
+        model.fiber_jet = model.value = None
+        model = getattr(model, "base", None)
+
+
+@pytest.mark.parametrize("kind", ["disk", "level", "reduction"])
+def test_good_batches_never_reach_the_row_loop(kind):
+    # as for DSL models above: a silent fallback keeps every bit and costs
+    # only time, so no parity test sees it; here the row loop and a lockstep
+    # round row by row fail
+    rng = np.random.default_rng(21)
+    xs = rng.uniform(-0.6, 0.6, (200, 2))
+    ys = rng.uniform(-1.0, 1.0, (200, 2))
+    if kind == "reduction":
+        kepler = rl.parse_lagrangian(PARITY_SOURCES[0], dim=2, domain=lambda x: x[0] > 0.1)
+        model = rl.routhian(kepler, rl.CyclicSplit.of(2, [1]), np.array([0.3]), verify=False)
+        xs, ys = np.abs(xs[:, :1]) + 0.3, ys[:, :1]
+    else:
+        model = rl.poincare_disk_lagrangian()
+        model = rl.jacobi_finsler(model, 1.5) if kind == "level" else model
+    want = [_row_loop(model, xs, ys, order) for order in (0, 1)]
+    _no_row_loops(model)
+    for order in (0, 1):
+        got = model.eval_batch(xs, ys, order)
+        for a, b in zip(*(o if order else (o,) for o in (got, want[order])), strict=True):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_batched_coefficients_round_as_the_rows(rng):

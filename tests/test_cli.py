@@ -19,6 +19,25 @@ def invoke(args):
     return CliRunner().invoke(main, args)
 
 
+# one malformed number each: the command, the shipped config it edits, the
+# path of the field and the value put there
+MALFORMED_NUMBERS = [
+    ("verify", "oscillator_verify.json", ("time", "t_end"), "abc"),
+    ("verify", "oscillator_verify.json", ("time", "t_end"), -1),
+    ("verify", "oscillator_verify.json", ("time", "samples"), "x"),
+    ("verify", "oscillator_verify.json", ("time", "tol"), 0),
+    ("verify", "oscillator_verify.json", ("energy",), "high"),
+    ("verify", "oscillator_verify.json", ("initial", "x"), "abc"),
+    ("verify", "oscillator_verify.json", ("initial", "x"), [0.3, [0.1, 0.2]]),
+    ("verify", "oscillator_verify.json", ("lagrangian", "dim"), "two"),
+    ("verify", "oscillator_verify.json", ("verify", "drift_tol"), "tight"),
+    ("geodesic", "oscillator_verify.json", ("geodesic", "t_end"), "abc"),
+    ("describe", "polar_reduction.json", ("lagrangian", "dim"), "two"),
+    ("routh-reduce", "polar_reduction.json", ("momentum",), "abc"),
+    ("routh-reduce", "polar_reduction.json", ("momentum",), [1.2, 0.0]),
+]
+
+
 class TestExitCodes:
     def test_passing_verification_exits_zero(self, tmp_path):
         r = invoke(
@@ -63,6 +82,22 @@ class TestExitCodes:
         bad.write_text(json.dumps({"lagrangian": {"family": "nope"}}))
         r = invoke(["describe", "--config", str(bad), "--out", str(tmp_path)])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("command, name, field, bad", MALFORMED_NUMBERS, ids=[
+        f"{command}:{'.'.join(field)}={bad}" for command, _, field, bad in MALFORMED_NUMBERS])
+    def test_malformed_config_numbers_exit_two(self, tmp_path, command, name, field, bad):
+        cfg = json.loads((CONFIGS / name).read_text())
+        *outer, key = field
+        section = cfg
+        for part in outer:
+            section = section.setdefault(part, {})
+        section[key] = bad
+        path = tmp_path / name
+        path.write_text(json.dumps(cfg))
+        r = invoke([command, "--config", str(path), "--out", str(tmp_path)])
+        assert r.exit_code == 2, r.output
+        assert "config error:" in r.output
+        assert "Traceback" not in r.output
 
     def test_exit_codes_through_real_processes(self, tmp_path):
         # the documented codes must hold for actual process exits, not just
@@ -190,9 +225,12 @@ class TestTrajectoryFiles:
 
     def test_malformed_csv_raises_config_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        bad.write_text("t,x1,v1,conserved\n0.0,1.0\n")
-        with pytest.raises(rl.ConfigError):
-            rl.read_trajectory_csv(bad)
+        header = "t,x1,v1,conserved\n"
+        # too few columns, a cell that is not a number, rows of unequal length
+        for rows in ("0.0,1.0\n", "0.0,1.0,abc,0.5\n", "0.0,1.0,2.0,0.5\n0.1,1.0\n"):
+            bad.write_text(header + rows)
+            with pytest.raises(rl.ConfigError, match="malformed trajectory rows"):
+                rl.read_trajectory_csv(bad)
         with pytest.raises(OSError):
             rl.read_trajectory_csv(tmp_path / "missing.csv")
 

@@ -223,6 +223,15 @@ UNTRACEABLE = [
 ]
 
 
+def _row_loop(model, xs, ys, order):
+    """eval_batch's reference: each row's eval in turn, stacked."""
+    rows = [model.eval(x, y, order) for x, y in zip(xs, ys)]
+    if order == 0:
+        return np.array(rows, float)
+    k, n = np.shape(ys)
+    return tuple(np.array([r[i] for r in rows], float).reshape(k, *[n] * i) for i in range(3))
+
+
 @pytest.mark.parametrize("potential, twin", UNTRACEABLE)
 def test_untraceable_callables_fall_back_to_the_hyper_dual_defaults(rng, potential, twin):
     metric = lambda xs: [[1.0 + 0.25 * xs[1] * xs[1], 0.0], [0.0, 1.5]]  # noqa: E731
@@ -240,7 +249,7 @@ def test_untraceable_callables_fall_back_to_the_hyper_dual_defaults(rng, potenti
         assert L.eval(x, y, 1)[0] == rl.ScalarField.eval(L, x, y, 1)[0]
     for order in (0, 1):
         got = L.eval_batch(xs, ys, order)
-        want = rl.ScalarField.eval_batch(L, xs, ys, order)
+        want = _row_loop(L, xs, ys, order)
         for a, b in zip(*(o if order else (o,) for o in (got, want))):
             np.testing.assert_array_equal(a, b)
     # a level metric over the fallback model still solves and evaluates

@@ -140,6 +140,19 @@ def test_singular_cyclic_block_is_reported():
         rl.solve_momentum(L, split, np.array([1.0, 2.0]), np.zeros(1), np.zeros(1))
 
 
+@pytest.mark.parametrize("name, call", [
+    ("mu", lambda L, s: rl.ReducedLagrangian(L, s, np.array([0.3, 0.1]))),
+    ("guess", lambda L, s: rl.ReducedLagrangian(L, s, np.array([0.3]), guess=np.zeros(2))),
+    ("mu", lambda L, s: rl.solve_momentum(L, s, np.array([0.3, 0.1]), np.ones(1), np.ones(1))),
+    ("guess", lambda L, s: rl.solve_momentum(L, s, np.array([0.3]), np.ones(1), np.ones(1),
+                                             guess=np.zeros(2))),
+])
+def test_shape_errors_name_the_argument(name, call):
+    # a wrong guess once first failed at eval, in numpy's broadcasting
+    with pytest.raises(ValueError, match=rf"^{name} must have shape \(1,\)$"):
+        call(polar_model(), CyclicSplit.of(2, [1]))
+
+
 def test_unreachable_momentum_is_reported():
     # saturating momentum dL/dv2 = v2/sqrt(1+v2^2) never reaches 2
     L = rl.parse_lagrangian("0.5*v1^2 + sqrt(1 + v2^2)", dim=2)
@@ -405,6 +418,15 @@ def test_zero_one_by_one_blocks_raise_their_own_errors():
 # -- the lockstep momentum solve against the row loop ---------------------------
 
 
+def _row_loop(model, xs, ys, order):
+    """eval_batch's reference: each row's eval in turn, stacked."""
+    rows = [model.eval(x, y, order) for x, y in zip(xs, ys)]
+    if order == 0:
+        return np.array(rows, float)
+    k, n = np.shape(ys)
+    return tuple(np.array([r[i] for r in rows], float).reshape(k, *[n] * i) for i in range(3))
+
+
 def _rows(f):
     """f()'s arrays as dtype, shape and bytes, or its error's type and message."""
     try:
@@ -463,16 +485,16 @@ def test_reduced_batches_equal_the_row_loop(source, mu, guess):
             assert len(set(sizes) - {0}) >= 3, sizes
         else:
             assert 0 not in sizes, sizes
-        assert got == _rows(lambda: rl.ScalarField.eval_batch(red, xs, ys, order)), order
+        assert got == _rows(lambda: _row_loop(red, xs, ys, order)), order
         assert not isinstance(got, tuple), got
     # rows that fail, first at the position predicate, then at an
     # unreachable momentum, raise what the first of them raises
     xs[[70, 150]] = 0.05
     assert _rows(lambda: red.eval_batch(xs, ys, 1)) == \
-        _rows(lambda: rl.ScalarField.eval_batch(red, xs, ys, 1))
+        _rows(lambda: _row_loop(red, xs, ys, 1))
     far = rl.ReducedLagrangian(L, CyclicSplit.of(2, [1]), np.array([1e9]), guess=guess)
     assert _rows(lambda: far.eval_batch(xs[::-1], ys[::-1], 1)) == \
-        _rows(lambda: rl.ScalarField.eval_batch(far, xs[::-1], ys[::-1], 1))
+        _rows(lambda: _row_loop(far, xs[::-1], ys[::-1], 1))
 
 
 def test_reduced_batches_check_each_position_twice_at_most():
@@ -492,7 +514,7 @@ def test_reduced_batches_check_each_position_twice_at_most():
         calls.clear()
         got = _rows(lambda: red.eval_batch(xs, ys, order))
         assert len(calls) <= 2 * 801, len(calls)
-        assert got == _rows(lambda: rl.ScalarField.eval_batch(red, xs, ys, order)), order
+        assert got == _rows(lambda: _row_loop(red, xs, ys, order)), order
 
 
 def test_reduced_batches_of_a_velocity_checked_base_run_in_lockstep():
@@ -510,7 +532,7 @@ def test_reduced_batches_of_a_velocity_checked_base_run_in_lockstep():
         # the base's own eval_batch is the row loop, whose fiber jets count 0
         batches = [s for s in sizes if s]
         assert batches[0] == batches[-1] == 100 and len(batches) >= 3, batches
-        assert got == _rows(lambda: rl.ScalarField.eval_batch(red, xs, ys, order)), order
+        assert got == _rows(lambda: _row_loop(red, xs, ys, order)), order
         assert not isinstance(got, tuple), got
 
 
@@ -582,4 +604,4 @@ def test_two_cyclic_reductions_batch_as_the_rows():
     for order in (0, 1):
         got = _rows(lambda: red.eval_batch(xs, ys, order))
         assert not isinstance(got, tuple)
-        assert got == _rows(lambda: rl.ScalarField.eval_batch(red, xs, ys, order))
+        assert got == _rows(lambda: _row_loop(red, xs, ys, order))
