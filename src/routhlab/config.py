@@ -5,7 +5,8 @@ A configuration file declares a Lagrangian family with coefficient data
 cyclic-coordinate indices (1-based, as in the variable names x1, x2, ...),
 an energy level, initial data, and integration settings. Malformed or
 inconsistent declarations raise :class:`ConfigError`; expression syntax
-problems keep their precise :class:`ParseError` positions.
+problems keep their precise :class:`ParseError` positions. This is the only
+module that reads the format: the command line asks it for each setting.
 """
 
 from __future__ import annotations
@@ -34,9 +35,12 @@ __all__ = [
     "build_model",
     "build_split",
     "cyclic_momentum",
+    "has_initial",
     "initial_state",
     "time_settings",
+    "geodesic_flags",
     "verify_tolerances",
+    "plot_unit_disk",
 ]
 
 _FAMILIES = ("simple", "magnetic", "power", "expression", "poincare_disk")
@@ -83,60 +87,42 @@ def _section(cfg: dict, name: str) -> dict:
     return section
 
 
-def _scalar_entry(entry, dim: int):
-    """A number stays a number; a string compiles to a position function."""
-    if isinstance(entry, (int, float)):
-        return float(entry)
-    if isinstance(entry, str):
-        expr = parse_expression(entry, dim=dim, allow_velocity=False)
-
-        def fn(xs, _expr=expr):
-            return _expr(xs, ())
-
-        return fn
-    raise ConfigError(f"coefficient entries must be numbers or strings, got {entry!r}")
+def _flag(cfg: dict, name: str, key: str, default: bool) -> bool:
+    """The optional JSON boolean cfg[name][key]; anything but true or false is a ConfigError."""
+    value = _section(cfg, name).get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name}.{key} must be true or false, got {value!r}")
+    return value
 
 
-def _matrix_spec(entries, dim: int):
-    if not isinstance(entries, list) or len(entries) != dim:
-        raise ConfigError(f"metric must be a {dim}x{dim} array of entries")
-    cells = []
-    any_expr = False
-    for row in entries:
-        if not isinstance(row, list) or len(row) != dim:
-            raise ConfigError(f"metric must be a {dim}x{dim} array of entries")
-        compiled = [_scalar_entry(c, dim) for c in row]
-        any_expr = any_expr or any(callable(c) for c in compiled)
-        cells.append(compiled)
-    if not any_expr:
-        return np.array(cells, dtype=float)
+def _coefficients(data, dim: int, rank: int):
+    """Coefficient data of rank 0 (a potential), 1 (a one-form) or 2 (a metric).
 
-    def metric(xs):
-        return [[c(xs) if callable(c) else c for c in row] for row in cells]
+    An absent potential or one-form stays None. A number becomes a float and
+    a string a function of the positions. A list of dim entries of one rank
+    less becomes a tuple where they are all constant, and otherwise a
+    function of the positions giving the list, its constants still floats.
+    """
+    shape = (f"metric must be a {dim}x{dim} array of entries" if rank == 2
+             else f"one-form must be a list of {dim} entries")
 
-    return metric
+    def cells(data, rank):
+        if rank == 0:
+            if isinstance(data, (int, float)):
+                return float(data)
+            if isinstance(data, str):
+                expr = parse_expression(data, dim=dim, allow_velocity=False)
+                return lambda xs: expr(xs, ())
+            raise ConfigError(
+                f"coefficient entries must be numbers or strings, got {data!r}")
+        if not isinstance(data, list) or len(data) != dim:
+            raise ConfigError(shape)
+        out = [cells(entry, rank - 1) for entry in data]
+        if not any(map(callable, out)):
+            return tuple(out)
+        return lambda xs: [c(xs) if callable(c) else c for c in out]
 
-
-def _vector_spec(entries, dim: int):
-    if entries is None:
-        return None
-    if not isinstance(entries, list) or len(entries) != dim:
-        raise ConfigError(f"one-form must be a list of {dim} entries")
-    compiled = [_scalar_entry(c, dim) for c in entries]
-    if not any(callable(c) for c in compiled):
-        return np.array(compiled, dtype=float)
-
-    def beta(xs):
-        return [c(xs) if callable(c) else c for c in compiled]
-
-    return beta
-
-
-def _potential_spec(entry, dim: int):
-    if entry is None:
-        return None
-    compiled = _scalar_entry(entry, dim)
-    return compiled if callable(compiled) else float(compiled)
+    return None if data is None and rank < 2 else cells(data, rank)
 
 
 def _domain_spec(entry):
@@ -174,22 +160,22 @@ def build_model(cfg: dict) -> LagrangianModel:
         )
     else:
         dim = _number(_require(spec, "dim", "lagrangian"), "lagrangian dim", int, 0)
-        metric = _matrix_spec(_require(spec, "metric", "lagrangian"), dim)
+        metric = _coefficients(_require(spec, "metric", "lagrangian"), dim, 2)
         domain = _domain_spec(spec.get("domain"))
         if family == "power":
             degree = _number(_require(spec, "degree", "lagrangian"), "lagrangian degree")
             model = PowerQuadraticLagrangian(dim, metric, degree=degree, domain=domain)
         elif family == "simple":
             model = MechanicalLagrangian(
-                dim, metric, potential=_potential_spec(spec.get("potential"), dim),
+                dim, metric, potential=_coefficients(spec.get("potential"), dim, 0),
                 domain=domain,
             )
         else:
             model = MagneticLagrangian(
                 dim,
                 metric,
-                beta=_vector_spec(spec.get("beta"), dim),
-                potential=_potential_spec(spec.get("potential"), dim),
+                beta=_coefficients(spec.get("beta"), dim, 1),
+                potential=_coefficients(spec.get("potential"), dim, 0),
                 domain=domain,
             )
 
@@ -225,6 +211,11 @@ def cyclic_momentum(cfg: dict, split: CyclicSplit) -> np.ndarray | None:
     return mu
 
 
+def has_initial(cfg: dict) -> bool:
+    """Whether the config declares initial data."""
+    return "initial" in cfg
+
+
 def initial_state(cfg: dict, L: LagrangianModel):
     """(x0, v0, e) from the config; applies the requested energy rescale.
 
@@ -244,7 +235,7 @@ def initial_state(cfg: dict, L: LagrangianModel):
         )
     e = cfg.get("energy")
     e = None if e is None else _number(e, "energy")
-    if init.get("rescale", False):
+    if _flag(cfg, "initial", "rescale", False):
         if e is None:
             raise ConfigError("initial.rescale needs an 'energy' value")
         v0 = rescale_to_energy(L, x0, v0, e)
@@ -269,3 +260,14 @@ def verify_tolerances(cfg: dict) -> dict:
     vc = _section(cfg, "verify")
     defaults = {"pointset_tol": 1e-6, "pointwise_tol": 1e-6, "drift_tol": 1e-8}
     return {key: _number(vc.get(key, d), f"verify.{key}") for key, d in defaults.items()}
+
+
+def geodesic_flags(cfg: dict) -> tuple[bool, bool]:
+    """(level, unit_speed) of the geodesic run: the level-conserving spray, off by
+    default, and the unit-speed start, on by default."""
+    return _flag(cfg, "geodesic", "level", False), _flag(cfg, "geodesic", "unit_speed", True)
+
+
+def plot_unit_disk(cfg: dict) -> bool:
+    """Whether the plot draws the unit circle; off by default."""
+    return _flag(cfg, "plot", "unit_disk", False)

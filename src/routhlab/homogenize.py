@@ -34,8 +34,8 @@ from .jets import ScalarField, SecondJet, chain_jet, drive, lockstep
 from .lagrangian import (
     LagrangianModel,
     MagneticLagrangian,
-    _normalize_matrix_spec,
-    _normalize_vector_spec,
+    _normalize_matrix,
+    _normalize_vector,
 )
 
 __all__ = [
@@ -361,11 +361,10 @@ class JacobiFinslerModel(FinslerModel):
 
     family = "jacobi"
 
-    def __init__(self, base: LagrangianModel, e: float, tol: float = 1e-12):
+    def __init__(self, base: LagrangianModel, e: float):
         self.base = base
         self.e = float(e)
         self.dim = base.dim
-        self.tol = float(tol)
 
     def describe(self) -> dict:
         return {
@@ -383,7 +382,7 @@ class JacobiFinslerModel(FinslerModel):
 
     def energy_scale(self, x, y) -> float:
         """The eliminated scale s at (x, y)."""
-        return solve_energy_scale(self.base, x, y, self.e, tol=self.tol).s
+        return solve_energy_scale(self.base, x, y, self.e).s
 
     def _rows_in_domain(self, xs, ys) -> bool:
         # the base's domain; a zero velocity raises in the scale solve
@@ -396,7 +395,7 @@ class JacobiFinslerModel(FinslerModel):
         base evaluation at (x, y/s) feeds the assembly of ``eval``, with its
         products as stacked matmuls.
         """
-        s = _solve_energy_scales(self.base, xs, ys, self.e, tol=self.tol)
+        s = _solve_energy_scales(self.base, xs, ys, self.e)
         vs = ys / s[:, None]
         j = self.base._eval_rows(xs, vs, order)
         if order == 0:
@@ -444,9 +443,9 @@ class JacobiFinslerModel(FinslerModel):
         return en - self.e, j.d_xy @ y - j.d_x, j.d_yy @ y
 
 
-def jacobi_finsler(L: LagrangianModel, e: float, tol: float = 1e-12) -> JacobiFinslerModel:
+def jacobi_finsler(L: LagrangianModel, e: float) -> JacobiFinslerModel:
     """The Finsler function whose geodesics are the energy-e solutions of L."""
-    return JacobiFinslerModel(L, e, tol=tol)
+    return JacobiFinslerModel(L, e)
 
 
 # -- quadratic-plus-linear closed form ------------------------------------------
@@ -486,8 +485,8 @@ class RandersModel(FinslerModel):
         if dim < 1:
             raise ValueError("dim must be at least 1")
         self.dim = int(dim)
-        self.metric = _normalize_matrix_spec(metric, self.dim)
-        self.beta = _normalize_vector_spec(beta, self.dim)
+        self.metric = _normalize_matrix(metric, self.dim)
+        self.beta = _normalize_vector(beta, self.dim)
         self._domain = domain
 
     def domain_check(self, x, y):

@@ -60,6 +60,8 @@ _MIN_SHRINK = 0.2
 # PI controller exponents for an order-4 error estimate
 _ALPHA = 0.7 / 5.0
 _BETA = 0.4 / 5.0
+#: accepted plus rejected steps one solve may take
+MAX_STEPS = 200_000
 
 
 @dataclass(frozen=True)
@@ -147,11 +149,11 @@ def _initial_step(rhs, t0, y0, f0, t_end, tol):
     return min(100 * h0, h1, t_end - t0)
 
 
-def solve_ode(rhs, y0, t_end: float, tol: float = 1e-10, max_steps: int = 200_000):
+def solve_ode(rhs, y0, t_end: float, tol: float = 1e-10):
     """Integrate dy/dt = rhs(t, y) from 0 to t_end.
 
     Returns (DenseOutput, IntegratorStats). Raises StepFailure when the step
-    size underflows against repeated rejections or the step budget runs out.
+    size underflows against repeated rejections or after MAX_STEPS steps.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
@@ -223,7 +225,7 @@ def solve_ode(rhs, y0, t_end: float, tol: float = 1e-10, max_steps: int = 200_00
         y = y_new
         f = k[6]  # first-same-as-last
         steps += 1
-        if steps + rejected > max_steps:
+        if steps + rejected > MAX_STEPS:
             raise StepFailure(f"step budget exhausted after {steps} accepted steps")
 
         if err == 0.0:

@@ -23,6 +23,8 @@ checks the order, checks the rows once with ``_rows_in_domain``, and calls
 ``_eval_rows``; where a row fails that check, or ``_eval_rows`` raises one
 of ``EVAL_ERRORS`` or gives an entry that is not finite, it runs the rows
 in order through ``value`` or ``fiber_jet``, so the first failing row raises.
+Where ``_eval_rows`` is that row loop (``_rows_at_once`` says no), the batch
+runs it once, with no domain pass and no second run.
 
 The implicit solves (energy scale, cyclic velocities) write their rules
 once, as step routines: :func:`lockstep` runs them on every row of a batch,
@@ -151,7 +153,7 @@ class ScalarField:
         if order not in (0, 1):
             raise ValueError(f"eval_batch evaluates orders 0 and 1, not {order}")
         xs, ys = batch_rows(xs, ys)
-        if self._rows_in_domain(xs, ys):
+        if self._rows_at_once() and self._rows_in_domain(xs, ys):
             try:
                 out = self._eval_rows(xs, ys, order)
                 if all(np.isfinite(a).all() for a in (out if order else (out,))):
@@ -171,6 +173,10 @@ class ScalarField:
         rows = [self.fiber_jet(x, y) for x, y in zip(xs, ys)]
         k, n = ys.shape
         return tuple(np.array([r[i] for r in rows], float).reshape(k, *[n] * i) for i in range(3))
+
+    def _rows_at_once(self) -> bool:
+        """Whether ``_eval_rows`` evaluates the rows at once, not by the row loop."""
+        return type(self)._eval_rows is not ScalarField._eval_rows
 
     def _rows_in_domain(self, xs, ys) -> bool:
         """Whether ``domain_check`` passes on every row; a row that raises says no.

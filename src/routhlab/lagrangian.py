@@ -41,7 +41,12 @@ __all__ = [
 ]
 
 
-def _normalize_matrix_spec(spec, dim: int):
+#: in-domain sample points of HomogeneousLagrangian's degree check, and their seed
+VERIFY_SAMPLES = 25
+VERIFY_SEED = 7
+
+
+def _normalize_matrix(spec, dim: int):
     if callable(spec):
         return spec
     m = np.asarray(spec, float)
@@ -52,7 +57,7 @@ def _normalize_matrix_spec(spec, dim: int):
     return m
 
 
-def _normalize_vector_spec(spec, dim: int):
+def _normalize_vector(spec, dim: int):
     if spec is None or callable(spec):
         return spec
     b = np.asarray(spec, float)
@@ -110,15 +115,20 @@ class LagrangianModel(ScalarField):
             raise DomainError(str(exc)) from exc
         return out if order == 1 else SecondJet(*out)
 
+    def _rows_at_once(self) -> bool:
+        # the columns kernel skips the position predicate, so a family that
+        # overrides ``domain_check``, like one without a tree, runs the row loop
+        return type(self)._eval_rows is not LagrangianModel._eval_rows or (
+            self.expression is not None and type(self).domain_check is ScalarField.domain_check)
+
     def _eval_rows(self, xs, ys, order: int):
         """Orders 0 and 1 from the ``"columns"`` kernel, run once on all rows.
 
-        It skips the position predicate, so a family that overrides
-        ``domain_check`` runs the row loop, and runs under
-        ``np.errstate(all="raise")``: a domain guard that fires or a
+        Where ``_rows_at_once`` says no, it is the row loop. The kernel runs
+        under ``np.errstate(all="raise")``: a domain guard that fires or a
         floating-point operation that fails on any row raises.
         """
-        if self.expression is None or type(self).domain_check is not ScalarField.domain_check:
+        if not self._rows_at_once():
             return super()._eval_rows(xs, ys, order)
         kernel = self.expression.jet_kernel("columns", self.dim)
         with np.errstate(all="raise"):
@@ -140,8 +150,8 @@ class MagneticLagrangian(LagrangianModel):
         if dim < 1:
             raise ValueError("dim must be at least 1")
         self.dim = int(dim)
-        self.metric = _normalize_matrix_spec(metric, self.dim)
-        self.beta = _normalize_vector_spec(beta, self.dim)
+        self.metric = _normalize_matrix(metric, self.dim)
+        self.beta = _normalize_vector(beta, self.dim)
         self.potential = potential
         self._domain = domain
         self.expression = trace_expression(self.expr, self.dim, "MagneticLagrangian.expr")
@@ -182,7 +192,7 @@ class PowerQuadraticLagrangian(LagrangianModel):
         if degree < 2:
             raise ValueError("degree must be at least 2")
         self.dim = int(dim)
-        self.metric = _normalize_matrix_spec(metric, self.dim)
+        self.metric = _normalize_matrix(metric, self.dim)
         self.degree = int(degree)
         self._domain = domain
         self.expression = trace_expression(self.expr, self.dim, "PowerQuadraticLagrangian.expr")
@@ -204,19 +214,19 @@ class HomogeneousLagrangian(LagrangianModel):
 
     family = "k_homogeneous"
 
-    def __init__(self, base: ScalarField, degree: int, verify_samples: int = 25, seed: int = 7):
+    def __init__(self, base: ScalarField, degree: int):
         if degree < 1:
             raise ValueError("degree must be at least 1")
         self.base = base
         self.dim = base.dim
         self.degree = int(degree)
-        self._verify_degree(verify_samples, seed)
+        self._verify_degree()
 
-    def _verify_degree(self, samples: int, seed: int):
-        rng = np.random.default_rng(seed)
+    def _verify_degree(self):
+        rng = np.random.default_rng(VERIFY_SEED)
         checked = 0
-        for _ in range(40 * samples):
-            if checked >= samples:
+        for _ in range(40 * VERIFY_SAMPLES):
+            if checked >= VERIFY_SAMPLES:
                 return
             x = rng.uniform(-0.8, 0.8, self.dim)
             y = rng.uniform(0.5, 1.5, self.dim) * rng.choice([-1.0, 1.0], self.dim)
@@ -347,7 +357,6 @@ def integrate_el(
     t_end: float,
     tol: float = 1e-10,
     samples: int = 801,
-    max_steps: int = 200_000,
 ) -> Trajectory:
     """Integrate the Euler-Lagrange flow from (x0, v0) over [0, t_end]."""
     x0 = np.asarray(x0, float)
@@ -362,14 +371,9 @@ def integrate_el(
         )
 
     def rhs(t, s):
-        x = s[:n]
-        v = s[n:]
-        j = L.eval(x, v)
-        a = solve_linear(j.d_yy, j.d_x - j.d_xy.T @ v, lambda: SingularHessian(
-            f"velocity Hessian is singular at x={x}"))
-        return np.concatenate([v, a])
+        return np.concatenate([s[n:], el_acceleration(L, s[:n], s[n:])])
 
-    dense, stats = solve_ode(rhs, np.concatenate([x0, v0]), t_end, tol=tol, max_steps=max_steps)
+    dense, stats = solve_ode(rhs, np.concatenate([x0, v0]), t_end, tol=tol)
     times = np.linspace(0.0, t_end, samples)
     states = dense.sample(times)
     positions = states[:, :n]

@@ -45,6 +45,16 @@ __all__ = [
     "reconstruct",
 ]
 
+#: the momentum solve stops where |p - mu| <= MOMENTUM_TOL (1 + |mu|), and
+#: gives up after MOMENTUM_MAX_ITER Newton steps
+MOMENTUM_TOL = 1e-12
+MOMENTUM_MAX_ITER = 50
+#: in-domain points the invariance check samples, in a ball of this radius,
+#: and the relative bound on |dL/dx| in the cyclic slots
+INVARIANCE_SAMPLES = 24
+INVARIANCE_RADIUS = 0.4
+INVARIANCE_TOL = 1e-12
+
 
 def _index_array(indices) -> np.ndarray:
     a = np.array(indices, dtype=int)
@@ -96,15 +106,7 @@ class CyclicSplit:
         return full
 
 
-def check_invariance(
-    L: LagrangianModel,
-    split: CyclicSplit,
-    ref_x=None,
-    samples: int = 24,
-    seed: int = 0,
-    radius: float = 0.4,
-    tol: float = 1e-12,
-) -> None:
+def check_invariance(L: LagrangianModel, split: CyclicSplit, ref_x=None, seed: int = 0) -> None:
     """Sample dL/dx on the cyclic slots; raise InvarianceError if any is nonzero.
 
     Sampling is confined to a ball around ref_x (zeros by default); points
@@ -113,10 +115,10 @@ def check_invariance(
     rng = np.random.default_rng(seed)
     center = np.zeros(L.dim) if ref_x is None else np.asarray(ref_x, float)
     checked = 0
-    for _ in range(40 * samples):
-        if checked >= samples:
+    for _ in range(40 * INVARIANCE_SAMPLES):
+        if checked >= INVARIANCE_SAMPLES:
             return
-        x = center + rng.uniform(-radius, radius, L.dim)
+        x = center + rng.uniform(-INVARIANCE_RADIUS, INVARIANCE_RADIUS, L.dim)
         y = rng.uniform(-1.2, 1.2, L.dim)
         try:
             j = L.eval(x, y)
@@ -124,7 +126,7 @@ def check_invariance(
             continue
         checked += 1
         worst = float(np.max(np.abs(j.d_x[split.cyc_idx])))
-        if worst > tol * (1.0 + abs(j.value)):
+        if worst > INVARIANCE_TOL * (1.0 + abs(j.value)):
             raise InvarianceError(
                 f"coordinate(s) {split.cyclic} are not cyclic: "
                 f"sampled |dL/dx| = {worst:.3e} at x={x}"
@@ -146,8 +148,6 @@ def solve_momentum(
     x_shape,
     y_shape,
     guess=None,
-    tol: float = 1e-12,
-    max_iter: int = 50,
 ) -> np.ndarray:
     """Cyclic velocities where the conjugate momenta equal mu.
 
@@ -155,8 +155,9 @@ def solve_momentum(
     default). The iteration halves a step, up to 30 times, while the new
     iterate leaves the model domain or its fiber jet raises DomainError (a
     bounded fiber domain such as |v| < 1), raises SingularBlock when the
-    cyclic Hessian block fails to factor, and NoConvergence when the budget
-    runs out or the iterates diverge (an unreachable momentum target).
+    cyclic Hessian block fails to factor, and NoConvergence after
+    MOMENTUM_MAX_ITER iterations or where the iterates diverge (an
+    unreachable momentum target).
 
     The rules are written once, in the step routine ``_momentum_steps``: on
     one point :func:`jets.drive` feeds it one fiber jet per iterate, and
@@ -176,7 +177,7 @@ def solve_momentum(
     c = split.cyclic[0] if one else split.cyc_idx
     # np.linalg.norm's own sqrt of a dot product, without its overhead
     steps = _momentum_steps(L, c, mu.item() if one else mu, full_x, full_y,
-                            z.item() if one else z, math.sqrt(y_shape @ y_shape), tol, max_iter)
+                            z.item() if one else z, math.sqrt(y_shape @ y_shape))
     z = drive(steps, lambda _: _cyclic_jet(L, c, full_x, full_y))
     return np.array([z]) if one else z
 
@@ -196,7 +197,7 @@ def _cyclic_jet(L, c, x, y):
     return d_y.item(c), d_yy.item(c, c)
 
 
-def _momentum_steps(L, c, mu, full_x, full_y, z, shape_norm, tol, max_iter):
+def _momentum_steps(L, c, mu, full_x, full_y, z, shape_norm):
     """The rules of :func:`solve_momentum` as a step routine, driven jet by jet.
 
     It writes each iterate z into full_y[c] and yields it, receives
@@ -208,12 +209,12 @@ def _momentum_steps(L, c, mu, full_x, full_y, z, shape_norm, tol, max_iter):
     as ``np.linalg.norm`` takes it, and a step is ``np.linalg.solve``.
     """
     one = isinstance(z, float)
-    scale = tol * (1.0 + math.sqrt(mu * mu if one else mu @ mu))
+    scale = MOMENTUM_TOL * (1.0 + math.sqrt(mu * mu if one else mu @ mu))
     ceiling = 1e8 * (1.0 + math.sqrt(z * z if one else z @ z) + shape_norm)
     r = None
     full_y[c] = z
     p, h = yield z
-    for it in range(max_iter):
+    for it in range(MOMENTUM_MAX_ITER):
         r = p - mu
         if math.sqrt(r * r if one else r @ r) <= scale:
             return z
@@ -230,7 +231,7 @@ def _momentum_steps(L, c, mu, full_x, full_y, z, shape_norm, tol, max_iter):
                 if math.sqrt(trial * trial if one else trial @ trial) > ceiling:
                     raise NoConvergence("momentum solve is diverging; "
                                         "the target momentum may be unreachable")
-                if it + 1 == max_iter:
+                if it + 1 == MOMENTUM_MAX_ITER:
                     break
                 try:
                     p, h = yield trial
@@ -241,12 +242,12 @@ def _momentum_steps(L, c, mu, full_x, full_y, z, shape_norm, tol, max_iter):
         else:
             raise NoConvergence("momentum solve could not stay inside the domain")
         z = trial
-    raise NoConvergence(f"momentum solve did not converge in {max_iter} iterations "
+    raise NoConvergence(f"momentum solve did not converge in {MOMENTUM_MAX_ITER} iterations "
                         f"(residual {math.sqrt(r * r if one else r @ r):.3e})")
 
 
 def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_shape,
-                   ys_shape, guesses, tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
+                   ys_shape, guesses) -> np.ndarray:
     """:func:`solve_momentum` on every row, from the row's guess; a (k, m) array.
 
     Each row runs its own step routine under :func:`jets.lockstep`. With one
@@ -275,13 +276,13 @@ def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_sh
                 for p, h in zip(d_y[:, c].tolist(), d_yy[:, c, c].tolist())]
 
     # each routine writes its iterates into its own row of full_y
-    steps = [_momentum_steps(L, c, mu_c, full_x[i], full_y[i], z, norms[i], tol, max_iter)
+    steps = [_momentum_steps(L, c, mu_c, full_x[i], full_y[i], z, norms[i])
              for i, z in enumerate(zs)]
     try:
         z = lockstep(steps, lambda i, _: _cyclic_jet(L, c, full_x[i], full_y[i]),
                      batch if m == 1 and L._rows_in_domain(full_x, full_y) else None)
     except EVAL_ERRORS:
-        z = [solve_momentum(L, split, mu, x, y, guess=g, tol=tol, max_iter=max_iter)
+        z = [solve_momentum(L, split, mu, x, y, guess=g)
              for x, y, g in zip(xs_shape, ys_shape, guesses)]
     return np.array(z, float).reshape(k, m)
 

@@ -92,7 +92,6 @@ def integrate_geodesic(
     t_end: float,
     tol: float = 1e-10,
     samples: int = 801,
-    max_steps: int = 200_000,
     level=None,
     unit_speed: bool = False,
 ) -> Trajectory:
@@ -124,9 +123,7 @@ def integrate_geodesic(
         a = accel(state[:n], state[n:])
         return np.concatenate([state[n:], a])
 
-    dense, stats = solve_ode(
-        rhs, np.concatenate([x0, y0]), t_end, tol=tol, max_steps=max_steps
-    )
+    dense, stats = solve_ode(rhs, np.concatenate([x0, y0]), t_end, tol=tol)
     times = np.linspace(0.0, t_end, samples)
     states = dense.sample(times)
     positions = states[:, :n]

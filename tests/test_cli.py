@@ -19,9 +19,9 @@ def invoke(args):
     return CliRunner().invoke(main, args)
 
 
-# one malformed number each: the command, the shipped config it edits, the
+# one malformed field each: the command, the shipped config it edits, the
 # path of the field and the value put there
-MALFORMED_NUMBERS = [
+MALFORMED_FIELDS = [
     ("verify", "oscillator_verify.json", ("time", "t_end"), "abc"),
     ("verify", "oscillator_verify.json", ("time", "t_end"), -1),
     ("verify", "oscillator_verify.json", ("time", "samples"), "x"),
@@ -35,6 +35,18 @@ MALFORMED_NUMBERS = [
     ("describe", "polar_reduction.json", ("lagrangian", "dim"), "two"),
     ("routh-reduce", "polar_reduction.json", ("momentum",), "abc"),
     ("routh-reduce", "polar_reduction.json", ("momentum",), [1.2, 0.0]),
+    # a flag is a JSON boolean, and a string would invert it
+    ("geodesic", "disk_verify.json", ("geodesic", "unit_speed"), "false"),
+    ("geodesic", "disk_verify.json", ("geodesic", "level"), "no"),
+    ("describe", "disk_verify.json", ("initial", "rescale"), "false"),
+    ("plot", "disk_verify.json", ("plot", "unit_disk"), "false"),
+    ("plot", "disk_verify.json", ("plot",), [1, 2]),
+    # each command's own requirements
+    ("geodesic", "polar_reduction.json", ("energy",), None),
+    ("finslerize", "polar_reduction.json", ("energy",), None),
+    ("verify", "polar_reduction.json", ("energy",), None),
+    ("plot", "polar_reduction.json", ("lagrangian", "dim"), 3),
+    ("routh-reduce", "polar_reduction.json", ("cyclic",), None),
 ]
 
 
@@ -83,8 +95,8 @@ class TestExitCodes:
         r = invoke(["describe", "--config", str(bad), "--out", str(tmp_path)])
         assert r.exit_code == 2
 
-    @pytest.mark.parametrize("command, name, field, bad", MALFORMED_NUMBERS, ids=[
-        f"{command}:{'.'.join(field)}={bad}" for command, _, field, bad in MALFORMED_NUMBERS])
+    @pytest.mark.parametrize("command, name, field, bad", MALFORMED_FIELDS, ids=[
+        f"{command}:{'.'.join(field)}={bad}" for command, _, field, bad in MALFORMED_FIELDS])
     def test_malformed_config_numbers_exit_two(self, tmp_path, command, name, field, bad):
         cfg = json.loads((CONFIGS / name).read_text())
         *outer, key = field

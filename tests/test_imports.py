@@ -9,7 +9,9 @@ go through ``eval_batch``. And only ``jets`` drives step routines: their
 ``send`` and ``throw`` calls live in ``jets.lockstep`` and ``jets.drive``.
 And only ``expressions`` turns text into code, with ``compile`` and
 ``exec``: kernel text is written from expression trees, never from the
-source of a callable.
+source of a callable. And ``cli`` reads no key of a config: only ``config``
+reads the format, and each command is one function on the command skeleton,
+with no ``body`` closure.
 """
 
 import ast
@@ -199,3 +201,42 @@ def test_the_guard_flags_code_built_from_text():
         "kernel = expression.jet_kernel('fiber', 2)\n"
     )
     assert _code_calls(tree) == [(1, "compile"), (3, "exec")]
+
+
+def _config_reads(tree):
+    """(line, form) of each key read from a name ending in ``cfg``, and of each ``body``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "get" and str(_name(node.func.value)).endswith("cfg"):
+                found.append((node.lineno, "cfg.get"))
+        elif isinstance(node, ast.Subscript) and str(_name(node.value)).endswith("cfg"):
+            found.append((node.lineno, "cfg["))
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.In, ast.NotIn)) and str(_name(right)).endswith("cfg")
+            for op, right in zip(node.ops, node.comparators)
+        ):
+            found.append((node.lineno, "in cfg"))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "body":
+            found.append((node.lineno, "def body"))
+    return sorted(found)
+
+
+def test_cli_reads_no_config_key():
+    path = Path(routhlab.__file__).parent / "cli.py"
+    reads = _config_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert not reads, f"cli.py reads the config format itself: {reads}; ask routhlab.config"
+
+
+def test_the_guard_flags_a_config_read():
+    tree = ast.parse(
+        "e = cfg.get('energy')\n"
+        "pcfg = cfg['plot']\n"
+        "if 'initial' in cfg:\n"
+        "    def body():\n"
+        "        return gcfg.get('level', False)\n"
+        "x0, v0, e = initial_state(cfg, model)\n"
+        "ok = 'x' in init\n"
+    )
+    assert _config_reads(tree) == [
+        (1, "cfg.get"), (2, "cfg["), (3, "in cfg"), (4, "def body"), (5, "cfg.get")]

@@ -114,6 +114,35 @@ def test_homogeneous_wrapper_verifies_degree():
         rl.HomogeneousLagrangian(base, degree=3)
 
 
+@pytest.mark.parametrize("failure", ["raises", "not finite"])
+def test_row_loop_batch_evaluates_each_row_once(failure):
+    # the wrapper has no batched evaluation, so its batch is the row loop:
+    # it stops at the first raising row and keeps a non-finite one, once
+    base = rl.parse_lagrangian("(v1^2 + 2*v2^2)^2", dim=2)
+    H = rl.HomogeneousLagrangian(base, degree=4)
+    rng = np.random.default_rng(3)
+    xs, ys = rng.uniform(-1.0, 1.0, (2, 100, 2))
+    calls = []
+
+    def counted(x, y, order=2):
+        calls.append(len(calls))
+        if len(calls) == 61:
+            if failure == "raises":
+                raise rl.DomainError("row 60")
+            return math.nan
+        return type(base).eval(base, x, y, order)
+
+    base.eval = counted
+    if failure == "raises":
+        with pytest.raises(rl.DomainError, match="row 60"):
+            H.eval_batch(xs, ys, 0)
+        assert len(calls) == 61
+    else:
+        values = H.eval_batch(xs, ys, 0)
+        assert len(calls) == 100
+        assert np.isnan(values[60]) and np.isfinite(np.delete(values, 60)).all()
+
+
 def test_el_flow_conserves_energy_and_momentum_on_central_force():
     # planar Kepler-like problem in polar coordinates: r, theta
     L = rl.parse_lagrangian(
