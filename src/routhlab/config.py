@@ -125,7 +125,7 @@ def _coefficients(data, dim: int, rank: int):
     return None if data is None and rank < 2 else cells(data, rank)
 
 
-def _domain_spec(entry):
+def _domain_spec(entry, dim: int):
     if entry is None:
         return None
     if not isinstance(entry, dict) or len(entry) != 1:
@@ -134,8 +134,12 @@ def _domain_spec(entry):
         r = _number(entry["ball"], "domain ball radius", above=0)
         return lambda x: float(x @ x) < r * r
     if "positive" in entry:
+        if not isinstance(entry["positive"], list):
+            raise ConfigError("domain 'positive' must be a list of 1-based coordinate indices")
         idx = [_number(i, "domain 'positive' index (1-based)", int, 0) - 1
                for i in entry["positive"]]
+        if any(i >= dim for i in idx):
+            raise ConfigError(f"domain 'positive' index beyond the model dimension {dim}")
         return lambda x: all(x[i] > 0.0 for i in idx)
     raise ConfigError(f"unknown domain kind {set(entry)!r}")
 
@@ -155,13 +159,12 @@ def build_model(cfg: dict) -> LagrangianModel:
         source = _require(spec, "source", "lagrangian")
         dim = spec.get("dim")
         dim = None if dim is None else _number(dim, "lagrangian dim", int)
-        model = parse_lagrangian(
-            source, dim=dim, domain=_domain_spec(spec.get("domain"))
-        )
+        model = parse_lagrangian(source, dim=dim)
+        model._domain = _domain_spec(spec.get("domain"), model.dim)
     else:
         dim = _number(_require(spec, "dim", "lagrangian"), "lagrangian dim", int, 0)
         metric = _coefficients(_require(spec, "metric", "lagrangian"), dim, 2)
-        domain = _domain_spec(spec.get("domain"))
+        domain = _domain_spec(spec.get("domain"), dim)
         if family == "power":
             degree = _number(_require(spec, "degree", "lagrangian"), "lagrangian degree")
             model = PowerQuadraticLagrangian(dim, metric, degree=degree, domain=domain)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .duals import HyperDual, seed_second, sqrt, value_of
 from .errors import DomainError, EnergyUnreachable, NoConvergence
-from .expressions import Expression, parse_expression
+from .expressions import Expression, parse_expression, trace_expression
 from .jets import ScalarField, SecondJet, chain_jet, drive, lockstep
 from .lagrangian import (
     LagrangianModel,
@@ -76,14 +76,18 @@ class HomogenizedLagrangian(FinslerModel):
     Coordinate 0 of both position and velocity is the added slot; position 0
     never enters the value (it is cyclic by construction) and velocity 0
     must stay positive. The momentum conjugate to coordinate 0 equals minus
-    the energy of the base Lagrangian.
+    the energy of the base Lagrangian. ``expr`` writes the lift over the
+    base's ``expr`` and is traced at construction, as the families are.
     """
 
     family = "homogenized"
 
     def __init__(self, base: LagrangianModel):
+        if type(base).expr is ScalarField.expr:
+            raise TypeError(f"the lift needs a base with an expr; {type(base).__name__} has none")
         self.base = base
         self.dim = base.dim + 1
+        self.expression = trace_expression(self.expr, self.dim, "HomogenizedLagrangian.expr")
 
     def describe(self) -> dict:
         return {"family": self.family, "dim": self.dim, "base": self.base.describe()}
@@ -93,38 +97,8 @@ class HomogenizedLagrangian(FinslerModel):
             raise DomainError(f"scale velocity must be positive, got {y[0]}")
         self.base.domain_check(np.asarray(x[1:], float), np.asarray(y[1:], float) / y[0])
 
-    def eval(self, x, y, order: int = 2):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        u = y[0]
-        v = y[1:] / u
-        j = self.base.eval(x[1:], v, order)
-        if order == 0:
-            return u * j
-        val, bd_y, bd_yy = j if order == 1 else (j.value, j.d_y, j.d_yy)
-        n = self.base.dim
-        gv = bd_yy @ v
-
-        d_y = np.empty(n + 1)
-        d_y[0] = val - float(bd_y @ v)
-        d_y[1:] = bd_y
-
-        d_yy = np.empty((n + 1, n + 1))
-        d_yy[0, 0] = float(v @ gv) / u
-        d_yy[0, 1:] = -gv / u
-        d_yy[1:, 0] = -gv / u
-        d_yy[1:, 1:] = bd_yy / u
-        if order == 1:
-            return u * val, d_y, d_yy
-
-        d_x = np.zeros(n + 1)
-        d_x[1:] = u * j.d_x
-
-        d_xy = np.zeros((n + 1, n + 1))
-        d_xy[1:, 0] = j.d_x - j.d_xy @ v
-        d_xy[1:, 1:] = j.d_xy
-        return SecondJet(value=u * val, d_x=d_x, d_y=d_y, d_yy=d_yy, d_xy=d_xy)
+    def expr(self, xs, ys):
+        return ys[0] * self.base.expr(xs[1:], [y / ys[0] for y in ys[1:]])
 
 
 def homogenize(L: LagrangianModel) -> HomogenizedLagrangian:

@@ -90,7 +90,8 @@ class DenseOutput:
     def t_max(self) -> float:
         return float(self.ts[-1])
 
-    def sample(self, times) -> np.ndarray:
+    def sample(self, times, components=slice(None)) -> np.ndarray:
+        """The states at ``times``, one row each, restricted to ``components``."""
         times = np.atleast_1d(np.asarray(times, float))
         if times.min() < self.t_min - 1e-12 or times.max() > self.t_max + 1e-12:
             raise ValueError(
@@ -100,8 +101,8 @@ class DenseOutput:
         idx = np.clip(idx, 0, len(self.hs) - 1)
         theta = (times - self.ts[idx]) / self.hs[idx]
         powers = np.stack([theta, theta**2, theta**3, theta**4], axis=1)
-        return self.y0s[idx] + self.hs[idx, None] * np.einsum(
-            "mdp,mp->md", self.qs[idx], powers
+        return self.y0s[idx, components] + self.hs[idx, None] * np.einsum(
+            "mdp,mp->md", self.qs[idx, components], powers
         )
 
 
@@ -237,3 +238,27 @@ def solve_ode(rhs, y0, t_end: float, tol: float = 1e-10):
 
     dense = DenseOutput(np.array(knot_ts), np.array(y0s), np.array(hs), np.array(qs), y)
     return dense, IntegratorStats(steps=steps, rejected=rejected, rhs_evals=nfev, tolerance=tol)
+
+
+def integrate_sampled(rhs, x0, v0, t_end: float, tol: float, samples: int, conserved,
+                      meta: dict) -> Trajectory:
+    """Integrate dy/dt = rhs(t, y) from the state (x0, v0) over [0, t_end].
+
+    The run is sampled at ``samples`` evenly spaced times, and
+    ``conserved(positions, velocities)`` gives its energy log there.
+    """
+    n = x0.shape[0]
+    dense, stats = solve_ode(rhs, np.concatenate([x0, v0]), t_end, tol=tol)
+    times = np.linspace(0.0, t_end, samples)
+    states = dense.sample(times)
+    positions = states[:, :n]
+    velocities = states[:, n:]
+    return Trajectory(
+        times=times,
+        positions=positions,
+        velocities=velocities,
+        energy_log=conserved(positions, velocities),
+        stats=stats,
+        dense=dense,
+        meta=meta,
+    )

@@ -10,19 +10,21 @@ Index convention: ``d_xy[i, j]`` is the derivative first in ``x[i]``, then in
 
 Every field evaluates through one method, ``eval(x, y, order)``: order 0 is
 the value, order 1 the velocity-only fiber jet (value, d_y, d_yy), and order
-2 the :class:`SecondJet`. A model family writes its formula once, and its
-lower orders skip only the blocks they do not need; ``value`` and
-``fiber_jet`` are one-line wrappers. :func:`jet` adds input and output
-validation, and the independent finite-difference oracle :func:`fd_jet`
-cross-checks every family in the tests.
+2 the :class:`SecondJet`. A formula is written once, as ``expr``, and
+:meth:`ScalarField.eval` evaluates every one: through its tree's kernels
+where it has a tree, by hyper-duals otherwise. Wrappers and closed forms
+write their own ``eval``; ``value`` and ``fiber_jet`` are one-line wrappers.
+:func:`jet` adds input and output validation, and the independent
+finite-difference oracle :func:`fd_jet` cross-checks every family in the tests.
 
 ``ScalarField.eval_batch`` evaluates orders 0 and 1 on every row of (k, n)
 arrays, and it is the only one: a family supplies only ``_eval_rows``, its
 evaluation of all rows at once with the bits of the row loop. The batch
 checks the order, checks the rows once with ``_rows_in_domain``, and calls
-``_eval_rows``; where a row fails that check, or ``_eval_rows`` raises one
-of ``EVAL_ERRORS`` or gives an entry that is not finite, it runs the rows
-in order through ``value`` or ``fiber_jet``, so the first failing row raises.
+``_eval_rows``, which for a field with a tree is its columns kernel; where
+a row fails that check, or ``_eval_rows`` raises one of ``EVAL_ERRORS`` or
+gives an entry that is not finite, it runs the rows in order through
+``value`` or ``fiber_jet`` (``_row_loop``), so the first failing row raises.
 Where ``_eval_rows`` is that row loop (``_rows_at_once`` says no), the batch
 runs it once, with no domain pass and no second run.
 
@@ -68,17 +70,18 @@ class SecondJet:
 class ScalarField:
     """A scalar function of (x, y) on an n-dimensional configuration space.
 
-    Subclasses override ``eval(x, y, order=2)`` with their own assembly, or
-    provide ``expr`` (generic arithmetic usable with floats and dual
-    numbers) and inherit the generic ``eval``. ``domain_check`` raises
-    :class:`DomainError` outside the declared domain and is consulted at
-    every order; by default it applies the position predicate ``_domain``
-    when a model has one.
+    A field writes its formula once, as ``expr`` (generic arithmetic usable
+    with floats and dual numbers), and ``expression`` is its tree, parsed or
+    traced, or None; wrappers and closed forms override ``eval`` with their
+    own assembly. ``domain_check`` raises :class:`DomainError` outside the
+    declared domain and is consulted at every order; by default it applies
+    the position predicate ``_domain`` when a model has one.
     """
 
     dim: int = 0
     family: str = "custom"
     _domain = None
+    expression = None
 
     # -- domain ---------------------------------------------------------
 
@@ -102,19 +105,28 @@ class ScalarField:
         raise NotImplementedError(f"{type(self).__name__} defines no expression form")
 
     def eval(self, x: np.ndarray, y: np.ndarray, order: int = 2):
-        """Value (order 0), fiber jet (order 1) or SecondJet (order 2) of expr.
+        """Value (order 0), fiber jet (order 1) or SecondJet (order 2).
 
-        Order 0 runs ``expr`` on plain floats. Orders 1 and 2 read its
-        hyper-dual propagation: order 1 seeds the velocities and keeps the
-        positions floats, and order 2 seeds all 2n slots.
+        A field with a tree runs its float closures at order 0 and its fiber
+        or full kernel above. Without one, ``expr`` runs on floats at order 0
+        and on hyper-duals above: order 1 seeds the velocities, order 2 all 2n
+        slots. The kernels give the hyper-dual bits wherever those are finite,
+        up to the sign of zeros. Order 1 keeps the positions floats, so
+        ``sqrt(x1)`` at x1 = 0 is 0.0 there, while order 2 raises DomainError.
         """
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         self.domain_check(x, y)
-        n = self.dim
+        n, tree = self.dim, self.expression
+        if tree is not None and order:
+            kernel = tree.jet_kernel("fiber" if order == 1 else "full", n)
         try:
             if order == 0:
-                return float(value_of(self.expr(x.tolist(), y.tolist())))
+                fn = self.expr if tree is None else tree.fn
+                return float(value_of(fn(x.tolist(), y.tolist())))
+            if tree is not None:
+                out = kernel(*x.tolist(), *y.tolist())
+                return out if order == 1 else SecondJet(*out)
             if order == 1:
                 out = self.expr(x.tolist(), seed_second(y))
             else:
@@ -160,14 +172,26 @@ class ScalarField:
                     return out
             except EVAL_ERRORS:
                 pass
-        return ScalarField._eval_rows(self, xs, ys, order)
+        return self._row_loop(xs, ys, order)
 
     def _eval_rows(self, xs, ys, order: int):
-        """``eval_batch``'s results on rows that passed ``_rows_in_domain``: the row loop.
+        """``eval_batch``'s results on rows that passed ``_rows_in_domain``.
 
-        A family overrides it to give the same bits at once, skipping
-        ``domain_check``; where a row fails it may raise or give non-finite entries.
+        A field with a tree runs its ``"columns"`` kernel on all rows, under
+        ``np.errstate(all="raise")``; where ``_rows_at_once`` says no, this is
+        the row loop. A family may override it to give the same bits at once,
+        skipping ``domain_check``; a failing row may raise or give non-finite
+        entries.
         """
+        if not self._rows_at_once():
+            return self._row_loop(xs, ys, order)
+        kernel = self.expression.jet_kernel("columns", self.dim)
+        with np.errstate(all="raise"):
+            val, d_y, d_yy = kernel(*xs.T, *ys.T)
+        return val if order == 0 else (val, d_y, d_yy)
+
+    def _row_loop(self, xs, ys, order: int):
+        """``value`` or ``fiber_jet`` on each row in turn, stacked."""
         if order == 0:
             return np.array([self.value(x, y) for x, y in zip(xs, ys)], float)
         rows = [self.fiber_jet(x, y) for x, y in zip(xs, ys)]
@@ -175,8 +199,13 @@ class ScalarField:
         return tuple(np.array([r[i] for r in rows], float).reshape(k, *[n] * i) for i in range(3))
 
     def _rows_at_once(self) -> bool:
-        """Whether ``_eval_rows`` evaluates the rows at once, not by the row loop."""
-        return type(self)._eval_rows is not ScalarField._eval_rows
+        """Whether ``_eval_rows`` evaluates the rows at once, not by the row loop.
+
+        The columns kernel checks no domain, so a tree under a ``domain_check``
+        of its own runs the row loop.
+        """
+        return type(self)._eval_rows is not ScalarField._eval_rows or (
+            self.expression is not None and type(self).domain_check is ScalarField.domain_check)
 
     def _rows_in_domain(self, xs, ys) -> bool:
         """Whether ``domain_check`` passes on every row; a row that raises says no.

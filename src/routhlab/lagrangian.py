@@ -4,11 +4,12 @@ Each family writes its Lagrangian once, as ``expr(xs, ys)`` in generic
 arithmetic over coefficients (metric entries, magnetic one-form components,
 potential) that are constants or position callables. At construction
 ``expr`` is traced once into an expression tree, which calls each callable
-once, so callables must be pure; the model then evaluates through the
-tree's compiled kernels, as DSL models do. A callable that needs numbers
-(``float()``, a branch on a value, ``math`` or numpy functions) leaves the
-model untraced, on the :class:`~routhlab.jets.ScalarField` hyper-dual
-defaults over ``expr``.
+once, so callables must be pure. The model then evaluates through
+:meth:`~routhlab.jets.ScalarField.eval`, the one evaluator of every field,
+which runs the tree's compiled kernels as it does for DSL models. A callable
+that needs numbers (``float()``, a branch on a value, ``math`` or numpy
+functions) leaves the model untraced, and the same evaluator propagates
+hyper-duals through ``expr``.
 
 The mixed-derivative convention follows :mod:`routhlab.jets`:
 ``d_xy[i, j]`` differentiates first in ``x[i]``, then in ``v[j]``.
@@ -18,11 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .duals import positive, power, value_of
+from .duals import positive, power
 from .errors import DomainError, PreconditionError, SingularHessian
 from .expressions import Expression, parse_expression, trace_expression
-from .integrators import Trajectory, solve_ode
-from .jets import ScalarField, SecondJet, batch_rows, solve_linear
+from .integrators import Trajectory, integrate_sampled
+from .jets import ScalarField, batch_rows, solve_linear
 
 __all__ = [
     "LagrangianModel",
@@ -83,57 +84,7 @@ def _half_quadratic(metric, xs, ys):
 
 
 class LagrangianModel(ScalarField):
-    """A time-independent Lagrangian L(x, v) with second-order jets.
-
-    ``expression`` is its tree, parsed or traced, or None for a model that
-    runs the :class:`ScalarField` defaults over ``expr``.
-    """
-
-    expression: Expression | None = None
-
-    def eval(self, x, y, order: int = 2):
-        """Value from the tree's float closures, fiber and full jets from its kernels.
-
-        The kernels equal ``ScalarField.eval``, the hyper-dual jets of
-        ``expr``, bit for bit wherever those are finite, up to the sign of
-        zero entries. As there, order 1 keeps the positions floats: a
-        position-only ``sqrt(x1)`` at x1 = 0 is 0.0 at orders 0 and 1, while
-        order 2 raises DomainError because the dual sqrt needs x1 > 0.
-        """
-        if self.expression is None:
-            return super().eval(x, y, order)
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        if order:
-            kernel = self.expression.jet_kernel("fiber" if order == 1 else "full", self.dim)
-        try:
-            if order == 0:
-                return float(value_of(self.expression.fn(x.tolist(), y.tolist())))
-            out = kernel(*x.tolist(), *y.tolist())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(str(exc)) from exc
-        return out if order == 1 else SecondJet(*out)
-
-    def _rows_at_once(self) -> bool:
-        # the columns kernel skips the position predicate, so a family that
-        # overrides ``domain_check``, like one without a tree, runs the row loop
-        return type(self)._eval_rows is not LagrangianModel._eval_rows or (
-            self.expression is not None and type(self).domain_check is ScalarField.domain_check)
-
-    def _eval_rows(self, xs, ys, order: int):
-        """Orders 0 and 1 from the ``"columns"`` kernel, run once on all rows.
-
-        Where ``_rows_at_once`` says no, it is the row loop. The kernel runs
-        under ``np.errstate(all="raise")``: a domain guard that fires or a
-        floating-point operation that fails on any row raises.
-        """
-        if not self._rows_at_once():
-            return super()._eval_rows(xs, ys, order)
-        kernel = self.expression.jet_kernel("columns", self.dim)
-        with np.errstate(all="raise"):
-            val, d_y, d_yy = kernel(*xs.T, *ys.T)
-        return val if order == 0 else (val, d_y, d_yy)
+    """A time-independent Lagrangian L(x, v); :meth:`ScalarField.eval` evaluates it."""
 
 
 class MagneticLagrangian(LagrangianModel):
@@ -373,17 +324,5 @@ def integrate_el(
     def rhs(t, s):
         return np.concatenate([s[n:], el_acceleration(L, s[:n], s[n:])])
 
-    dense, stats = solve_ode(rhs, np.concatenate([x0, v0]), t_end, tol=tol)
-    times = np.linspace(0.0, t_end, samples)
-    states = dense.sample(times)
-    positions = states[:, :n]
-    velocities = states[:, n:]
-    return Trajectory(
-        times=times,
-        positions=positions,
-        velocities=velocities,
-        energy_log=energies(L, positions, velocities),
-        stats=stats,
-        dense=dense,
-        meta={"kind": "euler_lagrange"},
-    )
+    return integrate_sampled(rhs, x0, v0, t_end, tol, samples,
+                             lambda xs, vs: energies(L, xs, vs), {"kind": "euler_lagrange"})

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SingularHessian
-from .integrators import Trajectory, solve_ode
+from .integrators import Trajectory, integrate_sampled
 from .jets import ScalarField, SecondJet, solve_linear
 
 __all__ = [
@@ -123,17 +123,6 @@ def integrate_geodesic(
         a = accel(state[:n], state[n:])
         return np.concatenate([state[n:], a])
 
-    dense, stats = solve_ode(rhs, np.concatenate([x0, y0]), t_end, tol=tol)
-    times = np.linspace(0.0, t_end, samples)
-    states = dense.sample(times)
-    positions = states[:, :n]
-    velocities = states[:, n:]
-    return Trajectory(
-        times=times,
-        positions=positions,
-        velocities=velocities,
-        energy_log=F.eval_batch(positions, velocities, 0),
-        stats=stats,
-        dense=dense,
-        meta={"kind": "geodesic", "level_conserving": level is not None},
-    )
+    return integrate_sampled(rhs, x0, y0, t_end, tol, samples,
+                             lambda xs, ys: F.eval_batch(xs, ys, 0),
+                             {"kind": "geodesic", "level_conserving": level is not None})

@@ -49,9 +49,8 @@ def _resample(pts: np.ndarray, grid: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _directed_distance(a: np.ndarray, b: np.ndarray) -> float:
-    sa = _chord_lengths(a)
-    sb = _chord_lengths(b)
+def _directed_distance(a: np.ndarray, sa: np.ndarray, b: np.ndarray, sb: np.ndarray) -> float:
+    # sa and sb: the chord lengths of a and b
     common = min(sa[-1], sb[-1])
     grid = np.linspace(0.0, common, _RESAMPLE)
     ra = _resample(a, grid, sa)
@@ -77,9 +76,10 @@ def point_set_distance(a, b) -> float:
     # canonical ordering makes the result exactly symmetric in (a, b)
     if (b.shape, b.tobytes()) < (a.shape, a.tobytes()):
         a, b = b, a
-    if _chord_lengths(a)[-1] < 1e-12 or _chord_lengths(b)[-1] < 1e-12:
+    sa, sb, rb = _chord_lengths(a), _chord_lengths(b), b[::-1]
+    if sa[-1] < 1e-12 or sb[-1] < 1e-12:
         raise DegenerateCurve("cannot compare curves of zero arc length")
-    return min(_directed_distance(a, b), _directed_distance(a, b[::-1]))
+    return min(_directed_distance(a, sa, b, sb), _directed_distance(a, sa, rb, _chord_lengths(rb)))
 
 
 def rescale_to_energy(L: LagrangianModel, x0, v0, e: float) -> np.ndarray:
@@ -150,8 +150,8 @@ def check_geodesic_equivalence(
         # below the tolerance even on long, strongly curved runs
         n = L.dim
         fine = int(np.clip(np.ceil(length / 2.5e-5), 4 * samples + 1, 400_000))
-        el_pts = el.dense.sample(np.linspace(0.0, t_end, fine))[:, :n]
-        arc_pts = arc.dense.sample(np.linspace(0.0, arc.times[-1], fine))[:, :n]
+        el_pts = el.dense.sample(np.linspace(0.0, t_end, fine), slice(n))
+        arc_pts = arc.dense.sample(np.linspace(0.0, arc.times[-1], fine), slice(n))
         trace_gap = point_set_distance(el_pts, arc_pts)
         pointwise_gap = float(
             np.max(np.linalg.norm(el.positions - lvl.positions, axis=1))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from routhlab import ScalarField
+
 settings.register_profile(
     "ci",
     derandomize=True,
@@ -17,3 +19,23 @@ settings.load_profile("ci")
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+class _Untraced(ScalarField):
+    """A model's domain and ``expr`` without its tree, so ``eval`` runs hyper-duals."""
+
+    def __init__(self, model):
+        self.model, self.dim = model, model.dim
+
+    def domain_check(self, x, y):
+        self.model.domain_check(x, y)
+
+    def expr(self, xs, ys):
+        return self.model.expr(xs, ys)
+
+
+@pytest.fixture(scope="session")
+def hyper_dual():
+    """``hyper_dual(model, x, y, order=2)``: the hyper-dual jet of the model's
+    ``expr``, the oracle of its compiled kernels."""
+    return lambda model, x, y, order=2: _Untraced(model).eval(x, y, order)

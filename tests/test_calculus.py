@@ -181,7 +181,7 @@ FAMILY_CLASSES = [
 ]
 
 
-def test_fiber_jet_agrees_with_full_jet(rng):
+def test_fiber_jet_agrees_with_full_jet(rng, hyper_dual):
     # value and fiber_jet are eval at orders 0 and 1, and each order runs the
     # same assembly: wherever the full jet succeeds, they equal its blocks
     # bit for bit
@@ -212,7 +212,7 @@ def test_fiber_jet_agrees_with_full_jet(rng):
             y = rng.uniform(-1.0, 1.0, 2)
             # the oracle: hyper-dual propagation of the generic evaluator
             try:
-                oracle = rl.ScalarField.eval(model, x, y)
+                oracle = hyper_dual(model, x, y)
             except rl.DomainError:
                 with pytest.raises(rl.DomainError):
                     model.eval(x, y)
@@ -247,10 +247,11 @@ def test_fiber_jet_agrees_with_full_jet(rng):
     np.testing.assert_array_equal(d_yy, [[0.0]])
 
 
-# the classes that write an eval: the compiled path for every Lagrangian with
-# an expression tree, the hyper-dual default, and the wrappers and closed forms
-EVAL_CLASSES = {rl.ScalarField, rl.LagrangianModel, rl.HomogeneousLagrangian,
-                rl.HomogenizedLagrangian, rl.JacobiFinslerModel, rl.RandersModel,
+# the classes that write an eval: the one evaluator of every field with an
+# expr, which runs its tree's kernels or hyper-duals, and the wrappers and
+# closed forms
+EVAL_CLASSES = {rl.ScalarField, rl.HomogeneousLagrangian,
+                rl.JacobiFinslerModel, rl.RandersModel,
                 importlib.import_module("routhlab.homogenize").PowerScaledFinsler,
                 rl.GaugeShiftedModel, rl.ReducedLagrangian}
 
@@ -269,7 +270,7 @@ def test_only_the_base_field_defines_value_and_fiber_jet():
 
 
 # the classes that define _eval_rows; every other model runs the row loop
-BATCH_CLASSES = {rl.ScalarField, rl.LagrangianModel, rl.JacobiFinslerModel, rl.ReducedLagrangian}
+BATCH_CLASSES = {rl.ScalarField, rl.JacobiFinslerModel, rl.ReducedLagrangian}
 
 
 def test_only_the_batching_families_define_eval_batch():
@@ -289,25 +290,28 @@ def _blocks(out):
     return list(out) if isinstance(out, tuple) else [out]
 
 
-def test_traced_families_equal_the_hyper_dual_oracle(rng):
-    # a model with a tree runs its kernels, and they give the bits of
-    # ScalarField.eval, the hyper-dual propagation of expr, wherever that is
-    # finite (zeros up to sign); batches give the bits of its row loop
-    traced = [m for m in _every_family(rng) if getattr(m, "expression", None) is not None]
+def test_traced_families_equal_the_hyper_dual_oracle(rng, hyper_dual):
+    # a model with a tree runs its kernels, and they give the bits of the
+    # hyper-dual propagation of expr wherever that is finite (zeros up to
+    # sign); batches give the bits of its row loop
+    traced = [m for m in _every_family(rng) if m.expression is not None]
     assert {type(m) for m in traced} == {rl.MagneticLagrangian, rl.MechanicalLagrangian,
-                                         rl.PowerQuadraticLagrangian, rl.ExpressionLagrangian}
-    assert len(traced) == 8
+                                         rl.PowerQuadraticLagrangian, rl.ExpressionLagrangian,
+                                         rl.HomogenizedLagrangian}
+    assert len(traced) == 10
     for model in traced:
         name = type(model).__name__
         n = model.dim
         xs = rng.uniform(-0.9, 0.9, (150, n))
         ys = rng.uniform(-1.5, 1.5, (150, n))
+        if isinstance(model, rl.HomogenizedLagrangian):
+            ys[:, 0] = rng.uniform(0.2, 1.5, 150)  # the lift's slot velocity
         ys[::25] = 0.0
         good = []
         for i, (x, y) in enumerate(zip(xs, ys)):
             for order in (0, 1, 2):
                 try:
-                    want = rl.ScalarField.eval(model, x, y, order)
+                    want = hyper_dual(model, x, y, order)
                 except rl.DomainError:
                     with pytest.raises(rl.DomainError):
                         model.eval(x, y, order)
@@ -480,13 +484,13 @@ def test_batched_coefficients_round_as_the_rows(rng):
                 _batch_outcome(lambda: _row_loop(model, xs, ys, order))
 
 
-def test_kernels_match_the_oracle_with_non_finite_literals():
+def test_kernels_match_the_oracle_with_non_finite_literals(hyper_dual):
     # 1e999 is inf; the kernels bind it by name, and their structural zeros
     # times inf give the same nan entries as the dual path's arrays
     model = rl.parse_lagrangian("1e999*v1^2 + x1", dim=1)
     x, y = [0.5], [0.3]
     with np.errstate(invalid="ignore"):
-        oracle = rl.ScalarField.eval(model, x, y)
+        oracle = hyper_dual(model, x, y)
     full = model.eval(x, y)
     assert full.value == oracle.value == np.inf
     for block in ("d_x", "d_y", "d_yy", "d_xy"):

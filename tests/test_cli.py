@@ -33,6 +33,8 @@ MALFORMED_FIELDS = [
     ("verify", "oscillator_verify.json", ("verify", "drift_tol"), "tight"),
     ("geodesic", "oscillator_verify.json", ("geodesic", "t_end"), "abc"),
     ("describe", "polar_reduction.json", ("lagrangian", "dim"), "two"),
+    ("describe", "polar_reduction.json", ("lagrangian", "domain"), {"positive": 1}),
+    ("describe", "polar_reduction.json", ("lagrangian", "domain"), {"positive": [3]}),
     ("routh-reduce", "polar_reduction.json", ("momentum",), "abc"),
     ("routh-reduce", "polar_reduction.json", ("momentum",), [1.2, 0.0]),
     # a flag is a JSON boolean, and a string would invert it

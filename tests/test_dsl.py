@@ -200,10 +200,10 @@ def _points():
 
 @settings(max_examples=300)
 @given(source=_SOURCES)
-def test_kernels_equal_the_hyper_dual_oracle(source):
+def test_kernels_equal_the_hyper_dual_oracle(hyper_dual, source):
     model = parse_lagrangian(source, dim=2)
     for x, y in _points():
-        oracle, oracle_err = _outcome(lambda: ScalarField.eval(model, x, y))
+        oracle, oracle_err = _outcome(lambda: hyper_dual(model, x, y))
         full, full_err = _outcome(lambda: model.eval(x, y))
         assert full_err is oracle_err, source
         fiber, fiber_err = _outcome(lambda: model.fiber_jet(x, y))
@@ -238,7 +238,7 @@ def _jet_blocks(out):
 
 @settings(max_examples=200)
 @given(sources=st.tuples(_SOURCES, _SOURCES, _SOURCES))
-def test_traced_coefficients_equal_the_hyper_dual_oracle(sources):
+def test_traced_coefficients_equal_the_hyper_dual_oracle(hyper_dual, sources):
     # random trees as the metric, one-form and potential callables of a
     # magnetic model, config-style; the traced tree reuses each one's nodes
     g, b, p = (parse_expression(s.replace("v", "x"), dim=2, allow_velocity=False) for s in sources)
@@ -255,7 +255,7 @@ def test_traced_coefficients_equal_the_hyper_dual_oracle(sources):
         return
     for x, y in _points():
         for order in (0, 1, 2):
-            oracle, oracle_err = _outcome(lambda: ScalarField.eval(model, x, y, order))
+            oracle, oracle_err = _outcome(lambda: hyper_dual(model, x, y, order))
             got, got_err = _outcome(lambda: model.eval(x, y, order))
             assert got_err is oracle_err, (sources, order)
             if oracle is not None and _finite(*_jet_blocks(oracle)):

@@ -189,6 +189,40 @@ class TestHomogenization:
         with pytest.raises(rl.DomainError):
             F.value(np.zeros(3), np.array([-1.0, 1.0, 0.0]))
 
+    def test_a_base_without_expr_is_refused(self):
+        # the lift is written over its base's expr; reductions, level
+        # metrics, gauge shifts and wrapped fields have none
+        L = conformal_magnetic()
+        kepler = rl.parse_lagrangian("0.5*(v1^2 + x1^2*v2^2) + 1/x1", dim=2)
+        cubic = rl.PowerQuadraticLagrangian(2, np.eye(2), degree=3)
+        for base in (
+            rl.routhian(kepler, rl.CyclicSplit.of(2, [1]), np.array([0.3]), verify=False),
+            rl.jacobi_finsler(L, 2.0),
+            rl.gauge_shift(L, "0.2*x1*x2"),
+            rl.HomogeneousLagrangian(cubic, degree=3),
+        ):
+            with pytest.raises(TypeError, match="needs a base with an expr"):
+                rl.homogenize(base)
+
+    def test_the_lift_of_an_untraced_base_equals_its_traced_twin(self, rng):
+        # numpy's sin leaves the base, and so its lift, untraced, on the
+        # hyper-dual path; the twin's lift runs the kernels
+        L = rl.MagneticLagrangian(2, np.eye(2), potential=lambda xs: 0.3 * np.sin(xs[0]))
+        T = rl.MagneticLagrangian(2, np.eye(2), potential=lambda xs: 0.3 * rl.duals.sin(xs[0]))
+        lifted, twin = rl.homogenize(L), rl.homogenize(T)
+        assert lifted.expression is None and twin.expression is not None
+        xs = rng.uniform(-2.0, 2.0, (50, 3))
+        ys = np.column_stack([rng.uniform(0.2, 2.0, 50), rng.uniform(-1.0, 1.0, (50, 2))])
+        for x, y in zip(xs, ys):
+            a, b = lifted.eval(x, y), twin.eval(x, y)
+            for block in ("value", "d_x", "d_y", "d_yy", "d_xy"):
+                np.testing.assert_array_equal(getattr(a, block), getattr(b, block), err_msg=block)
+            # orders 0 and 1 read the positions as floats, where numpy's sin
+            # may round apart from libm's
+            assert lifted.value(x, y) == pytest.approx(twin.value(x, y), rel=1e-15, abs=1e-15)
+            for p, q in zip(lifted.fiber_jet(x, y), twin.fiber_jet(x, y)):
+                np.testing.assert_allclose(p, q, rtol=1e-15, atol=1e-15)
+
 
 class TestEnergyScale:
     def test_scale_puts_state_on_the_level(self, rng):

@@ -9,7 +9,9 @@ go through ``eval_batch``. And only ``jets`` drives step routines: their
 ``send`` and ``throw`` calls live in ``jets.lockstep`` and ``jets.drive``.
 And only ``expressions`` turns text into code, with ``compile`` and
 ``exec``: kernel text is written from expression trees, never from the
-source of a callable. And ``cli`` reads no key of a config: only ``config``
+source of a callable. And only ``jets`` calls ``jet_kernel``: every field
+runs its kernels through ``ScalarField``'s one evaluator. And ``cli`` reads
+no key of a config: only ``config``
 reads the format, and each command is one function on the command skeleton,
 with no ``body`` closure.
 """
@@ -201,6 +203,37 @@ def test_the_guard_flags_code_built_from_text():
         "kernel = expression.jet_kernel('fiber', 2)\n"
     )
     assert _code_calls(tree) == [(1, "compile"), (3, "exec")]
+
+
+def _kernel_calls(tree):
+    """Line of each ``.jet_kernel(...)`` call."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "jet_kernel"
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_jets_dispatches_kernels(path):
+    calls = _kernel_calls(ast.parse(path.read_text(), filename=str(path)))
+    if path.name == "jets.py":
+        assert calls, "jets.py no longer runs the jet kernels"
+    else:
+        assert not calls, f"{path.name} calls jet_kernel on lines {calls}; use ScalarField.eval"
+
+
+def test_the_guard_flags_a_kernel_dispatched_elsewhere():
+    tree = ast.parse(
+        "kernel = self.expression.jet_kernel('fiber', n)\n"
+        "def jet_kernel(self, kind, n):\n"
+        "    return self._kernels[kind, n]\n"
+        "out = model.eval(x, y, 1)\n"
+        "columns = tree.jet_kernel('columns', n)(*xs.T, *ys.T)\n"
+    )
+    assert _kernel_calls(tree) == [1, 5]
 
 
 def _config_reads(tree):
