@@ -34,13 +34,17 @@ evaluators derive from a tree:
   the fiber kernel over columns: each argument holds one coordinate of many
   rows, +, -, * and / run as numpy ufuncs, which round as Python floats do,
   and ``**`` and the functions run the float kernels' functions entry by
-  entry. Kernel code is written from the tree alone, never from source
-  text: names come from a fixed set and finite constants print with
-  ``repr``.
+  entry. The ``"spray"`` kernel takes (x, y, s, e) and returns the spray of
+  the energy-e level metric over the tree at scale s, from the full jet at
+  (x, y/s); ``"level-spray"`` adds :func:`routhlab.spray.projective_shift`'s
+  shift that holds the energy. Kernel code is written from the tree alone,
+  never from source text: names come from a fixed set and finite constants
+  print with ``repr``.
 """
 
 from __future__ import annotations
 
+import functools
 import linecache
 import math
 import operator
@@ -50,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import duals
-from .errors import ArityError, ParseError
+from .errors import ArityError, DomainError, ParseError, SingularHessian
 from .jets import entrywise
 
 __all__ = ["Expression", "parse_expression", "trace_expression"]
@@ -264,6 +268,15 @@ def _not_positive(message):
     raise ValueError(message)
 
 
+def _singular(*x):
+    raise SingularHessian(f"fundamental tensor is singular at x={np.array(x)}")
+
+
+def _insensitive_level():
+    raise DomainError("level function is insensitive to the velocity scale; "
+                      "no conserving reparametrization exists here")
+
+
 #: the only global names kernel code can read; temporaries are t0, t1, ...
 _KERNEL_GLOBALS = {
     "_sqrt": math.sqrt,
@@ -277,6 +290,9 @@ _KERNEL_GLOBALS = {
     "_log_domain": _log_domain,
     "_negative_base": _negative_base,
     "_not_positive": _not_positive,
+    "_singular": _singular,
+    "_insensitive_level": _insensitive_level,
+    "_fabs": math.fabs,
     "_INF": math.inf,
     "_NAN": math.nan,
 }
@@ -347,7 +363,8 @@ class _KernelWriter:
 
     def __init__(self, n: int, kind: str):
         self.n = n
-        self.full = full = kind == "full"
+        self.kind = kind
+        self.full = full = kind in ("full", "spray", "level-spray")
         # the column kernel is the fiber kernel with its operands columns
         self.columns = kind == "columns"
         self.m = 2 * n if full else n
@@ -356,7 +373,9 @@ class _KernelWriter:
         cols = range(n, 2 * n) if full else range(n)
         self.pairs = [(i, j) for i in rows for j in cols]
         self.lines = []
-        self.count = 2 * n  # t0 .. t(2n-1) are the arguments: x, then y
+        # t0 .. t(2n-1) are the arguments x, then y; a spray's t(2n) and t(2n+1) are s and e
+        self.count = self.arity = 2 * n + 2 if kind.endswith("spray") else 2 * n
+        self.slots = [f"t{k}" for k in range(2 * n)]  # the operands x and v read
         self.done = {}  # id of a node already written: its jet
         self.names = {}  # right-hand side already written: its temporary
 
@@ -403,13 +422,13 @@ class _KernelWriter:
                 return c
         return self.emit(f"_{name}({self.lit(a)})")
 
-    def require(self, a, cmp: str, helper: str, arg: str = ""):
-        """Call helper, which raises, where ``a cmp 0.0``, as the dual path does."""
+    def require(self, a, cmp: str, helper: str, arg: str = "", bound: float = 0.0):
+        """Call helper, which raises, where ``a cmp bound``, as the dual path does."""
         if _const(a):
-            if _COMPARE[cmp](a, 0.0):
+            if _COMPARE[cmp](a, bound):
                 self.lines.append(f"    {helper}({arg})")
             return
-        test = f"{a} {cmp} 0.0"
+        test = f"{a} {cmp} {self.lit(bound)}"
         self.lines.append(f"    if _any({test}):" if self.columns else f"    if {test}:")
         self.lines.append(f"        {helper}({arg})")
 
@@ -460,6 +479,11 @@ class _KernelWriter:
 
     # -- hyper-dual rules -------------------------------------------------------
 
+    def jet(self, tree):
+        """The jet of tree, with a float's derivatives written out as zeros."""
+        v, g, h = self.node(tree)
+        return (v, g, h) if g is not None else (v, [0.0] * self.m, [0.0] * len(self.pairs))
+
     def node(self, node):
         """The jet of node, written once however often the tree reuses it."""
         jet = self.done.get(id(node))
@@ -477,10 +501,10 @@ class _KernelWriter:
                 raise ArityError(f"expression references index {i + 1} beyond dimension {self.n}")
             arg = i if tag == "x" else self.n + i
             if tag == "x" and not self.full:
-                return f"t{arg}", None, None  # positions stay floats
+                return self.slots[arg], None, None  # positions stay floats
             slot = arg if self.full else i
             g = [1.0 if k == slot else 0.0 for k in range(self.m)]
-            return f"t{arg}", g, [0.0] * len(self.pairs)
+            return self.slots[arg], g, [0.0] * len(self.pairs)
         if tag == "neg":
             v, g, h = self.node(node[1])
             if g is None:
@@ -604,13 +628,93 @@ class _KernelWriter:
         f2 = op("*", p * (p - 1.0), op("**", v, p - 2.0))
         return self.chain(a, f0, f1, f2)
 
+    # -- the spray of the level metric ---------------------------------------------
+
+    def dot(self, a, b):
+        """sum(a[i] * b[i]), summed from the left as ``@`` sums a short vector."""
+        return functools.reduce(self.add, map(self.mul, a, b), 0.0)
+
+    def base_jet(self, tree, velocity):
+        """The full jet of the base at (x, velocity): value, d_x, d_y, d_xy and d_yy rows."""
+        n = self.n
+        self.slots = self.slots[:n] + velocity  # what the tree's x and v read
+        self.done = {}  # a node's jet depends on the point
+        v, g, h = self.jet(tree)
+        rows = [h[r * n:(r + 1) * n] for r in range(2 * n)]
+        return v, g[:n], g[n:], rows[:n], rows[n:]
+
+    def spray(self, tree, level: bool):
+        """The spray of F_e over tree at (x, y) and scale s, shifted to hold the energy with ``level``.
+
+        Entry by entry in the order of ``JacobiFinslerModel.eval``,
+        ``half_square_jet``, ``canonical_spray`` and ``projective_shift``.
+        """
+        n, add, sub, mul, div = self.n, self.add, self.sub, self.mul, self.div
+        y, s, e = self.slots[n:], f"t{2 * n}", f"t{2 * n + 1}"
+        v = [div(yi, s) for yi in y]
+        val, l_x, l_v, l_xv, l_vv = self.base_jet(tree, v)
+        gv = [self.dot(row, v) for row in l_vv]
+        q = self.dot(v, gv)
+        f = mul(s, add(val, e))
+        f_x = [mul(s, d) for d in l_x]
+        b = [[div(sub(l_vv[i][j], div(mul(gv[i], gv[j]), q)), s) for j in range(n)] for i in range(n)]
+        f_yy = [[mul(0.5, add(b[i][j], b[j][i])) for j in range(n)] for i in range(n)]
+        e_x = [sub(self.dot(row, v), d) for row, d in zip(l_xv, l_x)]
+        f_xy = [[sub(l_xv[i][j], div(mul(e_x[i], gv[j]), q)) for j in range(n)] for i in range(n)]
+        e_yy = [[add(mul(l_v[i], l_v[j]), mul(f, f_yy[i][j])) for j in range(n)] for i in range(n)]
+        e_xy = [[add(mul(f_x[i], l_v[j]), mul(f, f_xy[i][j])) for j in range(n)] for i in range(n)]
+        rhs = [sub(mul(f, f_x[j]), self.dot([row[j] for row in e_xy], y)) for j in range(n)]
+        a = self.solve(e_yy, rhs)
+        if not level:
+            return a
+        _, m_x, _, m_xy, m_yy = self.base_jet(tree, y)
+        l_x = [sub(self.dot(row, y), d) for row, d in zip(m_xy, m_x)]
+        l_y = [self.dot(row, y) for row in m_yy]
+        den = self.dot(l_y, y)
+        self.require(self.call("fabs", den), "<", "_insensitive_level", bound=1e-14)
+        p = div(self.neg(add(self.dot(l_x, y), self.dot(l_y, a))), den)
+        return [add(ai, mul(p, yi)) for ai, yi in zip(a, y)]
+
+    def swap_if(self, test: str, top: list, row: list):
+        """(row, top) where test holds at run time, else (top, row), in new temporaries."""
+        names = [f"t{self.count + k}" for k in range(len(top) + len(row))]
+        self.count += len(names)
+        lhs = ", ".join(names)
+        self.lines += [f"    if {test}:", f"        {lhs} = {', '.join(map(self.lit, row + top))}",
+                       "    else:", f"        {lhs} = {', '.join(map(self.lit, top + row))}"]
+        return names[:len(top)], names[len(top):]
+
+    def solve(self, a, b):
+        """a^-1 b by elimination with partial pivoting, in the order of LAPACK's dgetf2 and dtrsm.
+
+        Each row below the pivot row replaces it where its |entry| is strictly
+        larger, so the first largest wins, as idamax picks it. A zero pivot
+        calls _singular. Multipliers take the pivot's reciprocal and back
+        substitution divides, so n = 1 is the division of ``jets.solve_linear``.
+        """
+        n = self.n
+        rows = [list(a[i]) + [b[i]] for i in range(n)]
+        for k in range(n):
+            for i in range(k + 1, n):
+                if not _is(rows[i][k], 0.0):  # a zero is never larger
+                    test = f"_fabs({self.lit(rows[k][k])}) < _fabs({self.lit(rows[i][k])})"
+                    rows[k][k:], rows[i][k:] = self.swap_if(test, rows[k][k:], rows[i][k:])
+            self.require(self.call("fabs", rows[k][k]), "<=", "_singular", ", ".join(self.slots[:n]))
+            for i in range(k + 1, n):
+                m = self.mul(rows[i][k], self.div(1.0, rows[k][k]))
+                rows[i][k + 1:] = [self.sub(rows[i][j], self.mul(m, rows[k][j])) for j in range(k + 1, n + 1)]
+        out = [None] * n
+        for k in reversed(range(n)):
+            t = rows[k][n]
+            for j in reversed(range(k + 1, n)):
+                t = self.sub(t, self.mul(out[j], rows[k][j]))
+            out[k] = self.div(t, rows[k][k])
+        return out
+
     # -- the kernel ---------------------------------------------------------------
 
     def write(self, tree) -> str:
-        v, g, h = self.node(tree)
         n, lit = self.n, self.lit
-        if g is None:
-            g, h = [0.0] * self.m, [0.0] * len(self.pairs)
 
         def vec(entries):
             return "_array([" + ", ".join(lit(e) for e in entries) + "])"
@@ -622,19 +726,23 @@ class _KernelWriter:
         def stack(entries, shape=""):
             return f"_stack(t0, [{', '.join(lit(e) for e in entries)}]{shape})"
 
-        if self.full:
-            half = n * n
-            out = [lit(v), vec(g[:n]), vec(g[n:]), mat(h[half:]), mat(h[:half])]
-        elif self.columns:
-            out = [stack([v]), stack(g, f", {n}"), stack(h, f", {n}, {n}")]
+        if self.kind.endswith("spray"):
+            out = [vec(self.spray(tree, self.kind == "level-spray"))]
         else:
-            out = [lit(v), vec(g), mat(h)]
-        args = ", ".join(f"t{k}" for k in range(2 * n))
+            v, g, h = self.jet(tree)
+            if self.full:
+                half = n * n
+                out = [lit(v), vec(g[:n]), vec(g[n:]), mat(h[half:]), mat(h[:half])]
+            elif self.columns:
+                out = [stack([v]), stack(g, f", {n}"), stack(h, f", {n}, {n}")]
+            else:
+                out = [lit(v), vec(g), mat(h)]
+        args = ", ".join(f"t{k}" for k in range(self.arity))
         return "\n".join([f"def kernel({args}):", *self.lines, "    return " + ", ".join(out), ""])
 
 
 def _compile_kernel(source: str, tree, kind: str, n: int):
-    if kind not in ("fiber", "full", "columns"):
+    if kind not in ("fiber", "full", "columns", "spray", "level-spray"):
         raise ValueError(f"unknown kernel kind {kind!r}")
     text = _KernelWriter(n, kind).write(tree)
     filename = f"<routhlab-kernel {kind} n={n}: {' '.join(source.split())}>"
@@ -668,14 +776,15 @@ class Expression:
         return self.fn(xs, ys)
 
     def jet_kernel(self, kind: str, n: int):
-        """The compiled ``"fiber"``, ``"full"`` or ``"columns"`` jet kernel for dimension n.
+        """The compiled ``"fiber"``, ``"full"``, ``"columns"``, ``"spray"`` or ``"level-spray"`` kernel.
 
         It takes the n positions and then the n velocities, as floats or,
         for the column kernel, as (k,) columns of k rows. The fiber kernel
         returns (value, d_y, d_yy), the full kernel (value, d_x, d_y, d_yy,
         d_xy), and the column kernel the fiber blocks of every row stacked,
-        of shapes (k,), (k, n) and (k, n, n). Each is compiled on first use
-        and kept.
+        of shapes (k,), (k, n) and (k, n, n). The spray kernels also take s
+        and e and return the n accelerations. Each is compiled on first use
+        and kept, per dimension n.
         """
         key = (kind, n)
         kernel = self._kernels.get(key)

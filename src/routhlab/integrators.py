@@ -62,6 +62,8 @@ _ALPHA = 0.7 / 5.0
 _BETA = 0.4 / 5.0
 #: accepted plus rejected steps one solve may take
 MAX_STEPS = 200_000
+#: the smallest step at time t is _H_MIN * max(1, |t|)
+_H_MIN = 2e-13
 
 
 @dataclass(frozen=True)
@@ -183,8 +185,9 @@ def solve_ode(rhs, y0, t_end: float, tol: float = 1e-10):
 
     while t < t_end * (1.0 - 1e-14):
         h = min(h, t_end - t)
-        h_min = 2e-13 * max(1.0, abs(t))
-        if h < h_min:
+        if t + h < t_end * (1.0 - 1e-14) and t_end - (t + h) < _H_MIN * max(1.0, abs(t + h)):
+            h = t_end - t  # the remainder would be a step below its own minimum
+        if h < _H_MIN * max(1.0, abs(t)):
             raise StepFailure(
                 f"step size underflow at t={t:.6g} (h={h:.3g}); "
                 "the flow likely hit a domain boundary or a singularity"
@@ -195,13 +198,12 @@ def solve_ode(rhs, y0, t_end: float, tol: float = 1e-10):
         try:
             for s in range(1, 7):
                 ys = y + h * (k[:s].T @ _A[s])
+                nfev += 1
                 k[s] = rhs(t + _C[s] * h, ys)
-            nfev += 6
             y_new = y + h * (k.T @ _B)
             if not np.all(np.isfinite(y_new)) or not np.all(np.isfinite(k)):
                 failed = True
         except DomainError:
-            nfev += 1
             failed = True
 
         if failed:

@@ -264,6 +264,19 @@ def solve_linear(a: np.ndarray, b: np.ndarray, fail):
         raise fail() from exc
 
 
+def level_spray(base: ScalarField, x, y, s: float, e: float, conserving: bool = False) -> np.ndarray:
+    """The canonical spray at (x, y) of the energy-e level metric over base, given its scale s.
+
+    Base's ``"spray"`` kernel, or if ``conserving`` its ``"level-spray"`` kernel, which
+    shifts it to hold the base energy; it checks no domain.
+    """
+    kernel = base.expression.jet_kernel("level-spray" if conserving else "spray", base.dim)
+    try:
+        return kernel(*x.tolist(), *y.tolist(), s, e)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(str(exc)) from exc
+
+
 def lockstep(routines, probe, batch=None) -> list:
     """Run step routines to their returns in rounds; the list of what they return.
 

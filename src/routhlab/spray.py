@@ -13,6 +13,12 @@ without changing trajectories as point sets. :func:`projective_shift` uses
 that freedom to hold a chosen function of (x, y) constant along the flow,
 which is how an energy-level metric reproduces a Lagrangian flow pointwise
 in the original time variable.
+
+A :class:`~routhlab.homogenize.JacobiFinslerModel` over a traced base runs
+its spray, or its shift by F's own ``level_jet``, as the energy-scale solve and
+one generated kernel that writes this assembly in straight-line float code
+(:func:`routhlab.jets.level_spray`). Anything else runs the numpy assembly,
+which the tests keep as the kernel's oracle.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SingularHessian
+from .homogenize import JacobiFinslerModel
 from .integrators import Trajectory, integrate_sampled
-from .jets import ScalarField, SecondJet, solve_linear
+from .jets import ScalarField, SecondJet, level_spray, solve_linear
 
 __all__ = [
     "half_square_jet",
@@ -49,8 +56,29 @@ def canonical_spray(F: ScalarField):
 
     Returns ``accel(x, y) -> a`` solving g a = E_x - E_xy^T y with
     g the fundamental tensor (velocity Hessian of F^2/2). The field is
-    positively 2-homogeneous in y and its flow conserves F.
+    positively 2-homogeneous in y and its flow conserves F. A level metric
+    over a traced base runs its generated kernel.
     """
+    return _spray(F, None)
+
+
+def _spray(F: ScalarField, level):
+    """The acceleration field of F, shifted to conserve ``level`` unless it is None."""
+    if isinstance(F, JacobiFinslerModel) and F.base.expression is not None \
+            and level in (None, F.level_jet):
+
+        def generated(x, y):
+            x, y = np.asarray(x, float), np.asarray(y, float)
+            F.domain_check(x, y)
+            return level_spray(F.base, x, y, F.energy_scale(x, y), F.e, level is not None)
+
+        return generated
+    accel = _assembled_spray(F)
+    return accel if level is None else projective_shift(accel, level)
+
+
+def _assembled_spray(F: ScalarField):
+    """The canonical spray of F from ``F.eval`` and :func:`half_square_jet`, in numpy."""
 
     def accel(x, y):
         j = half_square_jet(F, x, y)
@@ -115,9 +143,7 @@ def integrate_geodesic(
     if unit_speed:
         y0 = y0 / f0
 
-    accel = canonical_spray(F)
-    if level is not None:
-        accel = projective_shift(accel, level)
+    accel = _spray(F, level)
 
     def rhs(_, state):
         a = accel(state[:n], state[n:])

@@ -280,7 +280,8 @@ _KERNEL_NODES = (
 def test_kernel_code_reads_only_whitelisted_names(source):
     expression = parse_expression(source, dim=2)
     for kind, names in (("fiber", _KERNEL_GLOBALS), ("full", _KERNEL_GLOBALS),
-                        ("columns", _COLUMN_GLOBALS)):
+                        ("columns", _COLUMN_GLOBALS), ("spray", _KERNEL_GLOBALS),
+                        ("level-spray", _KERNEL_GLOBALS)):
         tree = ast.parse(inspect.getsource(expression.jet_kernel(kind, 2)))
         for node in ast.walk(tree):
             assert isinstance(node, _KERNEL_NODES), ast.dump(node)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import routhlab as rl
+from routhlab.spray import _assembled_spray, _spray, projective_shift
 
 
 def sample_metric():
@@ -158,3 +159,145 @@ def test_singular_fundamental_tensor_is_reported():
     accel = rl.canonical_spray(thin)
     with pytest.raises(rl.SingularHessian):
         accel(np.zeros(2), np.array([2.0, 1.0]))
+
+
+# -- the generated spray of a traced level metric -----------------------------
+
+def _conformal(xs):
+    c = 1.0 + 0.3 * ((xs[0] * 0.7) * (xs[0] * 0.7) + xs[1] * xs[1])
+    return [[c, 0.0], [0.0, c]]
+
+
+# (base, energy, half-width of x or None for Kepler's x1 in [0.8, 2]); DSL
+# models last: Kepler, a guarded sqrt, and the elimination in 3 and 1 dimensions
+_TRACED_BASES = {
+    "oscillator": (rl.MechanicalLagrangian(
+        2, np.eye(2), potential=lambda xs: 0.5 * (xs[0] * xs[0] + xs[1] * xs[1])), 2.0, 0.5),
+    "disk": (rl.poincare_disk_lagrangian(), 2.0, 0.4),
+    "magnetic": (rl.MagneticLagrangian(2, _conformal, beta=np.array([0.1, -0.2]),
+                                       potential=lambda xs: 0.2 * xs[0] * xs[0]), 2.0, 0.5),
+    "power4": (rl.PowerQuadraticLagrangian(2, np.diag([1.0, 1.5]), degree=4.0), 2.0, 0.5),
+    "kepler": (rl.parse_lagrangian("0.5*(v1^2 + x1^2*v2^2) + 1/x1", dim=2,
+                                   domain=lambda x: x[0] > 0.1), -0.3, None),
+    "sqrt-guard": (rl.parse_lagrangian("0.5*(v1^2 + v2^2) - sqrt(2 - x1^2 - x2^2)", dim=2),
+                   3.0, 0.5),
+    "coupled-3d": (rl.parse_lagrangian(
+        "0.5*(v1^2 + (1 + x1^2)*v2^2 + v3^2) + 0.3*v1*v3 + 0.1*x2*v1 - 0.2*x3^2", dim=3), 2.0, 0.5),
+    "oscillator-1d": (rl.parse_lagrangian("0.5*v1^2 - 0.5*x1^2", dim=1), 1.0, 0.5),
+}
+
+
+def _state(rng, half_width, n=2):
+    x = (np.array([rng.uniform(0.8, 2.0), rng.uniform(-1.0, 1.0)]) if half_width is None
+         else rng.uniform(-half_width, half_width, n))
+    return x, rng.uniform(-1.0, 1.0, n)
+
+
+def _numpy_spray(F, level):
+    accel = _assembled_spray(F)
+    return accel if level is None else projective_shift(accel, level)
+
+
+@pytest.mark.parametrize("family", list(_TRACED_BASES))
+def test_generated_spray_matches_the_numpy_assembly(rng, family):
+    # the kernel reorders no sum, but numpy's products and LAPACK's solve
+    # may fuse multiply-adds, so the results agree to rounding, not bits
+    L, e, half_width = _TRACED_BASES[family]
+    F = rl.jacobi_finsler(L, e)
+    assert L.expression is not None
+    for level in (None, F.level_jet):
+        generated, oracle = _spray(F, level), _numpy_spray(F, level)
+        done = 0
+        while done < 300:
+            x, y = _state(rng, half_width, L.dim)
+            try:
+                want = oracle(x, y)
+            except rl.RouthlabError:
+                continue
+            got = generated(x, y)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (family, x, y)
+            done += 1
+
+
+def test_generated_spray_matches_finite_differences_of_the_metric(rng):
+    # an oracle independent of both assemblies: the spray of fd_jet(F),
+    # at criterion 7's step and scaling
+    h = float(np.finfo(float).eps) ** 0.25
+    worst = 0.0
+    for family in ("disk", "magnetic", "kepler"):
+        L, e, half_width = _TRACED_BASES[family]
+        F = rl.jacobi_finsler(L, e)
+        accel = rl.canonical_spray(F)
+        for _ in range(20):
+            x, y = _state(rng, half_width)
+            y *= rng.uniform(0.7, 1.5) / float(np.linalg.norm(y))
+            j = rl.fd_jet(F, x, y, h=h)
+            e_yy = np.outer(j.d_y, j.d_y) + j.value * j.d_yy
+            e_xy = np.outer(j.d_x, j.d_y) + j.value * j.d_xy
+            want = np.linalg.solve(e_yy, j.value * j.d_x - e_xy.T @ y)
+            got = accel(x, y)
+            worst = max(worst, float(np.max(np.abs(got - want))) / (1.0 + float(np.max(np.abs(want)))))
+    assert worst <= 1e-6, worst
+
+
+def _outcome(f):
+    try:
+        return f()
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("source, e, x, y, raised", [
+    # a velocity Hessian of rank one: both solves meet an exact zero pivot
+    ("0.5*v1^2 + v2", 1.0, [0.3, -0.2], [1.0, 1.0], (rl.SingularHessian,) * 2),
+    # the fiber probes read x1 as a float, the full jet's guard refuses sqrt(x1) at 0
+    ("0.5*(v1^2 + v2^2) + sqrt(x1)", 1.0, [0.0, 0.3], [0.4, 0.7], (rl.DomainError,) * 2),
+    # a velocity too short for the level's denominator
+    ("0.5*(v1^2 + v2^2) - 0.5*x1^2", 1.0, [0.2, 0.1], [1e-8, 0.0], (None, rl.DomainError)),
+])
+def test_generated_spray_raises_what_the_numpy_assembly_raises(source, e, x, y, raised):
+    F = rl.jacobi_finsler(rl.parse_lagrangian(source, dim=2), e)
+    x, y = np.array(x), np.array(y)
+    for level, error in zip((None, F.level_jet), raised):
+        want = _outcome(lambda: _numpy_spray(F, level)(x, y))
+        got = _outcome(lambda: _spray(F, level)(x, y))
+        if error is None:
+            np.testing.assert_allclose(got, want, rtol=1e-14)
+        else:
+            assert want[0] is error and got == want, (source, level, got)
+
+
+def _assembly_calls(monkeypatch, F, level):
+    """(half_square_jet calls, JacobiFinslerModel.eval calls) per right-hand side of one run."""
+    counts = {"half": 0, "eval": 0}
+    half, evaluate = rl.spray.half_square_jet, rl.JacobiFinslerModel.eval
+
+    def counted_half(*args):
+        counts["half"] += 1
+        return half(*args)
+
+    def counted_eval(self, x, y, order=2):
+        counts["eval"] += order == 2  # the start's value and the energy log are order 0
+        return evaluate(self, x, y, order)
+
+    monkeypatch.setattr(rl.spray, "half_square_jet", counted_half)
+    monkeypatch.setattr(rl.JacobiFinslerModel, "eval", counted_eval)
+    x0 = np.array([0.2, -0.1])
+    run = rl.integrate_geodesic(F, x0, rl.rescale_to_energy(F.base, x0, np.array([0.6, 0.8]), F.e),
+                                0.5, level=level, samples=11)
+    monkeypatch.undo()
+    return counts["half"] / run.stats.rhs_evals, counts["eval"] / run.stats.rhs_evals
+
+
+def test_only_traced_level_metrics_with_their_own_level_run_the_kernel(monkeypatch):
+    traced = rl.jacobi_finsler(_TRACED_BASES["oscillator"][0], 2.0)
+    for level in (None, traced.level_jet):
+        assert _assembly_calls(monkeypatch, traced, level) == (0.0, 0.0)
+    # a base without a tree, and a level function that is not F's own
+    untraced = rl.jacobi_finsler(
+        rl.MagneticLagrangian(2, np.eye(2), potential=lambda xs: 0.3 * np.sin(xs[0])), 2.0)
+    assert untraced.base.expression is None
+    for F, level in ((untraced, None), (untraced, untraced.level_jet),
+                     (traced, lambda x, y: traced.level_jet(x, y))):
+        half, evals = _assembly_calls(monkeypatch, F, level)
+        assert half >= 1.0 and evals >= 1.0, (F.base, level)
