@@ -222,9 +222,10 @@ def cmd_routh_reduce(cfg, model, out_dir, seed):
     check_invariance(model, split, ref_x=x0, seed=seed)
     if mu is None:
         mu = momentum(model, split, x0, v0)
-    # the reduced flow the round trip integrated is the one to rebuild
+    # rebuild the reduced flow the round trip integrated, from its model's guess
     report, reduced_traj = _round_trip(model, split, mu, x0, v0, t_end, tol=tol, samples=samples)
-    full = reconstruct(model, split, mu, reduced_traj, cyclic_start=x0[split.cyc_idx])
+    full = reconstruct(model, split, mu, reduced_traj, cyclic_start=x0[split.cyc_idx],
+                       guess=v0[split.cyc_idx])
     csv_path = _outpath(out_dir, "reconstructed_trajectory.csv")
     write_trajectory_csv(csv_path, full)
     report_path = _write_report(out_dir, "reduction_report.json", report, seed)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import HyperDual, seed_second, sqrt, value_of
+from .duals import HyperDual, seed_second, value_of
 from .errors import DomainError, EnergyUnreachable, NoConvergence
 from .expressions import Expression, parse_expression, trace_expression
 from .jets import ScalarField, SecondJet, chain_jet, drive, lockstep
@@ -111,6 +111,10 @@ def homogenize(L: LagrangianModel) -> HomogenizedLagrangian:
 #: probes at s = |y|, 2|y|, 4|y|, ... that the scale solve tries before it
 #: decides that the ray starts outside the fiber domain
 FIRST_PROBE_TRIES = 8
+#: the scale solve stops where |E - e| <= SCALE_TOL (1 + |e|), and gives up
+#: after SCALE_MAX_ITER model or bisection steps
+SCALE_TOL = 1e-12
+SCALE_MAX_ITER = 80
 
 
 @dataclass(frozen=True)
@@ -127,8 +131,6 @@ def solve_energy_scale(
     x,
     y,
     e: float,
-    tol: float = 1e-12,
-    max_iter: int = 80,
 ) -> EnergyScaleResult:
     """Solve E(x, y/s) = e for the positive scale s.
 
@@ -152,7 +154,7 @@ def solve_energy_scale(
     decide that the requested level does not exist on the ray:
     :class:`EnergyUnreachable` is raised when one leaves the fiber domain,
     when the residual stagnates, or after 200 of them. The result is the
-    first probed s with |r| <= tol (1 + |e|), or, once probes of opposite
+    first probed s with |r| <= SCALE_TOL (1 + |e|), or, once probes of opposite
     sign sit at adjacent floats, the one of them with the smaller |r|;
     ``residual`` is the probed residual and ``iterations`` counts probes.
 
@@ -170,7 +172,7 @@ def solve_energy_scale(
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    steps = _scale_steps(float(np.linalg.norm(y)), e, tol, max_iter)
+    steps = _scale_steps(float(np.linalg.norm(y)), e)
     return drive(steps, lambda s: _scale_probe(L, x, y, s, e))
 
 
@@ -181,7 +183,7 @@ def _scale_probe(L, x, y, s: float, e: float):
     return float(w @ d_y) - val - e, float(w @ (d_yy @ w))
 
 
-def _scale_steps(s: float, e: float, tol: float, max_iter: int):
+def _scale_steps(s: float, e: float):
     """The rules of :func:`solve_energy_scale` as a routine driven probe by probe.
 
     A generator that starts from s = |y|: it yields each scale to probe,
@@ -190,7 +192,7 @@ def _scale_steps(s: float, e: float, tol: float, max_iter: int):
     """
     if s == 0.0:
         raise DomainError("the energy scale is undefined on the zero velocity")
-    atol = tol * (1.0 + abs(e))
+    atol = SCALE_TOL * (1.0 + abs(e))
     stall_tol = 1e-14 * (1.0 + abs(e))
 
     # y/|y| can round onto the edge of a bounded fiber domain such as
@@ -238,9 +240,9 @@ def _scale_steps(s: float, e: float, tol: float, max_iter: int):
         model = t is not None
         if model or bracketed:
             steps += 1
-            if steps > max_iter:
+            if steps > SCALE_MAX_ITER:
                 raise NoConvergence(
-                    f"energy scale solve stalled after {max_iter} iterations "
+                    f"energy scale solve stalled after {SCALE_MAX_ITER} iterations "
                     f"(|residual| = {abs(r):.3e})"
                 )
             if not model:
@@ -293,8 +295,7 @@ def _scale_steps(s: float, e: float, tol: float, max_iter: int):
     return EnergyScaleResult(s=float(s), residual=float(r), iterations=evals)
 
 
-def _solve_energy_scales(L: LagrangianModel, xs, ys, e: float, tol: float = 1e-12,
-                         max_iter: int = 80) -> np.ndarray:
+def _solve_energy_scales(L: LagrangianModel, xs, ys, e: float) -> np.ndarray:
     """The scale s of :func:`solve_energy_scale` on every row of (xs, ys).
 
     Each row runs its own step routine, and every round probes all pending
@@ -315,7 +316,7 @@ def _solve_energy_scales(L: LagrangianModel, xs, ys, e: float, tol: float = 1e-1
                 for r_i, q_i in zip(r, q)]
 
     norms = np.sqrt((ys[:, None, :] @ ys[:, :, None])[:, 0, 0])
-    steps = [_scale_steps(s, e, tol, max_iter) for s in norms.tolist()]
+    steps = [_scale_steps(s, e) for s in norms.tolist()]
     done = lockstep(steps, lambda i, s: _scale_probe(L, xs[i], ys[i], s, e), batch)
     return np.array([result.s for result in done])
 
@@ -493,21 +494,6 @@ class RandersModel(FinslerModel):
         d_x = da / (2.0 * root) + db @ y
         d_xy = dgy / root - np.outer(da, w) / (2.0 * a * root) + db
         return SecondJet(value=val, d_x=d_x, d_y=d_y, d_yy=d_yy, d_xy=d_xy)
-
-    def expr(self, xs, ys):
-        # generic dual-arithmetic path, used by tests to cross-check eval
-        g = self.metric(xs) if callable(self.metric) else self.metric
-        acc = 0.0
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                acc = acc + ys[i] * g[i][j] * ys[j]
-        out = sqrt(acc)
-        if self.beta is not None:
-            b = self.beta(xs) if callable(self.beta) else self.beta
-            for i in range(n):
-                out = out + b[i] * ys[i]
-        return out
 
 
 def randers_closed_form(L: MagneticLagrangian, e: float) -> RandersModel:

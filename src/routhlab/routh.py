@@ -474,52 +474,45 @@ def reconstruct(
 
     The eliminated velocities are evaluated on the trajectory's sample grid
     plus interval midpoints (through the dense output) and integrated with
-    composite Simpson quadrature. Solves warm-start from the previous point;
-    a branch jump between neighbouring points triggers a warning.
+    composite Simpson quadrature. Every point solves from the one ``guess``
+    (zero by default), in one lockstep solve, so each velocity is the one
+    ``ReducedLagrangian(L, split, mu, guess).cyclic_velocity`` gives there:
+    with the reduced model's guess, the velocity its flow integrated. An
+    isolated spike in the velocity between neighbouring samples, more than
+    0.1 and more than 50 times both neighbouring jumps, triggers a warning
+    that the guess picked another branch of the momentum relation there.
     """
     if reduced.dense is None:
         raise ValueError("reconstruction requires a trajectory with dense output")
     mu = np.asarray(mu, float)
     cyclic_start = np.asarray(cyclic_start, float)
     m = len(split.cyclic)
-    _check_shapes(m, cyclic_start=cyclic_start)
+    guess = np.zeros(m) if guess is None else np.asarray(guess, float)
+    _check_shapes(m, cyclic_start=cyclic_start, guess=guess)
 
     times = reduced.times
-    n_red = reduced.dim
-    mids = 0.5 * (times[:-1] + times[1:])
-    mid_states = reduced.dense.sample(mids)
+    k, n_red = len(times), reduced.dim
+    mid_states = reduced.dense.sample(0.5 * (times[:-1] + times[1:]))
+    z = _solve_momenta(L, split, mu, np.vstack([reduced.positions, mid_states[:, :n_red]]),
+                       np.vstack([reduced.velocities, mid_states[:, n_red:]]),
+                       np.broadcast_to(guess, (2 * k - 1, m)))
+    z_samples, z_mids = z[:k], z[k:]
 
-    z_prev = np.zeros(m) if guess is None else np.asarray(guess, float)
-    jumps = []
-
-    # each sample warm-starts from the one before, so these run in order;
-    # each midpoint starts from the sample before it, so those run in lockstep
-    z_samples = np.empty((len(times), m))
-    for i, t in enumerate(times):
-        z_samples[i] = solve_momentum(L, split, mu, reduced.positions[i], reduced.velocities[i],
-                                      guess=z_prev)
-        if i > 0:
-            jumps.append(float(np.linalg.norm(z_samples[i] - z_samples[i - 1])))
-        z_prev = z_samples[i]
-    z_mids = _solve_momenta(L, split, mu, mid_states[:, :n_red], mid_states[:, n_red:],
-                            z_samples[:-1])
-
-    if len(jumps) > 3:
-        typical = np.median([j for j in jumps if j > 0.0] or [0.0])
-        worst = max(jumps)
-        if typical > 0.0 and worst > 50.0 * typical and worst > 0.1:
-            warnings.warn(
-                f"cyclic velocity jumped by {worst:.3g} between neighbouring samples; "
-                "the momentum relation may have crossed branches",
-                stacklevel=2,
-            )
+    jumps = np.linalg.norm(np.diff(z_samples, axis=0), axis=1)
+    inner = jumps[1:-1]
+    spikes = inner[(inner > 0.1) & (inner > 50.0 * np.maximum(jumps[:-2], jumps[2:]))]
+    if spikes.size:
+        warnings.warn(
+            f"cyclic velocity jumped by {spikes.max():.3g} between neighbouring samples; "
+            "the momentum relation may have crossed branches",
+            stacklevel=2,
+        )
 
     # composite Simpson on each interval, then cumulative sum
     h = np.diff(times)[:, None]
     increments = (h / 6.0) * (z_samples[:-1] + 4.0 * z_mids + z_samples[1:])
     cyclic_pos = np.vstack([cyclic_start, cyclic_start + np.cumsum(increments, axis=0)])
 
-    k = len(times)
     positions = np.empty((k, split.dim))
     velocities = np.empty((k, split.dim))
     positions[:, split.shape_idx] = reduced.positions

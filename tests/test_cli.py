@@ -52,6 +52,18 @@ MALFORMED_FIELDS = [
 ]
 
 
+# the power family in a ball, gauge-shifted, with a cyclic list: config
+# paths no shipped config takes
+POWER_GAUGE = {
+    "lagrangian": {"family": "power", "dim": 2, "metric": [[1, 0], [0, 1.5]], "degree": 4,
+                   "domain": {"ball": 2.0}, "gauge": "0.2*x1*x2"},
+    "energy": 1.7,
+    "cyclic": [2],
+    "initial": {"x": [0.3, -0.4], "v": [1.0, 0.7], "rescale": True},
+    "time": {"t_end": 1.0, "samples": 201},
+}
+
+
 class TestExitCodes:
     def test_passing_verification_exits_zero(self, tmp_path):
         r = invoke(
@@ -146,6 +158,18 @@ class TestCommands:
         assert payload["model"]["dim"] == 2
         assert payload["initial"]["energy"] == pytest.approx(5.0)
         assert payload["initial"]["strongly_convex"] is True
+        # a gauge-shifted power model in a ball, with a cyclic list; its
+        # level metric verifies and integrates too
+        power = tmp_path / "power_gauge.json"
+        power.write_text(json.dumps(POWER_GAUGE))
+        r = invoke(["describe", "--config", str(power), "--out", str(tmp_path)])
+        assert r.exit_code == 0, r.output
+        payload = json.loads(r.output)
+        assert payload["model"]["family"] == "k_homogeneous+exact_form"
+        assert len(payload["initial"]["cyclic_momentum"]) == 1
+        for cmd in ("verify", "geodesic"):
+            r = invoke([cmd, "--config", str(power), "--out", str(tmp_path)])
+            assert r.exit_code == 0, r.output
 
     def test_integrate_el_writes_loadable_csv(self, tmp_path):
         r = invoke(

@@ -93,7 +93,7 @@ def test_the_guard_flags_a_stale_export():
 
 
 # model evaluations at one point, and the arrays whose rows are samples
-PER_SAMPLE_CALLS = {"value", "fiber_jet", "energy", "momentum"}
+PER_SAMPLE_CALLS = {"value", "fiber_jet", "energy", "momentum", "solve_momentum"}
 SAMPLE_ARRAYS = {"positions", "velocities"}
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
@@ -132,8 +132,11 @@ def test_the_guard_flags_a_per_sample_loop():
         "log = F.eval_batch(positions, velocities, 0)\n"
         "jets = [F.fiber_jet(x, y) for x, y in pairs]\n"
         "drift = max(norm(momentum(L, s, full.positions[i], full.velocities[i])) for i in rows)\n"
+        "for i in rows:\n"
+        "    z[i] = solve_momentum(L, s, mu, red.positions[i], red.velocities[i], guess=z[i - 1])\n"
     )
-    assert _per_sample_calls(tree) == [(1, "value"), (3, "energy"), (7, "momentum")]
+    assert _per_sample_calls(tree) == [(1, "value"), (3, "energy"), (7, "momentum"),
+                                       (9, "solve_momentum")]
 
 
 # what drives a step routine: sending it a probe's result, or throwing in its error

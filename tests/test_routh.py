@@ -1,5 +1,7 @@
 """Cyclic-coordinate reduction: momenta, Routhian jets, round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,36 @@ def test_reconstruction_round_trip_short_window():
     # the reconstructed energy log comes from the full Lagrangian
     drift = np.max(np.abs(rebuilt.energy_log - rebuilt.energy_log[0]))
     assert drift < 1e-8
+
+
+def test_fast_cyclic_velocity_on_one_branch_does_not_warn():
+    # p = x1^2 v2 has one root; near the pericentre x1 ~ 0.31 the velocity
+    # changes fast, so the largest jump far exceeds the median one, but
+    # not its neighbours
+    L = polar_model()
+    split = CyclicSplit.of(2, [1])
+    x0, v0 = np.array([1.0, 0.3]), np.array([0.3, 0.6])
+    mu = rl.momentum(L, split, x0, v0)
+    red = rl.routhian(L, split, mu, ref_x=x0)
+    traj = rl.integrate_el(red, x0[:1], v0[:1], 2.0, tol=1e-11, samples=301)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rebuilt = rl.reconstruct(L, split, mu, traj, cyclic_start=x0[1:])
+    full = rl.integrate_el(L, x0, v0, 2.0, tol=1e-11, samples=301)
+    assert np.max(np.abs(rebuilt.positions - full.positions)) < 1e-8
+
+
+def test_a_branch_switch_at_one_sample_warns():
+    # at mu = 0, v2^3 - 3 x1 v2 = mu has the roots 0 and +-sqrt(3 x1); from
+    # the guess 1, Newton finds the positive root while x1 < 1 and the
+    # negative one just past it. The shape path x1 = 0.613 + t/2 crosses 1
+    # between two samples.
+    L = rl.parse_lagrangian("0.5*v1^2 + 0.25*v2^4 - 1.5*x1*v2^2", dim=2)
+    path = rl.integrate_el(rl.parse_lagrangian("0.5*v1^2", dim=1), [0.613], [0.5], 1.0,
+                           samples=101)
+    with pytest.warns(UserWarning, match="jumped by 3.46 .* crossed branches"):
+        rl.reconstruct(L, CyclicSplit.of(2, [1]), np.zeros(1), path, cyclic_start=np.zeros(1),
+                       guess=[1.0])
 
 
 def test_singular_cyclic_block_is_reported():
@@ -573,14 +605,6 @@ def test_reconstruction_midpoints_equal_the_row_loop(source, monkeypatch):
     split = CyclicSplit.of(2, [1])
     x0, v0 = np.array([1.0, 0.3]), np.array([0.3, 1.2])
     mu = rl.momentum(L, split, x0, v0)
-    red = rl.routhian(L, split, mu, ref_x=x0)
-    traj = rl.integrate_el(red, x0[:1], v0[:1], 1.5, tol=1e-11, samples=301)
-    sizes = _counting_batches(L)
-    lockstep = rl.reconstruct(L, split, mu, traj, cyclic_start=x0[1:])
-    # the sample grid's 301 solves take two jets each, one at a time
-    assert sizes[602] == 300 and 0 not in sizes[603:]
-    # where the lockstep solve fails, the midpoints run through solve_momentum,
-    # which drives one routine at a time
     lockstep_rows = rl.routh.lockstep
 
     def one_at_a_time(routines, probe, batch=None):
@@ -588,10 +612,26 @@ def test_reconstruction_midpoints_equal_the_row_loop(source, monkeypatch):
             raise rl.DomainError("row by row")
         return lockstep_rows(routines, probe, batch)
 
-    monkeypatch.setattr(rl.routh, "lockstep", one_at_a_time)
-    rows = rl.reconstruct(L, split, mu, traj, cyclic_start=x0[1:])
-    for name in ("positions", "velocities", "energy_log"):
-        assert getattr(lockstep, name).tobytes() == getattr(rows, name).tobytes(), name
+    # the reduced model's default guess, and the round trip's: v0's own
+    for guess in (None, v0[1:]):
+        red = rl.routhian(L, split, mu, guess=guess, ref_x=x0)
+        traj = rl.integrate_el(red, x0[:1], v0[:1], 1.5, tol=1e-11, samples=301)
+        sizes = _counting_batches(L)
+        lockstep = rl.reconstruct(L, split, mu, traj, cyclic_start=x0[1:], guess=guess)
+        # the 301 samples and 300 midpoints solve in one lockstep, then the
+        # energy log batches the samples
+        assert sizes[0] == 601 and sizes[-1] == 301 and 0 not in sizes, sizes
+        # each rebuilt velocity is the one the reduced flow integrated
+        z = np.concatenate([red.cyclic_velocity(x, y)
+                            for x, y in zip(traj.positions, traj.velocities)])
+        assert lockstep.velocities[:, 1].tobytes() == z.tobytes()
+        # where the lockstep solve fails, the rows run through solve_momentum,
+        # which drives one routine at a time
+        with monkeypatch.context() as patch:
+            patch.setattr(rl.routh, "lockstep", one_at_a_time)
+            rows = rl.reconstruct(L, split, mu, traj, cyclic_start=x0[1:], guess=guess)
+        for name in ("positions", "velocities", "energy_log"):
+            assert getattr(lockstep, name).tobytes() == getattr(rows, name).tobytes(), name
 
 
 def test_two_cyclic_reductions_batch_as_the_rows():
