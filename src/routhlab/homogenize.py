@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import HyperDual, seed_second, value_of
+from .duals import HyperDual, positive, seed_second, value_of
 from .errors import DomainError, EnergyUnreachable, NoConvergence
 from .expressions import Expression, parse_expression, trace_expression
 from .jets import ScalarField, SecondJet, chain_jet, drive, lockstep
@@ -75,9 +75,10 @@ class HomogenizedLagrangian(FinslerModel):
 
     Coordinate 0 of both position and velocity is the added slot; position 0
     never enters the value (it is cyclic by construction) and velocity 0
-    must stay positive. The momentum conjugate to coordinate 0 equals minus
-    the energy of the base Lagrangian. ``expr`` writes the lift over the
-    base's ``expr`` and is traced at construction, as the families are.
+    must stay positive, a guard of ``expr``. The momentum conjugate to
+    coordinate 0 equals minus the energy of the base Lagrangian. ``expr``
+    writes the lift over the base's ``expr`` and is traced at construction,
+    as the families are; the position predicate is the base's on x[1:].
     """
 
     family = "homogenized"
@@ -87,18 +88,16 @@ class HomogenizedLagrangian(FinslerModel):
             raise TypeError(f"the lift needs a base with an expr; {type(base).__name__} has none")
         self.base = base
         self.dim = base.dim + 1
+        if base._domain is not None:
+            self._domain = lambda x: base._domain(x[1:])
         self.expression = trace_expression(self.expr, self.dim, "HomogenizedLagrangian.expr")
 
     def describe(self) -> dict:
         return {"family": self.family, "dim": self.dim, "base": self.base.describe()}
 
-    def domain_check(self, x, y):
-        if y[0] <= 0.0:
-            raise DomainError(f"scale velocity must be positive, got {y[0]}")
-        self.base.domain_check(np.asarray(x[1:], float), np.asarray(y[1:], float) / y[0])
-
     def expr(self, xs, ys):
-        return ys[0] * self.base.expr(xs[1:], [y / ys[0] for y in ys[1:]])
+        u = positive(ys[0], "scale velocity must be positive")
+        return u * self.base.expr(xs[1:], [y / u for y in ys[1:]])
 
 
 def homogenize(L: LagrangianModel) -> HomogenizedLagrangian:
@@ -300,7 +299,7 @@ def _solve_energy_scales(L: LagrangianModel, xs, ys, e: float) -> np.ndarray:
 
     Each row runs its own step routine, and every round probes all pending
     scales with one batched fiber jet through L's ``_eval_rows`` (skipping
-    the domain check that the caller ran through ``_rows_in_domain``),
+    the position predicate that the caller ran through ``_rows_in_domain``),
     residuals from stacked matmuls. Where that raises, every pending row is
     probed alone, and a row whose batched probe is not finite is probed
     again alone, through ``fiber_jet``, as the scalar solve probes it. A
@@ -340,6 +339,7 @@ class JacobiFinslerModel(FinslerModel):
         self.base = base
         self.e = float(e)
         self.dim = base.dim
+        self._domain = base._domain
 
     def describe(self) -> dict:
         return {
@@ -349,19 +349,9 @@ class JacobiFinslerModel(FinslerModel):
             "base": self.base.describe(),
         }
 
-    def domain_check(self, x, y):
-        y = np.asarray(y, float)
-        if float(y @ y) == 0.0:
-            raise DomainError("the energy-level metric is undefined on the zero velocity")
-        self.base.domain_check(np.asarray(x, float), y)
-
     def energy_scale(self, x, y) -> float:
         """The eliminated scale s at (x, y)."""
         return solve_energy_scale(self.base, x, y, self.e).s
-
-    def _rows_in_domain(self, xs, ys) -> bool:
-        # the base's domain; a zero velocity raises in the scale solve
-        return self.base._rows_in_domain(xs, ys)
 
     def _eval_rows(self, xs, ys, order: int):
         """Orders 0 and 1 on one lockstep scale solve over all rows.
@@ -463,12 +453,6 @@ class RandersModel(FinslerModel):
         self.metric = _normalize_matrix(metric, self.dim)
         self.beta = _normalize_vector(beta, self.dim)
         self._domain = domain
-
-    def domain_check(self, x, y):
-        super().domain_check(x, y)
-        y = np.asarray(y, float)
-        if float(y @ y) == 0.0:
-            raise DomainError("a norm-type metric is undefined on the zero velocity")
 
     def eval(self, x, y, order: int = 2):
         x = np.asarray(x, float)
@@ -598,6 +582,7 @@ class PowerScaledFinsler(FinslerModel):
         self.degree = k
         self.coefficient = k * ((k - 1.0) / e) ** ((1.0 - k) / k)
         self.dim = base.dim
+        self._domain = base._domain
 
     def describe(self) -> dict:
         return {
@@ -607,9 +592,6 @@ class PowerScaledFinsler(FinslerModel):
             "degree": self.degree,
             "base": self.base.describe(),
         }
-
-    def domain_check(self, x, y):
-        self.base.domain_check(np.asarray(x, float), np.asarray(y, float))
 
     def eval(self, x, y, order: int = 2):
         j = self.base.eval(x, y, order)
@@ -647,6 +629,7 @@ class GaugeShiftedModel(ScalarField):
     def __init__(self, base: ScalarField, fn, source: str = "<callable>"):
         self.base = base
         self.dim = base.dim
+        self._domain = base._domain
         self._fn = fn
         self.source = source
         self.family = f"{getattr(base, 'family', 'model')}+exact_form"
@@ -656,9 +639,6 @@ class GaugeShiftedModel(ScalarField):
         if hasattr(self.base, "describe"):
             out["base"] = self.base.describe()
         return out
-
-    def domain_check(self, x, y):
-        self.base.domain_check(np.asarray(x, float), np.asarray(y, float))
 
     def _form_jet(self, x: np.ndarray):
         """(grad f, hess f) at x, from the form run on HyperDual seeds."""

@@ -28,6 +28,13 @@ gives an entry that is not finite, it runs the rows in order through
 Where ``_eval_rows`` is that row loop (``_rows_at_once`` says no), the batch
 runs it once, with no domain pass and no second run.
 
+A field's domain is one rule: its position predicate ``_domain``, which
+``domain_check`` applies and a wrapper takes from its base when it is
+built, plus the guards of its formula. No class overrides ``domain_check``;
+a velocity condition is a guard of the formula (``duals.positive``, ``sqrt``,
+``log``) or is raised where the value is computed, so a batch's columns
+kernel and a solver's probes meet it as ``eval`` does.
+
 The implicit solves (energy scale, cyclic velocities) write their rules
 once, as step routines: :func:`lockstep` runs them on every row of a batch,
 :func:`drive` runs one of them at one point.
@@ -73,9 +80,9 @@ class ScalarField:
     A field writes its formula once, as ``expr`` (generic arithmetic usable
     with floats and dual numbers), and ``expression`` is its tree, parsed or
     traced, or None; wrappers and closed forms override ``eval`` with their
-    own assembly. ``domain_check`` raises :class:`DomainError` outside the
-    declared domain and is consulted at every order; by default it applies
-    the position predicate ``_domain`` when a model has one.
+    own assembly. ``domain_check`` raises :class:`DomainError` where the
+    position predicate ``_domain``, if the model has one, says no; every
+    velocity condition is a guard of the formula (see the module docstring).
     """
 
     dim: int = 0
@@ -88,13 +95,6 @@ class ScalarField:
     def domain_check(self, x: np.ndarray, y: np.ndarray) -> None:
         if self._domain is not None and not self._domain(np.asarray(x, float)):
             raise DomainError(f"position {np.asarray(x)} outside the model domain")
-
-    def in_domain(self, x, y) -> bool:
-        try:
-            self.domain_check(np.asarray(x, float), np.asarray(y, float))
-        except DomainError:
-            return False
-        return True
 
     def describe(self) -> dict:
         return {"family": self.family, "dim": self.dim}
@@ -180,8 +180,8 @@ class ScalarField:
         A field with a tree runs its ``"columns"`` kernel on all rows, under
         ``np.errstate(all="raise")``; where ``_rows_at_once`` says no, this is
         the row loop. A family may override it to give the same bits at once,
-        skipping ``domain_check``; a failing row may raise or give non-finite
-        entries.
+        skipping the position predicate; a failing row may raise or give
+        non-finite entries.
         """
         if not self._rows_at_once():
             return self._row_loop(xs, ys, order)
@@ -199,27 +199,15 @@ class ScalarField:
         return tuple(np.array([r[i] for r in rows], float).reshape(k, *[n] * i) for i in range(3))
 
     def _rows_at_once(self) -> bool:
-        """Whether ``_eval_rows`` evaluates the rows at once, not by the row loop.
-
-        The columns kernel checks no domain, so a tree under a ``domain_check``
-        of its own runs the row loop.
-        """
-        return type(self)._eval_rows is not ScalarField._eval_rows or (
-            self.expression is not None and type(self).domain_check is ScalarField.domain_check)
+        """Whether ``_eval_rows`` evaluates the rows at once, not by the row loop."""
+        return type(self)._eval_rows is not ScalarField._eval_rows or self.expression is not None
 
     def _rows_in_domain(self, xs, ys) -> bool:
-        """Whether ``domain_check`` passes on every row; a row that raises says no.
-
-        Where a family keeps this class's ``domain_check``, only ``_domain`` runs.
-        """
+        """Whether the position predicate holds on every row; a row that raises says no."""
         try:
-            if type(self).domain_check is ScalarField.domain_check:
-                return self._domain is None or all(self._domain(x) for x in xs)
-            for x, y in zip(xs, ys):
-                self.domain_check(x, y)
+            return self._domain is None or all(self._domain(x) for x in xs)
         except Exception:
             return False
-        return True
 
 
 def batch_rows(xs, ys):

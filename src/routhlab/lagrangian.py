@@ -170,6 +170,7 @@ class HomogeneousLagrangian(LagrangianModel):
             raise ValueError("degree must be at least 1")
         self.base = base
         self.dim = base.dim
+        self._domain = base._domain
         self.degree = int(degree)
         self._verify_degree()
 
@@ -196,9 +197,6 @@ class HomogeneousLagrangian(LagrangianModel):
             raise PreconditionError(
                 "could not find in-domain sample points for the degree check"
             )
-
-    def domain_check(self, x, y):
-        self.base.domain_check(x, y)
 
     def eval(self, x, y, order: int = 2):
         return self.base.eval(x, y, order)

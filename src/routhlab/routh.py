@@ -152,9 +152,9 @@ def solve_momentum(
     """Cyclic velocities where the conjugate momenta equal mu.
 
     Newton iteration on the cyclic block, starting from ``guess`` (zero by
-    default). The iteration halves a step, up to 30 times, while the new
-    iterate leaves the model domain or its fiber jet raises DomainError (a
-    bounded fiber domain such as |v| < 1), raises SingularBlock when the
+    default). The iteration halves a step, up to 30 times, while the fiber
+    jet at the new iterate raises DomainError (a bounded fiber domain such
+    as |v| < 1; the position never changes), raises SingularBlock when the
     cyclic Hessian block fails to factor, and NoConvergence after
     MOMENTUM_MAX_ITER iterations or where the iterates diverge (an
     unreachable momentum target).
@@ -222,22 +222,21 @@ def _momentum_steps(L, c, mu, full_x, full_y, z, shape_norm):
             step = r / h if one else np.linalg.solve(h, r)
         except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
             raise SingularBlock(f"cyclic velocity block is singular at x={full_x}") from exc
-        # backtrack while the new iterate leaves the domain or its jet
-        # fails; that jet serves the next iteration, so the last takes none
+        # backtrack while the new iterate's jet fails; that jet serves the
+        # next iteration, so the last takes none
         for _ in range(30):
             trial = z - step
             full_y[c] = trial
-            if L.in_domain(full_x, full_y):
-                if math.sqrt(trial * trial if one else trial @ trial) > ceiling:
-                    raise NoConvergence("momentum solve is diverging; "
-                                        "the target momentum may be unreachable")
-                if it + 1 == MOMENTUM_MAX_ITER:
-                    break
-                try:
-                    p, h = yield trial
-                    break
-                except DomainError:
-                    pass
+            if math.sqrt(trial * trial if one else trial @ trial) > ceiling:
+                raise NoConvergence("momentum solve is diverging; "
+                                    "the target momentum may be unreachable")
+            if it + 1 == MOMENTUM_MAX_ITER:
+                break
+            try:
+                p, h = yield trial
+                break
+            except DomainError:
+                pass
             step = 0.5 * step
         else:
             raise NoConvergence("momentum solve could not stay inside the domain")
@@ -251,10 +250,10 @@ def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_sh
     """:func:`solve_momentum` on every row, from the row's guess; a (k, m) array.
 
     Each row runs its own step routine under :func:`jets.lockstep`. With one
-    cyclic coordinate and every row at its guess in L's domain, checked once
-    as the positions never change and the routines check each later iterate
-    with ``in_domain``, a round evaluates all pending iterates with one
-    batched fiber jet through L's ``_eval_rows``, which may skip that check.
+    cyclic coordinate and every row's position inside L's position
+    predicate, checked once as the positions never change, a round
+    evaluates all pending iterates with one batched fiber jet through L's
+    ``_eval_rows``, which skips that predicate.
     The rows of a round whose batched jet raises, or a row whose jet is not
     finite, are evaluated again alone, as the scalar solve evaluates them;
     otherwise each row takes its own jets. Where any row fails, the rows run
@@ -335,7 +334,7 @@ class ReducedLagrangian(LagrangianModel):
         split = self.split
         z = _solve_momenta(self.base, split, self.mu, xs, ys,
                            np.broadcast_to(self.guess, (len(xs), len(split.cyclic))))
-        # every row passed the base's domain check in the solve
+        # every row passed the base's position predicate in the solve
         j = self.base._eval_rows(_embed_rows(split, xs, 0.0), _embed_rows(split, ys, z), order)
         mu_z = (self.mu[None, None, :] @ z[:, :, None])[:, 0, 0]
         if order == 0:

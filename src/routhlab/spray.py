@@ -69,7 +69,6 @@ def _spray(F: ScalarField, level):
 
         def generated(x, y):
             x, y = np.asarray(x, float), np.asarray(y, float)
-            F.domain_check(x, y)
             return level_spray(F.base, x, y, F.energy_scale(x, y), F.e, level is not None)
 
         return generated

@@ -25,10 +25,7 @@ class _Untraced(ScalarField):
     """A model's domain and ``expr`` without its tree, so ``eval`` runs hyper-duals."""
 
     def __init__(self, model):
-        self.model, self.dim = model, model.dim
-
-    def domain_check(self, x, y):
-        self.model.domain_check(x, y)
+        self.model, self.dim, self._domain = model, model.dim, model._domain
 
     def expr(self, xs, ys):
         return self.model.expr(xs, ys)

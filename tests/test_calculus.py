@@ -8,7 +8,8 @@ import pytest
 
 import routhlab as rl
 from routhlab import FD_STEP, StencilDomainError, chain_jet, fd_jet, jet
-from routhlab.duals import sin, value_of
+from routhlab.duals import positive, sin, value_of
+from routhlab.expressions import trace_expression
 
 SHARP_H = float(np.finfo(float).eps) ** 0.25
 
@@ -37,8 +38,11 @@ def _sample_state(model, rng):
         y = rng.uniform(-1.0, 1.0, model.dim)
         if np.dot(y, y) < 0.05:
             continue
-        if model.in_domain(x, y):
-            return x, y
+        try:
+            model.domain_check(x, y)
+        except rl.DomainError:
+            continue
+        return x, y
     raise AssertionError("could not sample an in-domain state")
 
 
@@ -269,6 +273,16 @@ def test_only_the_base_field_defines_value_and_fiber_jet():
             assert ("eval" in vars(cls)) == (cls in EVAL_CLASSES), cls
 
 
+def test_only_the_base_field_defines_domain_check():
+    # a model's domain is its position predicate, which a wrapper takes from
+    # its base, plus its formula's guards; batches and solver probes see both
+    for info in pkgutil.iter_modules(rl.__path__):
+        module = importlib.import_module(f"routhlab.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                assert ("domain_check" in vars(cls)) == (cls is rl.ScalarField), cls
+
+
 # the classes that define _eval_rows; every other model runs the row loop
 BATCH_CLASSES = {rl.ScalarField, rl.JacobiFinslerModel, rl.ReducedLagrangian}
 
@@ -408,19 +422,23 @@ def test_dsl_batches_equal_the_row_loop(rng):
         model.eval_batch(xs[good], ys[good], 1)
 
 
-class _Capped(rl.ExpressionLagrangian):
-    """Velocities confined to |v| < 1.2 by domain_check alone, which no kernel sees."""
+class _Capped(rl.LagrangianModel):
+    """About 0.5 |v|^2 - 0.5 x1^2, on velocities |v| < 1.2 by a guard of its traced expr."""
 
-    def domain_check(self, x, y):
-        super().domain_check(x, y)
-        if not float(y @ y) < 1.44:
-            raise rl.DomainError("velocity outside |v| < 1.2")
+    dim = 2
+
+    def __init__(self):
+        self.expression = trace_expression(self.expr, self.dim, "_Capped.expr")
+
+    def expr(self, xs, ys):
+        room = positive(1.44 - (ys[0] * ys[0] + ys[1] * ys[1]), "velocity outside |v| < 1.2")
+        return 0.5 * (1.44 - room) - 0.5 * xs[0] * xs[0]
 
 
-def test_a_velocity_check_outside_the_expression_holds_in_batches():
+def test_a_velocity_guard_holds_in_batches():
     # the level metric's scale solve probes its base at velocities no batch
     # check saw; at e = 2 the level lies outside |v| < 1.2 on every ray
-    L = _Capped(rl.parse_expression("0.5*(v1^2 + v2^2) - 0.5*x1^2"), dim=2)
+    L = _Capped()
     xs = np.array([[0.1, 0.0], [0.2, 0.1], [0.3, -0.2]])
     ys = np.array([[0.5, 0.5], [0.3, -0.6], [1.5, 0.0]])
     for model in (L, rl.jacobi_finsler(L, 2.0), rl.jacobi_finsler(L, 0.3)):
@@ -438,7 +456,7 @@ def _no_row_loops(model):
         model = getattr(model, "base", None)
 
 
-@pytest.mark.parametrize("kind", ["disk", "level", "reduction"])
+@pytest.mark.parametrize("kind", ["disk", "level", "reduction", "lift"])
 def test_good_batches_never_reach_the_row_loop(kind):
     # as for DSL models above: a silent fallback keeps every bit and costs
     # only time, so no parity test sees it; here the row loop and a lockstep
@@ -450,6 +468,12 @@ def test_good_batches_never_reach_the_row_loop(kind):
         kepler = rl.parse_lagrangian(PARITY_SOURCES[0], dim=2, domain=lambda x: x[0] > 0.1)
         model = rl.routhian(kepler, rl.CyclicSplit.of(2, [1]), np.array([0.3]), verify=False)
         xs, ys = np.abs(xs[:, :1]) + 0.3, ys[:, :1]
+    elif kind == "lift":
+        # the slot velocity u > 0 is a guard of the lift's traced expr
+        model = rl.homogenize(rl.parse_lagrangian(PARITY_SOURCES[0], dim=2,
+                                                  domain=lambda x: x[0] > 0.1))
+        xs = np.column_stack([xs[:, 1], np.abs(xs[:, 0]) + 0.3, xs[:, 1]])
+        ys = np.column_stack([np.abs(ys[:, 0]) + 0.5, ys])
     else:
         model = rl.poincare_disk_lagrangian()
         model = rl.jacobi_finsler(model, 1.5) if kind == "level" else model

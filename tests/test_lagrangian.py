@@ -37,8 +37,9 @@ def test_disk_velocity_hessian_at_origin():
 
 def test_disk_domain_is_the_open_unit_ball():
     L = rl.poincare_disk_lagrangian()
-    assert L.in_domain(np.array([0.99, 0.0]), np.ones(2))
-    assert not L.in_domain(np.array([1.0, 0.0]), np.ones(2))
+    L.domain_check(np.array([0.99, 0.0]), np.ones(2))
+    with pytest.raises(rl.DomainError):
+        L.domain_check(np.array([1.0, 0.0]), np.ones(2))
     with pytest.raises(rl.DomainError):
         L.value(np.array([1.2, 0.0]), np.ones(2))
 

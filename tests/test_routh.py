@@ -275,7 +275,11 @@ def test_stacked_matmul_rounds_as_one_row():
 
 
 def _lapack_solve_momentum(L, split, mu, x_shape, y_shape, guess=None, tol=1e-12, max_iter=50):
-    """The vector Newton loop of solve_momentum: LAPACK steps, numpy norms."""
+    """The vector Newton loop of solve_momentum: LAPACK steps, numpy norms.
+
+    A step is halved while the jet at the new iterate raises DomainError;
+    that jet serves the next iteration, so the last iteration takes none.
+    """
     m = len(split.cyclic)
     z = np.zeros(m) if guess is None else np.asarray(guess, float).copy()
     full_x = split.embed(x_shape, np.zeros(m))
@@ -283,8 +287,8 @@ def _lapack_solve_momentum(L, split, mu, x_shape, y_shape, guess=None, tol=1e-12
     ceiling = 1e8 * (1.0 + float(np.linalg.norm(z)) + float(np.linalg.norm(y_shape)))
     cyc = split.cyc_idx
     residual = None
-    for _ in range(max_iter):
-        _, d_y, d_yy = L.fiber_jet(full_x, split.embed(y_shape, z))
+    _, d_y, d_yy = L.fiber_jet(full_x, split.embed(y_shape, z))
+    for it in range(max_iter):
         residual = d_y[cyc] - mu
         if np.linalg.norm(residual) <= scale:
             return z
@@ -292,19 +296,22 @@ def _lapack_solve_momentum(L, split, mu, x_shape, y_shape, guess=None, tol=1e-12
             step = np.linalg.solve(d_yy[cyc[:, None], cyc], residual)
         except np.linalg.LinAlgError as exc:
             raise rl.SingularBlock(f"cyclic velocity block is singular at x={full_x}") from exc
-        trial = z - step
         for _ in range(30):
-            if L.in_domain(full_x, split.embed(y_shape, trial)):
-                break
-            step = 0.5 * step
             trial = z - step
+            if float(np.linalg.norm(trial)) > ceiling:
+                raise rl.NoConvergence(
+                    "momentum solve is diverging; the target momentum may be unreachable"
+                )
+            if it + 1 == max_iter:
+                break
+            try:
+                _, d_y, d_yy = L.fiber_jet(full_x, split.embed(y_shape, trial))
+                break
+            except rl.DomainError:
+                step = 0.5 * step
         else:
             raise rl.NoConvergence("momentum solve could not stay inside the domain")
         z = trial
-        if float(np.linalg.norm(z)) > ceiling:
-            raise rl.NoConvergence(
-                "momentum solve is diverging; the target momentum may be unreachable"
-            )
     raise rl.NoConvergence(
         f"momentum solve did not converge in {max_iter} iterations "
         f"(residual {np.linalg.norm(residual):.3e})"
@@ -329,13 +336,9 @@ def _lapack_reduced_eval(red, x, y, order):
             j.d_xy[shp[:, None], shp] - j.d_xy[shp[:, None], cyc] @ w)
 
 
-class _LightCone(rl.ExpressionLagrangian):
-    """A cyclic velocity confined to |v2| < 1, so Newton steps can overshoot it."""
-
-    def domain_check(self, x, y):
-        super().domain_check(x, y)
-        if not abs(y[1]) < 1.0:
-            raise rl.DomainError("cyclic velocity outside the light cone")
+# a bounded cyclic fiber |v2| < 1, a guard of the formula that only the
+# fiber jet knows about, so Newton steps can overshoot it
+BOUNDED_FIBER = "0.5*v1^2 - x1^2*sqrt(1 - v2^2)"
 
 
 def _outcome(f):
@@ -370,20 +373,22 @@ def test_float_momentum_solve_and_reduced_jets_equal_the_lapack_path(source):
 
 def test_float_momentum_solve_backtracks_as_the_lapack_path():
     # momentum x1^2 v2 / sqrt(1 - v2^2): a Newton step from v2 = 0 toward a
-    # large momentum lands past |v2| = 1 and must be halved back inside
-    L = _LightCone(rl.parse_expression("0.5*v1^2 - x1^2*sqrt(1 - v2^2)"), dim=2,
-                   domain=lambda x: x[0] > 0.1)
+    # large momentum lands past |v2| = 1, where the fiber jet raises, and
+    # must be halved back inside
+    L = rl.parse_lagrangian(BOUNDED_FIBER, dim=2, domain=lambda x: x[0] > 0.1)
     split = CyclicSplit.of(2, [1])
     backtracks = 0
-    in_domain = L.in_domain
+    fiber_jet = L.fiber_jet
 
     def counting(x, y):
         nonlocal backtracks
-        inside = in_domain(x, y)
-        backtracks += not inside
-        return inside
+        try:
+            return fiber_jet(x, y)
+        except rl.DomainError:
+            backtracks += 1
+            raise
 
-    L.in_domain = counting
+    L.fiber_jet = counting
     rng = np.random.default_rng(9)
     solved = 0
     for _ in range(200):
@@ -402,14 +407,10 @@ def test_float_momentum_solve_backtracks_as_the_lapack_path():
     assert backtracks > 200 and solved > 100
 
 
-# a bounded cyclic fiber |v2| < 1 that only the fiber jet knows about
-BOUNDED_FIBER = "0.5*v1^2 - x1^2*sqrt(1 - v2^2)"
-
-
 @pytest.mark.parametrize("guess", [None, [0.5]])
 def test_momentum_solve_backtracks_from_a_failing_fiber_jet(guess):
-    # the first Newton step lands past |v2| = 1, where in_domain still says
-    # yes but the jet raises DomainError: the step is halved instead
+    # the first Newton step lands past |v2| = 1, inside the position
+    # predicate, but the jet raises DomainError: the step is halved instead
     L = rl.parse_lagrangian(BOUNDED_FIBER, dim=2)
     split = CyclicSplit.of(2, [1])
     x, v = np.array([1.0, 0.0]), np.array([0.2, 0.9])
@@ -529,9 +530,9 @@ def test_reduced_batches_equal_the_row_loop(source, mu, guess):
         _rows(lambda: _row_loop(far, xs[::-1], ys[::-1], 1))
 
 
-def test_reduced_batches_check_each_position_twice_at_most():
-    # the solve checks the rows once, the one Newton step's backtracking once
-    # more; the lockstep rounds and the root evaluation skip the predicate
+def test_reduced_batches_check_each_position_once():
+    # the solve checks the rows once; the lockstep rounds, their Newton
+    # steps and the root evaluation skip the predicate
     calls = []
 
     def inside(x):
@@ -545,13 +546,13 @@ def test_reduced_batches_check_each_position_twice_at_most():
     for order in (0, 1):
         calls.clear()
         got = _rows(lambda: red.eval_batch(xs, ys, order))
-        assert len(calls) <= 2 * 801, len(calls)
+        assert len(calls) <= 801, len(calls)
         assert got == _rows(lambda: _row_loop(red, xs, ys, order)), order
 
 
 def test_reduced_batches_of_a_velocity_checked_base_run_in_lockstep():
-    # a homogenized base checks its scale velocity, the cyclic one here, whose
-    # guess the rows only hold once a round has run: the check before the
+    # a homogenized base guards its scale velocity, the cyclic one here, in
+    # its formula, where a round's batched jet meets it; the check before the
     # rounds reads positions alone, so every round is one batch
     H = rl.homogenize(rl.parse_lagrangian(POLAR, dim=2, domain=lambda x: x[0] > 0.1))
     sizes = _counting_batches(H)
@@ -561,7 +562,7 @@ def test_reduced_batches_of_a_velocity_checked_base_run_in_lockstep():
     for order in (0, 1):
         sizes.clear()
         got = _rows(lambda: red.eval_batch(xs, ys, order))
-        # the base's own eval_batch is the row loop, whose fiber jets count 0
+        # the base's columns kernel serves each round; a single fiber jet counts 0
         batches = [s for s in sizes if s]
         assert batches[0] == batches[-1] == 100 and len(batches) >= 3, batches
         assert got == _rows(lambda: _row_loop(red, xs, ys, order)), order
@@ -570,14 +571,14 @@ def test_reduced_batches_of_a_velocity_checked_base_run_in_lockstep():
 
 @pytest.mark.parametrize("guess", [None, [0.3]])
 def test_lockstep_momentum_solve_backtracks_as_the_rows(guess):
-    # the light cone backtracks on in_domain, the bounded fiber on a jet
-    # that raises, and with two cyclic velocities each row runs the vector
-    # rules on its own jets
+    # the bounded fiber backtracks on a jet that raises, with and without a
+    # position predicate, and with two cyclic velocities each row runs the
+    # vector rules on its own jets
     rng = np.random.default_rng(11)
     one = CyclicSplit.of(2, [1])
     xs, ys = rng.uniform(0.2, 2.0, (150, 1)), rng.uniform(-1.0, 1.0, (150, 1))
     for L, split in (
-        (_LightCone(rl.parse_expression(BOUNDED_FIBER), dim=2, domain=lambda x: x[0] > 0.1), one),
+        (rl.parse_lagrangian(BOUNDED_FIBER, dim=2, domain=lambda x: x[0] > 0.1), one),
         (rl.parse_lagrangian(BOUNDED_FIBER, dim=2), one),
         (rl.parse_lagrangian(BOUNDED_FIBER + " + 0.5*v3^2 + 0.1*v2*v3", dim=3),
          CyclicSplit.of(3, [1, 2])),
