@@ -19,6 +19,7 @@ from .errors import (
     NoConvergence,
     NoIntersection,
     ParseError,
+    PositionDomainError,
     PreconditionError,
     RouthlabError,
     SingularBlock,
@@ -95,6 +96,7 @@ __all__ = [
     "RouthlabError",
     "DomainError",
     "StencilDomainError",
+    "PositionDomainError",
     "SingularHessian",
     "SingularBlock",
     "NoConvergence",

@@ -11,6 +11,7 @@ __all__ = [
     "RouthlabError",
     "DomainError",
     "StencilDomainError",
+    "PositionDomainError",
     "SingularHessian",
     "SingularBlock",
     "NoConvergence",
@@ -40,6 +41,10 @@ class StencilDomainError(DomainError):
     Subclasses DomainError so that generic domain handling still applies,
     but keeps the stencil provenance distinguishable.
     """
+
+
+class PositionDomainError(DomainError):
+    """A position is outside the model's position predicate; no velocity scale moves it."""
 
 
 class SingularHessian(RouthlabError):

@@ -14,7 +14,8 @@ v1..vn for velocities. A constant exponent follows
 as ``exp(e * log(b))``, which needs b > 0.
 
 Text is parsed once, to a tree of tuples; :func:`trace_expression` records
-the same kind of tree from generic arithmetic run once on symbols. Two
+the same kind of tree from generic arithmetic run once on symbols, and
+:func:`time_derivative` writes df/dt of a position-only tree. Two
 evaluators derive from a tree:
 
 * ``Expression.__call__`` runs over plain floats, HyperDual numbers or
@@ -57,7 +58,7 @@ from . import duals
 from .errors import ArityError, DomainError, ParseError, SingularHessian
 from .jets import entrywise
 
-__all__ = ["Expression", "parse_expression", "trace_expression"]
+__all__ = ["Expression", "parse_expression", "time_derivative", "trace_expression"]
 
 _FUNCTIONS = {
     "sqrt": duals.sqrt,
@@ -86,8 +87,8 @@ _VAR_RE = re.compile(r"^([xv])([1-9][0-9]*)$")
 #   ("^", base, exponent)       exponent reads no variable: duals.power
 #   ("^v", base, exponent)      exponent reads a variable: exp(exponent * log(base))
 #   ("pos", a, message)         a where positive, else ValueError(message): duals.positive
-# Only traced trees (trace_expression) hold "pos" nodes or share a node, one
-# per value the traced function reuses; a kernel computes it once.
+# Only traced trees (trace_expression) and time derivatives hold "pos" nodes
+# or share a node, one per value reused; a kernel computes it once.
 
 
 @dataclass(frozen=True)
@@ -247,6 +248,74 @@ def _evaluator(node):
     # a variable exponent takes the exp-log form on floats and duals alike,
     # so a position-only power rounds the same either way
     return lambda xs, ys, exp=duals.exp, log=duals.log: exp(b(xs, ys) * log(a(xs, ys)))
+
+
+# -- the time derivative of a position-only tree -----------------------------------
+
+_ZERO = ("num", 0.0)
+
+
+def time_derivative(form: "Expression") -> "Expression":
+    """df/dt = sum_i df/dx_i v_i along (x, v), for a form f of the positions only.
+
+    Each x_i becomes v_i, and each node takes the gradient rule of its
+    HyperDual operation. Every guard of f stays a guard: sqrt and division
+    keep their operand, log and a fractional power below 2 (whose second
+    derivative is undefined at 0) guard theirs as positive, ``pos(a)`` stays
+    as ``pos(a) - a``, and a constant that raises as ``0 * c``. A velocity
+    in f raises ArityError.
+    """
+    done = {}  # id of a node: the node, which keeps its id unique, and its derivative
+
+    def d(node):
+        if id(node) not in done:
+            done[id(node)] = node, rule(node)
+        return done[id(node)][1]
+
+    def rule(node):
+        tag = node[0]
+        if tag in ("x", "v"):
+            if tag == "v":
+                raise ArityError("a gauge form reads the positions only")
+            return ("v", node[1])
+        ds = [d(c) for c in node[1:] if type(c) is tuple]
+        if all(c is None for c in ds):  # a constant: zero, unless it raises
+            try:
+                _evaluator(node)((), ())
+            except Exception:  # raised again wherever the form is evaluated
+                return ("*", _ZERO, node)
+            return None
+        a, da = node[1], ds[0]
+        if tag == "neg":
+            return ("neg", da)
+        if tag == "pos":
+            return ("+", da, ("-", node, a))
+        if tag == "call":  # HyperDual's chain: f'(a) * da
+            a = node[2]
+            return ("*", {"sqrt": ("/", ("num", 0.5), node), "exp": node,
+                          "log": ("/", ("num", 1.0), ("pos", a, "log of non-positive value")),
+                          "sin": ("call", "cos", a), "cos": ("neg", ("call", "sin", a))}[node[1]], da)
+        if tag == "^v":
+            return d(("call", "exp", ("*", node[2], ("call", "log", a))))
+        if tag == "^":  # duals._pow_const
+            p = _evaluator(node[2])((), ()) if ds[1] is None else math.nan
+            if not math.isfinite(p):
+                return ("*", _ZERO, node)  # the power raises wherever it is evaluated
+            if p in (0.0, 1.0):
+                return ("*", _ZERO, da) if p == 0.0 else da
+            if p < 2.0 and p != int(p):
+                a = ("pos", a, "fractional power below 2 of a non-positive value")
+            f1 = ("*", ("num", 2.0), a) if p == 2.0 else ("*", ("num", p), ("^", a, ("num", p - 1.0)))
+            return ("*", f1, da)
+        b, db = node[2], ds[1]
+        if da is None or db is None:  # a float operand, as HyperDual's float rules take it
+            return {"+": da or db, "-": da or ("neg", db), "*": ("*", da or db, b if da else a),
+                    "/": ("/", da, b) if da else ("/", ("*", ("neg", node), db), b)}[tag]
+        return {"+": ("+", da, db), "-": ("-", da, db), "*": ("+", ("*", da, b), ("*", db, a)),
+                "/": ("/", ("-", da, ("*", node, db)), b)}[tag]
+
+    tree = d(form.tree)
+    return Expression(f"d/dt({form.source})", _ZERO if tree is None else tree, form.max_x, form.max_x)
 
 
 # -- jet kernels -----------------------------------------------------------------

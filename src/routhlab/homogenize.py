@@ -16,8 +16,10 @@ whose geodesics trace exactly the energy-e solutions of L. This module
 builds both constructions with exact jets (the eliminated scale is
 differentiated implicitly, never by finite differences), plus closed forms
 for fiberwise-homogeneous and quadratic-plus-linear Lagrangians, gauge
-shifts by exact one-forms, and the pointwise positivity check appropriate
-for degenerate (1-homogeneous) velocity Hessians.
+shifts by exact one-forms (which commute with the level metric), and the
+pointwise positivity check appropriate for degenerate (1-homogeneous)
+velocity Hessians. The lift and a gauge shift write ``expr`` over their
+base's and are traced when built.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import HyperDual, positive, seed_second, value_of
-from .errors import DomainError, EnergyUnreachable, NoConvergence
-from .expressions import Expression, parse_expression, trace_expression
-from .jets import ScalarField, SecondJet, chain_jet, drive, lockstep
+from .errors import DomainError, EnergyUnreachable, NoConvergence, PositionDomainError
+from .expressions import Expression, parse_expression, time_derivative, trace_expression
+from .jets import ScalarField, SecondJet, chain_jet, drive, lockstep, require_expr
 from .lagrangian import (
     LagrangianModel,
     MagneticLagrangian,
@@ -84,8 +86,7 @@ class HomogenizedLagrangian(FinslerModel):
     family = "homogenized"
 
     def __init__(self, base: LagrangianModel):
-        if type(base).expr is ScalarField.expr:
-            raise TypeError(f"the lift needs a base with an expr; {type(base).__name__} has none")
+        require_expr(base, "the lift")
         self.base = base
         self.dim = base.dim + 1
         if base._domain is not None:
@@ -157,13 +158,14 @@ def solve_energy_scale(
     sign sit at adjacent floats, the one of them with the smaller |r|;
     ``residual`` is the probed residual and ``iterations`` counts probes.
 
-    The first probe is at s = |y|. Where it leaves the fiber domain, s
-    doubles, up to FIRST_PROBE_TRIES probes in all, before the first
-    DomainError is raised. The last scale that failed is then the lower
-    end of the bracket, and log-bisection runs until a probe replaces it:
-    the fiber domain ends between the two, where the model cannot see. If
-    that end meets the upper one at adjacent floats, the level is
-    unreachable.
+    The first probe is at s = |y|. A position outside the position
+    predicate raises its PositionDomainError there. Where the probe leaves
+    the fiber domain, s doubles, up to FIRST_PROBE_TRIES probes in all,
+    before the first DomainError is raised. The last scale that failed is
+    then the lower end of the bracket, and log-bisection runs until a probe
+    replaces it: the fiber domain ends between the two, where the model
+    cannot see. If that end meets the upper one at adjacent floats, the
+    level is unreachable.
 
     These rules are written once, in the step routine ``_scale_steps``: on
     one ray :func:`jets.drive` feeds it one fiber jet per probe, and
@@ -201,6 +203,8 @@ def _scale_steps(s: float, e: float):
         try:
             r, q = yield s
             break
+        except PositionDomainError:
+            raise
         except DomainError as exc:
             floor, first_error = s, first_error or exc
             s *= 2.0
@@ -624,70 +628,49 @@ class GaugeShiftedModel(ScalarField):
     Adding a total time derivative leaves the motion equations untouched:
     the d/dt and d/dx contributions of grad(f).y cancel identically. The
     velocity Hessian is unchanged, so convexity properties carry over.
+    ``expr`` is the base's ``expr`` plus the tree of df/dt
+    (:func:`~routhlab.expressions.time_derivative`), traced at construction.
     """
 
-    def __init__(self, base: ScalarField, fn, source: str = "<callable>"):
+    def __init__(self, base: ScalarField, form: Expression):
+        require_expr(base, "a gauge shift", ": shift the Lagrangian first, then build the metric")
         self.base = base
         self.dim = base.dim
         self._domain = base._domain
-        self._fn = fn
-        self.source = source
-        self.family = f"{getattr(base, 'family', 'model')}+exact_form"
+        self.source = form.source
+        self.rate = time_derivative(form)
+        self.family = f"{base.family}+exact_form"
+        self.expression = trace_expression(self.expr, self.dim, "GaugeShiftedModel.expr")
 
     def describe(self) -> dict:
-        out = {"family": self.family, "dim": self.dim, "form": self.source}
-        if hasattr(self.base, "describe"):
-            out["base"] = self.base.describe()
-        return out
+        return {"family": self.family, "dim": self.dim, "form": self.source, "base": self.base.describe()}
 
-    def _form_jet(self, x: np.ndarray):
-        """(grad f, hess f) at x, from the form run on HyperDual seeds."""
-        n = x.shape[0]
-        try:
-            z = self._fn(seed_second(x.tolist()))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(str(exc)) from exc
-        return (z.g, z.h) if isinstance(z, HyperDual) else (np.zeros(n), np.zeros((n, n)))
-
-    def eval(self, x, y, order: int = 2):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        j = self.base.eval(x, y, order)
-        grad, hess = self._form_jet(x)
-        shift = float(grad @ y)
-        if order == 0:
-            return j + shift
-        if order == 1:
-            val, d_y, d_yy = j
-            return val + shift, d_y + grad, d_yy
-        return SecondJet(
-            value=j.value + shift,
-            d_x=j.d_x + hess @ y,
-            d_y=j.d_y + grad,
-            d_yy=j.d_yy,
-            d_xy=j.d_xy + hess,
-        )
+    def expr(self, xs, ys):
+        return self.base.expr(xs, ys) + self.rate(xs, ys)
 
 
 def gauge_shift(model: ScalarField, f) -> GaugeShiftedModel:
-    """Add d(f)/dt to a Lagrangian or a 1-homogeneous metric function.
+    """Add d(f)/dt to a Lagrangian.
 
     ``f`` is a position-only function: an expression string, a parsed
-    :class:`Expression`, or a callable acting on dual numbers. The returned
-    model has identical motion equations; only values and momenta shift.
+    :class:`Expression`, or a callable in generic arithmetic, traced once;
+    a callable that does not trace raises TypeError. The returned model has
+    identical motion equations; only values and momenta shift. The energy
+    does not change, so shifting commutes with the level metric:
+    ``jacobi_finsler(gauge_shift(L, f), e)`` is F_e + df.y. Shift the
+    Lagrangian, then build the metric: a base with no ``expr`` (a level
+    metric, a closed form, a reduction) raises TypeError.
     """
     if isinstance(f, str):
         f = parse_expression(f, dim=model.dim, allow_velocity=False)
-    if isinstance(f, Expression):
-        expr = f
-
-        def fn(xs):
-            return expr(xs, ())
-
-        return GaugeShiftedModel(model, fn, source=expr.source)
-    if callable(f):
-        return GaugeShiftedModel(model, f, source=getattr(f, "__name__", "<callable>"))
-    raise TypeError("f must be an expression string, Expression, or callable")
+    elif callable(f) and not isinstance(f, Expression):
+        name = getattr(f, "__name__", "<callable>")
+        f = trace_expression(lambda xs, ys, form=f: form(xs), model.dim, name)
+        if f is None:
+            raise TypeError(f"the gauge form {name} does not trace: write it in generic arithmetic")
+    if not isinstance(f, Expression):
+        raise TypeError("f must be an expression string, Expression, or callable")
+    return GaugeShiftedModel(model, f)
 
 
 # -- positivity for degenerate Hessians ------------------------------------------

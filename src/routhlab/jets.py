@@ -12,8 +12,10 @@ Every field evaluates through one method, ``eval(x, y, order)``: order 0 is
 the value, order 1 the velocity-only fiber jet (value, d_y, d_yy), and order
 2 the :class:`SecondJet`. A formula is written once, as ``expr``, and
 :meth:`ScalarField.eval` evaluates every one: through its tree's kernels
-where it has a tree, by hyper-duals otherwise. Wrappers and closed forms
-write their own ``eval``; ``value`` and ``fiber_jet`` are one-line wrappers.
+where it has a tree, by hyper-duals otherwise; a wrapper with an explicit
+formula writes ``expr`` over its base's (:func:`require_expr`). Implicit
+wrappers and closed forms write their own ``eval``; ``value`` and
+``fiber_jet`` are one-line wrappers.
 :func:`jet` adds input and output validation, and the independent
 finite-difference oracle :func:`fd_jet` cross-checks every family in the tests.
 
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import seed_second, value_of
-from .errors import DomainError, RouthlabError, StencilDomainError
+from .errors import DomainError, PositionDomainError, RouthlabError, StencilDomainError
 
 __all__ = ["SecondJet", "ScalarField", "jet", "fd_jet", "chain_jet", "lockstep", "drive", "FD_STEP"]
 
@@ -79,10 +81,11 @@ class ScalarField:
 
     A field writes its formula once, as ``expr`` (generic arithmetic usable
     with floats and dual numbers), and ``expression`` is its tree, parsed or
-    traced, or None; wrappers and closed forms override ``eval`` with their
-    own assembly. ``domain_check`` raises :class:`DomainError` where the
-    position predicate ``_domain``, if the model has one, says no; every
-    velocity condition is a guard of the formula (see the module docstring).
+    traced, or None; the implicit wrappers and the closed forms override
+    ``eval`` with their own assembly. ``domain_check`` raises
+    :class:`PositionDomainError` where the position predicate ``_domain``,
+    if the model has one, says no; every velocity condition is a guard of
+    the formula (see the module docstring).
     """
 
     dim: int = 0
@@ -94,7 +97,7 @@ class ScalarField:
 
     def domain_check(self, x: np.ndarray, y: np.ndarray) -> None:
         if self._domain is not None and not self._domain(np.asarray(x, float)):
-            raise DomainError(f"position {np.asarray(x)} outside the model domain")
+            raise PositionDomainError(f"position {np.asarray(x)} outside the model domain")
 
     def describe(self) -> dict:
         return {"family": self.family, "dim": self.dim}
@@ -208,6 +211,12 @@ class ScalarField:
             return self._domain is None or all(self._domain(x) for x in xs)
         except Exception:
             return False
+
+
+def require_expr(base: ScalarField, wrapper: str, hint: str = "") -> None:
+    """Raise TypeError unless base writes the ``expr`` that a wrapper writes its own over."""
+    if type(base).expr is ScalarField.expr:
+        raise TypeError(f"{wrapper} needs a base with an expr; {type(base).__name__} has none{hint}")
 
 
 def batch_rows(xs, ys):

@@ -23,7 +23,7 @@ from .duals import positive, power
 from .errors import DomainError, PreconditionError, SingularHessian
 from .expressions import Expression, parse_expression, trace_expression
 from .integrators import Trajectory, integrate_sampled
-from .jets import ScalarField, batch_rows, solve_linear
+from .jets import ScalarField, batch_rows, require_expr, solve_linear
 
 __all__ = [
     "LagrangianModel",
@@ -160,17 +160,20 @@ class HomogeneousLagrangian(LagrangianModel):
     """Wraps a field positively homogeneous of integer degree k in velocity.
 
     The scaling degree is verified on random sample points at construction;
-    a wrapped field that fails the Euler scaling test is rejected.
+    a wrapped field that fails the Euler scaling test is rejected. The
+    wrapper takes its base's ``expr`` and tree, so it evaluates as its base.
     """
 
     family = "k_homogeneous"
 
     def __init__(self, base: ScalarField, degree: int):
+        require_expr(base, "HomogeneousLagrangian")
         if degree < 1:
             raise ValueError("degree must be at least 1")
         self.base = base
         self.dim = base.dim
         self._domain = base._domain
+        self.expression = base.expression
         self.degree = int(degree)
         self._verify_degree()
 
@@ -198,8 +201,8 @@ class HomogeneousLagrangian(LagrangianModel):
                 "could not find in-domain sample points for the degree check"
             )
 
-    def eval(self, x, y, order: int = 2):
-        return self.base.eval(x, y, order)
+    def expr(self, xs, ys):
+        return self.base.expr(xs, ys)
 
 
 class ExpressionLagrangian(LagrangianModel):

@@ -8,7 +8,7 @@ import pytest
 
 import routhlab as rl
 from routhlab import FD_STEP, StencilDomainError, chain_jet, fd_jet, jet
-from routhlab.duals import positive, sin, value_of
+from routhlab.duals import positive, sin
 from routhlab.expressions import trace_expression
 
 SHARP_H = float(np.finfo(float).eps) ** 0.25
@@ -149,7 +149,7 @@ ASYMMETRIC_SOURCE = PARITY_SOURCES[6]
 
 
 def _every_family(rng):
-    """Models of every class with its own eval, wrappers over several bases."""
+    """Models of every family class, wrappers over several bases."""
     conformal, quartic, disk, parsed = _models(rng)
     cubic = rl.PowerQuadraticLagrangian(
         2, lambda xs: [[1.0 + xs[0] * xs[0], 0.1 * xs[1]], [0.1 * xs[1], 1.5]], degree=3)
@@ -165,10 +165,9 @@ def _every_family(rng):
         rl.randers_closed_form(conformal, 2.0), rl.poincare_randers(0.5),
         rl.homogeneous_closed_form(quartic, 1.7),
         rl.gauge_shift(conformal, "0.4*x1*x2 - 0.3*x1 + sin(x2)"),
-        rl.gauge_shift(level, "0.2*x1*x2"),
-        # callable forms: one with c / f(x), one that branches on a value
+        rl.jacobi_finsler(rl.gauge_shift(conformal, "0.2*x1*x2"), 2.0),
+        # a callable form with c / f(x)
         rl.gauge_shift(disk, lambda xs: 0.3 / (1.5 + xs[0] * xs[1]) + sin(xs[0]) * xs[1]),
-        rl.gauge_shift(conformal, lambda xs: 0.2 * xs[0] * xs[1] if value_of(xs[0]) > -1 else 0.0),
         rl.routhian(kepler, rl.CyclicSplit.of(2, [1]), np.array([0.3]), verify=False),
         rl.routhian(rl.homogenize(conformal), rl.CyclicSplit.of(3, [0]), np.array([-2.0]),
                     guess=np.array([1.0]), verify=False),
@@ -252,12 +251,11 @@ def test_fiber_jet_agrees_with_full_jet(rng, hyper_dual):
 
 
 # the classes that write an eval: the one evaluator of every field with an
-# expr, which runs its tree's kernels or hyper-duals, and the wrappers and
-# closed forms
-EVAL_CLASSES = {rl.ScalarField, rl.HomogeneousLagrangian,
-                rl.JacobiFinslerModel, rl.RandersModel,
+# expr, which runs its tree's kernels or hyper-duals, the implicit wrappers
+# and the closed forms
+EVAL_CLASSES = {rl.ScalarField, rl.JacobiFinslerModel, rl.RandersModel,
                 importlib.import_module("routhlab.homogenize").PowerScaledFinsler,
-                rl.GaugeShiftedModel, rl.ReducedLagrangian}
+                rl.ReducedLagrangian}
 
 
 def test_only_the_base_field_defines_value_and_fiber_jet():
@@ -311,8 +309,9 @@ def test_traced_families_equal_the_hyper_dual_oracle(rng, hyper_dual):
     traced = [m for m in _every_family(rng) if m.expression is not None]
     assert {type(m) for m in traced} == {rl.MagneticLagrangian, rl.MechanicalLagrangian,
                                          rl.PowerQuadraticLagrangian, rl.ExpressionLagrangian,
-                                         rl.HomogenizedLagrangian}
-    assert len(traced) == 10
+                                         rl.HomogenizedLagrangian, rl.HomogeneousLagrangian,
+                                         rl.GaugeShiftedModel}
+    assert len(traced) == 13
     for model in traced:
         name = type(model).__name__
         n = model.dim
@@ -340,6 +339,23 @@ def test_traced_families_equal_the_hyper_dual_oracle(rng, hyper_dual):
             want = _row_loop(model, xs[good], ys[good], order)
             for a, b in zip(_blocks(got), _blocks(want), strict=True):
                 np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def test_the_lifts_of_the_formula_wrappers_equal_the_hyper_dual_oracle(rng, hyper_dual):
+    # a gauge shift and a HomogeneousLagrangian write expr over their base's,
+    # so both lift, and the lifts run traced kernels
+    conformal, quartic = _models(rng)[:2]
+    for base in (rl.gauge_shift(conformal, "0.2*x1*x2 + sin(x2)"),
+                 rl.HomogeneousLagrangian(quartic, degree=4)):
+        lift = rl.homogenize(base)
+        assert lift.expression is not None
+        xs = rng.uniform(-0.9, 0.9, (40, 3))
+        ys = np.column_stack([rng.uniform(0.2, 1.5, 40), rng.uniform(-1.5, 1.5, (40, 2))])
+        for x, y in zip(xs, ys):
+            for order in (0, 1, 2):
+                got, want = lift.eval(x, y, order), hyper_dual(lift, x, y, order)
+                for a, b in zip(_blocks(got), _blocks(want), strict=True):
+                    np.testing.assert_array_equal(a, b, err_msg=type(base).__name__)
 
 
 def _row_loop(model, xs, ys, order):
@@ -456,7 +472,7 @@ def _no_row_loops(model):
         model = getattr(model, "base", None)
 
 
-@pytest.mark.parametrize("kind", ["disk", "level", "reduction", "lift"])
+@pytest.mark.parametrize("kind", ["disk", "level", "reduction", "lift", "gauge"])
 def test_good_batches_never_reach_the_row_loop(kind):
     # as for DSL models above: a silent fallback keeps every bit and costs
     # only time, so no parity test sees it; here the row loop and a lockstep
@@ -474,6 +490,10 @@ def test_good_batches_never_reach_the_row_loop(kind):
                                                   domain=lambda x: x[0] > 0.1))
         xs = np.column_stack([xs[:, 1], np.abs(xs[:, 0]) + 0.3, xs[:, 1]])
         ys = np.column_stack([np.abs(ys[:, 0]) + 0.5, ys])
+    elif kind == "gauge":
+        # the level metric of a shifted Lagrangian: its lockstep probes the
+        # shift's column kernel
+        model = rl.jacobi_finsler(rl.gauge_shift(rl.poincare_disk_lagrangian(), "x1^2*x2 + sin(x2)"), 1.5)
     else:
         model = rl.poincare_disk_lagrangian()
         model = rl.jacobi_finsler(model, 1.5) if kind == "level" else model

@@ -2,28 +2,34 @@
 
 import ast
 import inspect
+import itertools
 import math
 import re
 import traceback
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from routhlab import (
     ArityError,
     DomainError,
+    Expression,
+    HyperDual,
     MagneticLagrangian,
     ParseError,
     ScalarField,
+    SecondJet,
     StencilDomainError,
     fd_jet,
+    gauge_shift,
     parse_expression,
     parse_lagrangian,
     poincare_disk_lagrangian,
     seed_second,
 )
+from routhlab.duals import power
 from routhlab.expressions import _COLUMN_GLOBALS, _KERNEL_GLOBALS
 
 
@@ -275,19 +281,29 @@ _KERNEL_NODES = (
 )
 
 
+#: the Lagrangian the gauge-shift tests shift
+_GAUGE_BASE = "0.5*(v1^2 + 2*v2^2) + 0.3*x1*v2 - x2^2"
+
+
 @settings(max_examples=100)
 @given(source=_SOURCES)
 def test_kernel_code_reads_only_whitelisted_names(source):
-    expression = parse_expression(source, dim=2)
-    for kind, names in (("fiber", _KERNEL_GLOBALS), ("full", _KERNEL_GLOBALS),
-                        ("columns", _COLUMN_GLOBALS), ("spray", _KERNEL_GLOBALS),
-                        ("level-spray", _KERNEL_GLOBALS)):
+    # the tree of a DSL model, and the traced tree of a shift by the same
+    # source as a form, unless the form raises everywhere and so stays untraced
+    shifted = gauge_shift(parse_lagrangian(_GAUGE_BASE, dim=2), source.replace("v", "x"))
+    expressions = [e for e in (parse_expression(source, dim=2), shifted.expression) if e is not None]
+    for (kind, names), expression in itertools.product(
+            (("fiber", _KERNEL_GLOBALS), ("full", _KERNEL_GLOBALS), ("columns", _COLUMN_GLOBALS),
+             ("spray", _KERNEL_GLOBALS), ("level-spray", _KERNEL_GLOBALS)), expressions):
         tree = ast.parse(inspect.getsource(expression.jet_kernel(kind, 2)))
+        # the one string a kernel holds is a guard's message, from the tree
+        messages = {id(n.args[0]) for n in ast.walk(tree)
+                    if isinstance(n, ast.Call) and getattr(n.func, "id", "") == "_not_positive"}
         for node in ast.walk(tree):
             assert isinstance(node, _KERNEL_NODES), ast.dump(node)
             if isinstance(node, ast.Name):
                 assert node.id in names or re.fullmatch(r"t\d+", node.id), node.id
-            if isinstance(node, ast.Constant):
+            if isinstance(node, ast.Constant) and id(node) not in messages:
                 # the column kernel's only integers are the shapes it stacks to
                 assert type(node.value) is float and math.isfinite(node.value) or \
                     kind == "columns" and node.value == 2, node.value
@@ -373,3 +389,125 @@ def test_kernels_refuse_indices_beyond_the_model_dimension():
     for path in (model.fiber_jet, model.eval):
         with pytest.raises(ArityError):
             path([0.5], [0.3])
+
+
+def _form_jet_assembly(base, form, x, y, order):
+    """The jet of gauge_shift(base, form) as the base's jet plus the gradient
+    and Hessian of the form run on hyper-dual seeds: the oracle of its tree."""
+    j = base.eval(x, y, order)
+    try:
+        z = form(seed_second(x), ())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(str(exc)) from exc
+    grad, hess = (z.g, z.h) if isinstance(z, HyperDual) else (np.zeros(2), np.zeros((2, 2)))
+    shift = float(grad @ y)
+    if order == 0:
+        return j + shift
+    if order == 1:
+        return j[0] + shift, j[1] + grad, j[2]
+    return SecondJet(j.value + shift, j.d_x + hess @ y, j.d_y + grad, j.d_yy, j.d_xy + hess)
+
+
+def _term_sizes(tree, x):
+    """(value, G, H) of a position tree at x, where G and H bound the size of
+    every term its hyper-dual gradient and Hessian sum: the scale of their
+    rounding where those terms cancel."""
+    n = len(x)
+
+    def chain(a, f0, f1, f2):
+        return f0, abs(f1) * a[1], abs(f1) * a[2] + abs(f2) * np.outer(a[1], a[1])
+
+    def walk(node):
+        tag = node[0]
+        if tag == "num":
+            return node[1], np.zeros(n), np.zeros((n, n))
+        if tag == "x":
+            return x[node[1]], np.eye(n)[node[1]], np.zeros((n, n))
+        if tag == "^v":
+            return walk(("call", "exp", ("*", node[2], ("call", "log", node[1]))))
+        if tag == "neg":
+            v, g, h = walk(node[1])
+            return -v, g, h
+        if tag == "call":
+            a = walk(node[2])
+            v = a[0]
+            f0 = getattr(math, node[1])(v)
+            if not a[1].any():  # a constant, with no derivative terms
+                return f0, a[1], a[2]
+            if node[1] == "sqrt":
+                f1, f2 = 0.5 / f0, 0.25 / (f0 * v)
+            elif node[1] == "log":
+                f1, f2 = 1.0 / v, 1.0 / (v * v)
+            else:  # exp, sin and cos: f2 is f0 up to sign
+                f1, f2 = {"exp": f0, "sin": math.cos(v), "cos": math.sin(v)}[node[1]], f0
+            return chain(a, f0, f1, f2)
+        a, b = walk(node[1]), walk(node[2])
+        (av, ag, ah), (bv, bg, bh) = a, b
+        if tag == "^":
+            if not ag.any() or bv in (0.0, 1.0):
+                return power(av, bv), bv * ag, bv * ah
+            return chain(a, power(av, bv), bv * av ** (bv - 1.0), bv * (bv - 1.0) * av ** (bv - 2.0))
+        if tag in "+-":
+            return av + bv if tag == "+" else av - bv, ag + bg, ah + bh
+        if tag == "*":
+            return (av * bv, ag * abs(bv) + bg * abs(av),
+                    ah * abs(bv) + bh * abs(av) + np.outer(ag, bg) + np.outer(bg, ag))
+        v = av / bv
+        g = (ag + abs(v) * bg) / abs(bv)
+        return v, g, (ah + abs(v) * bh + np.outer(g, bg) + np.outer(bg, g)) / abs(bv)
+
+    return walk(tree)
+
+
+def _third_derivative_undefined(tree, x):
+    """Whether a fractional power between 2 and 3 of a subtree that reads a
+    position meets base 0 at x: the full jet of df/dt takes the power's third
+    derivative, which is undefined there, while f's own jet stops at the second."""
+    def value(node):
+        return Expression("", node, 2, 0)(list(x))
+
+    if tree[0] == "^" and "'x'" in repr(tree[1]) and value(tree[1]) == 0.0:
+        p = value(tree[2])
+        if 2.0 < p < 3.0 and p != int(p):
+            return True
+    return any(_third_derivative_undefined(c, x) for c in tree[1:] if type(c) is tuple)
+
+
+@settings(max_examples=300)
+@given(source=_SOURCES)
+@example(source="(x1)^(0.5 + 2)")
+@example(source="(cos(x1))^(cos(2))")
+def test_gauge_shifts_equal_the_form_jet_assembly(source):
+    # the shift's tree adds df/dt, written by the time-derivative walker: it
+    # raises exactly where the assembly raises, except that its full jet also
+    # raises where f's third derivative is undefined, and each block is
+    # within 4e-15 of the largest term the block sums (its largest entry,
+    # unless terms cancel); the last example, cos(x1)^p at a small base,
+    # reaches 1.1e-15, as p - 1 and the power each round a^(p-1) by an ulp
+    base = parse_lagrangian(_GAUGE_BASE, dim=2)
+    form = parse_expression(source.replace("v", "x"), dim=2, allow_velocity=False)
+    shifted = gauge_shift(base, form)
+    if shifted.expression is None:
+        # tracing runs a constant subtree on floats, and one that raises
+        # there raises at every point
+        assert all(_outcome(lambda: shifted.value(x, y))[1] for x, y in _points())
+    for x, y in _points():
+        for order in (0, 1, 2):
+            want, want_err = _outcome(lambda: _form_jet_assembly(base, form, x, y, order))
+            got, got_err = _outcome(lambda: shifted.eval(x, y, order))
+            if order == 2 and got_err is DomainError and want_err is None:
+                assert _third_derivative_undefined(form.tree, x), (source, x)
+                continue
+            assert got_err is want_err, (source, x, order)
+            if want is None or not _finite(*_jet_blocks(want)):
+                continue
+            with np.errstate(all="ignore"):
+                _, g, h = _term_sizes(form.tree, x)
+            own = _jet_blocks(base.eval(x, y, order))
+            value = abs(own[0]) + g @ np.abs(y)
+            sizes = [value] if order == 0 else \
+                [value, np.abs(own[1]) + g, np.abs(own[2])] if order == 1 else \
+                [value, np.abs(own[1]) + h @ np.abs(y), np.abs(own[2]) + g, np.abs(own[3]), np.abs(own[4]) + h]
+            for a, b, size in zip(_jet_blocks(got), _jet_blocks(want), sizes, strict=True):
+                err = np.max(np.abs(np.subtract(a, b)))
+                assert err <= 4e-15 * np.max(size), (source, x, order, err)

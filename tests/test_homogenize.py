@@ -192,15 +192,13 @@ class TestHomogenization:
 
     def test_a_base_without_expr_is_refused(self):
         # the lift is written over its base's expr; reductions, level
-        # metrics, gauge shifts and wrapped fields have none
+        # metrics and closed forms have none
         L = conformal_magnetic()
         kepler = rl.parse_lagrangian("0.5*(v1^2 + x1^2*v2^2) + 1/x1", dim=2)
-        cubic = rl.PowerQuadraticLagrangian(2, np.eye(2), degree=3)
         for base in (
             rl.routhian(kepler, rl.CyclicSplit.of(2, [1]), np.array([0.3]), verify=False),
             rl.jacobi_finsler(L, 2.0),
-            rl.gauge_shift(L, "0.2*x1*x2"),
-            rl.HomogeneousLagrangian(cubic, degree=3),
+            rl.randers_closed_form(L, 2.0),
         ):
             with pytest.raises(TypeError, match="needs a base with an expr"):
                 rl.homogenize(base)
@@ -585,3 +583,41 @@ class TestGaugeShift:
         np.testing.assert_allclose(a.d_x, b.d_x, atol=1e-7)
         np.testing.assert_allclose(a.d_xy, b.d_xy, atol=1e-6)
         np.testing.assert_allclose(a.d_yy, b.d_yy, atol=1e-6)
+
+    def test_a_base_without_expr_is_refused(self):
+        # the shift is written over its base's expr: shift the Lagrangian,
+        # then build its level metric, closed form or reduction
+        L = conformal_magnetic()
+        kepler = rl.parse_lagrangian("0.5*(v1^2 + x1^2*v2^2) + 1/x1", dim=2)
+        for base in (
+            rl.jacobi_finsler(L, 2.0),
+            rl.randers_closed_form(L, 2.0),
+            rl.routhian(kepler, rl.CyclicSplit.of(2, [1]), np.array([0.3]), verify=False),
+        ):
+            with pytest.raises(TypeError, match="shift the Lagrangian first, then build the metric"):
+                rl.gauge_shift(base, "0.2*x1^2")
+
+    def test_a_callable_form_that_does_not_trace_is_refused(self):
+        # the form becomes a tree when the shift is built; one that needs
+        # numbers (a branch on a value, numpy ufuncs) has none
+        L = conformal_magnetic()
+        for form in (lambda xs: 0.2 * xs[0] * xs[1] if rl.duals.value_of(xs[0]) > -1 else 0.0,
+                     lambda xs: np.sin(xs[0]) * xs[1]):
+            with pytest.raises(TypeError, match="does not trace"):
+                rl.gauge_shift(L, form)
+
+    def test_the_level_metric_of_a_shift_is_the_shifted_level_metric(self, rng):
+        # the shift leaves the energy unchanged, so it commutes with the
+        # level metric: F_e of L + df.v is F_e + df.y, row by row of a batch
+        L = rl.poincare_disk_lagrangian()
+        form = rl.parse_expression("x1^2*x2 + sin(x2)", allow_velocity=False)
+        shifted, plain = (rl.jacobi_finsler(m, 2.0) for m in (rl.gauge_shift(L, form), L))
+        r, t = np.sqrt(rng.uniform(0.0, 0.5, 401)), rng.uniform(0.0, 2 * np.pi, 401)
+        xs = np.column_stack([r * np.cos(t), r * np.sin(t)])
+        ys = rng.uniform(-1.0, 1.0, (401, 2))
+        grads = np.array([form(rl.seed_second(x), ()).g for x in xs])
+        val, d_y, d_yy = shifted.eval_batch(xs, ys, 1)
+        want_val, want_d_y, want_d_yy = plain.eval_batch(xs, ys, 1)
+        for got, want in ((val, want_val + np.sum(grads * ys, axis=1)), (d_y, want_d_y + grads),
+                          (d_yy, want_d_yy)):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

@@ -10,6 +10,8 @@ import routhlab as rl
 from routhlab.config import build_model
 from routhlab.duals import cos, sin
 
+from conftest import _Untraced
+
 # Reference values for the hyperbolic-disk Lagrangian with rotation number 1,
 #   L = |v|^2 / (4 (1-|x|^2)^2) + (x2 v1 - x1 v2) / (2 (1-|x|^2)),
 # computed symbolically (sympy) and frozen here.
@@ -117,10 +119,9 @@ def test_homogeneous_wrapper_verifies_degree():
 
 @pytest.mark.parametrize("failure", ["raises", "not finite"])
 def test_row_loop_batch_evaluates_each_row_once(failure):
-    # the wrapper has no batched evaluation, so its batch is the row loop:
-    # it stops at the first raising row and keeps a non-finite one, once
-    base = rl.parse_lagrangian("(v1^2 + 2*v2^2)^2", dim=2)
-    H = rl.HomogeneousLagrangian(base, degree=4)
+    # a model without a tree has no batched evaluation, so its batch is the
+    # row loop: it stops at the first raising row and keeps a non-finite one, once
+    model = _Untraced(rl.parse_lagrangian("(v1^2 + 2*v2^2)^2", dim=2))
     rng = np.random.default_rng(3)
     xs, ys = rng.uniform(-1.0, 1.0, (2, 100, 2))
     calls = []
@@ -131,15 +132,15 @@ def test_row_loop_batch_evaluates_each_row_once(failure):
             if failure == "raises":
                 raise rl.DomainError("row 60")
             return math.nan
-        return type(base).eval(base, x, y, order)
+        return type(model).eval(model, x, y, order)
 
-    base.eval = counted
+    model.eval = counted
     if failure == "raises":
         with pytest.raises(rl.DomainError, match="row 60"):
-            H.eval_batch(xs, ys, 0)
+            model.eval_batch(xs, ys, 0)
         assert len(calls) == 61
     else:
-        values = H.eval_batch(xs, ys, 0)
+        values = model.eval_batch(xs, ys, 0)
         assert len(calls) == 100
         assert np.isnan(values[60]) and np.isfinite(np.delete(values, 60)).all()
 

@@ -301,3 +301,31 @@ def test_only_traced_level_metrics_with_their_own_level_run_the_kernel(monkeypat
                      (traced, lambda x, y: traced.level_jet(x, y))):
         half, evals = _assembly_calls(monkeypatch, F, level)
         assert half >= 1.0 and evals >= 1.0, (F.base, level)
+
+
+def test_a_position_outside_the_domain_raises_at_the_first_probe():
+    # no scale of the velocity moves a position, so the scale solve of a
+    # generated right-hand side stops at its first failing jet; inside the
+    # domain each probe checks the position once, and nothing else does
+    L = rl.poincare_disk_lagrangian()
+    accel = rl.canonical_spray(rl.jacobi_finsler(L, 2.0))
+    calls = {"domain": 0, "jets": 0}
+    predicate, fiber_jet = L._domain, L.fiber_jet
+
+    def counted_predicate(x):
+        calls["domain"] += 1
+        return predicate(x)
+
+    def counted_jet(x, y):
+        calls["jets"] += 1
+        return fiber_jet(x, y)
+
+    L._domain, L.fiber_jet = counted_predicate, counted_jet
+    with pytest.raises(rl.PositionDomainError):
+        accel(np.array([1.5, 0.0]), np.array([0.3, 0.4]))
+    assert calls == {"domain": 1, "jets": 1}
+    calls.update(domain=0, jets=0)
+    rng = np.random.default_rng(5)
+    for x, y in zip(rng.uniform(-0.5, 0.5, (50, 2)), rng.uniform(-1.0, 1.0, (50, 2))):
+        accel(x, y)
+    assert calls["domain"] == calls["jets"] == 100
