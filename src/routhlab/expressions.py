@@ -38,9 +38,11 @@ evaluators derive from a tree:
   entry. The ``"spray"`` kernel takes (x, y, s, e) and returns the spray of
   the energy-e level metric over the tree at scale s, from the full jet at
   (x, y/s); ``"level-spray"`` adds :func:`routhlab.spray.projective_shift`'s
-  shift that holds the energy. Kernel code is written from the tree alone,
-  never from source text: names come from a fixed set and finite constants
-  print with ``repr``.
+  shift that holds the energy. The ``"el"`` kernel gives the Euler-Lagrange
+  acceleration at (x, v); ``"reduced-el"`` gives that of the reduction by one
+  cyclic coordinate, or None where two momentum probes do not settle it.
+  Kernel code is written from the tree alone, never from source text: names
+  come from a fixed set and finite constants print with ``repr``.
 """
 
 from __future__ import annotations
@@ -341,6 +343,11 @@ def _singular(*x):
     raise SingularHessian(f"fundamental tensor is singular at x={np.array(x)}")
 
 
+def _singular_hessian(*xv):
+    n = len(xv) // 2
+    raise SingularHessian(f"velocity Hessian is singular at x={np.array(xv[:n])}, v={np.array(xv[n:])}")
+
+
 def _insensitive_level():
     raise DomainError("level function is insensitive to the velocity scale; "
                       "no conserving reparametrization exists here")
@@ -360,6 +367,7 @@ _KERNEL_GLOBALS = {
     "_negative_base": _negative_base,
     "_not_positive": _not_positive,
     "_singular": _singular,
+    "_singular_hessian": _singular_hessian,
     "_insensitive_level": _insensitive_level,
     "_fabs": math.fabs,
     "_INF": math.inf,
@@ -430,23 +438,31 @@ class _KernelWriter:
     raise, and drop terms that are structural zeros.
     """
 
-    def __init__(self, n: int, kind: str):
+    def __init__(self, n: int, kind: str, cyclic: int | None = None):
         self.n = n
         self.kind = kind
-        self.full = full = kind in ("full", "spray", "level-spray")
+        self.cyclic = cyclic
+        self.seed(kind not in ("fiber", "columns"))
         # the column kernel is the fiber kernel with its operands columns
         self.columns = kind == "columns"
+        self.lines = []
+        # t0 .. t(2n-1) are the arguments x, then y; a spray's t(2n) and t(2n+1)
+        # are s and e, and a reduced kernel's t(2n) .. t(2n+2) are mu and its bounds
+        extra = {"spray": 2, "level-spray": 2, "reduced-el": 3}.get(kind, 0)
+        self.count = self.arity = 2 * n + extra
+        self.slots = [f"t{k}" for k in range(2 * n)]  # the operands x and v read
+        self.done = {}  # id of a node already written: its jet
+        self.names = {}  # right-hand side already written: its temporary
+
+    def seed(self, full: bool):
+        """Seed all 2n slots from here on (the full jet), or the n velocities (the fiber jet)."""
+        n = self.n
+        self.full = full
         self.m = 2 * n if full else n
         # the full kernel skips the x-x block, which SecondJet never holds
         rows = range(2 * n) if full else range(n)
         cols = range(n, 2 * n) if full else range(n)
         self.pairs = [(i, j) for i in rows for j in cols]
-        self.lines = []
-        # t0 .. t(2n-1) are the arguments x, then y; a spray's t(2n) and t(2n+1) are s and e
-        self.count = self.arity = 2 * n + 2 if kind.endswith("spray") else 2 * n
-        self.slots = [f"t{k}" for k in range(2 * n)]  # the operands x and v read
-        self.done = {}  # id of a node already written: its jet
-        self.names = {}  # right-hand side already written: its temporary
 
     # -- operands -----------------------------------------------------------
 
@@ -491,15 +507,15 @@ class _KernelWriter:
                 return c
         return self.emit(f"_{name}({self.lit(a)})")
 
-    def require(self, a, cmp: str, helper: str, arg: str = "", bound: float = 0.0):
-        """Call helper, which raises, where ``a cmp bound``, as the dual path does."""
-        if _const(a):
+    def require(self, a, cmp: str, action: str, bound=0.0):
+        """Run action, a call that raises or a return, where ``a cmp bound``: a guard of the dual path."""
+        if _const(a) and _const(bound):
             if _COMPARE[cmp](a, bound):
-                self.lines.append(f"    {helper}({arg})")
+                self.lines.append(f"    {action}")
             return
-        test = f"{a} {cmp} {self.lit(bound)}"
+        test = f"{self.lit(a)} {cmp} {self.lit(bound)}"
         self.lines.append(f"    if _any({test}):" if self.columns else f"    if {test}:")
-        self.lines.append(f"        {helper}({arg})")
+        self.lines.append(f"        {action}")
 
     # -- derivative entries, structural zeros dropped ---------------------------
 
@@ -582,7 +598,7 @@ class _KernelWriter:
         if tag == "call":
             return self.func(node[1], self.node(node[2]))
         if tag == "pos":
-            self.require(self.node(node[1])[0], "<=", "_not_positive", repr(node[2]))
+            self.require(self.node(node[1])[0], "<=", f"_not_positive({node[2]!r})")
             return self.node(node[1])
         if tag == "^":
             base = self.node(node[1])
@@ -656,11 +672,11 @@ class _KernelWriter:
             return self.call(name, v), None, None
         op = self.op
         if name == "sqrt":
-            self.require(v, "<=", "_sqrt_domain")
+            self.require(v, "<=", "_sqrt_domain()")
             s = self.call("sqrt", v)
             return self.chain(a, s, op("/", 0.5, s), op("/", -0.25, op("*", s, v)))
         if name == "log":
-            self.require(v, "<=", "_log_domain")
+            self.require(v, "<=", "_log_domain()")
             return self.chain(a, self.call("log", v), op("/", 1.0, v), op("/", -1.0, op("*", v, v)))
         if name == "exp":
             f = self.call("exp", v)
@@ -675,7 +691,7 @@ class _KernelWriter:
         if p == 2.0:
             return self.op("*", v, v)
         if p != int(p):
-            self.require(v, "<", "_negative_base")
+            self.require(v, "<", "_negative_base()")
         return self.op("**", v, p)
 
     def power(self, a, p):
@@ -697,7 +713,7 @@ class _KernelWriter:
         f2 = op("*", p * (p - 1.0), op("**", v, p - 2.0))
         return self.chain(a, f0, f1, f2)
 
-    # -- the spray of the level metric ---------------------------------------------
+    # -- the spray of the level metric and the Euler-Lagrange acceleration ----------
 
     def dot(self, a, b):
         """sum(a[i] * b[i]), summed from the left as ``@`` sums a short vector."""
@@ -733,16 +749,67 @@ class _KernelWriter:
         e_yy = [[add(mul(l_v[i], l_v[j]), mul(f, f_yy[i][j])) for j in range(n)] for i in range(n)]
         e_xy = [[add(mul(f_x[i], l_v[j]), mul(f, f_xy[i][j])) for j in range(n)] for i in range(n)]
         rhs = [sub(mul(f, f_x[j]), self.dot([row[j] for row in e_xy], y)) for j in range(n)]
-        a = self.solve(e_yy, rhs)
+        a = self.solve(e_yy, rhs, f"_singular({', '.join(self.slots[:n])})")
         if not level:
             return a
         _, m_x, _, m_xy, m_yy = self.base_jet(tree, y)
         l_x = [sub(self.dot(row, y), d) for row, d in zip(m_xy, m_x)]
         l_y = [self.dot(row, y) for row in m_yy]
         den = self.dot(l_y, y)
-        self.require(self.call("fabs", den), "<", "_insensitive_level", bound=1e-14)
+        self.require(self.call("fabs", den), "<", "_insensitive_level()", bound=1e-14)
         p = div(self.neg(add(self.dot(l_x, y), self.dot(l_y, a))), den)
         return [add(ai, mul(p, yi)) for ai, yi in zip(a, y)]
+
+    def el(self, tree):
+        """L_vv^-1 (L_x - L_xv^T v) at (x, v), the acceleration ``el_acceleration`` solves for."""
+        v = self.slots[self.n:]
+        _, l_x, _, l_xv, l_vv = self.base_jet(tree, v)
+        rhs = [self.sub(d, self.dot([row[j] for row in l_xv], v)) for j, d in enumerate(l_x)]
+        return self.solve(l_vv, rhs, f"_singular_hessian({', '.join(self.slots)})")
+
+    def reduced_el(self, tree):
+        """The Euler-Lagrange acceleration of the reduction by the cyclic coordinate, or None.
+
+        It takes the full point, with 0.0 as the cyclic position and the guess
+        as the cyclic velocity, then mu and ``routh._momentum_bounds``. It
+        writes the first two probes of ``routh._momentum_steps``, a fiber jet
+        at the guess and, one Newton step on, the full jet, then the float
+        operations of ``ReducedLagrangian.eval`` and the solve. It returns
+        None where the solve converges at the guess, diverges or needs more
+        steps, or a pivot is zero.
+        """
+        n, c, op = self.n, self.cyclic, self.op
+        v, s = self.slots[n:], [i for i in range(n) if i != c]
+        mu, bound, ceiling = (f"t{2 * n + k}" for k in range(3))
+
+        def norm(r):  # |r| on floats, as the momentum solve takes it
+            return self.call("sqrt", op("*", r, r))
+
+        self.seed(False)
+        _, g, h = self.jet(tree)
+        r, pivot = op("-", g[c], mu), h[c * n + c]
+        self.require(norm(r), "<=", "return None", bound)
+        self.require(self.call("fabs", pivot), "<=", "return None")
+        z = op("-", v[c], op("/", r, pivot))
+        self.require(ceiling, "<", "return None", norm(z))
+        self.seed(True)
+        _, l_x, l_v, l_xv, l_vv = self.base_jet(tree, v[:c] + [z] + v[c + 1:])
+        # not converged, or a residual that is not a number
+        self.lines += [f"    if not {norm(op('-', l_v[c], mu))} <= {bound}:", "        return None"]
+        # dgesv divides a 1x1 system with one column and multiplies by the
+        # reciprocal with more; a product of one term adds it to 0.0
+        self.require(self.call("fabs", l_vv[c][c]), "<=", "return None")
+        w = {j: op("/", l_vv[c][j], l_vv[c][c]) if n == 2 else op("*", l_vv[c][j], op("/", 1.0, l_vv[c][c]))
+             for j in s}
+
+        def schur(block, i, j):
+            return op("-", block[i][j], op("+", 0.0, op("*", block[i][c], w[j])))
+
+        h_s = [[op("*", 0.5, op("+", schur(l_vv, i, j), schur(l_vv, j, i))) for j in s] for i in s]
+        terms = [[op("*", schur(l_xv, i, j), v[i]) for i in s] for j in s]
+        rhs = [op("-", l_x[j], functools.reduce(functools.partial(op, "+"), t, 0.0))
+               for j, t in zip(s, terms)]
+        return self.solve(h_s, rhs, "return None")
 
     def swap_if(self, test: str, top: list, row: list):
         """(row, top) where test holds at run time, else (top, row), in new temporaries."""
@@ -753,22 +820,22 @@ class _KernelWriter:
                        "    else:", f"        {lhs} = {', '.join(map(self.lit, top + row))}"]
         return names[:len(top)], names[len(top):]
 
-    def solve(self, a, b):
+    def solve(self, a, b, fail: str):
         """a^-1 b by elimination with partial pivoting, in the order of LAPACK's dgetf2 and dtrsm.
 
         Each row below the pivot row replaces it where its |entry| is strictly
         larger, so the first largest wins, as idamax picks it. A zero pivot
-        calls _singular. Multipliers take the pivot's reciprocal and back
+        runs the statement fail. Multipliers take the pivot's reciprocal and back
         substitution divides, so n = 1 is the division of ``jets.solve_linear``.
         """
-        n = self.n
+        n = len(b)
         rows = [list(a[i]) + [b[i]] for i in range(n)]
         for k in range(n):
             for i in range(k + 1, n):
                 if not _is(rows[i][k], 0.0):  # a zero is never larger
                     test = f"_fabs({self.lit(rows[k][k])}) < _fabs({self.lit(rows[i][k])})"
                     rows[k][k:], rows[i][k:] = self.swap_if(test, rows[k][k:], rows[i][k:])
-            self.require(self.call("fabs", rows[k][k]), "<=", "_singular", ", ".join(self.slots[:n]))
+            self.require(self.call("fabs", rows[k][k]), "<=", fail)
             for i in range(k + 1, n):
                 m = self.mul(rows[i][k], self.div(1.0, rows[k][k]))
                 rows[i][k + 1:] = [self.sub(rows[i][j], self.mul(m, rows[k][j])) for j in range(k + 1, n + 1)]
@@ -797,6 +864,8 @@ class _KernelWriter:
 
         if self.kind.endswith("spray"):
             out = [vec(self.spray(tree, self.kind == "level-spray"))]
+        elif self.kind.endswith("el"):
+            out = [vec(self.el(tree) if self.kind == "el" else self.reduced_el(tree))]
         else:
             v, g, h = self.jet(tree)
             if self.full:
@@ -810,11 +879,12 @@ class _KernelWriter:
         return "\n".join([f"def kernel({args}):", *self.lines, "    return " + ", ".join(out), ""])
 
 
-def _compile_kernel(source: str, tree, kind: str, n: int):
-    if kind not in ("fiber", "full", "columns", "spray", "level-spray"):
+def _compile_kernel(source: str, tree, kind: str, n: int, cyclic: int | None):
+    if kind not in ("fiber", "full", "columns", "spray", "level-spray", "el", "reduced-el"):
         raise ValueError(f"unknown kernel kind {kind!r}")
-    text = _KernelWriter(n, kind).write(tree)
-    filename = f"<routhlab-kernel {kind} n={n}: {' '.join(source.split())}>"
+    text = _KernelWriter(n, kind, cyclic).write(tree)
+    where = f"n={n}" if cyclic is None else f"n={n} c={cyclic}"
+    filename = f"<routhlab-kernel {kind} {where}: {' '.join(source.split())}>"
     code = compile(text, filename, "exec")
     # lets tracebacks and profilers show the generated line
     linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
@@ -844,21 +914,32 @@ class Expression:
     def __call__(self, xs, ys=()):
         return self.fn(xs, ys)
 
-    def jet_kernel(self, kind: str, n: int):
-        """The compiled ``"fiber"``, ``"full"``, ``"columns"``, ``"spray"`` or ``"level-spray"`` kernel.
+    def checked(self, dim: int | None = None, allow_velocity: bool = True) -> "Expression":
+        """self; ArityError where it reads an index above dim or, unless allow_velocity, a velocity."""
+        worst = max(self.max_x, self.max_v)
+        if dim is not None and worst > dim:
+            raise ArityError(f"expression references index {worst} beyond declared dimension {dim}")
+        if not allow_velocity and self.max_v > 0:
+            raise ArityError("velocity variables are not allowed in this expression")
+        return self
+
+    def jet_kernel(self, kind: str, n: int, cyclic: int | None = None):
+        """The compiled ``"fiber"``, ``"full"``, ``"columns"``, ``"spray"``, ``"level-spray"``,
+        ``"el"`` or ``"reduced-el"`` kernel.
 
         It takes the n positions and then the n velocities, as floats or,
         for the column kernel, as (k,) columns of k rows. The fiber kernel
         returns (value, d_y, d_yy), the full kernel (value, d_x, d_y, d_yy,
         d_xy), and the column kernel the fiber blocks of every row stacked,
         of shapes (k,), (k, n) and (k, n, n). The spray kernels also take s
-        and e and return the n accelerations. Each is compiled on first use
-        and kept, per dimension n.
+        and e, and they and the ``"el"`` kernel return the n accelerations;
+        the ``"reduced-el"`` kernel of the cyclic index ``cyclic`` is
+        ``_KernelWriter.reduced_el``. Each is compiled on first use and kept.
         """
-        key = (kind, n)
+        key = (kind, n, cyclic)
         kernel = self._kernels.get(key)
         if kernel is None:
-            kernel = self._kernels[key] = _compile_kernel(self.source, self.tree, kind, n)
+            kernel = self._kernels[key] = _compile_kernel(self.source, self.tree, kind, n, cyclic)
         return kernel
 
 
@@ -873,15 +954,7 @@ def parse_expression(text: str, dim: int | None = None, allow_velocity: bool = T
         raise ParseError("empty expression")
     parser = _Parser(_tokenize(text))
     tree = parser.parse()
-    if dim is not None:
-        if parser.max_x > dim or parser.max_v > dim:
-            worst = max(parser.max_x, parser.max_v)
-            raise ArityError(
-                f"expression references index {worst} beyond declared dimension {dim}"
-            )
-    if not allow_velocity and parser.max_v > 0:
-        raise ArityError("velocity variables are not allowed in this expression")
-    return Expression(source=text, tree=tree, max_x=parser.max_x, max_v=parser.max_v)
+    return Expression(text, tree, parser.max_x, parser.max_v).checked(dim, allow_velocity)
 
 
 #: the deepest traced tree compiled: the kernel writer recurses two frames a level

@@ -654,7 +654,9 @@ def gauge_shift(model: ScalarField, f) -> GaugeShiftedModel:
 
     ``f`` is a position-only function: an expression string, a parsed
     :class:`Expression`, or a callable in generic arithmetic, traced once;
-    a callable that does not trace raises TypeError. The returned model has
+    a callable that does not trace raises TypeError, and a string or an
+    Expression that reads a velocity or an index above the model's
+    dimension raises ArityError. The returned model has
     identical motion equations; only values and momenta shift. The energy
     does not change, so shifting commutes with the level metric:
     ``jacobi_finsler(gauge_shift(L, f), e)`` is F_e + df.y. Shift the
@@ -662,7 +664,7 @@ def gauge_shift(model: ScalarField, f) -> GaugeShiftedModel:
     metric, a closed form, a reduction) raises TypeError.
     """
     if isinstance(f, str):
-        f = parse_expression(f, dim=model.dim, allow_velocity=False)
+        f = parse_expression(f)
     elif callable(f) and not isinstance(f, Expression):
         name = getattr(f, "__name__", "<callable>")
         f = trace_expression(lambda xs, ys, form=f: form(xs), model.dim, name)
@@ -670,7 +672,7 @@ def gauge_shift(model: ScalarField, f) -> GaugeShiftedModel:
             raise TypeError(f"the gauge form {name} does not trace: write it in generic arithmetic")
     if not isinstance(f, Expression):
         raise TypeError("f must be an expression string, Expression, or callable")
-    return GaugeShiftedModel(model, f)
+    return GaugeShiftedModel(model, f.checked(model.dim, allow_velocity=False))
 
 
 # -- positivity for degenerate Hessians ------------------------------------------

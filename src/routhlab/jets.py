@@ -15,7 +15,8 @@ the value, order 1 the velocity-only fiber jet (value, d_y, d_yy), and order
 where it has a tree, by hyper-duals otherwise; a wrapper with an explicit
 formula writes ``expr`` over its base's (:func:`require_expr`). Implicit
 wrappers and closed forms write their own ``eval``; ``value`` and
-``fiber_jet`` are one-line wrappers.
+``fiber_jet`` are one-line wrappers. The other kernels of a tree, the sprays
+and the Euler-Lagrange accelerations, run through :func:`run_kernel`.
 :func:`jet` adds input and output validation, and the independent
 finite-difference oracle :func:`fd_jet` cross-checks every family in the tests.
 
@@ -150,6 +151,13 @@ class ScalarField:
             d_xy=np.array(h[:n, n:]),
         )
 
+    def _el_kernel(self, x: np.ndarray, v: np.ndarray):
+        """``el_acceleration`` at (x, v) from the tree's ``"el"`` kernel; None without a tree."""
+        if self.expression is None:
+            return None
+        self.domain_check(x, v)
+        return run_kernel(self, "el", *x.tolist(), *v.tolist())
+
     def value(self, x, y) -> float:
         """The value at (x, y): ``eval`` at order 0."""
         return self.eval(x, y, 0)
@@ -261,15 +269,14 @@ def solve_linear(a: np.ndarray, b: np.ndarray, fail):
         raise fail() from exc
 
 
-def level_spray(base: ScalarField, x, y, s: float, e: float, conserving: bool = False) -> np.ndarray:
-    """The canonical spray at (x, y) of the energy-e level metric over base, given its scale s.
+def run_kernel(field: ScalarField, kind: str, *args, cyclic: int | None = None):
+    """The ``kind`` kernel of field's tree on args (:meth:`Expression.jet_kernel`).
 
-    Base's ``"spray"`` kernel, or if ``conserving`` its ``"level-spray"`` kernel, which
-    shifts it to hold the base energy; it checks no domain.
+    A guard's error raises DomainError; no position predicate is checked.
     """
-    kernel = base.expression.jet_kernel("level-spray" if conserving else "spray", base.dim)
+    kernel = field.expression.jet_kernel(kind, field.dim, cyclic)
     try:
-        return kernel(*x.tolist(), *y.tolist(), s, e)
+        return kernel(*args)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(str(exc)) from exc
 

@@ -294,9 +294,21 @@ def strong_convexity_check(L: LagrangianModel, x, v) -> tuple[bool, float]:
 
 
 def el_acceleration(L: LagrangianModel, x, v) -> np.ndarray:
-    """Acceleration solving g.a = dL/dx - (d2L/dxdv)^T v at (x, v)."""
+    """Acceleration solving g.a = dL/dx - (d2L/dxdv)^T v at (x, v).
+
+    A model with a tree runs its ``"el"`` kernel: the full jet, the right-hand
+    side and the solve in one call of float code, which raises as ``eval``
+    and the solve raise but sums L_xv^T v from the left, so an entry may
+    differ from numpy's in the last bits. A reduction by one cyclic
+    coordinate runs its ``"reduced-el"`` kernel where that applies
+    (``ReducedLagrangian._el_kernel``). Otherwise, and as the tests'
+    oracle, this is ``eval``'s jet and numpy's solve.
+    """
     x = np.asarray(x, float)
     v = np.asarray(v, float)
+    a = L._el_kernel(x, v)
+    if a is not None:
+        return a
     j = L.eval(x, v)
     return solve_linear(j.d_yy, j.d_x - j.d_xy.T @ v, lambda: SingularHessian(
         f"velocity Hessian is singular at x={x}, v={v}"))

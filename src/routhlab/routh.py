@@ -30,7 +30,7 @@ from .errors import (
     SingularBlock,
 )
 from .integrators import Trajectory
-from .jets import EVAL_ERRORS, SecondJet, batch_rows, drive, lockstep, solve_linear
+from .jets import EVAL_ERRORS, SecondJet, batch_rows, drive, lockstep, run_kernel, solve_linear
 from .lagrangian import LagrangianModel, energies, integrate_el
 from .reporting import VerificationReport
 
@@ -209,8 +209,7 @@ def _momentum_steps(L, c, mu, full_x, full_y, z, shape_norm):
     as ``np.linalg.norm`` takes it, and a step is ``np.linalg.solve``.
     """
     one = isinstance(z, float)
-    scale = MOMENTUM_TOL * (1.0 + math.sqrt(mu * mu if one else mu @ mu))
-    ceiling = 1e8 * (1.0 + math.sqrt(z * z if one else z @ z) + shape_norm)
+    scale, ceiling = _momentum_bounds(mu, z, shape_norm)
     r = None
     full_y[c] = z
     p, h = yield z
@@ -243,6 +242,13 @@ def _momentum_steps(L, c, mu, full_x, full_y, z, shape_norm):
         z = trial
     raise NoConvergence(f"momentum solve did not converge in {MOMENTUM_MAX_ITER} iterations "
                         f"(residual {math.sqrt(r * r if one else r @ r):.3e})")
+
+
+def _momentum_bounds(mu, z, shape_norm):
+    """The residual bound and the divergence ceiling of a momentum solve from z."""
+    one = isinstance(z, float)
+    return (MOMENTUM_TOL * (1.0 + math.sqrt(mu * mu if one else mu @ mu)),
+            1e8 * (1.0 + math.sqrt(z * z if one else z @ z) + shape_norm))
 
 
 def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_shape,
@@ -322,6 +328,27 @@ class ReducedLagrangian(LagrangianModel):
             self.base, self.split, self.mu, x_shape, y_shape, guess=self.guess
         )
 
+    def _el_kernel(self, x, v):
+        """``el_acceleration`` from the base's ``"reduced-el"`` kernel, or None where ``eval`` must run.
+
+        That is where the base has no tree or more than one coordinate is
+        cyclic, and where the kernel returns None or raises: ``eval`` then
+        meets its own result or error.
+        """
+        base, split = self.base, self.split
+        if base.expression is None or len(split.cyclic) != 1:
+            return None
+        (c,), z, mu = split.cyclic, self.guess.item(), self.mu.item()
+        full_x, full_v = x.tolist(), v.tolist()
+        full_x.insert(c, 0.0)
+        full_v.insert(c, z)
+        try:
+            base.domain_check(full_x, full_v)
+            return run_kernel(base, "reduced-el", *full_x, *full_v, mu,
+                              *_momentum_bounds(mu, z, math.sqrt(v @ v)), cyclic=c)
+        except EVAL_ERRORS:
+            return None
+
     def _eval_rows(self, xs, ys, order: int):
         """Orders 0 and 1: one lockstep momentum solve, then stacked Schur steps.
 
@@ -354,8 +381,6 @@ class ReducedLagrangian(LagrangianModel):
         j = self.base.eval(full_x, full_y, order)
         if order == 0:
             return j - float(self.mu @ z)
-        if self.base.dim == 2:
-            return self._schur_on_floats(full_x, j, z, order)
         val, d_y, d_yy = j if order == 1 else (j.value, j.d_y, j.d_yy)
         shp = self.split.shape_idx
         cc, cs, ss, sc = self.split.blocks
@@ -372,26 +397,6 @@ class ReducedLagrangian(LagrangianModel):
             d_yy=h,
             d_xy=j.d_xy[ss] - j.d_xy[sc] @ w,
         )
-
-    def _schur_on_floats(self, full_x, j, z, order):
-        """``eval``'s assembly for one cyclic and one shape velocity, on floats.
-
-        LAPACK divides a 1x1 system (see :func:`solve_linear`), and a 1x1
-        matrix product, or a dot product of 1-vectors, adds the one product
-        to 0.0, so every entry has the bits of the array assembly.
-        """
-        (c,), (s,) = self.split.cyclic, self.split.shape
-        val, d_y, d_yy = j if order == 1 else (j.value, j.d_y, j.d_yy)
-        if d_yy.item(c, c) == 0.0:
-            raise SingularBlock(f"cyclic velocity block is singular at x={full_x}")
-        w = d_yy.item(c, s) / d_yy.item(c, c)
-        h = d_yy.item(s, s) - (0.0 + d_yy.item(s, c) * w)
-        value = val - (0.0 + self.mu.item() * z.item())
-        d_y, d_yy = d_y[[s]], np.array([[0.5 * (h + h)]])
-        if order == 1:
-            return value, d_y, d_yy
-        d_xy = j.d_xy.item(s, s) - (0.0 + j.d_xy.item(s, c) * w)
-        return SecondJet(value=value, d_x=j.d_x[[s]], d_y=d_y, d_yy=d_yy, d_xy=np.array([[d_xy]]))
 
 
 def routhian(

@@ -17,7 +17,7 @@ in the original time variable.
 A :class:`~routhlab.homogenize.JacobiFinslerModel` over a traced base runs
 its spray, or its shift by F's own ``level_jet``, as the energy-scale solve and
 one generated kernel that writes this assembly in straight-line float code
-(:func:`routhlab.jets.level_spray`). Anything else runs the numpy assembly,
+(:func:`routhlab.jets.run_kernel`). Anything else runs the numpy assembly,
 which the tests keep as the kernel's oracle.
 """
 
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError, SingularHessian
 from .homogenize import JacobiFinslerModel
 from .integrators import Trajectory, integrate_sampled
-from .jets import ScalarField, SecondJet, level_spray, solve_linear
+from .jets import ScalarField, SecondJet, run_kernel, solve_linear
 
 __all__ = [
     "half_square_jet",
@@ -69,7 +69,8 @@ def _spray(F: ScalarField, level):
 
         def generated(x, y):
             x, y = np.asarray(x, float), np.asarray(y, float)
-            return level_spray(F.base, x, y, F.energy_scale(x, y), F.e, level is not None)
+            return run_kernel(F.base, "spray" if level is None else "level-spray",
+                              *x.tolist(), *y.tolist(), F.energy_scale(x, y), F.e)
 
         return generated
     accel = _assembled_spray(F)

@@ -14,16 +14,22 @@ from hypothesis import strategies as st
 
 from routhlab import (
     ArityError,
+    CyclicSplit,
     DomainError,
     Expression,
     HyperDual,
     MagneticLagrangian,
     ParseError,
+    ReducedLagrangian,
+    RouthlabError,
     ScalarField,
     SecondJet,
+    SingularHessian,
     StencilDomainError,
+    el_acceleration,
     fd_jet,
     gauge_shift,
+    momentum,
     parse_expression,
     parse_lagrangian,
     poincare_disk_lagrangian,
@@ -173,11 +179,11 @@ _SOURCES = st.recursive(_LEAVES, _extend, max_leaves=8)
 
 
 def _outcome(f):
-    """f()'s result, or the type of the DomainError/OverflowError it raised."""
+    """f()'s result, or the type of the DomainError, SingularHessian or OverflowError it raised."""
     try:
         with np.errstate(all="ignore"):
             return f(), None
-    except (DomainError, OverflowError) as exc:
+    except (DomainError, SingularHessian, OverflowError) as exc:
         return None, type(exc)
 
 
@@ -206,12 +212,22 @@ def _points():
 
 @settings(max_examples=300)
 @given(source=_SOURCES)
-def test_kernels_equal_the_hyper_dual_oracle(hyper_dual, source):
+def test_kernels_equal_the_hyper_dual_oracle(hyper_dual, numpy_el, source):
     model = parse_lagrangian(source, dim=2)
     for x, y in _points():
         oracle, oracle_err = _outcome(lambda: hyper_dual(model, x, y))
         full, full_err = _outcome(lambda: model.eval(x, y))
         assert full_err is oracle_err, source
+        # the "el" kernel raises DomainError where the jet raises it and, on
+        # a finite jet, raises as the numpy solve does or agrees with it
+        # within 1e-14 of its largest entry: it sums L_xv^T v from the left
+        accel, accel_err = _outcome(lambda: el_acceleration(model, x, y))
+        want, want_err = _outcome(lambda: numpy_el(model, x, y))
+        assert (accel_err is DomainError) == (want_err is DomainError) == (full_err is DomainError), source
+        if full is not None and _finite(*_jet_blocks(full)):
+            assert accel_err is want_err, source
+            if want is not None and _finite(want):
+                assert np.max(np.abs(accel - want)) <= 1e-14 * np.max(np.abs(want)), (source, x, y)
         fiber, fiber_err = _outcome(lambda: model.fiber_jet(x, y))
         seeded, seeded_err = _outcome(lambda: _velocity_seeded(model, x, y))
         assert fiber_err is seeded_err, source
@@ -277,7 +293,7 @@ _KERNEL_NODES = (
     ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Return,
     ast.If, ast.Expr, ast.Call, ast.Compare, ast.BinOp, ast.UnaryOp, ast.List,
     ast.Tuple, ast.Name, ast.Constant, ast.Load, ast.Store, ast.Add, ast.Sub,
-    ast.Mult, ast.Div, ast.Pow, ast.USub, ast.LtE, ast.Lt,
+    ast.Mult, ast.Div, ast.Pow, ast.USub, ast.Not, ast.LtE, ast.Lt,
 )
 
 
@@ -289,21 +305,27 @@ _GAUGE_BASE = "0.5*(v1^2 + 2*v2^2) + 0.3*x1*v2 - x2^2"
 @given(source=_SOURCES)
 def test_kernel_code_reads_only_whitelisted_names(source):
     # the tree of a DSL model, and the traced tree of a shift by the same
-    # source as a form, unless the form raises everywhere and so stays untraced
+    # source as a form, unless the form raises everywhere and so stays
+    # untraced; each tree's reduced kernels by either coordinate too
     shifted = gauge_shift(parse_lagrangian(_GAUGE_BASE, dim=2), source.replace("v", "x"))
     expressions = [e for e in (parse_expression(source, dim=2), shifted.expression) if e is not None]
-    for (kind, names), expression in itertools.product(
-            (("fiber", _KERNEL_GLOBALS), ("full", _KERNEL_GLOBALS), ("columns", _COLUMN_GLOBALS),
-             ("spray", _KERNEL_GLOBALS), ("level-spray", _KERNEL_GLOBALS)), expressions):
-        tree = ast.parse(inspect.getsource(expression.jet_kernel(kind, 2)))
-        # the one string a kernel holds is a guard's message, from the tree
+    for (kind, cyclic, names), expression in itertools.product(
+            (("fiber", None, _KERNEL_GLOBALS), ("full", None, _KERNEL_GLOBALS),
+             ("columns", None, _COLUMN_GLOBALS), ("spray", None, _KERNEL_GLOBALS),
+             ("level-spray", None, _KERNEL_GLOBALS), ("el", None, _KERNEL_GLOBALS),
+             ("reduced-el", 0, _KERNEL_GLOBALS), ("reduced-el", 1, _KERNEL_GLOBALS)), expressions):
+        tree = ast.parse(inspect.getsource(expression.jet_kernel(kind, 2, cyclic)))
+        # the one string a kernel holds is a guard's message, from the tree,
+        # and the reduced kernel returns None where its path does not apply
         messages = {id(n.args[0]) for n in ast.walk(tree)
                     if isinstance(n, ast.Call) and getattr(n.func, "id", "") == "_not_positive"}
+        declines = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Return)
+                    and kind == "reduced-el" and isinstance(n.value, ast.Constant) and n.value.value is None}
         for node in ast.walk(tree):
             assert isinstance(node, _KERNEL_NODES), ast.dump(node)
             if isinstance(node, ast.Name):
                 assert node.id in names or re.fullmatch(r"t\d+", node.id), node.id
-            if isinstance(node, ast.Constant) and id(node) not in messages:
+            if isinstance(node, ast.Constant) and id(node) not in messages | declines:
                 # the column kernel's only integers are the shapes it stacks to
                 assert type(node.value) is float and math.isfinite(node.value) or \
                     kind == "columns" and node.value == 2, node.value
@@ -389,6 +411,58 @@ def test_kernels_refuse_indices_beyond_the_model_dimension():
     for path in (model.fiber_jet, model.eval):
         with pytest.raises(ArityError):
             path([0.5], [0.3])
+
+
+# -- the Euler-Lagrange kernels --------------------------------------------------
+
+#: the round-trip benchmark's models: Kepler and the polar oscillator
+ROUND_TRIP_SOURCES = ["0.5*(v1^2 + x1^2*v2^2) + 1/x1", "0.5*(v1^2 + x1^2*v2^2) - 0.5*x1^2"]
+
+
+@pytest.mark.parametrize("source", ROUND_TRIP_SOURCES)
+def test_el_kernels_of_the_round_trip_models_equal_the_numpy_path(numpy_el, source):
+    model = parse_lagrangian(source, dim=2, domain=lambda x: x[0] > 0.1)
+    split = CyclicSplit.of(2, [1])
+    rng = np.random.default_rng(6)
+    for _ in range(1000):
+        x, v = np.array([rng.uniform(0.5, 1.5), rng.uniform(-3.0, 3.0)]), rng.uniform(-1.5, 1.5, 2)
+        assert el_acceleration(model, x, v).tobytes() == numpy_el(model, x, v).tobytes()
+        guess = None if rng.random() < 0.5 else rng.uniform(0.5, 1.5, 1)
+        red = ReducedLagrangian(model, split, momentum(model, split, x, v), guess=guess)
+        assert red._el_kernel(x[:1], v[:1]) is not None
+        assert el_acceleration(red, x[:1], v[:1]).tobytes() == numpy_el(red, x[:1], v[:1]).tobytes()
+
+
+def _exact_outcome(f):
+    """The bytes of f()'s result, or the type and message of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return f().tobytes()
+    except (RouthlabError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150)
+@given(source=_SOURCES)
+@example(source="0.5*v1^2 - x1^2*sqrt(1 - v2^2)")
+def test_reduced_el_kernel_equals_the_schur_assembly(numpy_el, source):
+    # the reduced kernel gives the bits of ReducedLagrangian.eval and the
+    # numpy solve; where its two probes do not apply, that path runs and
+    # raises its own errors, backtracks and Newton failures included. A
+    # random tree seldom has a momentum one Newton step solves; the tree as
+    # a potential under a coupled kinetic term always has one
+    split = CyclicSplit.of(2, [1])
+    for text in (source, f"0.5*(v1^2 + (1 + x1^2)*v2^2) + 0.3*x1*v1*v2 - ({source.replace('v', 'x')})"):
+        model = parse_lagrangian(text, dim=2)
+        for x, y in _points():
+            try:
+                p = float(momentum(model, split, [x[0], 0.0], y).item())
+            except RouthlabError:
+                p = 0.5
+            for mu, guess in ((0.5, None), (p, [y[1] + 0.125])):
+                red = ReducedLagrangian(model, split, np.array([mu]), guess=guess)
+                assert _exact_outcome(lambda: el_acceleration(red, x[:1], y[:1])) == \
+                    _exact_outcome(lambda: numpy_el(red, x[:1], y[:1])), (text, x, y, mu)
 
 
 def _form_jet_assembly(base, form, x, y, order):

@@ -597,6 +597,17 @@ class TestGaugeShift:
             with pytest.raises(TypeError, match="shift the Lagrangian first, then build the metric"):
                 rl.gauge_shift(base, "0.2*x1^2")
 
+    @pytest.mark.parametrize("form, message", [
+        ("x3*x1", "index 3 beyond declared dimension 2"),
+        ("x1*v2", "velocity variables are not allowed"),
+    ])
+    def test_a_parsed_form_is_checked_as_its_text_is(self, form, message):
+        # a parsed Expression once built a shift whose eval raised IndexError
+        L = rl.parse_lagrangian("0.5*(v1^2+v2^2)", dim=2)
+        for f in (form, rl.parse_expression(form)):
+            with pytest.raises(rl.ArityError, match=message):
+                rl.gauge_shift(L, f)
+
     def test_a_callable_form_that_does_not_trace_is_refused(self):
         # the form becomes a tree when the shift is built; one that needs
         # numbers (a branch on a value, numpy ufuncs) has none

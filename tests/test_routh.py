@@ -232,8 +232,8 @@ def test_lapack_divides_a_one_by_one_system():
 
 
 def test_one_by_one_products_add_to_zero():
-    # the reduced jets of a two-dimensional model take their Schur step on
-    # floats: that rests on a 1x1 matmul and a dot of 1-vectors giving the
+    # the "reduced-el" kernel of a two-dimensional model takes its Schur step
+    # on floats: that rests on a 1x1 matmul and a dot of 1-vectors giving the
     # one product added to 0.0, signed zeros and underflow included
     rng = np.random.default_rng(4)
     a = rng.choice([-1.0, 1.0], 10_000) * 10.0 ** rng.uniform(-200, 200, 10_000)
@@ -646,3 +646,66 @@ def test_two_cyclic_reductions_batch_as_the_rows():
         got = _rows(lambda: red.eval_batch(xs, ys, order))
         assert not isinstance(got, tuple)
         assert got == _rows(lambda: _row_loop(red, xs, ys, order))
+
+
+# -- the generated reduced right-hand side against the numpy path ---------------
+
+
+def _fallback_cases():
+    split = CyclicSplit.of(2, [1])
+    bounded, flat = (rl.parse_lagrangian(s, dim=2) for s in (BOUNDED_FIBER, "0.5*v1^2 + v2"))
+    polar = polar_model()
+    x, v = np.array([1.0, 0.0]), np.array([0.2, 0.9])
+    x0, v0 = np.array([1.0, 0.3]), np.array([0.3, 1.2])
+    return {
+        # a Newton step from 0 lands past |v2| = 1, where the solve backtracks
+        "backtrack": (rl.ReducedLagrangian(bounded, split, rl.momentum(bounded, split, x, v)),
+                      x[:1], v[:1], None),
+        "outside": (rl.ReducedLagrangian(polar, split, np.array([1.0])), np.array([0.05]),
+                    np.array([0.3]), rl.PositionDomainError),
+        # a zero cyclic block: the solve's step meets it at mu = 0.5, the
+        # Schur step at mu = 1, where the guess 0 already solves
+        "singular step": (rl.ReducedLagrangian(flat, split, np.array([0.5])), np.zeros(1),
+                          np.zeros(1), rl.SingularBlock),
+        "singular schur": (rl.ReducedLagrangian(flat, split, np.array([1.0])), np.zeros(1),
+                           np.zeros(1), rl.SingularBlock),
+        # the round trip's first point: its guess is the start's own velocity
+        "exact guess": (rl.ReducedLagrangian(polar, split, rl.momentum(polar, split, x0, v0),
+                                             guess=v0[1:]), x0[:1], v0[:1], None),
+    }
+
+
+@pytest.mark.parametrize("case", list(_fallback_cases()))
+def test_reduced_kernel_falls_back_to_the_numpy_path(numpy_el, case):
+    # where the kernel's two probes do not apply, it declines, and the numpy
+    # path gives its own result or raises its own error
+    red, x, v, error = _fallback_cases()[case]
+    assert red._el_kernel(x, v) is None
+    got = _outcome(lambda: rl.el_acceleration(red, x, v))
+    assert got == _outcome(lambda: numpy_el(red, x, v))
+    assert got[0] is error if error else isinstance(got, list)
+
+
+def test_reduced_kepler_right_hand_sides_solve_no_momentum(monkeypatch):
+    # each right-hand side writes the momentum solve's probes in the kernel;
+    # the initial convexity check's fiber jet still solves once
+    red = rl.routhian(polar_model(), CyclicSplit.of(2, [1]), np.array([1.2]), verify=False)
+    solve_momentum, el_acceleration = rl.routh.solve_momentum, rl.lagrangian.el_acceleration
+    solves, in_rhs = {True: 0, False: 0}, [False]
+
+    def accel(*args):
+        in_rhs[0] = True
+        try:
+            return el_acceleration(*args)
+        finally:
+            in_rhs[0] = False
+
+    def counting(*args, **kwargs):
+        solves[in_rhs[0]] += 1
+        return solve_momentum(*args, **kwargs)
+
+    monkeypatch.setattr(rl.lagrangian, "el_acceleration", accel)
+    monkeypatch.setattr(rl.routh, "solve_momentum", counting)
+    traj = rl.integrate_el(red, np.array([1.0]), np.array([0.3]), 3.0, tol=1e-11)
+    assert traj.stats.rhs_evals > 500
+    assert solves == {True: 0, False: 1}
