@@ -43,7 +43,6 @@ from .homogenize import (
     RandersModel,
     gauge_shift,
     homogeneous_closed_form,
-    homogenize,
     jacobi_finsler,
     poincare_randers,
     quasi_definite_check,
@@ -151,7 +150,6 @@ __all__ = [
     # homogenization and level metrics
     "FinslerModel",
     "HomogenizedLagrangian",
-    "homogenize",
     "EnergyScaleResult",
     "solve_energy_scale",
     "JacobiFinslerModel",

@@ -186,10 +186,9 @@ def cmd_geodesic(cfg, model, out_dir, seed):
     x0, v0, e = _energy_state(cfg, model)
     t_end, samples, tol = time_settings(cfg, geodesic=True)
     level, unit_speed = geodesic_flags(cfg)
-    metric = jacobi_finsler(model, e)
-    traj = integrate_geodesic(metric, x0, v0, t_end, tol=tol, samples=samples,
-                              level=metric.level_jet if level else None, unit_speed=unit_speed)
-    return _write_run(out_dir, "geodesic_trajectory.csv", traj, "speed")
+    traj = integrate_geodesic(jacobi_finsler(model, e), x0, v0, t_end, tol=tol, samples=samples,
+                              level=level, unit_speed=unit_speed)
+    return _write_run(out_dir, "geodesic_trajectory.csv", traj, "energy" if level else "speed")
 
 
 @_command("verify")

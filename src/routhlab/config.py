@@ -259,15 +259,13 @@ def time_settings(cfg: dict, geodesic: bool = False):
 
 
 def verify_tolerances(cfg: dict) -> dict:
-    """The pass bounds of ``verify`` as keyword arguments, with defaults."""
-    vc = _section(cfg, "verify")
-    defaults = {"pointset_tol": 1e-6, "pointwise_tol": 1e-6, "drift_tol": 1e-8}
-    return {key: _number(vc.get(key, d), f"verify.{key}") for key, d in defaults.items()}
+    """The ``verify`` bounds the config sets, as ``check_geodesic_equivalence``'s keywords."""
+    return {key: _number(value, f"verify.{key}") for key, value in _section(cfg, "verify").items()
+            if key in ("pointset_tol", "pointwise_tol", "drift_tol")}
 
 
 def geodesic_flags(cfg: dict) -> tuple[bool, bool]:
-    """(level, unit_speed) of the geodesic run: the level-conserving spray, off by
-    default, and the unit-speed start, on by default."""
+    """(level, unit_speed): hold the base energy (default off); start at unit speed (default on)."""
     return _flag(cfg, "geodesic", "level", False), _flag(cfg, "geodesic", "unit_speed", True)
 
 

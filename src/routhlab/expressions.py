@@ -52,6 +52,7 @@ import linecache
 import math
 import operator
 import re
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -879,18 +880,31 @@ class _KernelWriter:
         return "\n".join([f"def kernel({args}):", *self.lines, "    return " + ", ".join(out), ""])
 
 
+#: the live kernel of each linecache name: one text a name, so other text takes a suffix
+_KERNELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def _compile_kernel(source: str, tree, kind: str, n: int, cyclic: int | None):
     if kind not in ("fiber", "full", "columns", "spray", "level-spray", "el", "reduced-el"):
         raise ValueError(f"unknown kernel kind {kind!r}")
     text = _KernelWriter(n, kind, cyclic).write(tree)
     where = f"n={n}" if cyclic is None else f"n={n} c={cyclic}"
-    filename = f"<routhlab-kernel {kind} {where}: {' '.join(source.split())}>"
+    name = f"<routhlab-kernel {kind} {where}: {' '.join(source.split())}>"
+    filename, k = name, 1
+    while (live := _KERNELS.get(filename)) is not None:
+        if live.text == text:
+            return live
+        k += 1
+        filename = f"{name[:-1]} #{k}>"
     code = compile(text, filename, "exec")
-    # lets tracebacks and profilers show the generated line
-    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
     namespace = dict(_COLUMN_GLOBALS if kind == "columns" else _KERNEL_GLOBALS, __builtins__={})
     exec(code, namespace)  # noqa: S102 - text is written from the tree alone
-    return namespace["kernel"]
+    kernel = _KERNELS[filename] = namespace.pop("kernel")
+    kernel.text = text
+    # lets tracebacks and profilers show the generated line while the kernel lives
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    weakref.finalize(kernel, linecache.cache.pop, filename, None).atexit = False
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -934,7 +948,7 @@ class Expression:
         of shapes (k,), (k, n) and (k, n, n). The spray kernels also take s
         and e, and they and the ``"el"`` kernel return the n accelerations;
         the ``"reduced-el"`` kernel of the cyclic index ``cyclic`` is
-        ``_KernelWriter.reduced_el``. Each is compiled on first use and kept.
+        ``_KernelWriter.reduced_el``. Each is made on first use (a live equal one is reused) and kept.
         """
         key = (kind, n, cyclic)
         kernel = self._kernels.get(key)

@@ -43,7 +43,6 @@ from .lagrangian import (
 __all__ = [
     "FinslerModel",
     "HomogenizedLagrangian",
-    "homogenize",
     "EnergyScaleResult",
     "solve_energy_scale",
     "JacobiFinslerModel",
@@ -99,11 +98,6 @@ class HomogenizedLagrangian(FinslerModel):
     def expr(self, xs, ys):
         u = positive(ys[0], "scale velocity must be positive")
         return u * self.base.expr(xs[1:], [y / u for y in ys[1:]])
-
-
-def homogenize(L: LagrangianModel) -> HomogenizedLagrangian:
-    """Extend L to a 1-homogeneous function of (u, y) with u > 0."""
-    return HomogenizedLagrangian(L)
 
 
 # -- the energy-scale equation -------------------------------------------------

@@ -114,7 +114,7 @@ class Trajectory:
 
     ``energy_log`` records the run's conserved quantity at the sample times:
     the Lagrangian energy for Euler-Lagrange flows, the metric function value
-    for geodesic runs.
+    for affine geodesic runs, and the base Lagrangian's energy for level runs.
     """
 
     times: np.ndarray

@@ -10,13 +10,13 @@ parameters unit-speed up to a constant.
 Because 1-homogeneity leaves the trace of a geodesic independent of its
 parametrization, the spray may be shifted by any multiple of the velocity
 without changing trajectories as point sets. :func:`projective_shift` uses
-that freedom to hold a chosen function of (x, y) constant along the flow,
-which is how an energy-level metric reproduces a Lagrangian flow pointwise
-in the original time variable.
+that freedom to hold a chosen function of (x, y) constant along the flow. A
+level run holds the base energy of an energy-level metric, which reproduces
+the Lagrangian flow pointwise in its own time, and logs that energy.
 
 A :class:`~routhlab.homogenize.JacobiFinslerModel` over a traced base runs
-its spray, or its shift by F's own ``level_jet``, as the energy-scale solve and
-one generated kernel that writes this assembly in straight-line float code
+its spray, or its level spray, as the energy-scale solve and one generated
+kernel that writes this assembly in straight-line float code
 (:func:`routhlab.jets.run_kernel`). Anything else runs the numpy assembly,
 which the tests keep as the kernel's oracle.
 """
@@ -29,6 +29,7 @@ from .errors import DomainError, PreconditionError, SingularHessian
 from .homogenize import JacobiFinslerModel
 from .integrators import Trajectory, integrate_sampled
 from .jets import ScalarField, SecondJet, run_kernel, solve_linear
+from .lagrangian import energies
 
 __all__ = [
     "half_square_jet",
@@ -56,25 +57,25 @@ def canonical_spray(F: ScalarField):
 
     Returns ``accel(x, y) -> a`` solving g a = E_x - E_xy^T y with
     g the fundamental tensor (velocity Hessian of F^2/2). The field is
-    positively 2-homogeneous in y and its flow conserves F. A level metric
-    over a traced base runs its generated kernel.
+    positively 2-homogeneous in y and its flow conserves F.
     """
-    return _spray(F, None)
+    return _spray(F, False)
 
 
-def _spray(F: ScalarField, level):
-    """The acceleration field of F, shifted to conserve ``level`` unless it is None."""
-    if isinstance(F, JacobiFinslerModel) and F.base.expression is not None \
-            and level in (None, F.level_jet):
+def _spray(F: ScalarField, level: bool):
+    """The acceleration field of F, shifted to hold its base energy if ``level``."""
+    if level and not isinstance(F, JacobiFinslerModel):
+        raise TypeError(f"a level run needs an energy-level metric, not a {type(F).__name__}")
+    if isinstance(F, JacobiFinslerModel) and F.base.expression is not None:
 
         def generated(x, y):
             x, y = np.asarray(x, float), np.asarray(y, float)
-            return run_kernel(F.base, "spray" if level is None else "level-spray",
+            return run_kernel(F.base, "level-spray" if level else "spray",
                               *x.tolist(), *y.tolist(), F.energy_scale(x, y), F.e)
 
         return generated
     accel = _assembled_spray(F)
-    return accel if level is None else projective_shift(accel, level)
+    return projective_shift(accel, F.level_jet) if level else accel
 
 
 def _assembled_spray(F: ScalarField):
@@ -120,21 +121,21 @@ def integrate_geodesic(
     t_end: float,
     tol: float = 1e-10,
     samples: int = 801,
-    level=None,
+    level: bool = False,
     unit_speed: bool = False,
 ) -> Trajectory:
     """Integrate the geodesic flow of F from (x0, y0) for time t_end.
 
     With ``unit_speed`` the initial velocity is rescaled by 1/F(x0, y0), so
     the affine parameter advances one unit of F-length per unit time. With
-    ``level`` (a first-jet callable), the projectively shifted spray is
-    integrated instead and the affine F-conservation is traded for
-    conservation of the level. The trajectory's energy log records F along
-    the run in either mode.
+    ``level`` F must be an energy-level metric, and the projectively shifted
+    spray holds its base Lagrangian's energy, which the energy log records;
+    otherwise the log records F. Either way it is what the run conserves.
     """
     x0 = np.asarray(x0, float)
     y0 = np.asarray(y0, float)
     n = x0.shape[0]
+    accel = _spray(F, level)
     f0 = F.value(x0, y0)
     if not np.isfinite(f0) or f0 <= 0.0:
         raise PreconditionError(
@@ -143,12 +144,10 @@ def integrate_geodesic(
     if unit_speed:
         y0 = y0 / f0
 
-    accel = _spray(F, level)
-
     def rhs(_, state):
         a = accel(state[:n], state[n:])
         return np.concatenate([state[n:], a])
 
     return integrate_sampled(rhs, x0, y0, t_end, tol, samples,
-                             lambda xs, ys: F.eval_batch(xs, ys, 0),
-                             {"kind": "geodesic", "level_conserving": level is not None})
+                             (lambda xs, ys: energies(F.base, xs, ys)) if level else F.eval_batch,
+                             {"kind": "geodesic", "level_conserving": level})

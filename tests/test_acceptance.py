@@ -303,7 +303,7 @@ def test_criterion_7_invariant_property_suites(rng):
     )
     e = 2.0
     Fe = rl.jacobi_finsler(conformal, e)
-    lifted = rl.homogenize(conformal)
+    lifted = rl.HomogenizedLagrangian(conformal)
     randers = rl.randers_closed_form(conformal, e)
     disk = rl.poincare_randers(0.5)
 

@@ -160,7 +160,7 @@ def _every_family(rng):
         quartic, cubic, rl.PowerQuadraticLagrangian(2, np.eye(2), degree=2),
         rl.HomogeneousLagrangian(cubic, degree=3),
         parsed, kepler,
-        rl.homogenize(conformal), rl.homogenize(kepler),
+        rl.HomogenizedLagrangian(conformal), rl.HomogenizedLagrangian(kepler),
         level, rl.jacobi_finsler(disk, 2.0), rl.jacobi_finsler(cubic, 1.5),
         rl.randers_closed_form(conformal, 2.0), rl.poincare_randers(0.5),
         rl.homogeneous_closed_form(quartic, 1.7),
@@ -169,12 +169,11 @@ def _every_family(rng):
         # a callable form with c / f(x)
         rl.gauge_shift(disk, lambda xs: 0.3 / (1.5 + xs[0] * xs[1]) + sin(xs[0]) * xs[1]),
         rl.routhian(kepler, rl.CyclicSplit.of(2, [1]), np.array([0.3]), verify=False),
-        rl.routhian(rl.homogenize(conformal), rl.CyclicSplit.of(3, [0]), np.array([-2.0]),
-                    guess=np.array([1.0]), verify=False),
+        rl.routhian(rl.HomogenizedLagrangian(conformal), rl.CyclicSplit.of(3, [0]),
+                    np.array([-2.0]), guess=np.array([1.0]), verify=False),
     ]
 
 
-# the function routhlab.homogenize shadows the module of that name
 FAMILY_CLASSES = [
     rl.ScalarField, rl.MagneticLagrangian, rl.PowerQuadraticLagrangian,
     rl.HomogeneousLagrangian, rl.ExpressionLagrangian, rl.HomogenizedLagrangian,
@@ -347,7 +346,7 @@ def test_the_lifts_of_the_formula_wrappers_equal_the_hyper_dual_oracle(rng, hype
     conformal, quartic = _models(rng)[:2]
     for base in (rl.gauge_shift(conformal, "0.2*x1*x2 + sin(x2)"),
                  rl.HomogeneousLagrangian(quartic, degree=4)):
-        lift = rl.homogenize(base)
+        lift = rl.HomogenizedLagrangian(base)
         assert lift.expression is not None
         xs = rng.uniform(-0.9, 0.9, (40, 3))
         ys = np.column_stack([rng.uniform(0.2, 1.5, 40), rng.uniform(-1.5, 1.5, (40, 2))])
@@ -486,8 +485,8 @@ def test_good_batches_never_reach_the_row_loop(kind):
         xs, ys = np.abs(xs[:, :1]) + 0.3, ys[:, :1]
     elif kind == "lift":
         # the slot velocity u > 0 is a guard of the lift's traced expr
-        model = rl.homogenize(rl.parse_lagrangian(PARITY_SOURCES[0], dim=2,
-                                                  domain=lambda x: x[0] > 0.1))
+        model = rl.HomogenizedLagrangian(rl.parse_lagrangian(PARITY_SOURCES[0], dim=2,
+                                                             domain=lambda x: x[0] > 0.1))
         xs = np.column_stack([xs[:, 1], np.abs(xs[:, 0]) + 0.3, xs[:, 1]])
         ys = np.column_stack([np.abs(ys[:, 0]) + 0.5, ys])
     elif kind == "gauge":

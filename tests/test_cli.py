@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import routhlab as rl
 from routhlab.cli import main
+from routhlab.config import verify_tolerances
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -192,6 +193,18 @@ class TestCommands:
         traj = rl.read_trajectory_csv(tmp_path / "geodesic_trajectory.csv")
         np.testing.assert_allclose(traj.energy_log, 1.0, atol=1e-8)
 
+    def test_level_geodesic_reports_and_logs_the_energy_it_holds(self, tmp_path):
+        cfg = json.loads((CONFIGS / "oscillator_verify.json").read_text())
+        cfg["geodesic"] = {"level": True, "unit_speed": False}
+        path = tmp_path / "level.json"
+        path.write_text(json.dumps(cfg))
+        r = invoke(["geodesic", "--config", str(path), "--out", str(tmp_path)])
+        assert r.exit_code == 0, r.output
+        drift = float(r.output.split("energy drift=")[1].split()[0])
+        assert drift <= 1e-8, r.output
+        traj = rl.read_trajectory_csv(tmp_path / "geodesic_trajectory.csv")
+        np.testing.assert_allclose(traj.energy_log, 5.0, rtol=0.0, atol=1e-8)
+
     def test_finslerize_reports_scale_and_convexity(self, tmp_path):
         r = invoke(
             ["finslerize", "--config", str(CONFIGS / "oscillator_verify.json"),
@@ -240,6 +253,13 @@ class TestCommands:
         svg_b = (b / "trajectories.svg").read_bytes()
         assert svg_a == svg_b
         assert b"<svg" in svg_a and b"circle" in svg_a
+
+
+def test_verify_tolerances_pass_only_the_configured_bounds():
+    assert verify_tolerances({}) == {}
+    assert verify_tolerances({"verify": {"drift_tol": "1e-9"}}) == {"drift_tol": 1e-9}
+    with pytest.raises(rl.ConfigError, match="verify.pointset_tol"):
+        verify_tolerances({"verify": {"pointset_tol": "loose"}})
 
 
 class TestTrajectoryFiles:

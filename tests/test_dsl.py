@@ -1,8 +1,10 @@
 """Expression language: grammar, precedence, and error positions."""
 
 import ast
+import gc
 import inspect
 import itertools
+import linecache
 import math
 import re
 import traceback
@@ -19,6 +21,7 @@ from routhlab import (
     Expression,
     HyperDual,
     MagneticLagrangian,
+    MechanicalLagrangian,
     ParseError,
     ReducedLagrangian,
     RouthlabError,
@@ -400,6 +403,34 @@ def test_kernel_tracebacks_name_the_generated_file():
     assert "<routhlab-kernel full n=1: x1 + sqrt(v1)>" in "".join(
         traceback.format_exception(info.value)
     )
+
+
+def test_each_traced_model_shows_its_own_kernel_text():
+    # traced models of one family share a source name, so a second text under
+    # that name is told apart, and each kernel's source is its own
+    one = MechanicalLagrangian(2, np.eye(2), potential=lambda xs: 0.5 * xs[0] * xs[0])
+    two = MechanicalLagrangian(2, np.eye(2), potential=lambda xs: 3.0 * xs[1] ** 3)
+    kernels = [L.expression.jet_kernel("el", 2) for L in (one, two)]
+    first, second = map(inspect.getsource, kernels)
+    assert "3.0" in second and "3.0" not in first
+    assert kernels[0].__code__.co_filename.startswith("<routhlab-kernel el n=2: MagneticLagrangian.expr")
+
+
+def _kernel_files():
+    return sum(name.startswith("<routhlab-kernel") for name in linecache.cache)
+
+
+def test_kernel_sources_leave_the_line_cache_with_their_kernels():
+    gc.collect()
+    before = _kernel_files()
+    models = [parse_lagrangian(f"0.5*v1^2 - {k + 1}*x1^2*x2 + v2^2", dim=2) for k in range(300)]
+    for model in models:
+        model.fiber_jet([0.3, 0.2], [0.5, -0.1])
+        el_acceleration(model, [0.3, 0.2], [0.5, -0.1])
+    assert _kernel_files() >= before + 600
+    del models, model
+    gc.collect()
+    assert _kernel_files() == before
 
 
 def test_kernels_refuse_indices_beyond_the_model_dimension():

@@ -142,7 +142,7 @@ class HoledKinetic:
 class TestHomogenization:
     def test_restriction_to_unit_slot_recovers_the_lagrangian(self, rng):
         L = conformal_magnetic()
-        F = rl.homogenize(L)
+        F = rl.HomogenizedLagrangian(L)
         assert F.dim == 3
         for _ in range(50):
             x = rng.uniform(-0.5, 0.5, 2)
@@ -151,7 +151,7 @@ class TestHomogenization:
             assert lifted == pytest.approx(L.value(x, v), rel=1e-14, abs=1e-14)
 
     def test_positive_one_homogeneity(self, rng):
-        F = rl.homogenize(conformal_magnetic())
+        F = rl.HomogenizedLagrangian(conformal_magnetic())
         for _ in range(200):
             x = rng.uniform(-0.5, 0.5, 3)
             y = np.concatenate([[rng.uniform(0.2, 2.0)], rng.uniform(-1, 1, 2)])
@@ -163,7 +163,7 @@ class TestHomogenization:
     def test_slot_momentum_is_minus_the_energy(self, rng):
         # dF/dy0 at y0=1 equals L - v.dL/dv, the negative of the energy
         L = conformal_magnetic()
-        F = rl.homogenize(L)
+        F = rl.HomogenizedLagrangian(L)
         for _ in range(50):
             x = rng.uniform(-0.5, 0.5, 2)
             v = rng.uniform(-1.0, 1.0, 2)
@@ -171,7 +171,7 @@ class TestHomogenization:
             assert j.d_y[0] == pytest.approx(-rl.energy(L, x, v), rel=1e-13, abs=1e-13)
 
     def test_jets_match_finite_differences(self, rng):
-        F = rl.homogenize(conformal_magnetic())
+        F = rl.HomogenizedLagrangian(conformal_magnetic())
         h = float(np.finfo(float).eps) ** 0.25
         for _ in range(10):
             x = rng.uniform(-0.4, 0.4, 3)
@@ -184,7 +184,7 @@ class TestHomogenization:
             np.testing.assert_allclose(a.d_xy, b.d_xy, atol=1e-6)
 
     def test_domain_requires_positive_slot_velocity(self):
-        F = rl.homogenize(conformal_magnetic())
+        F = rl.HomogenizedLagrangian(conformal_magnetic())
         with pytest.raises(rl.DomainError):
             F.value(np.zeros(3), np.array([0.0, 1.0, 0.0]))
         with pytest.raises(rl.DomainError):
@@ -201,14 +201,14 @@ class TestHomogenization:
             rl.randers_closed_form(L, 2.0),
         ):
             with pytest.raises(TypeError, match="needs a base with an expr"):
-                rl.homogenize(base)
+                rl.HomogenizedLagrangian(base)
 
     def test_the_lift_of_an_untraced_base_equals_its_traced_twin(self, rng):
         # numpy's sin leaves the base, and so its lift, untraced, on the
         # hyper-dual path; the twin's lift runs the kernels
         L = rl.MagneticLagrangian(2, np.eye(2), potential=lambda xs: 0.3 * np.sin(xs[0]))
         T = rl.MagneticLagrangian(2, np.eye(2), potential=lambda xs: 0.3 * rl.duals.sin(xs[0]))
-        lifted, twin = rl.homogenize(L), rl.homogenize(T)
+        lifted, twin = rl.HomogenizedLagrangian(L), rl.HomogenizedLagrangian(T)
         assert lifted.expression is None and twin.expression is not None
         xs = rng.uniform(-2.0, 2.0, (50, 3))
         ys = np.column_stack([rng.uniform(0.2, 2.0, 50), rng.uniform(-1.0, 1.0, (50, 2))])
@@ -405,7 +405,7 @@ class TestEnergyLevelMetric:
         L = conformal_magnetic()
         e = 2.0
         Fe = rl.jacobi_finsler(L, e)
-        lifted = rl.homogenize(L)
+        lifted = rl.HomogenizedLagrangian(L)
         split = rl.CyclicSplit.of(3, [0])
         red = rl.routhian(
             lifted, split, np.array([-e]), guess=np.array([1.0]), verify=False

@@ -52,6 +52,14 @@ def test_the_guard_sees_the_package():
     assert len(MODULES) >= 10
 
 
+def test_no_package_name_shadows_a_module():
+    # routhlab.<name> is the module routhlab/<name>.py, not a function of that name
+    for path in MODULES:
+        if path.stem != "__init__":
+            module = _module(path)
+            assert getattr(routhlab, path.stem) is module, path.stem
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))

@@ -554,7 +554,7 @@ def test_reduced_batches_of_a_velocity_checked_base_run_in_lockstep():
     # a homogenized base guards its scale velocity, the cyclic one here, in
     # its formula, where a round's batched jet meets it; the check before the
     # rounds reads positions alone, so every round is one batch
-    H = rl.homogenize(rl.parse_lagrangian(POLAR, dim=2, domain=lambda x: x[0] > 0.1))
+    H = rl.HomogenizedLagrangian(rl.parse_lagrangian(POLAR, dim=2, domain=lambda x: x[0] > 0.1))
     sizes = _counting_batches(H)
     red = rl.ReducedLagrangian(H, CyclicSplit.of(3, [0]), np.array([-2.0]), guess=np.array([1.0]))
     rng = np.random.default_rng(12)

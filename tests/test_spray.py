@@ -88,6 +88,12 @@ def test_geodesic_rejects_degenerate_start():
         rl.integrate_geodesic(weak, np.zeros(2), np.array([-1.0, 0.0]), 1.0)
 
 
+def test_a_level_run_needs_an_energy_level_metric():
+    with pytest.raises(TypeError, match="energy-level metric"):
+        rl.integrate_geodesic(rl.poincare_randers(0.5), np.array([0.2, 0.0]),
+                              np.array([0.0, 1.0]), 1.0, level=True)
+
+
 def test_flat_disk_diameter_is_a_euclidean_line():
     # without rotation the hyperbolic geodesic through the center is a
     # diameter, hitting the boundary orthogonally
@@ -124,12 +130,13 @@ def test_projective_shift_reproduces_the_lagrangian_clock(rng):
     v0 = rl.rescale_to_energy(L, x0, np.array([0.7, 0.9]), e)
     t_end = 1.2
     el = rl.integrate_el(L, x0, v0, t_end, tol=1e-11)
-    geo = rl.integrate_geodesic(
-        Fe, x0, v0, t_end, tol=1e-11, level=Fe.level_jet
-    )
+    geo = rl.integrate_geodesic(Fe, x0, v0, t_end, tol=1e-11, level=True)
     gap = np.max(np.abs(el.positions - geo.positions))
     assert gap < 1e-9, f"pointwise mismatch {gap:.3e}"
     assert geo.meta["level_conserving"]
+    # the log is the energy the run holds
+    np.testing.assert_array_equal(geo.energy_log,
+                                  rl.lagrangian.energies(L, geo.positions, geo.velocities))
 
 
 def test_unshifted_geodesic_traces_the_same_set_at_its_own_pace():
@@ -195,7 +202,7 @@ def _state(rng, half_width, n=2):
 
 def _numpy_spray(F, level):
     accel = _assembled_spray(F)
-    return accel if level is None else projective_shift(accel, level)
+    return projective_shift(accel, F.level_jet) if level else accel
 
 
 @pytest.mark.parametrize("family", list(_TRACED_BASES))
@@ -205,7 +212,7 @@ def test_generated_spray_matches_the_numpy_assembly(rng, family):
     L, e, half_width = _TRACED_BASES[family]
     F = rl.jacobi_finsler(L, e)
     assert L.expression is not None
-    for level in (None, F.level_jet):
+    for level in (False, True):
         generated, oracle = _spray(F, level), _numpy_spray(F, level)
         done = 0
         while done < 300:
@@ -258,7 +265,7 @@ def _outcome(f):
 def test_generated_spray_raises_what_the_numpy_assembly_raises(source, e, x, y, raised):
     F = rl.jacobi_finsler(rl.parse_lagrangian(source, dim=2), e)
     x, y = np.array(x), np.array(y)
-    for level, error in zip((None, F.level_jet), raised):
+    for level, error in zip((False, True), raised):
         want = _outcome(lambda: _numpy_spray(F, level)(x, y))
         got = _outcome(lambda: _spray(F, level)(x, y))
         if error is None:
@@ -291,16 +298,15 @@ def _assembly_calls(monkeypatch, F, level):
 
 def test_only_traced_level_metrics_with_their_own_level_run_the_kernel(monkeypatch):
     traced = rl.jacobi_finsler(_TRACED_BASES["oscillator"][0], 2.0)
-    for level in (None, traced.level_jet):
+    for level in (False, True):
         assert _assembly_calls(monkeypatch, traced, level) == (0.0, 0.0)
-    # a base without a tree, and a level function that is not F's own
+    # a base without a tree
     untraced = rl.jacobi_finsler(
         rl.MagneticLagrangian(2, np.eye(2), potential=lambda xs: 0.3 * np.sin(xs[0])), 2.0)
     assert untraced.base.expression is None
-    for F, level in ((untraced, None), (untraced, untraced.level_jet),
-                     (traced, lambda x, y: traced.level_jet(x, y))):
-        half, evals = _assembly_calls(monkeypatch, F, level)
-        assert half >= 1.0 and evals >= 1.0, (F.base, level)
+    for level in (False, True):
+        half, evals = _assembly_calls(monkeypatch, untraced, level)
+        assert half >= 1.0 and evals >= 1.0, level
 
 
 def test_a_position_outside_the_domain_raises_at_the_first_probe():
