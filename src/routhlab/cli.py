@@ -42,7 +42,7 @@ from .homogenize import jacobi_finsler, quasi_definite_check, randers_closed_for
 from .lagrangian import MagneticLagrangian, energy, integrate_el, strong_convexity_check
 from .routh import _round_trip, check_invariance, momentum, reconstruct
 from .spray import integrate_geodesic
-from .verify import check_geodesic_equivalence
+from .verify import _arc_length, check_geodesic_equivalence
 
 __all__ = ["main"]
 
@@ -153,8 +153,8 @@ def cmd_describe(cfg, model, out_dir, seed):
 def cmd_integrate_el(cfg, model, out_dir, seed):
     """Integrate the Euler-Lagrange flow and write the sampled trajectory."""
     x0, v0, _ = initial_state(cfg, model)
-    t_end, samples, tol = time_settings(cfg)
-    traj = integrate_el(model, x0, v0, t_end, tol=tol, samples=samples)
+    t_end, run = time_settings(cfg)
+    traj = integrate_el(model, x0, v0, t_end, **run)
     return _write_run(out_dir, "el_trajectory.csv", traj, "energy")
 
 
@@ -184,9 +184,9 @@ def cmd_finslerize(cfg, model, out_dir, seed):
 def cmd_geodesic(cfg, model, out_dir, seed):
     """Integrate a geodesic of the energy-level metric and write it as CSV."""
     x0, v0, e = _energy_state(cfg, model)
-    t_end, samples, tol = time_settings(cfg, geodesic=True)
+    t_end, run = time_settings(cfg, geodesic=True)
     level, unit_speed = geodesic_flags(cfg)
-    traj = integrate_geodesic(jacobi_finsler(model, e), x0, v0, t_end, tol=tol, samples=samples,
+    traj = integrate_geodesic(jacobi_finsler(model, e), x0, v0, t_end, **run,
                               level=level, unit_speed=unit_speed)
     return _write_run(out_dir, "geodesic_trajectory.csv", traj, "energy" if level else "speed")
 
@@ -195,11 +195,10 @@ def cmd_geodesic(cfg, model, out_dir, seed):
 def cmd_verify(cfg, model, out_dir, seed):
     """Check that the energy-level geodesics reproduce the Lagrangian flow."""
     x0, v0, e = _energy_state(cfg, model)
-    t_end, samples, tol = time_settings(cfg)
+    t_end, run = time_settings(cfg)
     bounds = verify_tolerances(cfg)
     try:
-        report = check_geodesic_equivalence(model, e, x0, v0, t_end, tol=tol, samples=samples,
-                                            **bounds)
+        report = check_geodesic_equivalence(model, e, x0, v0, t_end, **run, **bounds)
     except PreconditionError as exc:
         click.echo(f"[FAIL] geodesic equivalence: {exc}")
         return 1
@@ -216,13 +215,13 @@ def cmd_routh_reduce(cfg, model, out_dir, seed):
     if split is None:
         raise ConfigError("routh-reduce needs a 'cyclic' list of 1-based indices")
     x0, v0, _ = initial_state(cfg, model)
-    t_end, samples, tol = time_settings(cfg)
+    t_end, run = time_settings(cfg)
     mu = cyclic_momentum(cfg, split)
     check_invariance(model, split, ref_x=x0, seed=seed)
     if mu is None:
         mu = momentum(model, split, x0, v0)
     # rebuild the reduced flow the round trip integrated, from its model's guess
-    report, reduced_traj = _round_trip(model, split, mu, x0, v0, t_end, tol=tol, samples=samples)
+    report, reduced_traj = _round_trip(model, split, mu, x0, v0, t_end, **run)
     full = reconstruct(model, split, mu, reduced_traj, cyclic_start=x0[split.cyc_idx],
                        guess=v0[split.cyc_idx])
     csv_path = _outpath(out_dir, "reconstructed_trajectory.csv")
@@ -240,15 +239,13 @@ def cmd_plot(cfg, model, out_dir, seed):
     if model.dim != 2:
         raise ConfigError("plot requires a 2-dimensional model")
     x0, v0, e = initial_state(cfg, model)
-    t_end, samples, tol = time_settings(cfg)
+    t_end, run = time_settings(cfg)
     show_disk = plot_unit_disk(cfg)
-    traj = integrate_el(model, x0, v0, t_end, tol=tol, samples=samples)
+    traj = integrate_el(model, x0, v0, t_end, **run)
     curves = [{"points": traj.positions, "label": "euler-lagrange", "color": "#1f6feb"}]
     if e is not None:
         metric = jacobi_finsler(model, e)
-        lengths = metric.eval_batch(traj.positions, traj.velocities, 0)
-        arc = integrate_geodesic(metric, x0, v0, float(np.trapezoid(lengths, traj.times)),
-                                 tol=tol, samples=samples, unit_speed=True)
+        arc = integrate_geodesic(metric, x0, v0, _arc_length(metric, traj), **run, unit_speed=True)
         curves.append({"points": arc.positions, "label": "level-metric geodesic",
                        "color": "#d1242f", "dash": "6,4"})
     path = _outpath(out_dir, "trajectories.svg")

@@ -245,17 +245,20 @@ def initial_state(cfg: dict, L: LagrangianModel):
     return x0, v0, e
 
 
-def time_settings(cfg: dict, geodesic: bool = False):
-    """(t_end, samples, tol) with defaults; ``geodesic`` lets geodesic.t_end replace time.t_end."""
+def time_settings(cfg: dict, geodesic: bool = False) -> tuple[float, dict]:
+    """t_end, and the ``samples`` and ``tol`` the config sets as the integrators' keywords.
+
+    ``geodesic`` lets geodesic.t_end replace time.t_end.
+    """
     tc = _section(cfg, "time")
     t_end = tc.get("t_end")
     if geodesic:
         t_end = _section(cfg, "geodesic").get("t_end", t_end)
     if t_end is None:
         raise ConfigError("time.t_end is required for integration commands")
-    samples = _number(tc.get("samples", 801), "time.samples", int, 1)
-    tol = _number(tc.get("tol", 1e-10), "time.tol", above=0)
-    return _number(t_end, "t_end", above=0), samples, tol
+    options = {key: _number(tc[key], f"time.{key}", *rule)
+               for key, rule in (("samples", (int, 1)), ("tol", (float, 0))) if key in tc}
+    return _number(t_end, "t_end", above=0), options
 
 
 def verify_tolerances(cfg: dict) -> dict:

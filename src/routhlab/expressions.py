@@ -35,12 +35,14 @@ evaluators derive from a tree:
   the fiber kernel over columns: each argument holds one coordinate of many
   rows, +, -, * and / run as numpy ufuncs, which round as Python floats do,
   and ``**`` and the functions run the float kernels' functions entry by
-  entry. The ``"spray"`` kernel takes (x, y, s, e) and returns the spray of
-  the energy-e level metric over the tree at scale s, from the full jet at
-  (x, y/s); ``"level-spray"`` adds :func:`routhlab.spray.projective_shift`'s
-  shift that holds the energy. The ``"el"`` kernel gives the Euler-Lagrange
-  acceleration at (x, v); ``"reduced-el"`` gives that of the reduction by one
-  cyclic coordinate, or None where two momentum probes do not settle it.
+  entry. The acceleration kinds are one Euler-Lagrange step, the solve of
+  L_yy a = L_x - L_xy^T v, over a jet source that mirrors its numpy twin:
+  ``"el"`` over the tree's full jet at (x, v); ``"spray"`` over the half
+  square of the energy-e level metric at (x, y) and scale s, whose jet comes
+  from the tree's at (x, y/s); ``"level-spray"`` adds
+  :func:`routhlab.spray.projective_shift`'s shift that holds the energy; and
+  ``"reduced-el"`` runs over the reduction by one cyclic coordinate, or
+  returns None where two momentum probes do not settle it.
   Kernel code is written from the tree alone, never from source text: names
   come from a fixed set and finite constants print with ``repr``.
 """
@@ -324,20 +326,8 @@ def time_derivative(form: "Expression") -> "Expression":
 # -- jet kernels -----------------------------------------------------------------
 
 
-def _sqrt_domain():
-    raise ValueError("sqrt of non-positive value")
-
-
-def _log_domain():
-    raise ValueError("log of non-positive value")
-
-
-def _negative_base():
-    raise ValueError("negative base with fractional exponent")
-
-
-def _not_positive(message):
-    raise ValueError(message)
+def _raise(error, message):
+    raise error(message)
 
 
 def _singular(*x):
@@ -349,11 +339,6 @@ def _singular_hessian(*xv):
     raise SingularHessian(f"velocity Hessian is singular at x={np.array(xv[:n])}, v={np.array(xv[n:])}")
 
 
-def _insensitive_level():
-    raise DomainError("level function is insensitive to the velocity scale; "
-                      "no conserving reparametrization exists here")
-
-
 #: the only global names kernel code can read; temporaries are t0, t1, ...
 _KERNEL_GLOBALS = {
     "_sqrt": math.sqrt,
@@ -363,13 +348,14 @@ _KERNEL_GLOBALS = {
     "_log": math.log,
     "_power": duals.power,
     "_array": np.array,
-    "_sqrt_domain": _sqrt_domain,
-    "_log_domain": _log_domain,
-    "_negative_base": _negative_base,
-    "_not_positive": _not_positive,
+    "_sqrt_domain": functools.partial(_raise, ValueError, "sqrt of non-positive value"),
+    "_log_domain": functools.partial(_raise, ValueError, "log of non-positive value"),
+    "_negative_base": functools.partial(_raise, ValueError, "negative base with fractional exponent"),
+    "_not_positive": functools.partial(_raise, ValueError),
     "_singular": _singular,
     "_singular_hessian": _singular_hessian,
-    "_insensitive_level": _insensitive_level,
+    "_insensitive_level": functools.partial(_raise, DomainError, "level function is insensitive to the "
+                                            "velocity scale; no conserving reparametrization exists here"),
     "_fabs": math.fabs,
     "_INF": math.inf,
     "_NAN": math.nan,
@@ -426,6 +412,11 @@ def _is(a, c: float) -> bool:
     return type(a) is float and a == c
 
 
+#: each kernel kind and the arguments it takes after the n positions and the n velocities
+_KINDS = {"fiber": (), "full": (), "columns": (), "el": (), "spray": ("s", "e"),
+          "level-spray": ("s", "e"), "reduced-el": ("mu", "bound", "ceiling")}
+
+
 class _KernelWriter:
     """Writes one jet kernel as Python source.
 
@@ -447,10 +438,8 @@ class _KernelWriter:
         # the column kernel is the fiber kernel with its operands columns
         self.columns = kind == "columns"
         self.lines = []
-        # t0 .. t(2n-1) are the arguments x, then y; a spray's t(2n) and t(2n+1)
-        # are s and e, and a reduced kernel's t(2n) .. t(2n+2) are mu and its bounds
-        extra = {"spray": 2, "level-spray": 2, "reduced-el": 3}.get(kind, 0)
-        self.count = self.arity = 2 * n + extra
+        # t0 .. t(2n-1) are the arguments x, then y, and the kind's own follow
+        self.count = self.arity = 2 * n + len(_KINDS[kind])
         self.slots = [f"t{k}" for k in range(2 * n)]  # the operands x and v read
         self.done = {}  # id of a node already written: its jet
         self.names = {}  # right-hand side already written: its temporary
@@ -714,14 +703,17 @@ class _KernelWriter:
         f2 = op("*", p * (p - 1.0), op("**", v, p - 2.0))
         return self.chain(a, f0, f1, f2)
 
-    # -- the spray of the level metric and the Euler-Lagrange acceleration ----------
+    # -- jet sources and the Euler-Lagrange step ----------------------------------------
+    # A jet source writes (value, d_x, d_y, d_xy, d_yy) at the kernel's point,
+    # d_xy and d_yy as rows, each mirroring its numpy twin; an entry no step
+    # reads is None, and the reduced source may decline with ``return None``.
 
     def dot(self, a, b):
         """sum(a[i] * b[i]), summed from the left as ``@`` sums a short vector."""
         return functools.reduce(self.add, map(self.mul, a, b), 0.0)
 
     def base_jet(self, tree, velocity):
-        """The full jet of the base at (x, velocity): value, d_x, d_y, d_xy and d_yy rows."""
+        """The full jet of the tree at (x, velocity)."""
         n = self.n
         self.slots = self.slots[:n] + velocity  # what the tree's x and v read
         self.done = {}  # a node's jet depends on the point
@@ -729,59 +721,39 @@ class _KernelWriter:
         rows = [h[r * n:(r + 1) * n] for r in range(2 * n)]
         return v, g[:n], g[n:], rows[:n], rows[n:]
 
-    def spray(self, tree, level: bool):
-        """The spray of F_e over tree at (x, y) and scale s, shifted to hold the energy with ``level``.
-
-        Entry by entry in the order of ``JacobiFinslerModel.eval``,
-        ``half_square_jet``, ``canonical_spray`` and ``projective_shift``.
-        """
+    def level_jet(self, tree, s, e):
+        """The jet of F_e over the tree at (x, y) and scale s, as ``JacobiFinslerModel.eval`` assembles it."""
         n, add, sub, mul, div = self.n, self.add, self.sub, self.mul, self.div
-        y, s, e = self.slots[n:], f"t{2 * n}", f"t{2 * n + 1}"
-        v = [div(yi, s) for yi in y]
+        v = [div(yi, s) for yi in self.slots[n:]]
         val, l_x, l_v, l_xv, l_vv = self.base_jet(tree, v)
         gv = [self.dot(row, v) for row in l_vv]
         q = self.dot(v, gv)
-        f = mul(s, add(val, e))
-        f_x = [mul(s, d) for d in l_x]
         b = [[div(sub(l_vv[i][j], div(mul(gv[i], gv[j]), q)), s) for j in range(n)] for i in range(n)]
-        f_yy = [[mul(0.5, add(b[i][j], b[j][i])) for j in range(n)] for i in range(n)]
         e_x = [sub(self.dot(row, v), d) for row, d in zip(l_xv, l_x)]
-        f_xy = [[sub(l_xv[i][j], div(mul(e_x[i], gv[j]), q)) for j in range(n)] for i in range(n)]
-        e_yy = [[add(mul(l_v[i], l_v[j]), mul(f, f_yy[i][j])) for j in range(n)] for i in range(n)]
-        e_xy = [[add(mul(f_x[i], l_v[j]), mul(f, f_xy[i][j])) for j in range(n)] for i in range(n)]
-        rhs = [sub(mul(f, f_x[j]), self.dot([row[j] for row in e_xy], y)) for j in range(n)]
-        a = self.solve(e_yy, rhs, f"_singular({', '.join(self.slots[:n])})")
-        if not level:
-            return a
-        _, m_x, _, m_xy, m_yy = self.base_jet(tree, y)
-        l_x = [sub(self.dot(row, y), d) for row, d in zip(m_xy, m_x)]
-        l_y = [self.dot(row, y) for row in m_yy]
-        den = self.dot(l_y, y)
-        self.require(self.call("fabs", den), "<", "_insensitive_level()", bound=1e-14)
-        p = div(self.neg(add(self.dot(l_x, y), self.dot(l_y, a))), den)
-        return [add(ai, mul(p, yi)) for ai, yi in zip(a, y)]
+        return (mul(s, add(val, e)), [mul(s, d) for d in l_x], l_v,
+                [[sub(l_xv[i][j], div(mul(e_x[i], gv[j]), q)) for j in range(n)] for i in range(n)],
+                [[mul(0.5, add(b[i][j], b[j][i])) for j in range(n)] for i in range(n)])
 
-    def el(self, tree):
-        """L_vv^-1 (L_x - L_xv^T v) at (x, v), the acceleration ``el_acceleration`` solves for."""
-        v = self.slots[self.n:]
-        _, l_x, _, l_xv, l_vv = self.base_jet(tree, v)
-        rhs = [self.sub(d, self.dot([row[j] for row in l_xv], v)) for j, d in enumerate(l_x)]
-        return self.solve(l_vv, rhs, f"_singular_hessian({', '.join(self.slots)})")
+    def half_square(self, jet):
+        """The jet of E = F^2/2 from F's, as ``half_square_jet`` assembles it; E and E_y are None."""
+        f, f_x, f_y, f_xy, f_yy = jet
+        add, mul, n = self.add, self.mul, self.n
+        return (None, [mul(f, d) for d in f_x], None,
+                [[add(mul(f_x[i], f_y[j]), mul(f, f_xy[i][j])) for j in range(n)] for i in range(n)],
+                [[add(mul(f_y[i], f_y[j]), mul(f, f_yy[i][j])) for j in range(n)] for i in range(n)])
 
-    def reduced_el(self, tree):
-        """The Euler-Lagrange acceleration of the reduction by the cyclic coordinate, or None.
+    def reduced_jet(self, tree, mu, bound, ceiling):
+        """The jet of the reduction by the cyclic coordinate at the shape point; its value is None.
 
-        It takes the full point, with 0.0 as the cyclic position and the guess
+        It reads the full point, with 0.0 as the cyclic position and the guess
         as the cyclic velocity, then mu and ``routh._momentum_bounds``. It
-        writes the first two probes of ``routh._momentum_steps``, a fiber jet
-        at the guess and, one Newton step on, the full jet, then the float
-        operations of ``ReducedLagrangian.eval`` and the solve. It returns
-        None where the solve converges at the guess, diverges or needs more
-        steps, or a pivot is zero.
+        writes ``routh._momentum_steps``' first two probes, a fiber jet at the
+        guess and, one Newton step on, the full jet, then the float operations
+        of ``ReducedLagrangian.eval``'s Schur step. It declines where the solve
+        converges at the guess, diverges or needs more steps, or a pivot is zero.
         """
         n, c, op = self.n, self.cyclic, self.op
         v, s = self.slots[n:], [i for i in range(n) if i != c]
-        mu, bound, ceiling = (f"t{2 * n + k}" for k in range(3))
 
         def norm(r):  # |r| on floats, as the momentum solve takes it
             return self.call("sqrt", op("*", r, r))
@@ -798,7 +770,7 @@ class _KernelWriter:
         # not converged, or a residual that is not a number
         self.lines += [f"    if not {norm(op('-', l_v[c], mu))} <= {bound}:", "        return None"]
         # dgesv divides a 1x1 system with one column and multiplies by the
-        # reciprocal with more; a product of one term adds it to 0.0
+        # reciprocal with more; a 1x1 matrix product adds its one term to 0.0
         self.require(self.call("fabs", l_vv[c][c]), "<=", "return None")
         w = {j: op("/", l_vv[c][j], l_vv[c][c]) if n == 2 else op("*", l_vv[c][j], op("/", 1.0, l_vv[c][c]))
              for j in s}
@@ -806,11 +778,27 @@ class _KernelWriter:
         def schur(block, i, j):
             return op("-", block[i][j], op("+", 0.0, op("*", block[i][c], w[j])))
 
-        h_s = [[op("*", 0.5, op("+", schur(l_vv, i, j), schur(l_vv, j, i))) for j in s] for i in s]
-        terms = [[op("*", schur(l_xv, i, j), v[i]) for i in s] for j in s]
-        rhs = [op("-", l_x[j], functools.reduce(functools.partial(op, "+"), t, 0.0))
-               for j, t in zip(s, terms)]
-        return self.solve(h_s, rhs, "return None")
+        # a float entry of L_x is written out, so L_x - L_xv^T v subtracts from it as numpy does
+        return (None, [self.emit(self.lit(l_x[j])) if _const(l_x[j]) else l_x[j] for j in s],
+                [l_v[j] for j in s], [[schur(l_xv, i, j) for j in s] for i in s],
+                [[op("*", 0.5, op("+", schur(l_vv, i, j), schur(l_vv, j, i))) for j in s] for i in s])
+
+    def el(self, jet, v, fail: str):
+        """L_yy^-1 (L_x - L_xy^T v) of a jet at velocity v, the acceleration ``el_acceleration`` solves for."""
+        _, l_x, _, l_xv, l_vv = jet
+        rhs = [self.sub(d, self.dot([row[j] for row in l_xv], v)) for j, d in enumerate(l_x)]
+        return self.solve(l_vv, rhs, fail)
+
+    def level_shift(self, tree, y, a):
+        """a + p y holding the base energy, as ``projective_shift`` with ``JacobiFinslerModel.level_jet``."""
+        add, sub, dot = self.add, self.sub, self.dot
+        _, m_x, _, m_xy, m_yy = self.base_jet(tree, y)
+        l_x = [sub(dot(row, y), d) for row, d in zip(m_xy, m_x)]
+        l_y = [dot(row, y) for row in m_yy]
+        den = dot(l_y, y)
+        self.require(self.call("fabs", den), "<", "_insensitive_level()", bound=1e-14)
+        p = self.div(self.neg(add(dot(l_x, y), dot(l_y, a))), den)
+        return [add(ai, self.mul(p, yi)) for ai, yi in zip(a, y)]
 
     def swap_if(self, test: str, top: list, row: list):
         """(row, top) where test holds at run time, else (top, row), in new temporaries."""
@@ -851,7 +839,9 @@ class _KernelWriter:
     # -- the kernel ---------------------------------------------------------------
 
     def write(self, tree) -> str:
-        n, lit = self.n, self.lit
+        n, lit, kind = self.n, self.lit, self.kind
+        args = [f"t{k}" for k in range(self.arity)]
+        x, v, extra = args[:n], args[n:2 * n], args[2 * n:]
 
         def vec(entries):
             return "_array([" + ", ".join(lit(e) for e in entries) + "])"
@@ -863,21 +853,25 @@ class _KernelWriter:
         def stack(entries, shape=""):
             return f"_stack(t0, [{', '.join(lit(e) for e in entries)}]{shape})"
 
-        if self.kind.endswith("spray"):
-            out = [vec(self.spray(tree, self.kind == "level-spray"))]
-        elif self.kind.endswith("el"):
-            out = [vec(self.el(tree) if self.kind == "el" else self.reduced_el(tree))]
+        # an acceleration is the Euler-Lagrange step over its kind's jet source
+        if kind == "el":
+            out = [vec(self.el(self.base_jet(tree, v), v, f"_singular_hessian({', '.join(x + v)})"))]
+        elif kind == "reduced-el":
+            shape = [vi for i, vi in enumerate(v) if i != self.cyclic]
+            out = [vec(self.el(self.reduced_jet(tree, *extra), shape, "return None"))]
+        elif kind.endswith("spray"):
+            a = self.el(self.half_square(self.level_jet(tree, *extra)), v, f"_singular({', '.join(x)})")
+            out = [vec(self.level_shift(tree, v, a) if kind == "level-spray" else a)]
         else:
-            v, g, h = self.jet(tree)
+            val, g, h = self.jet(tree)
             if self.full:
                 half = n * n
-                out = [lit(v), vec(g[:n]), vec(g[n:]), mat(h[half:]), mat(h[:half])]
+                out = [lit(val), vec(g[:n]), vec(g[n:]), mat(h[half:]), mat(h[:half])]
             elif self.columns:
-                out = [stack([v]), stack(g, f", {n}"), stack(h, f", {n}, {n}")]
+                out = [stack([val]), stack(g, f", {n}"), stack(h, f", {n}, {n}")]
             else:
-                out = [lit(v), vec(g), mat(h)]
-        args = ", ".join(f"t{k}" for k in range(self.arity))
-        return "\n".join([f"def kernel({args}):", *self.lines, "    return " + ", ".join(out), ""])
+                out = [lit(val), vec(g), mat(h)]
+        return "\n".join([f"def kernel({', '.join(args)}):", *self.lines, "    return " + ", ".join(out), ""])
 
 
 #: the live kernel of each linecache name: one text a name, so other text takes a suffix
@@ -885,7 +879,7 @@ _KERNELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _compile_kernel(source: str, tree, kind: str, n: int, cyclic: int | None):
-    if kind not in ("fiber", "full", "columns", "spray", "level-spray", "el", "reduced-el"):
+    if kind not in _KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}")
     text = _KernelWriter(n, kind, cyclic).write(tree)
     where = f"n={n}" if cyclic is None else f"n={n} c={cyclic}"
@@ -938,17 +932,15 @@ class Expression:
         return self
 
     def jet_kernel(self, kind: str, n: int, cyclic: int | None = None):
-        """The compiled ``"fiber"``, ``"full"``, ``"columns"``, ``"spray"``, ``"level-spray"``,
-        ``"el"`` or ``"reduced-el"`` kernel.
+        """The compiled kernel of a kind in ``_KINDS``, made on first use (a live equal one is reused) and kept.
 
-        It takes the n positions and then the n velocities, as floats or,
-        for the column kernel, as (k,) columns of k rows. The fiber kernel
-        returns (value, d_y, d_yy), the full kernel (value, d_x, d_y, d_yy,
-        d_xy), and the column kernel the fiber blocks of every row stacked,
-        of shapes (k,), (k, n) and (k, n, n). The spray kernels also take s
-        and e, and they and the ``"el"`` kernel return the n accelerations;
-        the ``"reduced-el"`` kernel of the cyclic index ``cyclic`` is
-        ``_KernelWriter.reduced_el``. Each is made on first use (a live equal one is reused) and kept.
+        It takes the n positions, the n velocities and then the kind's own
+        arguments, as floats or, for the column kernel, as (k,) columns of k
+        rows. The fiber kernel returns (value, d_y, d_yy), the full kernel
+        (value, d_x, d_y, d_yy, d_xy), the column kernel the fiber blocks of
+        every row stacked, of shapes (k,), (k, n) and (k, n, n), and the
+        acceleration kinds the n accelerations. ``"reduced-el"``, of the cyclic
+        index ``cyclic``, returns None where its momentum probes do not apply.
         """
         key = (kind, n, cyclic)
         kernel = self._kernels.get(key)

@@ -252,8 +252,8 @@ def _momentum_bounds(mu, z, shape_norm):
 
 
 def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_shape,
-                   ys_shape, guesses) -> np.ndarray:
-    """:func:`solve_momentum` on every row, from the row's guess; a (k, m) array.
+                   ys_shape, guess: np.ndarray) -> np.ndarray:
+    """:func:`solve_momentum` on every row, each from the one guess of shape (m,); a (k, m) array.
 
     Each row runs its own step routine under :func:`jets.lockstep`. With one
     cyclic coordinate and every row's position inside L's position
@@ -266,14 +266,14 @@ def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_sh
     in order through ``solve_momentum``, so the first failing row raises.
     """
     xs_shape, ys_shape = batch_rows(xs_shape, ys_shape)
-    k, m = len(guesses), len(split.cyclic)
+    k, m = len(xs_shape), len(split.cyclic)
     full_x = _embed_rows(split, xs_shape, 0.0)
-    full_y = _embed_rows(split, ys_shape, guesses)
+    full_y = _embed_rows(split, ys_shape, guess)
     norms = np.sqrt((ys_shape[:, None, :] @ ys_shape[:, :, None])[:, 0, 0]).tolist()
     if m == 1:
-        c, mu_c, zs = split.cyclic[0], mu.item(), np.ravel(guesses).tolist()
+        c, mu_c, z0 = split.cyclic[0], mu.item(), guess.item()
     else:
-        c, mu_c, zs = split.cyc_idx, mu, [np.array(g, float) for g in guesses]
+        c, mu_c, z0 = split.cyc_idx, mu, guess
 
     def batch(rows, _):
         _, d_y, d_yy = L._eval_rows(full_x[rows], full_y[rows], 1)
@@ -281,14 +281,12 @@ def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_sh
                 for p, h in zip(d_y[:, c].tolist(), d_yy[:, c, c].tolist())]
 
     # each routine writes its iterates into its own row of full_y
-    steps = [_momentum_steps(L, c, mu_c, full_x[i], full_y[i], z, norms[i])
-             for i, z in enumerate(zs)]
+    steps = [_momentum_steps(L, c, mu_c, full_x[i], full_y[i], z0, norms[i]) for i in range(k)]
     try:
         z = lockstep(steps, lambda i, _: _cyclic_jet(L, c, full_x[i], full_y[i]),
                      batch if m == 1 and L._rows_in_domain(full_x, full_y) else None)
     except EVAL_ERRORS:
-        z = [solve_momentum(L, split, mu, x, y, guess=g)
-             for x, y, g in zip(xs_shape, ys_shape, guesses)]
+        z = [solve_momentum(L, split, mu, x, y, guess=guess) for x, y in zip(xs_shape, ys_shape)]
     return np.array(z, float).reshape(k, m)
 
 
@@ -359,8 +357,7 @@ class ReducedLagrangian(LagrangianModel):
         stacked ``np.linalg.solve`` otherwise; products are stacked matmuls.
         """
         split = self.split
-        z = _solve_momenta(self.base, split, self.mu, xs, ys,
-                           np.broadcast_to(self.guess, (len(xs), len(split.cyclic))))
+        z = _solve_momenta(self.base, split, self.mu, xs, ys, self.guess)
         # every row passed the base's position predicate in the solve
         j = self.base._eval_rows(_embed_rows(split, xs, 0.0), _embed_rows(split, ys, z), order)
         mu_z = (self.mu[None, None, :] @ z[:, :, None])[:, 0, 0]
@@ -498,8 +495,7 @@ def reconstruct(
     k, n_red = len(times), reduced.dim
     mid_states = reduced.dense.sample(0.5 * (times[:-1] + times[1:]))
     z = _solve_momenta(L, split, mu, np.vstack([reduced.positions, mid_states[:, :n_red]]),
-                       np.vstack([reduced.velocities, mid_states[:, n_red:]]),
-                       np.broadcast_to(guess, (2 * k - 1, m)))
+                       np.vstack([reduced.velocities, mid_states[:, n_red:]]), guess)
     z_samples, z_mids = z[:k], z[k:]
 
     jumps = np.linalg.norm(np.diff(z_samples, axis=0), axis=1)

@@ -88,6 +88,11 @@ def rescale_to_energy(L: LagrangianModel, x0, v0, e: float) -> np.ndarray:
     return np.asarray(v0, float) / res.s
 
 
+def _arc_length(F, traj) -> float:
+    """The F-length of a trajectory's arc: F at its samples, by the trapezoid rule."""
+    return float(np.trapezoid(F.eval_batch(traj.positions, traj.velocities), traj.times))
+
+
 def check_geodesic_equivalence(
     L: LagrangianModel,
     e: float,
@@ -127,10 +132,8 @@ def check_geodesic_equivalence(
         el = integrate_el(L, x0, v0, t_end, tol=tol, samples=samples)
         el_drift = float(np.max(np.abs(el.energy_log - e)))
 
-        # level-metric length of the Lagrangian arc, by the trapezoid rule
         run = "affine geodesic"
-        f_along = metric.eval_batch(el.positions, el.velocities, 0)
-        length = float(np.trapezoid(f_along, el.times))
+        length = _arc_length(metric, el)
 
         arc = integrate_geodesic(
             metric, x0, v0, 1.02 * length, tol=tol, samples=samples, unit_speed=True

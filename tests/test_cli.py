@@ -227,6 +227,17 @@ class TestCommands:
         traj = rl.read_trajectory_csv(tmp_path / "reconstructed_trajectory.csv")
         assert traj.positions.shape[1] == 2
 
+    def test_routh_reduce_without_a_tolerance_integrates_at_the_library_default(self, tmp_path):
+        # the config passes only the settings it has, so the round trip's own 1e-11 holds
+        cfg = json.loads((CONFIGS / "polar_reduction.json").read_text())
+        del cfg["time"]["tol"]
+        path = tmp_path / "polar_reduction.json"
+        path.write_text(json.dumps(cfg))
+        r = invoke(["routh-reduce", "--config", str(path), "--out", str(tmp_path)])
+        assert r.exit_code == 0, r.output
+        report = json.loads((tmp_path / "reduction_report.json").read_text())
+        assert any("tol=1e-11," in note for note in report["notes"]), report["notes"]
+
     def test_verify_report_json_carries_config_name(self, tmp_path):
         r = invoke(
             ["verify", "--config", str(CONFIGS / "disk_verify.json"),

@@ -496,6 +496,19 @@ def test_reduced_el_kernel_equals_the_schur_assembly(numpy_el, source):
                     _exact_outcome(lambda: numpy_el(red, x[:1], y[:1])), (text, x, y, mu)
 
 
+def test_reduced_el_kernel_of_a_lagrangian_free_in_the_shape_position_keeps_numpy_zeros(numpy_el):
+    # L_x is a structural zero and L_xv^T v a product that is 0.0 or -0.0:
+    # numpy's 0.0 - (+-0.0) is +0.0, where negating the product would give -0.0
+    model = parse_lagrangian("v1^2 + v1*v2^2 + 2*v2^2", dim=2)
+    split = CyclicSplit.of(2, [1])
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        x, v = np.array([rng.uniform(-1.0, 1.0), 0.0]), rng.uniform(-1.5, 1.5, 2)
+        red = ReducedLagrangian(model, split, momentum(model, split, x, v), guess=[v[1] + 0.125])
+        assert red._el_kernel(x[:1], v[:1]) is not None
+        assert el_acceleration(red, x[:1], v[:1]).tobytes() == numpy_el(red, x[:1], v[:1]).tobytes()
+
+
 def _form_jet_assembly(base, form, x, y, order):
     """The jet of gauge_shift(base, form) as the base's jet plus the gradient
     and Hessian of the form run on hyper-dual seeds: the oracle of its tree."""

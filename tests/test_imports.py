@@ -10,7 +10,9 @@ go through ``eval_batch``. And only ``jets`` drives step routines: their
 And only ``expressions`` turns text into code, with ``compile`` and
 ``exec``: kernel text is written from expression trees, never from the
 source of a callable. And only ``jets`` calls ``jet_kernel``: every field
-runs its kernels through ``ScalarField``'s one evaluator. And ``cli`` reads
+runs its kernels through ``ScalarField``'s one evaluator. And in the kernel
+writer only the Euler-Lagrange step ``el`` calls ``solve``: every
+acceleration kind is that step over a jet source. And ``cli`` reads
 no key of a config: only ``config``
 reads the format, and each command is one function on the command skeleton,
 with no ``body`` closure.
@@ -245,6 +247,38 @@ def test_the_guard_flags_a_kernel_dispatched_elsewhere():
         "columns = tree.jet_kernel('columns', n)(*xs.T, *ys.T)\n"
     )
     assert _kernel_calls(tree) == [1, 5]
+
+
+def _solve_callers(tree):
+    """Names of the ``_KernelWriter`` methods that call ``self.solve``."""
+    return sorted({
+        method.name
+        for writer in ast.walk(tree) if isinstance(writer, ast.ClassDef) and writer.name == "_KernelWriter"
+        for method in writer.body if isinstance(method, ast.FunctionDef)
+        for node in ast.walk(method)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "solve" and _name(node.func.value) == "self"
+    })
+
+
+def test_only_the_el_step_solves():
+    path = Path(routhlab.__file__).parent / "expressions.py"
+    assert _solve_callers(ast.parse(path.read_text(), filename=str(path))) == ["el"]
+
+
+def test_the_guard_flags_a_second_solve():
+    tree = ast.parse(
+        "class _KernelWriter:\n"
+        "    def el(self, jet, v, fail):\n"
+        "        return self.solve(jet[4], jet[1], fail)\n"
+        "    def spray(self, tree):\n"
+        "        return self.solve(g, rhs, '_singular()')\n"
+        "    def solve(self, a, b, fail):\n"
+        "        return np.linalg.solve(a, b)\n"
+        "def reduced_el(writer):\n"
+        "    return writer.solve(h, rhs, 'return None')\n"
+    )
+    assert _solve_callers(tree) == ["el", "spray"]
 
 
 def _config_reads(tree):

@@ -584,14 +584,14 @@ def test_lockstep_momentum_solve_backtracks_as_the_rows(guess):
          CyclicSplit.of(3, [1, 2])),
     ):
         m = len(split.cyclic)
-        guesses = np.broadcast_to(np.zeros(m) if guess is None else guess, (150, m))
+        g = np.full(m, 0.0 if guess is None else guess[0])
         solved = 0
         # the steep target 100 is out of the Newton budget's reach on some rows
         for mu in [*rng.uniform(-4.0, 4.0, (6, m)), np.full(m, 100.0)]:
             one_by_one = [_rows(lambda: rl.solve_momentum(L, split, mu, x, y, guess=g))
-                          for x, y, g in zip(xs, ys, guesses)]
+                          for x, y in zip(xs, ys)]
             # the lockstep solve, row by row where no row fails
-            got = _rows(lambda: rl.routh._solve_momenta(L, split, mu, xs, ys, guesses))
+            got = _rows(lambda: rl.routh._solve_momenta(L, split, mu, xs, ys, g))
             if all(isinstance(r, list) for r in one_by_one):
                 solved += 1
                 assert got == [("<f8", (150, m), b"".join(r[0][2] for r in one_by_one))]
