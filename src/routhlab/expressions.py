@@ -42,9 +42,11 @@ evaluators derive from a tree:
   from the tree's at (x, y/s); ``"level-spray"`` adds
   :func:`routhlab.spray.projective_shift`'s shift that holds the energy; and
   ``"reduced-el"`` runs over the reduction by one cyclic coordinate, or
-  returns None where two momentum probes do not settle it.
-  Kernel code is written from the tree alone, never from source text: names
-  come from a fixed set and finite constants print with ``repr``.
+  returns None where two momentum probes do not settle it; each returns a
+  tuple of floats. A kernel keeps no guard twice, and no assignment that
+  nothing reads and that cannot raise. Kernel code is written from the tree
+  alone, never from source text: names come from a fixed set and finite
+  constants print with ``repr``. :func:`define` compiles it.
 """
 
 from __future__ import annotations
@@ -412,6 +414,10 @@ def _is(a, c: float) -> bool:
     return type(a) is float and a == c
 
 
+_TEMPORARY = re.compile(r"\bt\d+\b")
+#: a top-level assignment with no division, power or call on its right
+_PURE_ASSIGNMENT = re.compile(r"    (t\d+) = (?!.*(?:/|\*\*|\w\()).*")
+
 #: each kernel kind and the arguments it takes after the n positions and the n velocities
 _KINDS = {"fiber": (), "full": (), "columns": (), "el": (), "spray": ("s", "e"),
           "level-spray": ("s", "e"), "reduced-el": ("mu", "bound", "ceiling")}
@@ -438,6 +444,7 @@ class _KernelWriter:
         # the column kernel is the fiber kernel with its operands columns
         self.columns = kind == "columns"
         self.lines = []
+        self.guards = set()
         # t0 .. t(2n-1) are the arguments x, then y, and the kind's own follow
         self.count = self.arity = 2 * n + len(_KINDS[kind])
         self.slots = [f"t{k}" for k in range(2 * n)]  # the operands x and v read
@@ -504,8 +511,10 @@ class _KernelWriter:
                 self.lines.append(f"    {action}")
             return
         test = f"{self.lit(a)} {cmp} {self.lit(bound)}"
-        self.lines.append(f"    if _any({test}):" if self.columns else f"    if {test}:")
-        self.lines.append(f"        {action}")
+        guard = (f"    if _any({test}):" if self.columns else f"    if {test}:", f"        {action}")
+        if guard not in self.guards:  # temporaries are assigned once, so a guard passed holds from here on
+            self.guards.add(guard)
+            self.lines += guard
 
     # -- derivative entries, structural zeros dropped ---------------------------
 
@@ -846,6 +855,9 @@ class _KernelWriter:
         def vec(entries):
             return "_array([" + ", ".join(lit(e) for e in entries) + "])"
 
+        def floats(entries):
+            return "(" + ", ".join(lit(e) for e in entries) + ",)"
+
         def mat(entries):
             rows = [entries[r * n:(r + 1) * n] for r in range(len(entries) // n)]
             return "_array([" + ", ".join("[" + ", ".join(lit(e) for e in row) + "]" for row in rows) + "])"
@@ -855,13 +867,13 @@ class _KernelWriter:
 
         # an acceleration is the Euler-Lagrange step over its kind's jet source
         if kind == "el":
-            out = [vec(self.el(self.base_jet(tree, v), v, f"_singular_hessian({', '.join(x + v)})"))]
+            out = [floats(self.el(self.base_jet(tree, v), v, f"_singular_hessian({', '.join(x + v)})"))]
         elif kind == "reduced-el":
             shape = [vi for i, vi in enumerate(v) if i != self.cyclic]
-            out = [vec(self.el(self.reduced_jet(tree, *extra), shape, "return None"))]
+            out = [floats(self.el(self.reduced_jet(tree, *extra), shape, "return None"))]
         elif kind.endswith("spray"):
             a = self.el(self.half_square(self.level_jet(tree, *extra)), v, f"_singular({', '.join(x)})")
-            out = [vec(self.level_shift(tree, v, a) if kind == "level-spray" else a)]
+            out = [floats(self.level_shift(tree, v, a) if kind == "level-spray" else a)]
         else:
             val, g, h = self.jet(tree)
             if self.full:
@@ -871,7 +883,24 @@ class _KernelWriter:
                 out = [stack([val]), stack(g, f", {n}"), stack(h, f", {n}, {n}")]
             else:
                 out = [lit(val), vec(g), mat(h)]
-        return "\n".join([f"def kernel({', '.join(args)}):", *self.lines, "    return " + ", ".join(out), ""])
+        ret = "    return " + ", ".join(out)
+        return "\n".join([f"def kernel({', '.join(args)}):", *self.live(ret), ret, ""])
+
+    def live(self, ret: str) -> list:
+        """The lines without each assignment of +, -, * or negation that nothing after it reads.
+
+        Such an assignment cannot raise on floats, so dropping it changes no
+        value and no error; numpy raises on an overflowing product, so the
+        column kernel keeps every line."""
+        if self.columns:
+            return self.lines
+        reads, kept = set(_TEMPORARY.findall(ret)), []
+        for line in reversed(self.lines):
+            pure = _PURE_ASSIGNMENT.fullmatch(line)
+            if pure is None or pure[1] in reads:
+                reads.update(_TEMPORARY.findall(line))
+                kept.append(line)
+        return kept[::-1]
 
 
 #: the live kernel of each linecache name: one text a name, so other text takes a suffix
@@ -890,15 +919,21 @@ def _compile_kernel(source: str, tree, kind: str, n: int, cyclic: int | None):
             return live
         k += 1
         filename = f"{name[:-1]} #{k}>"
-    code = compile(text, filename, "exec")
-    namespace = dict(_COLUMN_GLOBALS if kind == "columns" else _KERNEL_GLOBALS, __builtins__={})
-    exec(code, namespace)  # noqa: S102 - text is written from the tree alone
-    kernel = _KERNELS[filename] = namespace.pop("kernel")
-    kernel.text = text
-    # lets tracebacks and profilers show the generated line while the kernel lives
-    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
-    weakref.finalize(kernel, linecache.cache.pop, filename, None).atexit = False
+    kernel = _KERNELS[filename] = define(text, filename, "kernel",
+                                         _COLUMN_GLOBALS if kind == "columns" else _KERNEL_GLOBALS)
     return kernel
+
+
+def define(text: str, filename: str, name: str, names: dict):
+    """The function ``name`` that ``text`` defines, compiled as ``filename`` over ``names`` and no
+    builtins; it keeps its ``text``, which ``linecache`` shows tracebacks while it lives."""
+    namespace = dict(names, __builtins__={})
+    exec(compile(text, filename, "exec"), namespace)  # noqa: S102 - text is written from data alone
+    fn = namespace.pop(name)
+    fn.text = text
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    weakref.finalize(fn, linecache.cache.pop, filename, None).atexit = False
+    return fn
 
 
 @dataclass(frozen=True)

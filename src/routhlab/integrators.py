@@ -6,41 +6,46 @@ solution propagates; the fourth-order one supplies the error estimate; a PI
 controller adjusts the step. The first-same-as-last property saves one
 right-hand-side evaluation per accepted step.
 
-Right-hand sides may raise DomainError to veto a trial step (adaptive probes
-must not wander outside a chart); the step is then retried smaller, and the
-run aborts with StepFailure only once the step size underflows or the step
-budget runs out.
+Each trial step is one call of straight-line float code written for the
+state's dimension (:func:`_step`), on a right-hand side that takes a list of
+floats and returns a sequence of floats. Right-hand sides may raise
+DomainError to veto a trial step (adaptive probes must not wander outside a
+chart); the step is then retried smaller, and the run aborts with
+StepFailure only once the step size underflows or the step budget runs out.
 
-Each accepted step stores the standard quartic interpolant, so trajectories
-can later be sampled at arbitrary times to the integrator's own accuracy.
+The run keeps every accepted step's stages and then forms each step's
+standard quartic interpolant, so trajectories can later be sampled at
+arbitrary times to the integrator's own accuracy.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, StepFailure
+from .expressions import define
 
 __all__ = ["IntegratorStats", "DenseOutput", "Trajectory", "solve_ode"]
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# difference between the 5th- and 4th-order weights
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+# Dormand-Prince 5(4) tableau; the fifth-order weights are the last stage's
+# row, so the new state is the state that stage reads (first-same-as-last)
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+# difference between the 5th- and 4th-order weights
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 # quartic dense-output coefficients for the same tableau
 _P = np.array(
     [
@@ -141,8 +146,8 @@ def _initial_step(rhs, t0, y0, f0, t_end, tol):
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t_end - t0)
     try:
-        f1 = rhs(t0 + h0, y0 + h0 * f0)
-        d2 = _error_norm(f1 - f0, scale) / h0
+        f1 = rhs(t0 + h0, (y0 + h0 * f0).tolist())
+        d2 = _error_norm(np.asarray(f1, float) - f0, scale) / h0
     except DomainError:
         d2 = d1
     if max(d1, d2) <= 1e-15:
@@ -152,36 +157,74 @@ def _initial_step(rhs, t0, y0, f0, t_end, tol):
     return min(100 * h0, h1, t_end - t0)
 
 
+@functools.cache
+def _step(d: int):
+    """The trial step of a d-dimensional state, written as straight-line float code on first use.
+
+    ``step(rhs, t, h, y, f, tol)`` takes the state y and its slope f as d
+    floats each and returns (calls, err, y_new, f_new, k): the right-hand
+    side calls it made, the error norm sqrt(sum((e_i / scale_i)^2) / d) with
+    scale_i = tol + tol max(|y_i|, |y_new_i|), the new state, the slope there
+    and the seven stages' slopes, stage by stage. Sums run left to right and
+    skip the tableau's zeros. Where a stage raises DomainError, or an entry
+    of the new state or of a slope is not finite, err and the rest are None.
+    """
+    y, n = [f"y{i}" for i in range(d)], [f"n{i}" for i in range(d)]
+    k = [[f"k{j}_{i}" for i in range(d)] for j in range(7)]
+    flat = ", ".join(sum(k, []))
+
+    def combo(weights, i):  # sum_j weights[j] * k_j[i]
+        return " + ".join(f"{w!r} * {k[j][i]}" for j, w in enumerate(weights) if w)
+
+    lines = ["def step(rhs, t, h, y, f, tol):", f"    [{', '.join(y)}] = y", f"    [{', '.join(k[0])}] = f",
+             "    try:"]
+    for s in range(1, 7):
+        state = [f"{y[i]} + h * ({combo(_A[s], i)})" for i in range(d)]
+        lines.append(f"        calls = {s}")
+        if s == 6:  # the new state
+            lines += [f"        {n[i]} = {e}" for i, e in enumerate(state)]
+            state = n
+        lines.append(f"        [{', '.join(k[s])}] = rhs(t + {_C[s]!r} * h, [{', '.join(state)}])")
+    lines += ["    except _DomainError:", "        return calls, None, None, None, None",
+              f"    if {' + '.join(f'{v} * 0.0' for v in n + sum(k, []))} != 0.0:",
+              "        return 6, None, None, None, None"]
+    for i in range(d):
+        lines += [f"    a{i}, b{i} = _fabs(y{i}), _fabs(n{i})",
+                  f"    q{i} = h * ({combo(_E, i)}) / (tol + tol * (a{i} if a{i} > b{i} else b{i}))"]
+    err = f"_sqrt(({' + '.join(f'q{i} * q{i}' for i in range(d))}) / {float(d)!r})"
+    lines.append(f"    return 6, {err}, ({', '.join(n)},), ({', '.join(k[6])},), ({flat},)")
+    return define("\n".join(lines) + "\n", f"<routhlab dopri5 step d={d}>", "step",
+                  {"_DomainError": DomainError, "_fabs": math.fabs, "_sqrt": math.sqrt})
+
+
 def solve_ode(rhs, y0, t_end: float, tol: float = 1e-10):
     """Integrate dy/dt = rhs(t, y) from 0 to t_end.
 
-    Returns (DenseOutput, IntegratorStats). Raises StepFailure when the step
-    size underflows against repeated rejections or after MAX_STEPS steps.
+    ``rhs(t, y)`` gets the state as a list of d floats and returns a
+    sequence of d floats. Returns (DenseOutput, IntegratorStats). Raises
+    StepFailure when the step size underflows against repeated rejections
+    or after MAX_STEPS steps.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    y = np.asarray(y0, float).copy()
+    y = np.array(y0, float)
     d = y.shape[0]
     t = 0.0
-    nfev = 0
 
-    f = rhs(t, y)
-    nfev += 1
+    f = rhs(t, y.tolist())
     if not np.all(np.isfinite(f)):
         raise StepFailure("right-hand side not finite at the initial state")
+    h = max(_initial_step(rhs, t, y, np.asarray(f, float), t_end, tol), 1e-12)
+    nfev = 2
 
-    h = _initial_step(rhs, t, y, f, t_end, tol)
-    nfev += 1
-    h = max(h, 1e-12)
-
-    knot_ts = [0.0]
-    y0s, hs, qs = [], [], []
+    step = _step(d)
+    y = y.tolist()
+    knot_ts, hs, y0s, stages = [0.0], [], array("d"), array("d")
     steps = 0
     rejected = 0
     err_prev = 1.0
-    k = np.empty((7, d))
 
     while t < t_end * (1.0 - 1e-14):
         h = min(h, t_end - t)
@@ -193,26 +236,12 @@ def solve_ode(rhs, y0, t_end: float, tol: float = 1e-10):
                 "the flow likely hit a domain boundary or a singularity"
             )
 
-        failed = False
-        k[0] = f
-        try:
-            for s in range(1, 7):
-                ys = y + h * (k[:s].T @ _A[s])
-                nfev += 1
-                k[s] = rhs(t + _C[s] * h, ys)
-            y_new = y + h * (k.T @ _B)
-            if not np.all(np.isfinite(y_new)) or not np.all(np.isfinite(k)):
-                failed = True
-        except DomainError:
-            failed = True
-
-        if failed:
+        calls, err, y_new, f_new, k = step(rhs, t, h, y, f, tol)
+        nfev += calls
+        if err is None:
             rejected += 1
             h *= 0.5
             continue
-
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _error_norm(h * (k.T @ _E), scale)
 
         if err > 1.0:
             rejected += 1
@@ -220,13 +249,13 @@ def solve_ode(rhs, y0, t_end: float, tol: float = 1e-10):
             continue
 
         # accept
-        y0s.append(y.copy())
+        y0s.extend(y)
         hs.append(h)
-        qs.append(k.T @ _P)
+        stages.extend(k)
         t = t + h
         knot_ts.append(t)
         y = y_new
-        f = k[6]  # first-same-as-last
+        f = f_new  # first-same-as-last
         steps += 1
         if steps + rejected > MAX_STEPS:
             raise StepFailure(f"step budget exhausted after {steps} accepted steps")
@@ -238,7 +267,10 @@ def solve_ode(rhs, y0, t_end: float, tol: float = 1e-10):
         h *= min(_MAX_GROW, max(_MIN_SHRINK, factor))
         err_prev = max(err, 1e-10)
 
-    dense = DenseOutput(np.array(knot_ts), np.array(y0s), np.array(hs), np.array(qs), y)
+    # each step's (d, 4) dense coefficients k^T P, in one stacked product
+    qs = np.frombuffer(stages).reshape(steps, 7, d).transpose(0, 2, 1) @ _P
+    dense = DenseOutput(np.array(knot_ts), np.frombuffer(y0s).reshape(steps, d), np.array(hs), qs,
+                        np.array(y))
     return dense, IntegratorStats(steps=steps, rejected=rejected, rhs_evals=nfev, tolerance=tol)
 
 

@@ -151,12 +151,12 @@ class ScalarField:
             d_xy=np.array(h[:n, n:]),
         )
 
-    def _el_kernel(self, x: np.ndarray, v: np.ndarray):
-        """``el_acceleration`` at (x, v) from the tree's ``"el"`` kernel; None without a tree."""
+    def _el_kernel(self, x: list, v: list):
+        """``el_acceleration`` at lists (x, v) from the tree's ``"el"`` kernel, in floats; else None."""
         if self.expression is None:
             return None
         self.domain_check(x, v)
-        return run_kernel(self, "el", *x.tolist(), *v.tolist())
+        return run_kernel(self, "el", *x, *v)
 
     def value(self, x, y) -> float:
         """The value at (x, y): ``eval`` at order 0."""

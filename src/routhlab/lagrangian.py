@@ -301,14 +301,18 @@ def el_acceleration(L: LagrangianModel, x, v) -> np.ndarray:
     and the solve raise but sums L_xv^T v from the left, so an entry may
     differ from numpy's in the last bits. A reduction by one cyclic
     coordinate runs its ``"reduced-el"`` kernel where that applies
-    (``ReducedLagrangian._el_kernel``). Otherwise, and as the tests'
-    oracle, this is ``eval``'s jet and numpy's solve.
+    (``ReducedLagrangian._el_kernel``). The kernels take and return floats,
+    as :func:`integrate_el` runs them. Otherwise, and as the tests' oracle,
+    this is ``eval``'s jet and numpy's solve.
     """
     x = np.asarray(x, float)
     v = np.asarray(v, float)
-    a = L._el_kernel(x, v)
-    if a is not None:
-        return a
+    a = L._el_kernel(x.tolist(), v.tolist())
+    return _el_solve(L, x, v) if a is None else np.array(a)
+
+
+def _el_solve(L: LagrangianModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``el_acceleration`` from ``eval``'s jet and numpy's solve."""
     j = L.eval(x, v)
     return solve_linear(j.d_yy, j.d_x - j.d_xy.T @ v, lambda: SingularHessian(
         f"velocity Hessian is singular at x={x}, v={v}"))
@@ -335,7 +339,9 @@ def integrate_el(
         )
 
     def rhs(t, s):
-        return np.concatenate([s[n:], el_acceleration(L, s[:n], s[n:])])
+        x, v = s[:n], s[n:]
+        a = L._el_kernel(x, v)
+        return (*v, *(_el_solve(L, np.array(x), np.array(v)).tolist() if a is None else a))
 
     return integrate_sampled(rhs, x0, v0, t_end, tol, samples,
                              lambda xs, vs: energies(L, xs, vs), {"kind": "euler_lagrange"})

@@ -15,6 +15,7 @@ the same way. No extra differentiation order is required.
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 from dataclasses import dataclass
@@ -326,10 +327,10 @@ class ReducedLagrangian(LagrangianModel):
             self.base, self.split, self.mu, x_shape, y_shape, guess=self.guess
         )
 
-    def _el_kernel(self, x, v):
-        """``el_acceleration`` from the base's ``"reduced-el"`` kernel, or None where ``eval`` must run.
+    def _el_kernel(self, x: list, v: list):
+        """``el_acceleration`` at lists (x, v) from the base's ``"reduced-el"`` kernel, or None.
 
-        That is where the base has no tree or more than one coordinate is
+        It is None where the base has no tree or more than one coordinate is
         cyclic, and where the kernel returns None or raises: ``eval`` then
         meets its own result or error.
         """
@@ -337,13 +338,14 @@ class ReducedLagrangian(LagrangianModel):
         if base.expression is None or len(split.cyclic) != 1:
             return None
         (c,), z, mu = split.cyclic, self.guess.item(), self.mu.item()
-        full_x, full_v = x.tolist(), v.tolist()
+        full_x, full_v = [*x], [*v]
         full_x.insert(c, 0.0)
         full_v.insert(c, z)
         try:
             base.domain_check(full_x, full_v)
+            # the shape speed summed from the left, as ``@`` sums a short vector
             return run_kernel(base, "reduced-el", *full_x, *full_v, mu,
-                              *_momentum_bounds(mu, z, math.sqrt(v @ v)), cyclic=c)
+                              *_momentum_bounds(mu, z, math.sqrt(sum(w * w for w in v))), cyclic=c)
         except EVAL_ERRORS:
             return None
 
@@ -430,11 +432,14 @@ def verify_reduction(
 
     Precondition: the initial data must realize the requested momentum.
     """
-    return _round_trip(L, split, mu, x0, y0, t_end, tol, samples, shape_tol)[0]
+    return _round_trip(L, split, mu, x0, y0, t_end, tol=tol, samples=samples, shape_tol=shape_tol)[0]
 
 
-def _round_trip(L, split, mu, x0, y0, t_end, tol=1e-11, samples=801, shape_tol=1e-8):
-    """:func:`verify_reduction`'s report and the reduced trajectory it integrated."""
+def _round_trip(L, split, mu, x0, y0, t_end, **settings):
+    """:func:`verify_reduction`'s report, on its keywords and defaults, and the reduced trajectory."""
+    run = inspect.signature(verify_reduction).bind(L, split, mu, x0, y0, t_end, **settings)
+    run.apply_defaults()
+    tol, samples, shape_tol = (run.arguments[k] for k in ("tol", "samples", "shape_tol"))
     x0 = np.asarray(x0, float)
     y0 = np.asarray(y0, float)
     mu = np.asarray(mu, float)

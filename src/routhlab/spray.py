@@ -59,23 +59,20 @@ def canonical_spray(F: ScalarField):
     g the fundamental tensor (velocity Hessian of F^2/2). The field is
     positively 2-homogeneous in y and its flow conserves F.
     """
-    return _spray(F, False)
+    accel = _spray(F, False)
+    return lambda x, y: np.array(accel(np.asarray(x, float).tolist(), np.asarray(y, float).tolist()))
 
 
 def _spray(F: ScalarField, level: bool):
-    """The acceleration field of F, shifted to hold its base energy if ``level``."""
+    """The acceleration field of F on lists of floats, shifted to hold its base energy if ``level``."""
     if level and not isinstance(F, JacobiFinslerModel):
         raise TypeError(f"a level run needs an energy-level metric, not a {type(F).__name__}")
     if isinstance(F, JacobiFinslerModel) and F.base.expression is not None:
-
-        def generated(x, y):
-            x, y = np.asarray(x, float), np.asarray(y, float)
-            return run_kernel(F.base, "level-spray" if level else "spray",
-                              *x.tolist(), *y.tolist(), F.energy_scale(x, y), F.e)
-
-        return generated
+        kind = "level-spray" if level else "spray"
+        return lambda x, y: run_kernel(F.base, kind, *x, *y, F.energy_scale(x, y), F.e)
     accel = _assembled_spray(F)
-    return projective_shift(accel, F.level_jet) if level else accel
+    accel = projective_shift(accel, F.level_jet) if level else accel
+    return lambda x, y: accel(np.array(x, float), np.array(y, float)).tolist()
 
 
 def _assembled_spray(F: ScalarField):
@@ -145,8 +142,7 @@ def integrate_geodesic(
         y0 = y0 / f0
 
     def rhs(_, state):
-        a = accel(state[:n], state[n:])
-        return np.concatenate([state[n:], a])
+        return (*state[n:], *accel(state[:n], state[n:]))
 
     return integrate_sampled(rhs, x0, y0, t_end, tol, samples,
                              (lambda xs, ys: energies(F.base, xs, ys)) if level else F.eval_batch,

@@ -238,6 +238,18 @@ class TestCommands:
         report = json.loads((tmp_path / "reduction_report.json").read_text())
         assert any("tol=1e-11," in note for note in report["notes"]), report["notes"]
 
+    def test_routh_reduce_takes_its_defaults_from_verify_reduction(self, tmp_path, monkeypatch):
+        # the library's signature is the one home of the round trip's defaults
+        cfg = json.loads((CONFIGS / "polar_reduction.json").read_text())
+        del cfg["time"]["tol"]
+        path = tmp_path / "polar_reduction.json"
+        path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(rl.verify_reduction, "__defaults__", (1e-9, 801, 1e-8))
+        r = invoke(["routh-reduce", "--config", str(path), "--out", str(tmp_path)])
+        assert r.exit_code == 0, r.output
+        report = json.loads((tmp_path / "reduction_report.json").read_text())
+        assert any("tol=1e-09," in note for note in report["notes"]), report["notes"]
+
     def test_verify_report_json_carries_config_name(self, tmp_path):
         r = invoke(
             ["verify", "--config", str(CONFIGS / "disk_verify.json"),

@@ -391,6 +391,24 @@ def test_kernels_write_each_right_hand_side_once():
         assert len(sides) > 20 and len(set(sides)) == len(sides), kind
 
 
+@pytest.mark.parametrize("kind, cyclic", [("el", None), ("reduced-el", 1), ("spray", None),
+                                          ("level-spray", None), ("fiber", None), ("full", None)])
+def test_kernels_assign_nothing_unread_that_cannot_raise(kind, cyclic):
+    # an assignment of +, -, * or negation that nothing reads is dropped; one
+    # that can raise (a division, a power, a call) stays, and no guard repeats
+    for model in (parse_lagrangian(ROUND_TRIP_SOURCES[0], dim=2), poincare_disk_lagrangian()):
+        tree = ast.parse(inspect.getsource(model.expression.jet_kernel(kind, 2, cyclic)))
+        body = tree.body[0].body
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in body:
+            if isinstance(node, ast.Assign) and node.targets[0].id not in read:
+                assert any(isinstance(n, ast.Call) or isinstance(n, ast.BinOp) and
+                           isinstance(n.op, (ast.Div, ast.Pow)) for n in ast.walk(node.value)), \
+                    ast.unparse(node)
+        guards = [ast.unparse(node) for node in body if isinstance(node, ast.If)]
+        assert len(set(guards)) == len(guards), kind
+
+
 def test_kernel_tracebacks_name_the_generated_file():
     model = parse_lagrangian("x1 + sqrt(v1)", dim=1)
     with pytest.raises(DomainError) as info:

@@ -8,13 +8,15 @@ module evaluates a model once per sample in a loop: per-sample diagnostics
 go through ``eval_batch``. And only ``jets`` drives step routines: their
 ``send`` and ``throw`` calls live in ``jets.lockstep`` and ``jets.drive``.
 And only ``expressions`` turns text into code, with ``compile`` and
-``exec``: kernel text is written from expression trees, never from the
-source of a callable. And only ``jets`` calls ``jet_kernel``: every field
-runs its kernels through ``ScalarField``'s one evaluator. And in the kernel
-writer only the Euler-Lagrange step ``el`` calls ``solve``: every
-acceleration kind is that step over a jet source. And ``cli`` reads
-no key of a config: only ``config``
-reads the format, and each command is one function on the command skeleton,
+``exec``: kernel text is written from expression trees and the step text
+from the integrator's tableau, never from the source of a callable. And
+only ``jets`` calls ``jet_kernel``: every field runs its kernels through
+``ScalarField``'s one evaluator. And in the kernel writer only the
+Euler-Lagrange step ``el`` calls ``solve``: every acceleration kind is
+that step over a jet source. And ``solve_ode``'s step loop calls no numpy,
+and ``integrate_sampled`` calls ``solve_ode`` by its global name. And
+``cli`` reads no key of a config: only ``config`` reads the format, and
+each command is one function on the command skeleton,
 with no ``body`` closure.
 """
 
@@ -279,6 +281,62 @@ def test_the_guard_flags_a_second_solve():
         "    return writer.solve(h, rhs, 'return None')\n"
     )
     assert _solve_callers(tree) == ["el", "spray"]
+
+
+def _function(tree, name):
+    return next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _numpy_in_step_loops(tree):
+    """(line, form) of each numpy name or ``@`` in the ``while`` loops of ``solve_ode``."""
+    return sorted(
+        (node.lineno, "@" if isinstance(node, ast.BinOp) else node.id)
+        for loop in ast.walk(_function(tree, "solve_ode")) if isinstance(loop, ast.While)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Name) and node.id in ("np", "numpy")
+    )
+
+
+def test_the_step_loop_runs_no_numpy():
+    # a step is one call of generated float code; numpy on a few entries costs more than the flow
+    path = Path(routhlab.__file__).parent / "integrators.py"
+    assert _numpy_in_step_loops(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_guard_flags_a_numpy_stage_loop():
+    tree = ast.parse(
+        "def solve_ode(rhs, y0, t_end, tol):\n"
+        "    y = np.asarray(y0, float).copy()\n"
+        "    while t < t_end:\n"
+        "        for s in range(1, 7):\n"
+        "            ys = y + h * (k[:s].T @ _A[s])\n"
+        "        if not np.all(np.isfinite(y_new)):\n"
+        "            failed = True\n"
+        "        qs.append(k.T @ _P)\n"
+    )
+    assert _numpy_in_step_loops(tree) == [(5, "@"), (6, "np"), (6, "np"), (8, "@")]
+
+
+def _solve_calls(tree):
+    """How ``integrate_sampled`` names each function it calls that ends in ``solve_ode``."""
+    return [ast.unparse(node.func) for node in ast.walk(_function(tree, "integrate_sampled"))
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("solve_ode")]
+
+
+def test_sampled_runs_call_solve_ode_by_its_global_name():
+    # so that replacing integrators.solve_ode, as the benchmark's tracer does, sees every run
+    path = Path(routhlab.__file__).parent / "integrators.py"
+    assert _solve_calls(ast.parse(path.read_text(), filename=str(path))) == ["solve_ode"]
+
+
+def test_the_guard_flags_a_solve_bound_elsewhere():
+    tree = ast.parse(
+        "def integrate_sampled(rhs, x0, v0, t_end, tol, samples, conserved, meta, solve=solve_ode):\n"
+        "    dense, stats = solve(rhs, y0, t_end, tol=tol)\n"
+        "    return integrators.solve_ode(rhs, y0, t_end)\n"
+    )
+    assert _solve_calls(tree) == ["integrators.solve_ode"]
 
 
 def _config_reads(tree):
