@@ -1002,19 +1002,20 @@ def parse_expression(text: str, dim: int | None = None, allow_velocity: bool = T
 MAX_TRACE_DEPTH = 200
 
 
-def _footprint(tree) -> tuple[int, int, int]:
-    """(max_x, max_v, depth): the highest indices a tree reads, 1-based, and its levels."""
-    top, depths = {"x": 0, "v": 0}, {}
+def _footprint(tree) -> tuple[int, int, int, set]:
+    """(max_x, max_v, depth, read_x): the highest indices a tree reads, 1-based, its
+    levels, and the 0-based indices of the positions it reads."""
+    read, depths = {"x": set(), "v": set()}, {}
 
     def walk(node):
         if id(node) not in depths:
-            if node[0] in top:
-                top[node[0]] = max(top[node[0]], node[1] + 1)
+            if node[0] in read:
+                read[node[0]].add(node[1])
             depths[id(node)] = 1 + max((walk(c) for c in node[1:] if type(c) is tuple), default=0)
         return depths[id(node)]
 
     depth = walk(tree)
-    return top["x"], top["v"], depth
+    return max(read["x"], default=-1) + 1, max(read["v"], default=-1) + 1, depth, read["x"]
 
 
 def trace_expression(fn, dim: int, source: str) -> Expression | None:
@@ -1028,7 +1029,7 @@ def trace_expression(fn, dim: int, source: str) -> Expression | None:
     try:
         out = fn(xs, ys)
         tree = out.node if isinstance(out, duals.Symbol) else ("num", float(out))
-        max_x, max_v, depth = _footprint(tree)
+        max_x, max_v, depth, _ = _footprint(tree)
     except Exception:  # raised again on numbers, where the hyper-dual path reports it
         return None
     return Expression(source, tree, max_x, max_v) if depth <= MAX_TRACE_DEPTH else None

@@ -39,8 +39,9 @@ a velocity condition is a guard of the formula (``duals.positive``, ``sqrt``,
 kernel and a solver's probes meet it as ``eval`` does.
 
 The implicit solves (energy scale, cyclic velocities) write their rules
-once, as step routines: :func:`lockstep` runs them on every row of a batch,
-:func:`drive` runs one of them at one point.
+once, as step routines: :func:`drive` runs one of them at one point, and
+:func:`lockstep` the energy scale's on every row of a batch (a batch of
+cyclic velocities runs on numpy columns, and only its rows at fault run it).
 """
 
 from __future__ import annotations

@@ -30,8 +30,9 @@ from .errors import (
     PreconditionError,
     SingularBlock,
 )
+from .expressions import _footprint
 from .integrators import Trajectory
-from .jets import EVAL_ERRORS, SecondJet, batch_rows, drive, lockstep, run_kernel, solve_linear
+from .jets import EVAL_ERRORS, SecondJet, batch_rows, drive, run_kernel, solve_linear
 from .lagrangian import LagrangianModel, energies, integrate_el
 from .reporting import VerificationReport
 
@@ -110,9 +111,13 @@ class CyclicSplit:
 def check_invariance(L: LagrangianModel, split: CyclicSplit, ref_x=None, seed: int = 0) -> None:
     """Sample dL/dx on the cyclic slots; raise InvarianceError if any is nonzero.
 
-    Sampling is confined to a ball around ref_x (zeros by default); points
-    outside the model domain are redrawn.
+    A model whose tree reads no cyclic coordinate passes at once. Otherwise
+    sampling is confined to a ball around ref_x (zeros by default), points
+    outside the model domain are redrawn, and none found raises
+    PreconditionError.
     """
+    if L.expression is not None and not _footprint(L.expression.tree)[3] & set(split.cyclic):
+        return
     rng = np.random.default_rng(seed)
     center = np.zeros(L.dim) if ref_x is None else np.asarray(ref_x, float)
     checked = 0
@@ -161,10 +166,11 @@ def solve_momentum(
     unreachable momentum target).
 
     The rules are written once, in the step routine ``_momentum_steps``: on
-    one point :func:`jets.drive` feeds it one fiber jet per iterate, and
-    :func:`_solve_momenta` runs it on every row at once for
-    :meth:`ReducedLagrangian.eval_batch` and :func:`reconstruct`. With one
-    cyclic coordinate, as in every shipped reduction, it runs on floats.
+    one point :func:`jets.drive` feeds it one fiber jet per iterate. With
+    one cyclic coordinate, as in every shipped reduction, it runs on floats,
+    and :func:`_solve_momenta` runs those float rules on numpy columns for
+    :meth:`ReducedLagrangian.eval_batch` and :func:`reconstruct`, with the
+    same bits; only the rows at fault run the routine.
     """
     mu = np.asarray(mu, float)
     x_shape = np.asarray(x_shape, float)
@@ -256,39 +262,69 @@ def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_sh
                    ys_shape, guess: np.ndarray) -> np.ndarray:
     """:func:`solve_momentum` on every row, each from the one guess of shape (m,); a (k, m) array.
 
-    Each row runs its own step routine under :func:`jets.lockstep`. With one
-    cyclic coordinate and every row's position inside L's position
-    predicate, checked once as the positions never change, a round
-    evaluates all pending iterates with one batched fiber jet through L's
-    ``_eval_rows``, which skips that predicate.
-    The rows of a round whose batched jet raises, or a row whose jet is not
-    finite, are evaluated again alone, as the scalar solve evaluates them;
-    otherwise each row takes its own jets. Where any row fails, the rows run
-    in order through ``solve_momentum``, so the first failing row raises.
+    With one cyclic coordinate and every row's position inside L's position
+    predicate, checked once as the positions never change, Newton's method
+    runs on numpy columns (:func:`_column_momenta`), and only the rows at
+    fault run ``solve_momentum``; otherwise every row does. They run in row
+    order, so the first failing row raises.
     """
     xs_shape, ys_shape = batch_rows(xs_shape, ys_shape)
     k, m = len(xs_shape), len(split.cyclic)
     full_x = _embed_rows(split, xs_shape, 0.0)
     full_y = _embed_rows(split, ys_shape, guess)
-    norms = np.sqrt((ys_shape[:, None, :] @ ys_shape[:, :, None])[:, 0, 0]).tolist()
-    if m == 1:
-        c, mu_c, z0 = split.cyclic[0], mu.item(), guess.item()
-    else:
-        c, mu_c, z0 = split.cyc_idx, mu, guess
+    z, at_fault = np.empty((k, m)), range(k)
+    if m == 1 and L._rows_in_domain(full_x, full_y):
+        norms = np.sqrt((ys_shape[:, None, :] @ ys_shape[:, :, None])[:, 0, 0])
+        z[:, 0], at_fault = _column_momenta(L, split.cyclic[0], mu.item(), full_x, full_y,
+                                            guess.item(), norms)
+    for i in at_fault:
+        z[i] = solve_momentum(L, split, mu, xs_shape[i], ys_shape[i], guess=guess)
+    return z
 
-    def batch(rows, _):
-        _, d_y, d_yy = L._eval_rows(full_x[rows], full_y[rows], 1)
-        return [(p, h) if math.isfinite(p) and math.isfinite(h) else None
-                for p, h in zip(d_y[:, c].tolist(), d_yy[:, c, c].tolist())]
 
-    # each routine writes its iterates into its own row of full_y
-    steps = [_momentum_steps(L, c, mu_c, full_x[i], full_y[i], z0, norms[i]) for i in range(k)]
+def _column_momenta(L, c, mu: float, full_x, full_y, z0: float, norms):
+    """The float rules of ``_momentum_steps`` on columns: the roots, and the rows at fault.
+
+    Each round takes one batched fiber jet of the pending rows' iterates,
+    written into full_y's column c, and runs the tests and the step
+    elementwise, rounding as one row's floats do. A row whose jet raises or
+    is not finite (the routine would backtrack), whose pivot is zero, whose
+    step passes the ceiling or that runs out of iterations is at fault.
+    """
+    k = len(full_x)
+    scale, ceiling = _momentum_bounds(mu, z0, norms)
+    z, rows, fault = np.full(k, z0), np.arange(k), np.zeros(k, bool)
+    for it in range(MOMENTUM_MAX_ITER):
+        if not rows.size:
+            break
+        p, h = _cyclic_columns(L, c, full_x[rows], full_y[rows])
+        with np.errstate(all="ignore"):
+            r = p - mu
+            sound = np.isfinite(p) & np.isfinite(h)
+            busy = sound & ~(np.sqrt(r * r) <= scale)
+            trial = z[rows] - r / h
+            leave = ~sound | busy & ((h == 0.0) | (np.sqrt(trial * trial) > ceiling[rows])
+                                     | (it + 1 == MOMENTUM_MAX_ITER))
+        fault[rows[leave]] = True
+        rows, trial = rows[busy & ~leave], trial[busy & ~leave]
+        z[rows] = full_y[rows, c] = trial
+    return z, np.flatnonzero(fault)
+
+
+def _cyclic_columns(L, c, xs, ys):
+    """d_y[:, c] and d_yy[:, c, c] of one batched fiber jet, else of each row's, nan where it raises."""
     try:
-        z = lockstep(steps, lambda i, _: _cyclic_jet(L, c, full_x[i], full_y[i]),
-                     batch if m == 1 and L._rows_in_domain(full_x, full_y) else None)
+        _, d_y, d_yy = L._eval_rows(xs, ys, 1)
+        return d_y[:, c], d_yy[:, c, c]
     except EVAL_ERRORS:
-        z = [solve_momentum(L, split, mu, x, y, guess=guess) for x, y in zip(xs_shape, ys_shape)]
-    return np.array(z, float).reshape(k, m)
+        pass
+    cols = np.full((2, len(xs)), np.nan)
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        try:
+            cols[:, i] = _cyclic_jet(L, c, x, y)
+        except EVAL_ERRORS:
+            pass
+    return cols
 
 
 def _embed_rows(split: CyclicSplit, shape_rows, cyclic_rows) -> np.ndarray:
@@ -350,7 +386,7 @@ class ReducedLagrangian(LagrangianModel):
             return None
 
     def _eval_rows(self, xs, ys, order: int):
-        """Orders 0 and 1: one lockstep momentum solve, then stacked Schur steps.
+        """Orders 0 and 1: one column momentum solve, then stacked Schur steps.
 
         The cyclic velocities come from :func:`_solve_momenta` with the
         model's guess on every row, and one batched base evaluation feeds
@@ -408,8 +444,10 @@ def routhian(
 ) -> ReducedLagrangian:
     """Reduced Lagrangian at fixed cyclic momentum mu.
 
-    With ``verify`` on, the declared cyclic coordinates are first checked by
-    sampling dL/dx near ref_x; a non-cyclic declaration raises
+    With ``verify`` on, :func:`check_invariance` first checks the declared
+    cyclic coordinates, by the model's tree where it reads none of them,
+    else by sampling dL/dx near ref_x, which raises PreconditionError where
+    no sample is in the domain; a non-cyclic declaration raises
     InvarianceError.
     """
     if verify:
@@ -481,7 +519,7 @@ def reconstruct(
     The eliminated velocities are evaluated on the trajectory's sample grid
     plus interval midpoints (through the dense output) and integrated with
     composite Simpson quadrature. Every point solves from the one ``guess``
-    (zero by default), in one lockstep solve, so each velocity is the one
+    (zero by default), in one column solve, so each velocity is the one
     ``ReducedLagrangian(L, split, mu, guess).cyclic_velocity`` gives there:
     with the reduced model's guess, the velocity its flow integrated. An
     isolated spike in the velocity between neighbouring samples, more than

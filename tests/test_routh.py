@@ -1,9 +1,12 @@
 """Cyclic-coordinate reduction: momenta, Routhian jets, round trips."""
 
+import functools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import routhlab as rl
 from routhlab import CyclicSplit
@@ -49,6 +52,19 @@ def test_invariance_check_accepts_cyclic_and_rejects_noncyclic():
     bad = CyclicSplit.of(2, [0])  # r appears in the potential
     with pytest.raises(rl.InvarianceError):
         rl.check_invariance(L, bad, ref_x=np.array([1.0, 0.0]))
+
+
+def test_invariance_check_reads_the_tree_before_sampling():
+    # the polar tree never reads x2, which proves it cyclic with no sampled
+    # jet; it reads x1, so that declaration is sampled and rejected
+    L = polar_model()
+    calls, eval_ = [], L.eval
+    L.eval = lambda *args: calls.append(args) or eval_(*args)
+    rl.check_invariance(L, CyclicSplit.of(2, [1]), ref_x=np.array([1.0, 0.0]))
+    assert calls == []
+    with pytest.raises(rl.InvarianceError):
+        rl.check_invariance(L, CyclicSplit.of(2, [0]), ref_x=np.array([1.0, 0.0]))
+    assert calls
 
 
 def test_momentum_and_solver_are_inverse(rng):
@@ -448,7 +464,7 @@ def test_zero_one_by_one_blocks_raise_their_own_errors():
         rl.el_acceleration(flat, np.array([0.5]), np.array([1.0]))
 
 
-# -- the lockstep momentum solve against the row loop ---------------------------
+# -- the column momentum solve against the row loop -----------------------------
 
 
 def _row_loop(model, xs, ys, order):
@@ -473,7 +489,7 @@ def _rows(f):
 def _counting_batches(L):
     """Record the rows of each batched fiber jet L evaluates, and 0 for each single one.
 
-    The lockstep rounds and the root evaluation batch through ``_eval_rows``,
+    The column rounds and the root evaluation batch through ``_eval_rows``,
     as the rows' positions passed L's predicate once, before the first round.
     """
     sizes = []
@@ -511,8 +527,8 @@ def test_reduced_batches_equal_the_row_loop(source, mu, guess):
         sizes.clear()
         got = _rows(lambda: red.eval_batch(xs, ys, order))
         # one batched jet per round and one at the roots; rows leave the
-        # lockstep as they converge, and only a jet past |v2| = 1 sends a
-        # round row by row
+        # columns as they converge, and only a jet past |v2| = 1 sends a
+        # round, and then its row, row by row
         assert sizes[0] == sizes[-1] == 200 and len(sizes) >= 3
         if source == BOUNDED_FIBER:
             assert len(set(sizes) - {0}) >= 3, sizes
@@ -531,7 +547,7 @@ def test_reduced_batches_equal_the_row_loop(source, mu, guess):
 
 
 def test_reduced_batches_check_each_position_once():
-    # the solve checks the rows once; the lockstep rounds, their Newton
+    # the solve checks the rows once; the column rounds, their Newton
     # steps and the root evaluation skip the predicate
     calls = []
 
@@ -590,7 +606,7 @@ def test_lockstep_momentum_solve_backtracks_as_the_rows(guess):
         for mu in [*rng.uniform(-4.0, 4.0, (6, m)), np.full(m, 100.0)]:
             one_by_one = [_rows(lambda: rl.solve_momentum(L, split, mu, x, y, guess=g))
                           for x, y in zip(xs, ys)]
-            # the lockstep solve, row by row where no row fails
+            # the column solve, row by row where no row fails
             got = _rows(lambda: rl.routh._solve_momenta(L, split, mu, xs, ys, g))
             if all(isinstance(r, list) for r in one_by_one):
                 solved += 1
@@ -606,37 +622,30 @@ def test_reconstruction_midpoints_equal_the_row_loop(source, monkeypatch):
     split = CyclicSplit.of(2, [1])
     x0, v0 = np.array([1.0, 0.3]), np.array([0.3, 1.2])
     mu = rl.momentum(L, split, x0, v0)
-    lockstep_rows = rl.routh.lockstep
-
-    def one_at_a_time(routines, probe, batch=None):
-        if len(routines) > 1:
-            raise rl.DomainError("row by row")
-        return lockstep_rows(routines, probe, batch)
-
     # the reduced model's default guess, and the round trip's: v0's own
     for guess in (None, v0[1:]):
         red = rl.routhian(L, split, mu, guess=guess, ref_x=x0)
         traj = rl.integrate_el(red, x0[:1], v0[:1], 1.5, tol=1e-11, samples=301)
         sizes = _counting_batches(L)
-        lockstep = rl.reconstruct(L, split, mu, traj, cyclic_start=x0[1:], guess=guess)
-        # the 301 samples and 300 midpoints solve in one lockstep, then the
-        # energy log batches the samples
+        columns = rl.reconstruct(L, split, mu, traj, cyclic_start=x0[1:], guess=guess)
+        # the 301 samples and 300 midpoints solve on one set of columns, then
+        # the energy log batches the samples
         assert sizes[0] == 601 and sizes[-1] == 301 and 0 not in sizes, sizes
         # each rebuilt velocity is the one the reduced flow integrated
         z = np.concatenate([red.cyclic_velocity(x, y)
                             for x, y in zip(traj.positions, traj.velocities)])
-        assert lockstep.velocities[:, 1].tobytes() == z.tobytes()
-        # where the lockstep solve fails, the rows run through solve_momentum,
-        # which drives one routine at a time
+        assert columns.velocities[:, 1].tobytes() == z.tobytes()
+        # where a position fails the predicate, every row runs solve_momentum,
+        # and the energy log runs the row loop
         with monkeypatch.context() as patch:
-            patch.setattr(rl.routh, "lockstep", one_at_a_time)
+            patch.setattr(L, "_rows_in_domain", lambda xs, ys: False)
             rows = rl.reconstruct(L, split, mu, traj, cyclic_start=x0[1:], guess=guess)
         for name in ("positions", "velocities", "energy_log"):
-            assert getattr(lockstep, name).tobytes() == getattr(rows, name).tobytes(), name
+            assert getattr(columns, name).tobytes() == getattr(rows, name).tobytes(), name
 
 
 def test_two_cyclic_reductions_batch_as_the_rows():
-    # m >= 2 solves in lockstep on per-row jets; the stacked Schur step is
+    # m >= 2 solves row by row on per-row jets; the stacked Schur step is
     # np.linalg.solve
     L = rl.parse_lagrangian(BOUNDED_FIBER + " + 0.5*v3^2 + 0.1*v2*v3", dim=3)
     red = rl.ReducedLagrangian(L, CyclicSplit.of(3, [1, 2]), np.array([0.5, -0.3]))
@@ -646,6 +655,75 @@ def test_two_cyclic_reductions_batch_as_the_rows():
         got = _rows(lambda: red.eval_batch(xs, ys, order))
         assert not isinstance(got, tuple)
         assert got == _rows(lambda: _row_loop(red, xs, ys, order))
+
+
+# -- the column momentum solve against the rows ------------------------------------
+
+# the momentum v2^3 - 3 x1 v2 has a critical point at v2 = 1 where x1 = 1
+DOUBLE_WELL = "0.5*v1^2 + 0.25*v2^4 - 1.5*x1*v2^2"
+
+
+@functools.cache
+def _model(source):
+    return rl.parse_lagrangian(source, dim=2, domain=lambda x: x[0] > 0.1)
+
+
+@settings(max_examples=200)
+@given(
+    source=st.sampled_from([source for source, _, _ in LOCKSTEP_MODELS]),
+    mu=st.one_of(st.floats(-4.0, 4.0), st.just(1e9)),
+    guess=st.floats(-3.0, 3.0),
+    points=st.lists(st.tuples(st.one_of(st.floats(0.2, 2.0), st.just(0.05)),
+                              st.floats(-1.5, 1.5)), min_size=1, max_size=12),
+)
+@example(source=DOUBLE_WELL, mu=0.0, guess=1.0, points=[(0.5, 0.2), (1.0, -0.4), (1.5, 0.7)])
+# at x1 = 2/3 Newton's iterates cycle between v2 = 0 and 1 until the budget runs out
+@example(source=DOUBLE_WELL, mu=-2.0, guess=0.0, points=[(0.5, 0.2), (2 / 3, 0.1), (1.5, 0.7)])
+def test_column_momentum_solve_equals_the_rows(source, mu, guess, points):
+    # each row's root bit for bit, or the first failing row's error: rows
+    # outside the predicate, at an unreachable momentum, past the bounded
+    # fiber or at a singular block
+    L, split = _model(source), CyclicSplit.of(2, [1])
+    mu, g = np.array([mu]), np.array([guess])
+    xs, ys = np.array(points).T[:, :, None]
+    rows = [_rows(lambda: rl.solve_momentum(L, split, mu, x, y, guess=g))
+            for x, y in zip(xs, ys)]
+    got = _rows(lambda: rl.routh._solve_momenta(L, split, mu, xs, ys, g))
+    if all(isinstance(r, list) for r in rows):
+        assert got == [("<f8", (len(xs), 1), b"".join(r[0][2] for r in rows))]
+    else:
+        assert got == next(r for r in rows if isinstance(r, tuple))
+    if source == DOUBLE_WELL:
+        assert got == ((rl.SingularBlock, "cyclic velocity block is singular at x=[1. 0.]")
+                       if mu == 0.0 else (rl.NoConvergence, "momentum solve did not converge "
+                                          "in 50 iterations (residual 1.000e+00)"))
+
+
+def test_column_momentum_solve_runs_only_the_rows_at_fault(monkeypatch):
+    # a Kepler reconstruction solves its 301 samples and 300 midpoints with
+    # no step routine, where the lockstep rounds made one per point
+    steps, routines = rl.routh._momentum_steps, []
+    monkeypatch.setattr(rl.routh, "_momentum_steps",
+                        lambda *args: routines.append(args) or steps(*args))
+    L, split = polar_model(), CyclicSplit.of(2, [1])
+    x0, v0 = np.array([1.0, 0.3]), np.array([0.3, 1.2])
+    mu = rl.momentum(L, split, x0, v0)
+    red = rl.routhian(L, split, mu, guess=v0[1:], verify=False)
+    traj = rl.integrate_el(red, x0[:1], v0[:1], 1.5, tol=1e-11, samples=301)
+    routines.clear()
+    rl.reconstruct(L, split, mu, traj, cyclic_start=x0[1:], guess=v0[1:])
+    assert routines == []
+    # on the bounded fiber, Newton steps past |v2| = 1 send rounds row by
+    # row and their rows to the row path; the lockstep rounds took 5,575
+    # single fiber jets on this batch
+    bounded = rl.parse_lagrangian(BOUNDED_FIBER, dim=2, domain=lambda x: x[0] > 0.1)
+    red = rl.ReducedLagrangian(bounded, split, np.array([0.9]))
+    rng = np.random.default_rng(3)
+    xs, ys = rng.uniform(0.3, 2.0, (801, 1)), rng.uniform(-1.5, 1.5, (801, 1))
+    sizes = _counting_batches(bounded)
+    got = _rows(lambda: red.eval_batch(xs, ys, 1))
+    assert 0 < sizes.count(0) <= 5575, sizes.count(0)
+    assert got == _rows(lambda: _row_loop(red, xs, ys, 1))
 
 
 # -- the generated reduced right-hand side against the numpy path ---------------
