@@ -35,11 +35,14 @@ evaluators derive from a tree:
   the fiber kernel over columns: each argument holds one coordinate of many
   rows, +, -, * and / run as numpy ufuncs, which round as Python floats do,
   and ``**`` and the functions run the float kernels' functions entry by
-  entry. The acceleration kinds are one Euler-Lagrange step, the solve of
-  L_yy a = L_x - L_xy^T v, over a jet source that mirrors its numpy twin:
-  ``"el"`` over the tree's full jet at (x, v); ``"spray"`` over the half
-  square of the energy-e level metric at (x, y) and scale s, whose jet comes
-  from the tree's at (x, y/s); ``"level-spray"`` adds
+  entry. ``"level-value"``, ``"level-fiber"`` and ``"level-full"`` take
+  (x, y, e), solve for the energy-e level metric's scale s in two or three
+  fiber-jet probes and return the orders of ``JacobiFinslerModel.eval``, or
+  None where the solve leaves that usual path. The acceleration kinds are
+  one Euler-Lagrange step, the solve of L_yy a = L_x - L_xy^T v, over a jet
+  source that mirrors its numpy twin: ``"el"`` over the tree's full jet at
+  (x, v); ``"spray"`` over the half square of the level metric's, as the
+  level kinds solve for it; ``"level-spray"`` adds
   :func:`routhlab.spray.projective_shift`'s shift that holds the energy; and
   ``"reduced-el"`` runs over the reduction by one cyclic coordinate, or
   returns None where two momentum probes do not settle it; each returns a
@@ -359,6 +362,7 @@ _KERNEL_GLOBALS = {
     "_insensitive_level": functools.partial(_raise, DomainError, "level function is insensitive to the "
                                             "velocity scale; no conserving reparametrization exists here"),
     "_fabs": math.fabs,
+    "_nextafter": math.nextafter,
     "_INF": math.inf,
     "_NAN": math.nan,
 }
@@ -395,7 +399,13 @@ _OPS = {
     "**": operator.pow,
 }
 
-_COMPARE = {"<=": operator.le, "<": operator.lt}
+#: each guard's test, as written and as it folds on constants
+_COMPARE = {"<=": ("{} <= {}", operator.le), "<": ("{} < {}", operator.lt),
+            "not <": ("not {} < {}", lambda a, b: not a < b)}
+
+#: the energy-scale solve stops where |E - e| <= SCALE_TOL (1 + |e|), in
+#: ``homogenize._scale_steps`` and in the kernels that write its usual path
+SCALE_TOL = 1e-12
 
 
 def _fold(fn, *args):
@@ -419,8 +429,8 @@ _TEMPORARY = re.compile(r"\bt\d+\b")
 _PURE_ASSIGNMENT = re.compile(r"    (t\d+) = (?!.*(?:/|\*\*|\w\()).*")
 
 #: each kernel kind and the arguments it takes after the n positions and the n velocities
-_KINDS = {"fiber": (), "full": (), "columns": (), "el": (), "spray": ("s", "e"),
-          "level-spray": ("s", "e"), "reduced-el": ("mu", "bound", "ceiling")}
+_KINDS = {"fiber": (), "full": (), "columns": (), "el": (), "reduced-el": ("mu", "bound", "ceiling"),
+          **{kind: ("e",) for kind in ("level-value", "level-fiber", "level-full", "spray", "level-spray")}}
 
 
 class _KernelWriter:
@@ -447,7 +457,8 @@ class _KernelWriter:
         self.guards = set()
         # t0 .. t(2n-1) are the arguments x, then y, and the kind's own follow
         self.count = self.arity = 2 * n + len(_KINDS[kind])
-        self.slots = [f"t{k}" for k in range(2 * n)]  # the operands x and v read
+        self.args = [f"t{k}" for k in range(self.arity)]
+        self.slots = self.args[:2 * n]  # the operands x and v read
         self.done = {}  # id of a node already written: its jet
         self.names = {}  # right-hand side already written: its temporary
 
@@ -506,11 +517,12 @@ class _KernelWriter:
 
     def require(self, a, cmp: str, action: str, bound=0.0):
         """Run action, a call that raises or a return, where ``a cmp bound``: a guard of the dual path."""
+        text, holds = _COMPARE[cmp]
         if _const(a) and _const(bound):
-            if _COMPARE[cmp](a, bound):
+            if holds(a, bound):
                 self.lines.append(f"    {action}")
             return
-        test = f"{self.lit(a)} {cmp} {self.lit(bound)}"
+        test = text.format(self.lit(a), self.lit(bound))
         guard = (f"    if _any({test}):" if self.columns else f"    if {test}:", f"        {action}")
         if guard not in self.guards:  # temporaries are assigned once, so a guard passed holds from here on
             self.guards.add(guard)
@@ -715,33 +727,105 @@ class _KernelWriter:
     # -- jet sources and the Euler-Lagrange step ----------------------------------------
     # A jet source writes (value, d_x, d_y, d_xy, d_yy) at the kernel's point,
     # d_xy and d_yy as rows, each mirroring its numpy twin; an entry no step
-    # reads is None, and the reduced source may decline with ``return None``.
+    # reads is None, and the scaled and reduced sources may decline with
+    # ``return None``.
 
     def dot(self, a, b):
         """sum(a[i] * b[i]), summed from the left as ``@`` sums a short vector."""
         return functools.reduce(self.add, map(self.mul, a, b), 0.0)
 
-    def base_jet(self, tree, velocity):
-        """The full jet of the tree at (x, velocity)."""
+    def base_jet(self, tree, velocity, full: bool = True):
+        """The full jet of the tree at (x, velocity), or the fiber jet, whose x entries are None."""
         n = self.n
-        self.slots = self.slots[:n] + velocity  # what the tree's x and v read
+        self.seed(full)
+        self.slots = self.args[:n] + velocity  # what the tree's x and v read
         self.done = {}  # a node's jet depends on the point
         v, g, h = self.jet(tree)
-        rows = [h[r * n:(r + 1) * n] for r in range(2 * n)]
+        rows = [h[r * n:(r + 1) * n] for r in range(len(h) // n)]
+        if not full:
+            return v, None, g, None, rows
         return v, g[:n], g[n:], rows[:n], rows[n:]
 
-    def level_jet(self, tree, s, e):
-        """The jet of F_e over the tree at (x, y) and scale s, as ``JacobiFinslerModel.eval`` assembles it."""
+    def level_jet(self, tree, s, e, jet=None):
+        """The jet of F_e over the tree at (x, y) and scale s, as ``JacobiFinslerModel.eval`` assembles it
+        from the tree's full jet at (x, y/s), or its fiber jet from the tree's fiber jet given there."""
         n, add, sub, mul, div = self.n, self.add, self.sub, self.mul, self.div
-        v = [div(yi, s) for yi in self.slots[n:]]
-        val, l_x, l_v, l_xv, l_vv = self.base_jet(tree, v)
+        v = [div(yi, s) for yi in self.args[n:2 * n]]
+        val, l_x, l_v, l_xv, l_vv = jet or self.base_jet(tree, v)
         gv = [self.dot(row, v) for row in l_vv]
         q = self.dot(v, gv)
         b = [[div(sub(l_vv[i][j], div(mul(gv[i], gv[j]), q)), s) for j in range(n)] for i in range(n)]
+        d_yy = [[mul(0.5, add(b[i][j], b[j][i])) for j in range(n)] for i in range(n)]
+        if l_x is None:
+            return mul(s, add(val, e)), None, l_v, None, d_yy
         e_x = [sub(self.dot(row, v), d) for row, d in zip(l_xv, l_x)]
         return (mul(s, add(val, e)), [mul(s, d) for d in l_x], l_v,
-                [[sub(l_xv[i][j], div(mul(e_x[i], gv[j]), q)) for j in range(n)] for i in range(n)],
-                [[mul(0.5, add(b[i][j], b[j][i])) for j in range(n)] for i in range(n)])
+                [[sub(l_xv[i][j], div(mul(e_x[i], gv[j]), q)) for j in range(n)] for i in range(n)], d_yy)
+
+    def probe(self, tree, s, e):
+        """(r, q, jet) of ``homogenize._scale_probe`` at scale s: jet is the tree's fiber jet at (x, y/s)."""
+        w = [self.div(yi, s) for yi in self.args[self.n:2 * self.n]]
+        jet = val, _, d_y, _, d_yy = self.base_jet(tree, w, full=False)
+        r = self.sub(self.sub(self.dot(w, d_y), val), e)
+        return r, self.dot(w, [self.dot(row, w) for row in d_yy]), jet
+
+    def scaled(self, tree, e):
+        """(s, jet): the root s of E(x, y/s) = e and the tree's fiber jet at (x, y/s).
+
+        It writes the usual path of ``homogenize._scale_steps`` in its float
+        operations: the probe at s = |y|, a model step with k = 2, its probe
+        and the refit of k, then, where that probe has not converged (the
+        power families), a branch with the second model step and a third
+        probe. It declines with ``return None`` wherever the rules leave that
+        path, a NaN included, and at a zero velocity.
+        """
+        n, op, fabs, decline = self.n, self.op, functools.partial(self.call, "fabs"), "return None"
+        atol = op("*", SCALE_TOL, op("+", 1.0, fabs(e)))
+
+        def step(s, r, q, k, lo, hi):  # the model step, defined and inside (lo, hi), of which s is one
+            self.require(0.0, "not <", decline, q)
+            qk = op("/", q, k)
+            self.require(r, "not <", decline, qk)
+            t = op("*", s, op("**", op("/", qk, op("-", qk, r)), op("/", 1.0, k)))
+            self.require(lo, "not <", decline, t)
+            self.require(t, "not <", decline, hi)
+            return t
+
+        def refit(s, q, t, q_t):  # written where the rules refit k, so it raises where theirs does
+            self.require(0.0, "not <", decline, q_t)
+            return op("/", self.call("log", op("/", q, q_t)), self.call("log", op("/", t, s)))
+
+        def entries(s, jet):
+            return [s, jet[0], *jet[2], *sum(jet[4], [])]
+
+        y = self.args[n:2 * n]
+        s = self.call("sqrt", self.dot(y, y))
+        self.require(s, "<=", decline)
+        r, q, jet = self.probe(tree, s, e)
+        self.require(atol, "not <", decline, fabs(r))  # converged, or a residual that is not a number
+        lo, hi = self.choose(f"0.0 < {self.lit(r)}", [s, math.inf], [0.0, s])
+        t = step(s, r, q, 2.0, lo, hi)
+        r_t, q_t, jet_t = self.probe(tree, t, e)
+        k = refit(s, q, t, q_t)
+        test = f"{self.lit(atol)} < {self.lit(fabs(r_t))}"
+        # the branch's temporaries and guards do not hold after it
+        mark, names, guards = len(self.lines), dict(self.names), set(self.guards)
+        creep, half = op("*", r, r_t), op("*", 0.5, fabs(r))  # a creeping model step is skipped
+        self.lines += [f"    if 0.0 < {self.lit(creep)}:",
+                       f"        if {self.lit(half)} < {self.lit(fabs(r_t))}:", "            return None"]
+        lo, hi = self.choose(f"0.0 < {self.lit(r_t)}", [t, hi], [lo, t])
+        self.require(self.emit(f"_nextafter({self.lit(lo)}, {self.lit(hi)})"), "not <", decline, hi)
+        self.require(1.0, "not <", decline, k)
+        self.require(k, "not <", decline, 64.0)
+        t_3 = step(t, r_t, q_t, k, lo, hi)
+        r_3, q_3, jet_3 = self.probe(tree, t_3, e)
+        refit(t, q_t, t_3, q_3)
+        self.require(atol, "<", decline, fabs(r_3))
+        body = self.lines[mark:]
+        del self.lines[mark:]
+        self.names, self.guards = names, guards
+        s, *out = self.choose(test, entries(t_3, jet_3), entries(t, jet_t), body)
+        return s, (out[0], None, out[1:n + 1], None, [out[n * i + 1:n * i + n + 1] for i in range(1, n + 1)])
 
     def half_square(self, jet):
         """The jet of E = F^2/2 from F's, as ``half_square_jet`` assembles it; E and E_y are None."""
@@ -774,7 +858,6 @@ class _KernelWriter:
         self.require(self.call("fabs", pivot), "<=", "return None")
         z = op("-", v[c], op("/", r, pivot))
         self.require(ceiling, "<", "return None", norm(z))
-        self.seed(True)
         _, l_x, l_v, l_xv, l_vv = self.base_jet(tree, v[:c] + [z] + v[c + 1:])
         # not converged, or a residual that is not a number
         self.lines += [f"    if not {norm(op('-', l_v[c], mu))} <= {bound}:", "        return None"]
@@ -809,14 +892,20 @@ class _KernelWriter:
         p = self.div(self.neg(add(dot(l_x, y), dot(l_y, a))), den)
         return [add(ai, self.mul(p, yi)) for ai, yi in zip(a, y)]
 
-    def swap_if(self, test: str, top: list, row: list):
-        """(row, top) where test holds at run time, else (top, row), in new temporaries."""
-        names = [f"t{self.count + k}" for k in range(len(top) + len(row))]
-        self.count += len(names)
-        lhs = ", ".join(names)
-        self.lines += [f"    if {test}:", f"        {lhs} = {', '.join(map(self.lit, row + top))}",
-                       "    else:", f"        {lhs} = {', '.join(map(self.lit, top + row))}"]
-        return names[:len(top)], names[len(top):]
+    def choose(self, test: str, then: list, other: list, body=()) -> list:
+        """Each operand of then where test holds at run time, after the lines body, else of other: in a
+        new temporary, or as it stands where the two are one operand."""
+        out = [a if self.lit(a) == self.lit(b) else None for a, b in zip(then, other)]
+        fresh = [k for k, a in enumerate(out) if a is None]
+        for k in fresh:
+            out[k] = f"t{self.count}"
+            self.count += 1
+        if fresh:
+            lhs = ", ".join(out[k] for k in fresh)
+            self.lines += [f"    if {test}:", *("    " + line for line in body),
+                           f"        {lhs} = {', '.join(self.lit(then[k]) for k in fresh)}",
+                           "    else:", f"        {lhs} = {', '.join(self.lit(other[k]) for k in fresh)}"]
+        return out
 
     def solve(self, a, b, fail: str):
         """a^-1 b by elimination with partial pivoting, in the order of LAPACK's dgetf2 and dtrsm.
@@ -832,7 +921,9 @@ class _KernelWriter:
             for i in range(k + 1, n):
                 if not _is(rows[i][k], 0.0):  # a zero is never larger
                     test = f"_fabs({self.lit(rows[k][k])}) < _fabs({self.lit(rows[i][k])})"
-                    rows[k][k:], rows[i][k:] = self.swap_if(test, rows[k][k:], rows[i][k:])
+                    top, row = rows[k][k:], rows[i][k:]
+                    out = self.choose(test, row + top, top + row)
+                    rows[k][k:], rows[i][k:] = out[:len(top)], out[len(top):]
             self.require(self.call("fabs", rows[k][k]), "<=", fail)
             for i in range(k + 1, n):
                 m = self.mul(rows[i][k], self.div(1.0, rows[k][k]))
@@ -849,7 +940,7 @@ class _KernelWriter:
 
     def write(self, tree) -> str:
         n, lit, kind = self.n, self.lit, self.kind
-        args = [f"t{k}" for k in range(self.arity)]
+        args = self.args
         x, v, extra = args[:n], args[n:2 * n], args[2 * n:]
 
         def vec(entries):
@@ -858,8 +949,7 @@ class _KernelWriter:
         def floats(entries):
             return "(" + ", ".join(lit(e) for e in entries) + ",)"
 
-        def mat(entries):
-            rows = [entries[r * n:(r + 1) * n] for r in range(len(entries) // n)]
+        def mat(rows):
             return "_array([" + ", ".join("[" + ", ".join(lit(e) for e in row) + "]" for row in rows) + "])"
 
         def stack(entries, shape=""):
@@ -871,18 +961,29 @@ class _KernelWriter:
         elif kind == "reduced-el":
             shape = [vi for i, vi in enumerate(v) if i != self.cyclic]
             out = [floats(self.el(self.reduced_jet(tree, *extra), shape, "return None"))]
-        elif kind.endswith("spray"):
-            a = self.el(self.half_square(self.level_jet(tree, *extra)), v, f"_singular({', '.join(x)})")
-            out = [floats(self.level_shift(tree, v, a) if kind == "level-spray" else a)]
+        elif kind == "level-value":
+            s, jet = self.scaled(tree, *extra)
+            out = [lit(self.mul(s, self.add(jet[0], *extra)))]
+        elif kind in ("level-fiber", "level-full", "spray", "level-spray"):
+            s, fiber = self.scaled(tree, *extra)  # the full kinds write the tree's full jet at s
+            jet = self.level_jet(tree, s, *extra, fiber if kind == "level-fiber" else None)
+            val, d_x, d_y, d_xy, d_yy = jet
+            if kind == "level-fiber":
+                out = [lit(val), vec(d_y), mat(d_yy)]
+            elif kind == "level-full":
+                out = [lit(val), vec(d_x), vec(d_y), mat(d_yy), mat(d_xy)]
+            else:
+                a = self.el(self.half_square(jet), v, f"_singular({', '.join(x)})")
+                out = [floats(self.level_shift(tree, v, a) if kind == "level-spray" else a)]
         else:
             val, g, h = self.jet(tree)
+            rows = [h[r * n:(r + 1) * n] for r in range(len(h) // n)]
             if self.full:
-                half = n * n
-                out = [lit(val), vec(g[:n]), vec(g[n:]), mat(h[half:]), mat(h[:half])]
+                out = [lit(val), vec(g[:n]), vec(g[n:]), mat(rows[n:]), mat(rows[:n])]
             elif self.columns:
                 out = [stack([val]), stack(g, f", {n}"), stack(h, f", {n}, {n}")]
             else:
-                out = [lit(val), vec(g), mat(h)]
+                out = [lit(val), vec(g), mat(rows)]
         ret = "    return " + ", ".join(out)
         return "\n".join([f"def kernel({', '.join(args)}):", *self.live(ret), ret, ""])
 
@@ -973,9 +1074,11 @@ class Expression:
         arguments, as floats or, for the column kernel, as (k,) columns of k
         rows. The fiber kernel returns (value, d_y, d_yy), the full kernel
         (value, d_x, d_y, d_yy, d_xy), the column kernel the fiber blocks of
-        every row stacked, of shapes (k,), (k, n) and (k, n, n), and the
-        acceleration kinds the n accelerations. ``"reduced-el"``, of the cyclic
-        index ``cyclic``, returns None where its momentum probes do not apply.
+        every row stacked, of shapes (k,), (k, n) and (k, n, n), the level
+        kinds what ``JacobiFinslerModel.eval`` does, and the acceleration kinds
+        the n accelerations. The level and spray kinds return None where their
+        scale solve leaves its usual path, and ``"reduced-el"``, of the cyclic
+        index ``cyclic``, where its momentum probes do not apply.
         """
         key = (kind, n, cyclic)
         kernel = self._kernels.get(key)

@@ -31,8 +31,8 @@ import numpy as np
 
 from .duals import HyperDual, positive, seed_second, value_of
 from .errors import DomainError, EnergyUnreachable, NoConvergence, PositionDomainError
-from .expressions import Expression, parse_expression, time_derivative, trace_expression
-from .jets import ScalarField, SecondJet, chain_jet, drive, lockstep, require_expr
+from .expressions import SCALE_TOL, Expression, parse_expression, time_derivative, trace_expression
+from .jets import ScalarField, SecondJet, chain_jet, drive, require_expr, run_kernel, stack_rows
 from .lagrangian import (
     LagrangianModel,
     MagneticLagrangian,
@@ -107,7 +107,6 @@ class HomogenizedLagrangian(FinslerModel):
 FIRST_PROBE_TRIES = 8
 #: the scale solve stops where |E - e| <= SCALE_TOL (1 + |e|), and gives up
 #: after SCALE_MAX_ITER model or bisection steps
-SCALE_TOL = 1e-12
 SCALE_MAX_ITER = 80
 
 
@@ -161,9 +160,11 @@ def solve_energy_scale(
     cannot see. If that end meets the upper one at adjacent floats, the
     level is unreachable.
 
-    These rules are written once, in the step routine ``_scale_steps``: on
-    one ray :func:`jets.drive` feeds it one fiber jet per probe, and
-    :func:`_solve_energy_scales` runs it on every row at once.
+    These rules are written once, in the step routine ``_scale_steps``, which
+    :func:`jets.drive` feeds one fiber jet per probe. The level-metric
+    kernels of a traced base (``expressions._KernelWriter.scaled``) write
+    its usual path, two or three probes, in float code, and run this solve
+    wherever they leave that path.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -292,32 +293,6 @@ def _scale_steps(s: float, e: float):
     return EnergyScaleResult(s=float(s), residual=float(r), iterations=evals)
 
 
-def _solve_energy_scales(L: LagrangianModel, xs, ys, e: float) -> np.ndarray:
-    """The scale s of :func:`solve_energy_scale` on every row of (xs, ys).
-
-    Each row runs its own step routine, and every round probes all pending
-    scales with one batched fiber jet through L's ``_eval_rows`` (skipping
-    the position predicate that the caller ran through ``_rows_in_domain``),
-    residuals from stacked matmuls. Where that raises, every pending row is
-    probed alone, and a row whose batched probe is not finite is probed
-    again alone, through ``fiber_jet``, as the scalar solve probes it. A
-    row's error propagates from the first round that meets it.
-    """
-
-    def batch(rows, scales):
-        ws = ys[rows] / np.array(scales)[:, None]
-        val, d_y, d_yy = L._eval_rows(xs[rows], ws, 1)
-        r = ((ws[:, None, :] @ d_y[:, :, None])[:, 0, 0] - val - e).tolist()
-        q = (ws[:, None, :] @ (d_yy @ ws[:, :, None]))[:, 0, 0].tolist()
-        return [(r_i, q_i) if math.isfinite(r_i) and math.isfinite(q_i) else None
-                for r_i, q_i in zip(r, q)]
-
-    norms = np.sqrt((ys[:, None, :] @ ys[:, :, None])[:, 0, 0])
-    steps = [_scale_steps(s, e) for s in norms.tolist()]
-    done = lockstep(steps, lambda i, s: _scale_probe(L, xs[i], ys[i], s, e), batch)
-    return np.array([result.s for result in done])
-
-
 # -- the energy-level Finsler function ------------------------------------------
 
 
@@ -329,6 +304,11 @@ class JacobiFinslerModel(FinslerModel):
     annihilates y by construction; the value is stationary with respect to
     the eliminated scale, so root-solve error enters the value only at
     second order.
+
+    Over a base with a tree each order of ``eval`` is one kernel call, and
+    where it declines or a guard of it raises, :func:`solve_energy_scale` and
+    the numpy assembly run and raise what they raise; a batch is that, row
+    by row, and the row loop over an untraced base.
     """
 
     family = "jacobi"
@@ -351,28 +331,38 @@ class JacobiFinslerModel(FinslerModel):
         """The eliminated scale s at (x, y)."""
         return solve_energy_scale(self.base, x, y, self.e).s
 
-    def _eval_rows(self, xs, ys, order: int):
-        """Orders 0 and 1 on one lockstep scale solve over all rows.
+    def _rows_at_once(self) -> bool:
+        return self.base.expression is not None
 
-        The scales come from :func:`_solve_energy_scales`, then one batched
-        base evaluation at (x, y/s) feeds the assembly of ``eval``, with its
-        products as stacked matmuls.
-        """
-        s = _solve_energy_scales(self.base, xs, ys, self.e)
-        vs = ys / s[:, None]
-        j = self.base._eval_rows(xs, vs, order)
-        if order == 0:
-            return s * (j + self.e)
-        val, d_y, d_yy_b = j
-        gv = d_yy_b @ vs[:, :, None]
-        q = (vs[:, None, :] @ gv)[:, 0, 0]
-        d_yy = (d_yy_b - gv * gv.transpose(0, 2, 1) / q[:, None, None]) / s[:, None, None]
-        return s * (val + self.e), d_y, 0.5 * (d_yy + d_yy.transpose(0, 2, 1))
+    def _eval_rows(self, xs, ys, order: int):
+        """``eval`` past the position check on each row in turn."""
+        return stack_rows([self._level(x, y, order) for x, y in zip(xs, ys)], order, self.dim)
 
     def eval(self, x, y, order: int = 2):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         self.domain_check(x, y)
+        return self._level(x, y, order)
+
+    def _level_kernel(self, kind: str, x: list, y: list):
+        """The base tree's ``kind`` kernel at lists (x, y), with no position check; None where the
+        base has no tree or the kernel declines or raises DomainError."""
+        if self.base.expression is None:
+            return None
+        try:
+            return run_kernel(self.base, kind, *x, *y, self.e)
+        except DomainError:
+            return None
+
+    def _level(self, x, y, order: int):
+        """``eval`` past the position check: the level kernel, or ``_solved`` where it gives None."""
+        out = self._level_kernel(("level-value", "level-fiber", "level-full")[order], x.tolist(), y.tolist())
+        if out is None:
+            return self._solved(x, y, order)
+        return SecondJet(*out) if order == 2 else out
+
+    def _solved(self, x, y, order: int):
+        """``eval`` past the position check by :func:`solve_energy_scale` and the numpy assembly."""
         s = self.energy_scale(x, y)
         v = y / s
         j = self.base.eval(x, v, order)

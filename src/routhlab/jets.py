@@ -39,9 +39,10 @@ a velocity condition is a guard of the formula (``duals.positive``, ``sqrt``,
 kernel and a solver's probes meet it as ``eval`` does.
 
 The implicit solves (energy scale, cyclic velocities) write their rules
-once, as step routines: :func:`drive` runs one of them at one point, and
-:func:`lockstep` the energy scale's on every row of a batch (a batch of
-cyclic velocities runs on numpy columns, and only its rows at fault run it).
+once, as step routines, and :func:`drive` runs one of them at one point. A
+batch of cyclic velocities runs on numpy columns, and only its rows at
+fault run the routine. The level-metric kernels write the energy scale's
+usual path in float code and run the routine where they leave it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 from .duals import seed_second, value_of
 from .errors import DomainError, PositionDomainError, RouthlabError, StencilDomainError
 
-__all__ = ["SecondJet", "ScalarField", "jet", "fd_jet", "chain_jet", "lockstep", "drive", "FD_STEP"]
+__all__ = ["SecondJet", "ScalarField", "jet", "fd_jet", "chain_jet", "drive", "FD_STEP"]
 
 #: default finite-difference step scale (cube root of machine epsilon)
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -204,11 +205,8 @@ class ScalarField:
 
     def _row_loop(self, xs, ys, order: int):
         """``value`` or ``fiber_jet`` on each row in turn, stacked."""
-        if order == 0:
-            return np.array([self.value(x, y) for x, y in zip(xs, ys)], float)
-        rows = [self.fiber_jet(x, y) for x, y in zip(xs, ys)]
-        k, n = ys.shape
-        return tuple(np.array([r[i] for r in rows], float).reshape(k, *[n] * i) for i in range(3))
+        at = self.fiber_jet if order else self.value
+        return stack_rows([at(x, y) for x, y in zip(xs, ys)], order, ys.shape[1])
 
     def _rows_at_once(self) -> bool:
         """Whether ``_eval_rows`` evaluates the rows at once, not by the row loop."""
@@ -226,6 +224,13 @@ def require_expr(base: ScalarField, wrapper: str, hint: str = "") -> None:
     """Raise TypeError unless base writes the ``expr`` that a wrapper writes its own over."""
     if type(base).expr is ScalarField.expr:
         raise TypeError(f"{wrapper} needs a base with an expr; {type(base).__name__} has none{hint}")
+
+
+def stack_rows(rows: list, order: int, n: int):
+    """Each row's value (order 0) or fiber jet (order 1), as ``eval_batch`` stacks them."""
+    if order == 0:
+        return np.array(rows, float)
+    return tuple(np.array([r[i] for r in rows], float).reshape(len(rows), *[n] * i) for i in range(3))
 
 
 def batch_rows(xs, ys):
@@ -282,45 +287,12 @@ def run_kernel(field: ScalarField, kind: str, *args, cyclic: int | None = None):
         raise DomainError(str(exc)) from exc
 
 
-def lockstep(routines, probe, batch=None) -> list:
-    """Run step routines to their returns in rounds; the list of what they return.
+def drive(routine, probe):
+    """Run a step routine to its return; what it returns.
 
     A step routine is a generator that yields the point it needs probed, is
-    sent the probe's result or has its DomainError thrown in, and returns
-    its answer. Each round probes the points of the routines still running,
-    with one ``batch(rows, points)`` call where given, which gives one result
-    per row or None for a row to probe alone, and ``probe(i, point)`` per
-    row otherwise; a batch that raises one of ``EVAL_ERRORS`` probes every
-    row alone. Any other error propagates from the round that meets it.
-    """
-    points = {i: next(r) for i, r in enumerate(routines)}
-    returns = [None] * len(routines)
-    while points:
-        rows = list(points)
-        try:
-            results = batch(rows, list(points.values())) if batch else [None] * len(rows)
-        except EVAL_ERRORS:
-            results = [None] * len(rows)
-        for i, result in zip(rows, results):
-            try:
-                if result is None:
-                    try:
-                        result = probe(i, points[i])
-                    except DomainError as exc:
-                        points[i] = routines[i].throw(exc)
-                        continue
-                points[i] = routines[i].send(result)
-            except StopIteration as done:
-                returns[i] = done.value
-                del points[i]
-    return returns
-
-
-def drive(routine, probe):
-    """:func:`lockstep` on one routine, with ``probe(point)``; what it returns.
-
-    A single-point solve takes two or three probes, and the upkeep of
-    lockstep's rounds would cost it about a fifth more time.
+    sent ``probe(point)`` or has the probe's DomainError thrown in, and
+    returns its answer. Any other error propagates.
     """
     try:
         point = next(routine)

@@ -15,10 +15,11 @@ level run holds the base energy of an energy-level metric, which reproduces
 the Lagrangian flow pointwise in its own time, and logs that energy.
 
 A :class:`~routhlab.homogenize.JacobiFinslerModel` over a traced base runs
-its spray, or its level spray, as the energy-scale solve and one generated
-kernel that writes this assembly in straight-line float code
-(:func:`routhlab.jets.run_kernel`). Anything else runs the numpy assembly,
-which the tests keep as the kernel's oracle.
+its spray, or its level spray, as one position check, where the base has a
+predicate, and one generated kernel that solves for the energy scale and
+writes this assembly in float code. Where that kernel declines or a guard of
+it raises, and for any other metric, the energy-scale solve and the numpy
+assembly run; the tests keep them as the kernel's oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError, SingularHessian
 from .homogenize import JacobiFinslerModel
 from .integrators import Trajectory, integrate_sampled
-from .jets import ScalarField, SecondJet, run_kernel, solve_linear
+from .jets import ScalarField, SecondJet, solve_linear
 from .lagrangian import energies
 
 __all__ = [
@@ -67,12 +68,18 @@ def _spray(F: ScalarField, level: bool):
     """The acceleration field of F on lists of floats, shifted to hold its base energy if ``level``."""
     if level and not isinstance(F, JacobiFinslerModel):
         raise TypeError(f"a level run needs an energy-level metric, not a {type(F).__name__}")
-    if isinstance(F, JacobiFinslerModel) and F.base.expression is not None:
-        kind = "level-spray" if level else "spray"
-        return lambda x, y: run_kernel(F.base, kind, *x, *y, F.energy_scale(x, y), F.e)
     accel = _assembled_spray(F)
     accel = projective_shift(accel, F.level_jet) if level else accel
-    return lambda x, y: accel(np.array(x, float), np.array(y, float)).tolist()
+    kind, generated = "level-spray" if level else "spray", isinstance(F, JacobiFinslerModel)
+    check = generated and F.base.expression is not None and F._domain is not None
+
+    def rhs(x, y):
+        if check:
+            F.domain_check(x, y)
+        out = F._level_kernel(kind, x, y) if generated else None
+        return accel(np.array(x, float), np.array(y, float)).tolist() if out is None else out
+
+    return rhs
 
 
 def _assembled_spray(F: ScalarField):

@@ -474,8 +474,8 @@ def _no_row_loops(model):
 @pytest.mark.parametrize("kind", ["disk", "level", "reduction", "lift", "gauge"])
 def test_good_batches_never_reach_the_row_loop(kind):
     # as for DSL models above: a silent fallback keeps every bit and costs
-    # only time, so no parity test sees it; here the row loop and a lockstep
-    # round row by row fail
+    # only time, so no parity test sees it; here the row loop and a scale
+    # solve outside the level kernel fail
     rng = np.random.default_rng(21)
     xs = rng.uniform(-0.6, 0.6, (200, 2))
     ys = rng.uniform(-1.0, 1.0, (200, 2))
@@ -490,8 +490,8 @@ def test_good_batches_never_reach_the_row_loop(kind):
         xs = np.column_stack([xs[:, 1], np.abs(xs[:, 0]) + 0.3, xs[:, 1]])
         ys = np.column_stack([np.abs(ys[:, 0]) + 0.5, ys])
     elif kind == "gauge":
-        # the level metric of a shifted Lagrangian: its lockstep probes the
-        # shift's column kernel
+        # the level metric of a shifted Lagrangian: its level kernel is
+        # written over the shift's tree
         model = rl.jacobi_finsler(rl.gauge_shift(rl.poincare_disk_lagrangian(), "x1^2*x2 + sin(x2)"), 1.5)
     else:
         model = rl.poincare_disk_lagrangian()

@@ -300,6 +300,9 @@ _KERNEL_NODES = (
 )
 
 
+#: the kinds whose kernels return None where their path does not apply
+_DECLINING = {"reduced-el", "level-value", "level-fiber", "level-full", "spray", "level-spray"}
+
 #: the Lagrangian the gauge-shift tests shift
 _GAUGE_BASE = "0.5*(v1^2 + 2*v2^2) + 0.3*x1*v2 - x2^2"
 
@@ -314,16 +317,18 @@ def test_kernel_code_reads_only_whitelisted_names(source):
     expressions = [e for e in (parse_expression(source, dim=2), shifted.expression) if e is not None]
     for (kind, cyclic, names), expression in itertools.product(
             (("fiber", None, _KERNEL_GLOBALS), ("full", None, _KERNEL_GLOBALS),
-             ("columns", None, _COLUMN_GLOBALS), ("spray", None, _KERNEL_GLOBALS),
-             ("level-spray", None, _KERNEL_GLOBALS), ("el", None, _KERNEL_GLOBALS),
-             ("reduced-el", 0, _KERNEL_GLOBALS), ("reduced-el", 1, _KERNEL_GLOBALS)), expressions):
+             ("columns", None, _COLUMN_GLOBALS), ("level-value", None, _KERNEL_GLOBALS),
+             ("level-fiber", None, _KERNEL_GLOBALS), ("level-full", None, _KERNEL_GLOBALS),
+             ("spray", None, _KERNEL_GLOBALS), ("level-spray", None, _KERNEL_GLOBALS),
+             ("el", None, _KERNEL_GLOBALS), ("reduced-el", 0, _KERNEL_GLOBALS),
+             ("reduced-el", 1, _KERNEL_GLOBALS)), expressions):
         tree = ast.parse(inspect.getsource(expression.jet_kernel(kind, 2, cyclic)))
         # the one string a kernel holds is a guard's message, from the tree,
-        # and the reduced kernel returns None where its path does not apply
+        # and the reduced and scaled kernels return None where their path does not apply
         messages = {id(n.args[0]) for n in ast.walk(tree)
                     if isinstance(n, ast.Call) and getattr(n.func, "id", "") == "_not_positive"}
         declines = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Return)
-                    and kind == "reduced-el" and isinstance(n.value, ast.Constant) and n.value.value is None}
+                    and kind in _DECLINING and isinstance(n.value, ast.Constant) and n.value.value is None}
         for node in ast.walk(tree):
             assert isinstance(node, _KERNEL_NODES), ast.dump(node)
             if isinstance(node, ast.Name):
@@ -391,7 +396,8 @@ def test_kernels_write_each_right_hand_side_once():
         assert len(sides) > 20 and len(set(sides)) == len(sides), kind
 
 
-@pytest.mark.parametrize("kind, cyclic", [("el", None), ("reduced-el", 1), ("spray", None),
+@pytest.mark.parametrize("kind, cyclic", [("el", None), ("reduced-el", 1), ("level-value", None),
+                                          ("level-fiber", None), ("level-full", None), ("spray", None),
                                           ("level-spray", None), ("fiber", None), ("full", None)])
 def test_kernels_assign_nothing_unread_that_cannot_raise(kind, cyclic):
     # an assignment of +, -, * or negation that nothing reads is dropped; one

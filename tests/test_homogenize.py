@@ -317,7 +317,8 @@ class TestEnergyScale:
         sweep = relativistic_sweep()
         xs, ys = (np.array([case[i] for case in sweep]) for i in (0, 1))
         assert_batch_is_row_loop(rl.jacobi_finsler(relativistic(), 2.0), xs, ys)
-        # steep rays among ordinary ones leave the lockstep rounds later
+        # steep rays among ordinary ones take more probes than the level
+        # kernels write, so their rows run the solve
         for e in STEEP_ENERGIES:
             xs_e = np.concatenate([xs[:40], [[0.3, 0.0]] * len(STEEP_RAYS)])
             ys_e = np.concatenate([ys[:40], STEEP_RAYS])
@@ -343,6 +344,65 @@ class TestEnergyScale:
             assert_batch_is_row_loop(F, xs[rows], ys[rows])
         F.eval_batch(xs[~unreachable], ys[~unreachable])
         assert_batch_is_row_loop(F, xs[~unreachable], ys[~unreachable])
+
+    def test_level_kernels_match_the_scale_solve_on_the_relativistic_rays(self, level_parity):
+        # the first probe of most sweep rays leaves the light cone, and the
+        # steep rays and the rows below the rest energy take more probes than
+        # the kernels write: each declines, and the solve gives its bits or
+        # raises its error
+        L = relativistic()
+        cases = relativistic_sweep() + steep_rays()
+        rng = np.random.default_rng(4)
+        xs = np.stack([rng.uniform(-1.0, 1.0, 60), rng.uniform(-0.5, 0.5, 60)], 1)
+        cases += [(x, y, 1.05) for x, y in zip(xs, rng.uniform(-2.0, 2.0, (60, 2)))]
+        for x, y, e in cases:
+            level_parity(rl.jacobi_finsler(L, e), x, y)
+
+    def test_level_kernels_decline_where_the_scale_rules_leave_their_usual_path(self):
+        # the kernels write the solve's first two or three probes; a point the
+        # rules take elsewhere goes to the solve, which takes it there
+        osc = rl.MechanicalLagrangian(2, np.eye(2), potential=lambda xs: 0.5 * (xs[0] * xs[0] + xs[1] * xs[1]))
+        power4 = rl.PowerQuadraticLagrangian(2, np.diag([1.0, 1.5]), degree=4)
+        x, y = [0.3, 0.4], [0.6, 0.8]
+        for L, e, x, y, probes, declines in (
+            (osc, 2.0, x, y, 2, False),
+            (power4, 2.0, x, y, 3, False),
+            (osc, 0.625, x, y, 1, True),  # E = e at the first probe
+            (relativistic(), 2.0, x, [3.0, 4.0], 8, True),  # the first probe is on the light cone
+            # the model step keeps the residual's sign and more than half of it,
+            # so the rules take a geometric step next
+            (rl.parse_lagrangian("(v1^2 + 2*v2^2)^0.6", dim=2), 3.583839071705356,
+             [0.27901175151063984, -0.02990431677853045], [-1.107492153669115, -0.4879113548758043], 4, True),
+        ):
+            assert rl.solve_energy_scale(L, np.array(x), np.array(y), e).iterations == probes
+            kernel = rl.jacobi_finsler(L, e)._level_kernel("level-value", x, y)
+            assert (kernel is None) == declines, (probes, kernel)
+        assert rl.jacobi_finsler(osc, 2.0)._level_kernel("level-value", [0.3, 0.4], [0.0, 0.0]) is None
+
+    def test_a_batch_over_an_untraced_base_evaluates_as_its_rows(self):
+        # numpy's sin leaves the base untraced, so a batch is the row loop; a
+        # row whose first probe raises (0.1/x2 at x2 = 0) costs its own solve
+        # and the rows before it, nothing more
+        L = rl.MechanicalLagrangian(2, np.eye(2), potential=lambda xs: 0.3 * np.sin(xs[0]) + 0.1 / xs[1])
+        assert L.expression is None
+        F = rl.jacobi_finsler(L, 2.0)
+        rng = np.random.default_rng(6)
+        xs, ys = rng.uniform(0.2, 0.5, (100, 2)), rng.uniform(-1.0, 1.0, (100, 2))
+        xs[60, 1] = 0.0
+        calls, evaluate = [0], L.eval
+
+        def counted(*args):
+            calls[0] += 1
+            return evaluate(*args)
+
+        L.eval = counted
+        with pytest.raises(rl.DomainError):
+            F.eval_batch(xs, ys)
+        batch, calls[0] = calls[0], 0
+        with pytest.raises(rl.DomainError):
+            for x, y in zip(xs, ys):
+                F.value(x, y)
+        assert 0 < batch <= calls[0]
 
     def test_solves_are_independent_of_call_order(self, rng):
         Fe = rl.jacobi_finsler(conformal_magnetic(), 2.0)

@@ -6,7 +6,7 @@ module reads it anywhere, or re-exports it through ``__all__``, so every
 name in a module's ``__all__`` must resolve on the imported module. And no
 module evaluates a model once per sample in a loop: per-sample diagnostics
 go through ``eval_batch``. And only ``jets`` drives step routines: their
-``send`` and ``throw`` calls live in ``jets.lockstep`` and ``jets.drive``.
+``send`` and ``throw`` calls live in ``jets.drive``.
 And only ``expressions`` turns text into code, with ``compile`` and
 ``exec``: kernel text is written from expression trees and the step text
 from the integrator's tableau, never from the source of a callable. And
@@ -172,7 +172,7 @@ def test_only_jets_drives_step_routines(path):
     if path.name == "jets.py":
         assert calls, "jets.py no longer drives the step routines"
     else:
-        assert not calls, f"{path.name} drives a step routine by hand: {calls}; use jets.lockstep"
+        assert not calls, f"{path.name} drives a step routine by hand: {calls}; use jets.drive"
 
 
 def test_the_guard_flags_a_routine_driven_by_hand():

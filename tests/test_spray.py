@@ -226,6 +226,40 @@ def test_generated_spray_matches_the_numpy_assembly(rng, family):
             done += 1
 
 
+@pytest.mark.parametrize("family", list(_TRACED_BASES))
+def test_level_kernels_match_the_scale_solve_and_numpy_assembly(rng, family, level_parity):
+    # every order of eval is one kernel call, and none of these points
+    # leaves the scale solve's usual path, so none declines; the parity is a
+    # tolerance, not bits, as level_parity says
+    L, e, half_width = _TRACED_BASES[family]
+    F = rl.jacobi_finsler(L, e)
+    declined = sum(not level_parity(F, *_state(rng, half_width, L.dim)) for _ in range(300))
+    assert declined == 0
+
+
+@pytest.mark.parametrize("family", ["oscillator", "disk", "magnetic", "power4"])
+def test_an_equivalence_check_solves_for_the_scale_only_to_rescale_its_start(monkeypatch, family):
+    # criterion 5's families: the level kernels solve for s inside every
+    # right-hand side, energy log and arc length of the check
+    L, e, _ = _TRACED_BASES[family]
+    calls = {"rescale": 0, "metric": 0}
+    solve = rl.homogenize.solve_energy_scale
+
+    def counted(caller):
+        def call(*args):
+            calls[caller] += 1
+            return solve(*args)
+        return call
+
+    monkeypatch.setattr(rl.verify, "solve_energy_scale", counted("rescale"))
+    monkeypatch.setattr(rl.homogenize, "solve_energy_scale", counted("metric"))
+    x0 = np.array([0.2, -0.1])
+    v0 = rl.rescale_to_energy(L, x0, np.array([0.6, 0.8]), e)
+    report = rl.check_geodesic_equivalence(L, e, x0, v0, 0.6, samples=101)
+    assert report.overall
+    assert calls == {"rescale": 1, "metric": 0}
+
+
 def test_generated_spray_matches_finite_differences_of_the_metric(rng):
     # an oracle independent of both assemblies: the spray of fd_jet(F),
     # at criterion 7's step and scaling
@@ -310,11 +344,10 @@ def test_only_traced_level_metrics_with_their_own_level_run_the_kernel(monkeypat
 
 
 def test_a_position_outside_the_domain_raises_at_the_first_probe():
-    # no scale of the velocity moves a position, so the scale solve of a
-    # generated right-hand side stops at its first failing jet; inside the
-    # domain each probe checks the position once, and nothing else does
+    # no scale of the velocity moves a position, so a generated right-hand
+    # side checks the position once, before its kernel, and runs no jet of
+    # the base outside the kernel, inside the domain or out of it
     L = rl.poincare_disk_lagrangian()
-    accel = rl.canonical_spray(rl.jacobi_finsler(L, 2.0))
     calls = {"domain": 0, "jets": 0}
     predicate, fiber_jet = L._domain, L.fiber_jet
 
@@ -326,12 +359,14 @@ def test_a_position_outside_the_domain_raises_at_the_first_probe():
         calls["jets"] += 1
         return fiber_jet(x, y)
 
+    # the level metric takes the base's predicate when it is built
     L._domain, L.fiber_jet = counted_predicate, counted_jet
+    accel = rl.canonical_spray(rl.jacobi_finsler(L, 2.0))
     with pytest.raises(rl.PositionDomainError):
         accel(np.array([1.5, 0.0]), np.array([0.3, 0.4]))
-    assert calls == {"domain": 1, "jets": 1}
+    assert calls == {"domain": 1, "jets": 0}
     calls.update(domain=0, jets=0)
     rng = np.random.default_rng(5)
     for x, y in zip(rng.uniform(-0.5, 0.5, (50, 2)), rng.uniform(-1.0, 1.0, (50, 2))):
         accel(x, y)
-    assert calls["domain"] == calls["jets"] == 100
+    assert calls == {"domain": 50, "jets": 0}
