@@ -12,7 +12,8 @@ module that reads the format: the command line asks it for each setting.
 from __future__ import annotations
 
 import json
-from functools import partial
+import operator
+from functools import partial, reduce
 
 import numpy as np
 
@@ -140,7 +141,8 @@ def _domain_spec(entry, dim: int):
                for i in entry["positive"]]
         if any(i >= dim for i in idx):
             raise ConfigError(f"domain 'positive' index beyond the model dimension {dim}")
-        return lambda x: all(x[i] > 0.0 for i in idx)
+        # all()'s truth value, as a & of comparisons that traces into a kernel guard
+        return (lambda x: reduce(operator.and_, [x[i] > 0.0 for i in idx])) if idx else None
     raise ConfigError(f"unknown domain kind {set(entry)!r}")
 
 

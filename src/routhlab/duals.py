@@ -169,9 +169,9 @@ class Symbol:
     """A traced scalar: each operation on it builds a node of an expression tree.
 
     Numbers enter as ``("num", c)`` nodes, and ``**`` with a constant
-    exponent records :func:`power`, as duals apply it. Whatever needs the
-    number raises TypeError: ``float()``, truth tests, comparisons, numpy
-    ufuncs and the ``math`` functions.
+    exponent records :func:`power`, as duals apply it; a comparison, or ``&``
+    of two, records a condition. Whatever needs the number raises TypeError:
+    ``float()``, truth tests, ``==``, numpy ufuncs and the ``math`` functions.
     """
 
     __slots__ = ("node",)
@@ -185,7 +185,8 @@ class Symbol:
     __mul__, __rmul__ = _records("*"), _records("*", True)
     __truediv__, __rtruediv__ = _records("/"), _records("/", True)
     __rpow__ = _records("^v", True)
-    __float__ = __bool__ = __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _untraceable
+    __lt__, __le__, __gt__, __ge__, __and__ = map(_records, ("<", "<=", ">", ">=", "&"))
+    __float__ = __bool__ = __eq__ = __ne__ = _untraceable
 
     def __pow__(self, p):
         # a symbolic exponent takes the exp-log form, as it does on duals

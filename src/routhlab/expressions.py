@@ -46,10 +46,11 @@ evaluators derive from a tree:
   :func:`routhlab.spray.projective_shift`'s shift that holds the energy; and
   ``"reduced-el"`` runs over the reduction by one cyclic coordinate, or
   returns None where two momentum probes do not settle it; each returns a
-  tuple of floats. A kernel keeps no guard twice, and no assignment that
-  nothing reads and that cannot raise. Kernel code is written from the tree
-  alone, never from source text: names come from a fixed set and finite
-  constants print with ``repr``. :func:`define` compiles it.
+  tuple of floats, the flow kinds the velocities first. A kernel keeps no
+  guard twice, and no assignment that nothing reads and that cannot raise.
+  Kernel code is written from the tree alone, never from source text: names
+  come from a fixed set and finite constants print with ``repr``.
+  :func:`define` compiles it.
 """
 
 from __future__ import annotations
@@ -65,10 +66,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import duals
-from .errors import ArityError, DomainError, ParseError, SingularHessian
-from .jets import entrywise
+from .errors import ArityError, DomainError, ParseError, PositionDomainError, SingularHessian
 
-__all__ = ["Expression", "parse_expression", "time_derivative", "trace_expression"]
+__all__ = ["Expression", "parse_expression", "time_derivative", "trace_expression", "trace_guard"]
 
 _FUNCTIONS = {
     "sqrt": duals.sqrt,
@@ -253,6 +253,8 @@ def _evaluator(node):
         return lambda xs, ys: a(xs, ys) * b(xs, ys)
     if tag == "/":
         return lambda xs, ys: a(xs, ys) / b(xs, ys)
+    if tag in _OPS:  # a comparison, or & of two, as trace_guard records them
+        return lambda xs, ys, f=_OPS[tag]: f(a(xs, ys), b(xs, ys))
     if tag == "^":
         return lambda xs, ys, pw=duals.power: pw(a(xs, ys), b(xs, ys))
     # a variable exponent takes the exp-log form on floats and duals alike,
@@ -344,6 +346,11 @@ def _singular_hessian(*xv):
     raise SingularHessian(f"velocity Hessian is singular at x={np.array(xv[:n])}, v={np.array(xv[n:])}")
 
 
+def _outside(*x):
+    """Raise the PositionDomainError of a position x outside a model's predicate."""
+    raise PositionDomainError(f"position {np.array(x)} outside the model domain")
+
+
 #: the only global names kernel code can read; temporaries are t0, t1, ...
 _KERNEL_GLOBALS = {
     "_sqrt": math.sqrt,
@@ -359,6 +366,7 @@ _KERNEL_GLOBALS = {
     "_not_positive": functools.partial(_raise, ValueError),
     "_singular": _singular,
     "_singular_hessian": _singular_hessian,
+    "_outside": _outside,
     "_insensitive_level": functools.partial(_raise, DomainError, "level function is insensitive to the "
                                             "velocity scale; no conserving reparametrization exists here"),
     "_fabs": math.fabs,
@@ -366,6 +374,21 @@ _KERNEL_GLOBALS = {
     "_INF": math.inf,
     "_NAN": math.nan,
 }
+
+
+def entrywise(fn):
+    """fn on Python floats, entry by entry over its arguments broadcast together.
+
+    Batches run this where numpy's own kernel rounds differently from the
+    float function a row calls, as numpy's power does.
+    """
+
+    def each(*args):
+        cols = np.broadcast_arrays(*args)
+        flat = [c.ravel().tolist() for c in cols]
+        return np.array(list(map(fn, *flat)), float).reshape(cols[0].shape)
+
+    return each
 
 
 def _stack(col, entries, *shape):
@@ -397,6 +420,7 @@ _OPS = {
     "*": operator.mul,
     "/": operator.truediv,
     "**": operator.pow,
+    **{"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "&": operator.and_},
 }
 
 #: each guard's test, as written and as it folds on constants
@@ -428,8 +452,8 @@ _TEMPORARY = re.compile(r"\bt\d+\b")
 #: a top-level assignment with no division, power or call on its right
 _PURE_ASSIGNMENT = re.compile(r"    (t\d+) = (?!.*(?:/|\*\*|\w\()).*")
 
-#: each kernel kind and the arguments it takes after the n positions and the n velocities
-_KINDS = {"fiber": (), "full": (), "columns": (), "el": (), "reduced-el": ("mu", "bound", "ceiling"),
+#: each kernel kind and the arguments it takes after its state: n positions and velocities, "reduced-el" n - 1
+_KINDS = {"fiber": (), "full": (), "columns": (), "el": (), "reduced-el": ("z", "mu", "bound", "lift"),
           **{kind: ("e",) for kind in ("level-value", "level-fiber", "level-full", "spray", "level-spray")}}
 
 
@@ -446,19 +470,26 @@ class _KernelWriter:
     raise, and drop terms that are structural zeros.
     """
 
-    def __init__(self, n: int, kind: str, cyclic: int | None = None):
+    def __init__(self, n: int, kind: str, cyclic: int | None = None, guard: "Expression | None" = None):
         self.n = n
         self.kind = kind
         self.cyclic = cyclic
+        self.guard = guard
         self.seed(kind not in ("fiber", "columns"))
         # the column kernel is the fiber kernel with its operands columns
         self.columns = kind == "columns"
         self.lines = []
         self.guards = set()
-        # t0 .. t(2n-1) are the arguments x, then y, and the kind's own follow
-        self.count = self.arity = 2 * n + len(_KINDS[kind])
+        # t0 .. t(2n-1) are the arguments x, then y, and the kind's own follow; the reduced kind
+        # reads the shape point, with position 0.0, which is not folded, and velocity z at the cyclic slot
+        state = 2 * n if cyclic is None else 2 * n - 2
+        self.count = self.arity = state + len(_KINDS[kind])
         self.args = [f"t{k}" for k in range(self.arity)]
         self.slots = self.args[:2 * n]  # the operands x and v read
+        if cyclic is not None:
+            x, v = self.args[:n - 1], self.args[n - 1:state]
+            self.slots = [*x[:cyclic], "0.0", *x[cyclic:], *v[:cyclic], self.args[state], *v[cyclic:]]
+        self.x = self.slots[:n]
         self.done = {}  # id of a node already written: its jet
         self.names = {}  # right-hand side already written: its temporary
 
@@ -738,7 +769,7 @@ class _KernelWriter:
         """The full jet of the tree at (x, velocity), or the fiber jet, whose x entries are None."""
         n = self.n
         self.seed(full)
-        self.slots = self.args[:n] + velocity  # what the tree's x and v read
+        self.slots = self.x + velocity  # what the tree's x and v read
         self.done = {}  # a node's jet depends on the point
         v, g, h = self.jet(tree)
         rows = [h[r * n:(r + 1) * n] for r in range(len(h) // n)]
@@ -835,12 +866,13 @@ class _KernelWriter:
                 [[add(mul(f_x[i], f_y[j]), mul(f, f_xy[i][j])) for j in range(n)] for i in range(n)],
                 [[add(mul(f_y[i], f_y[j]), mul(f, f_yy[i][j])) for j in range(n)] for i in range(n)])
 
-    def reduced_jet(self, tree, mu, bound, ceiling):
+    def reduced_jet(self, tree, mu, bound, lift):
         """The jet of the reduction by the cyclic coordinate at the shape point; its value is None.
 
         It reads the full point, with 0.0 as the cyclic position and the guess
-        as the cyclic velocity, then mu and ``routh._momentum_bounds``. It
-        writes ``routh._momentum_steps``' first two probes, a fiber jet at the
+        as the cyclic velocity, then mu and ``routh._momentum_bounds``, which
+        it completes with the shape speed. It writes
+        ``routh._momentum_steps``' first two probes, a fiber jet at the
         guess and, one Newton step on, the full jet, then the float operations
         of ``ReducedLagrangian.eval``'s Schur step. It declines where the solve
         converges at the guess, diverges or needs more steps, or a pivot is zero.
@@ -850,6 +882,9 @@ class _KernelWriter:
 
         def norm(r):  # |r| on floats, as the momentum solve takes it
             return self.call("sqrt", op("*", r, r))
+
+        shape = [v[j] for j in s]  # the speed summed from the left, as ``@`` sums a short vector
+        ceiling = op("*", 1e8, op("+", lift, self.call("sqrt", self.dot(shape, shape))))
 
         self.seed(False)
         _, g, h = self.jet(tree)
@@ -941,7 +976,7 @@ class _KernelWriter:
     def write(self, tree) -> str:
         n, lit, kind = self.n, self.lit, self.kind
         args = self.args
-        x, v, extra = args[:n], args[n:2 * n], args[2 * n:]
+        x, v, extra = args[:n], args[n:2 * n], args[self.arity - len(_KINDS[kind]):]
 
         def vec(entries):
             return "_array([" + ", ".join(lit(e) for e in entries) + "])"
@@ -955,12 +990,13 @@ class _KernelWriter:
         def stack(entries, shape=""):
             return f"_stack(t0, [{', '.join(lit(e) for e in entries)}]{shape})"
 
-        # an acceleration is the Euler-Lagrange step over its kind's jet source
+        # an acceleration is the Euler-Lagrange step over its kind's jet source;
+        # the flow kinds return the state's derivative, velocities first
         if kind == "el":
-            out = [floats(self.el(self.base_jet(tree, v), v, f"_singular_hessian({', '.join(x + v)})"))]
+            out = [floats(v + self.el(self.base_jet(tree, v), v, f"_singular_hessian({', '.join(x + v)})"))]
         elif kind == "reduced-el":
-            shape = [vi for i, vi in enumerate(v) if i != self.cyclic]
-            out = [floats(self.el(self.reduced_jet(tree, *extra), shape, "return None"))]
+            shape = self.args[n - 1:2 * n - 2]
+            out = [floats(shape + self.el(self.reduced_jet(tree, *extra[1:]), shape, "return None"))]
         elif kind == "level-value":
             s, jet = self.scaled(tree, *extra)
             out = [lit(self.mul(s, self.add(jet[0], *extra)))]
@@ -985,7 +1021,10 @@ class _KernelWriter:
             else:
                 out = [lit(val), vec(g), mat(rows)]
         ret = "    return " + ", ".join(out)
-        return "\n".join([f"def kernel({', '.join(args)}):", *self.live(ret), ret, ""])
+        # the position guard comes first, so its error comes before any of the formula's
+        guard = [f"    if not {_guard_code(self.guard.tree, self.x)}:",
+                 f"        _outside({', '.join(map(lit, self.x))})"] if self.guard else []
+        return "\n".join([f"def kernel({', '.join(args)}):", *guard, *self.live(ret), ret, ""])
 
     def live(self, ret: str) -> list:
         """The lines without each assignment of +, -, * or negation that nothing after it reads.
@@ -1008,11 +1047,11 @@ class _KernelWriter:
 _KERNELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _compile_kernel(source: str, tree, kind: str, n: int, cyclic: int | None):
+def _compile_kernel(source: str, tree, kind: str, n: int, cyclic: int | None, guard):
     if kind not in _KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}")
-    text = _KernelWriter(n, kind, cyclic).write(tree)
-    where = f"n={n}" if cyclic is None else f"n={n} c={cyclic}"
+    text = _KernelWriter(n, kind, cyclic, guard).write(tree)
+    where = (f"n={n}" if cyclic is None else f"n={n} c={cyclic}") + (f" if {guard.source}" if guard else "")
     name = f"<routhlab-kernel {kind} {where}: {' '.join(source.split())}>"
     filename, k = name, 1
     while (live := _KERNELS.get(filename)) is not None:
@@ -1067,23 +1106,26 @@ class Expression:
             raise ArityError("velocity variables are not allowed in this expression")
         return self
 
-    def jet_kernel(self, kind: str, n: int, cyclic: int | None = None):
+    def jet_kernel(self, kind: str, n: int, cyclic: int | None = None, guard: "Expression | None" = None):
         """The compiled kernel of a kind in ``_KINDS``, made on first use (a live equal one is reused) and kept.
 
         It takes the n positions, the n velocities and then the kind's own
         arguments, as floats or, for the column kernel, as (k,) columns of k
-        rows. The fiber kernel returns (value, d_y, d_yy), the full kernel
-        (value, d_x, d_y, d_yy, d_xy), the column kernel the fiber blocks of
-        every row stacked, of shapes (k,), (k, n) and (k, n, n), the level
-        kinds what ``JacobiFinslerModel.eval`` does, and the acceleration kinds
-        the n accelerations. The level and spray kinds return None where their
-        scale solve leaves its usual path, and ``"reduced-el"``, of the cyclic
-        index ``cyclic``, where its momentum probes do not apply.
+        rows; ``"reduced-el"`` takes the shape point instead. The fiber kernel
+        returns (value, d_y, d_yy), the full kernel (value, d_x, d_y, d_yy,
+        d_xy), the column kernel the fiber blocks of every row stacked, of
+        shapes (k,), (k, n) and (k, n, n), the level kinds what
+        ``JacobiFinslerModel.eval`` does, and the acceleration kinds the n
+        accelerations, after the velocities for the flow kinds. The level and
+        spray kinds return None where their scale solve leaves its usual path,
+        and ``"reduced-el"``, of the cyclic index ``cyclic``, where its
+        momentum probes do not apply. A ``guard`` (:func:`trace_guard`) raises
+        PositionDomainError first, outside it.
         """
-        key = (kind, n, cyclic)
+        key = (kind, n, cyclic, guard and guard.source)
         kernel = self._kernels.get(key)
         if kernel is None:
-            kernel = self._kernels[key] = _compile_kernel(self.source, self.tree, kind, n, cyclic)
+            kernel = self._kernels[key] = _compile_kernel(self.source, self.tree, kind, n, cyclic, guard)
         return kernel
 
 
@@ -1136,3 +1178,47 @@ def trace_expression(fn, dim: int, source: str) -> Expression | None:
     except Exception:  # raised again on numbers, where the hyper-dual path reports it
         return None
     return Expression(source, tree, max_x, max_v) if depth <= MAX_TRACE_DEPTH else None
+
+
+# -- position guards ------------------------------------------------------------
+
+
+class _Positions(tuple):
+    """Position symbols that index and slice, and nothing more: numpy's sums and products, ``@``
+    among them, may round otherwise than a guard, and a tuple's + and * are not an array's."""
+
+    __add__ = __mul__ = __rmul__ = __array__ = duals._untraceable
+
+    def __getitem__(self, i):
+        return _Positions(tuple.__getitem__(self, i)) if isinstance(i, slice) else tuple.__getitem__(self, i)
+
+
+def _guard_code(node, x: list, condition: bool = True) -> str:
+    """A traced condition as code over the position operands x: comparisons joined by ``&``, of terms
+    of +, -, * and negation over positions and constants; TypeError for any other tree."""
+    tag = node[0]
+    if not condition and tag in ("num", "x"):
+        return _KernelWriter.lit(node[1] if tag == "num" else x[node[1]])
+    joins = tag in ("&", "<", "<=", ">", ">=")
+    if condition != joins or not joins and tag not in ("+", "-", "*", "neg"):
+        raise TypeError("not a condition on the positions")
+    args = [_guard_code(c, x, tag == "&") for c in node[1:]]
+    if tag == "neg":
+        return f"(-{args[0]})"
+    a, b = args[::-1] if tag[0] == ">" else args  # b < a is as false as a > b where one is NaN
+    return f"({a} {tag.replace('>', '<')} {b})"
+
+
+def trace_guard(predicate, n: int) -> Expression | None:
+    """The condition that a position predicate, run once on n position symbols, returns, or None.
+
+    It is comparisons joined by ``&``, of terms of +, -, * and negation,
+    which raise on no float and which numpy rounds as floats, so it keeps the
+    predicate's verdict everywhere, NaN included; its source is its code over
+    t0, t1, ..., and called on (n, k) columns it checks k points.
+    """
+    try:
+        tree = predicate(_Positions(duals.Symbol(("x", i)) for i in range(n))).node
+        return Expression(_guard_code(tree, [f"t{i}" for i in range(n)]), tree, n, 0)
+    except Exception:  # it keeps running as it is written, on numbers
+        return None

@@ -12,6 +12,8 @@ floats and returns a sequence of floats. Right-hand sides may raise
 DomainError to veto a trial step (adaptive probes must not wander outside a
 chart); the step is then retried smaller, and the run aborts with
 StepFailure only once the step size underflows or the step budget runs out.
+The step catches DomainError alone, so any other error ends the run: the
+flows' right-hand sides raise DomainError for a kernel's ValueError.
 
 The run keeps every accepted step's stages and then forms each step's
 standard quartic interpolant, so trajectories can later be sampled at

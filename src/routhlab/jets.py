@@ -15,8 +15,8 @@ the value, order 1 the velocity-only fiber jet (value, d_y, d_yy), and order
 where it has a tree, by hyper-duals otherwise; a wrapper with an explicit
 formula writes ``expr`` over its base's (:func:`require_expr`). Implicit
 wrappers and closed forms write their own ``eval``; ``value`` and
-``fiber_jet`` are one-line wrappers. The other kernels of a tree, the sprays
-and the Euler-Lagrange accelerations, run through :func:`run_kernel`.
+``fiber_jet`` are one-line wrappers. The sprays run through
+:func:`run_kernel`, and the Euler-Lagrange flows through :func:`flow_kernel`.
 :func:`jet` adds input and output validation, and the independent
 finite-difference oracle :func:`fd_jet` cross-checks every family in the tests.
 
@@ -36,7 +36,9 @@ A field's domain is one rule: its position predicate ``_domain``, which
 built, plus the guards of its formula. No class overrides ``domain_check``;
 a velocity condition is a guard of the formula (``duals.positive``, ``sqrt``,
 ``log``) or is raised where the value is computed, so a batch's columns
-kernel and a solver's probes meet it as ``eval`` does.
+kernel and a solver's probes meet it as ``eval`` does. A predicate that
+traces (:func:`~routhlab.expressions.trace_guard`) is the first guard of the
+Euler-Lagrange kernels and runs on columns in batches; others run in Python.
 
 The implicit solves (energy scale, cyclic velocities) write their rules
 once, as step routines, and :func:`drive` runs one of them at one point. A
@@ -52,7 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import seed_second, value_of
-from .errors import DomainError, PositionDomainError, RouthlabError, StencilDomainError
+from .errors import DomainError, RouthlabError, StencilDomainError
+from .expressions import _outside, trace_guard
 
 __all__ = ["SecondJet", "ScalarField", "jet", "fd_jet", "chain_jet", "drive", "FD_STEP"]
 
@@ -95,12 +98,22 @@ class ScalarField:
     family: str = "custom"
     _domain = None
     expression = None
+    _traced = (None, None)  # the predicate last traced, and its guard
 
     # -- domain ---------------------------------------------------------
 
     def domain_check(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Raise PositionDomainError where ``_domain`` says no, in Python, as ``eval`` and the sprays
+        check; the flow kernels check a predicate that traces as their guard (:func:`flow_kernel`)."""
         if self._domain is not None and not self._domain(np.asarray(x, float)):
-            raise PositionDomainError(f"position {np.asarray(x)} outside the model domain")
+            _outside(*x)
+
+    def _position_guard(self):
+        """The guard ``_domain`` traces to (:func:`~routhlab.expressions.trace_guard`), or None where
+        there is no predicate or it does not trace; traced again whenever ``_domain`` is another object."""
+        if self._traced[0] is not self._domain:
+            self._traced = self._domain, trace_guard(self._domain, self.dim)
+        return self._traced[1]
 
     def describe(self) -> dict:
         return {"family": self.family, "dim": self.dim}
@@ -153,12 +166,9 @@ class ScalarField:
             d_xy=np.array(h[:n, n:]),
         )
 
-    def _el_kernel(self, x: list, v: list):
-        """``el_acceleration`` at lists (x, v) from the tree's ``"el"`` kernel, in floats; else None."""
-        if self.expression is None:
-            return None
-        self.domain_check(x, v)
-        return run_kernel(self, "el", *x, *v)
+    def _el_flow(self):
+        """(kernel, args after the state) of the Euler-Lagrange flow (:func:`flow_kernel`), or None."""
+        return None if self.expression is None else (flow_kernel(self, "el"), ())
 
     def value(self, x, y) -> float:
         """The value at (x, y): ``eval`` at order 0."""
@@ -213,7 +223,12 @@ class ScalarField:
         return type(self)._eval_rows is not ScalarField._eval_rows or self.expression is not None
 
     def _rows_in_domain(self, xs, ys) -> bool:
-        """Whether the position predicate holds on every row; a row that raises says no."""
+        """Whether the position predicate holds on every row, run once on xs's columns where it traces; a
+        row that raises says no."""
+        guard = self._position_guard()
+        if guard is not None:
+            with np.errstate(all="ignore"):
+                return bool(np.all(guard(xs.T)))
         try:
             return self._domain is None or all(self._domain(x) for x in xs)
         except Exception:
@@ -242,21 +257,6 @@ def batch_rows(xs, ys):
     return np.ascontiguousarray(xs, float), np.ascontiguousarray(ys, float)
 
 
-def entrywise(fn):
-    """fn on Python floats, entry by entry over its arguments broadcast together.
-
-    Batches run this where numpy's own kernel rounds differently from the
-    float function a row calls, as numpy's power does.
-    """
-
-    def each(*args):
-        cols = np.broadcast_arrays(*args)
-        flat = [c.ravel().tolist() for c in cols]
-        return np.array(list(map(fn, *flat)), float).reshape(cols[0].shape)
-
-    return each
-
-
 def solve_linear(a: np.ndarray, b: np.ndarray, fail):
     """a^-1 b, rounded as LAPACK's dgesv rounds it; raises ``fail()`` where a is singular.
 
@@ -275,16 +275,32 @@ def solve_linear(a: np.ndarray, b: np.ndarray, fail):
         raise fail() from exc
 
 
-def run_kernel(field: ScalarField, kind: str, *args, cyclic: int | None = None):
+def run_kernel(field: ScalarField, kind: str, *args):
     """The ``kind`` kernel of field's tree on args (:meth:`Expression.jet_kernel`).
 
     A guard's error raises DomainError; no position predicate is checked.
     """
-    kernel = field.expression.jet_kernel(kind, field.dim, cyclic)
+    kernel = field.expression.jet_kernel(kind, field.dim)
     try:
         return kernel(*args)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(str(exc)) from exc
+
+
+def flow_kernel(field: ScalarField, kind: str, cyclic: int | None = None):
+    """The ``kind`` flow kernel of field's tree, which checks field's position predicate first: as its
+    guard where it traces, else by ``domain_check`` at the full position, the cyclic slot's 0.0 put back."""
+    guard = field._position_guard()
+    kernel = field.expression.jet_kernel(kind, field.dim, cyclic, guard)
+    if guard is not None or field._domain is None:
+        return kernel
+    n = field.dim if cyclic is None else field.dim - 1
+
+    def checked(*args):
+        field.domain_check(args[:n] if cyclic is None else [*args[:cyclic], 0.0, *args[cyclic:n]], ())
+        return kernel(*args)
+
+    return checked
 
 
 def drive(routine, probe):

@@ -23,7 +23,7 @@ from .duals import positive, power
 from .errors import DomainError, PreconditionError, SingularHessian
 from .expressions import Expression, parse_expression, trace_expression
 from .integrators import Trajectory, integrate_sampled
-from .jets import ScalarField, batch_rows, require_expr, solve_linear
+from .jets import EVAL_ERRORS, ScalarField, batch_rows, require_expr, solve_linear
 
 __all__ = [
     "LagrangianModel",
@@ -301,14 +301,45 @@ def el_acceleration(L: LagrangianModel, x, v) -> np.ndarray:
     and the solve raise but sums L_xv^T v from the left, so an entry may
     differ from numpy's in the last bits. A reduction by one cyclic
     coordinate runs its ``"reduced-el"`` kernel where that applies
-    (``ReducedLagrangian._el_kernel``). The kernels take and return floats,
-    as :func:`integrate_el` runs them. Otherwise, and as the tests' oracle,
-    this is ``eval``'s jet and numpy's solve.
+    (``ReducedLagrangian._el_flow``). This is :func:`integrate_el`'s
+    right-hand side (``_el_rhs``) at one point. Otherwise, and as the tests'
+    oracle, it is ``eval``'s jet and numpy's solve.
     """
     x = np.asarray(x, float)
     v = np.asarray(v, float)
-    a = L._el_kernel(x.tolist(), v.tolist())
-    return _el_solve(L, x, v) if a is None else np.array(a)
+    return np.array(_el_rhs(L)(0.0, x.tolist() + v.tolist())[L.dim:])
+
+
+def _el_rhs(L: LagrangianModel):
+    """L's Euler-Lagrange right-hand side ``rhs(t, [*x, *v]) -> (*v, *a)``, built once per run.
+
+    The ``"el"`` kernel raises DomainError for a guard's ValueError, as a
+    step veto; a step lets every other error through. Where the reduced kind
+    declines or raises, and without a kernel, the numpy path runs.
+    """
+    n = L.dim
+
+    def solved(t, s):
+        return (*s[n:], *_el_solve(L, np.array(s[:n]), np.array(s[n:])).tolist())
+
+    def rhs(t, s):
+        try:
+            return kernel(*s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(str(exc)) from exc
+
+    def reduced(t, s):
+        try:
+            out = kernel(*s, *args)
+        except EVAL_ERRORS:
+            out = None
+        return solved(t, s) if out is None else out
+
+    flow = L._el_flow()
+    if flow is None:
+        return solved
+    kernel, args = flow
+    return reduced if args else rhs
 
 
 def _el_solve(L: LagrangianModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -338,10 +369,5 @@ def integrate_el(
             f"L is not strongly convex at the initial state (min eigenvalue {smallest:.3g})"
         )
 
-    def rhs(t, s):
-        x, v = s[:n], s[n:]
-        a = L._el_kernel(x, v)
-        return (*v, *(_el_solve(L, np.array(x), np.array(v)).tolist() if a is None else a))
-
-    return integrate_sampled(rhs, x0, v0, t_end, tol, samples,
+    return integrate_sampled(_el_rhs(L), x0, v0, t_end, tol, samples,
                              lambda xs, vs: energies(L, xs, vs), {"kind": "euler_lagrange"})

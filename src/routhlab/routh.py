@@ -32,7 +32,7 @@ from .errors import (
 )
 from .expressions import _footprint
 from .integrators import Trajectory
-from .jets import EVAL_ERRORS, SecondJet, batch_rows, drive, run_kernel, solve_linear
+from .jets import EVAL_ERRORS, SecondJet, batch_rows, drive, flow_kernel, solve_linear
 from .lagrangian import LagrangianModel, energies, integrate_el
 from .reporting import VerificationReport
 
@@ -363,27 +363,15 @@ class ReducedLagrangian(LagrangianModel):
             self.base, self.split, self.mu, x_shape, y_shape, guess=self.guess
         )
 
-    def _el_kernel(self, x: list, v: list):
-        """``el_acceleration`` at lists (x, v) from the base's ``"reduced-el"`` kernel, or None.
-
-        It is None where the base has no tree or more than one coordinate is
-        cyclic, and where the kernel returns None or raises: ``eval`` then
-        meets its own result or error.
-        """
+    def _el_flow(self):
+        """The base's ``"reduced-el"`` kernel and its arguments after the shape state: the guess, mu and
+        ``_momentum_bounds``' residual bound and ceiling part; None without a tree or one cyclic slot."""
         base, split = self.base, self.split
         if base.expression is None or len(split.cyclic) != 1:
             return None
-        (c,), z, mu = split.cyclic, self.guess.item(), self.mu.item()
-        full_x, full_v = [*x], [*v]
-        full_x.insert(c, 0.0)
-        full_v.insert(c, z)
-        try:
-            base.domain_check(full_x, full_v)
-            # the shape speed summed from the left, as ``@`` sums a short vector
-            return run_kernel(base, "reduced-el", *full_x, *full_v, mu,
-                              *_momentum_bounds(mu, z, math.sqrt(sum(w * w for w in v))), cyclic=c)
-        except EVAL_ERRORS:
-            return None
+        z, mu = self.guess.item(), self.mu.item()
+        bound, _ = _momentum_bounds(mu, z, 0.0)
+        return flow_kernel(base, "reduced-el", split.cyclic[0]), (z, mu, bound, 1.0 + math.sqrt(z * z))
 
     def _eval_rows(self, xs, ys, order: int):
         """Orders 0 and 1: one column momentum solve, then stacked Schur steps.

@@ -296,7 +296,7 @@ _KERNEL_NODES = (
     ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Return,
     ast.If, ast.Expr, ast.Call, ast.Compare, ast.BinOp, ast.UnaryOp, ast.List,
     ast.Tuple, ast.Name, ast.Constant, ast.Load, ast.Store, ast.Add, ast.Sub,
-    ast.Mult, ast.Div, ast.Pow, ast.USub, ast.Not, ast.LtE, ast.Lt,
+    ast.Mult, ast.Div, ast.Pow, ast.USub, ast.Not, ast.LtE, ast.Lt, ast.BitAnd,
 )
 
 
@@ -322,26 +322,45 @@ def test_kernel_code_reads_only_whitelisted_names(source):
              ("spray", None, _KERNEL_GLOBALS), ("level-spray", None, _KERNEL_GLOBALS),
              ("el", None, _KERNEL_GLOBALS), ("reduced-el", 0, _KERNEL_GLOBALS),
              ("reduced-el", 1, _KERNEL_GLOBALS)), expressions):
-        tree = ast.parse(inspect.getsource(expression.jet_kernel(kind, 2, cyclic)))
-        # the one string a kernel holds is a guard's message, from the tree,
-        # and the reduced and scaled kernels return None where their path does not apply
-        messages = {id(n.args[0]) for n in ast.walk(tree)
-                    if isinstance(n, ast.Call) and getattr(n.func, "id", "") == "_not_positive"}
-        declines = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Return)
-                    and kind in _DECLINING and isinstance(n.value, ast.Constant) and n.value.value is None}
-        for node in ast.walk(tree):
-            assert isinstance(node, _KERNEL_NODES), ast.dump(node)
-            if isinstance(node, ast.Name):
-                assert node.id in names or re.fullmatch(r"t\d+", node.id), node.id
-            if isinstance(node, ast.Constant) and id(node) not in messages | declines:
-                # the column kernel's only integers are the shapes it stacks to
-                assert type(node.value) is float and math.isfinite(node.value) or \
-                    kind == "columns" and node.value == 2, node.value
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-                # numpy's power rounds differently from the float power
-                assert kind != "columns", ast.unparse(node)
-                # v ** 1.0 and v ** 0.0 are folded to v and 1.0 while writing
-                assert not (isinstance(node.right, ast.Constant) and node.right.value in (0.0, 1.0))
+        _assert_whitelisted(expression.jet_kernel(kind, 2, cyclic), kind, names)
+
+
+def _assert_whitelisted(kernel, kind, names):
+    tree = ast.parse(inspect.getsource(kernel))
+    # the one string a kernel holds is a guard's message, from the tree,
+    # and the reduced and scaled kernels return None where their path does not apply
+    messages = {id(n.args[0]) for n in ast.walk(tree)
+                if isinstance(n, ast.Call) and getattr(n.func, "id", "") == "_not_positive"}
+    declines = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Return)
+                and kind in _DECLINING and isinstance(n.value, ast.Constant) and n.value.value is None}
+    for node in ast.walk(tree):
+        assert isinstance(node, _KERNEL_NODES), ast.dump(node)
+        if isinstance(node, ast.Name):
+            assert node.id in names or re.fullmatch(r"t\d+", node.id), node.id
+        if isinstance(node, ast.Constant) and id(node) not in messages | declines:
+            # the column kernel's only integers are the shapes it stacks to
+            assert type(node.value) is float and math.isfinite(node.value) or \
+                kind == "columns" and node.value == 2, node.value
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            # numpy's power rounds differently from the float power
+            assert kind != "columns", ast.unparse(node)
+            # v ** 1.0 and v ** 0.0 are folded to v and 1.0 while writing
+            assert not (isinstance(node.right, ast.Constant) and node.right.value in (0.0, 1.0))
+
+
+@pytest.mark.parametrize("predicate", [
+    lambda x: x[0] > 0.1, lambda x: x[1] <= -2.0, lambda x: (x[0] > 0) & (x[0] * x[1] - 1 < x[1]),
+    lambda x: -x[1] >= float("-inf")], ids=["greater", "at most", "conjunction", "infinite bound"])
+def test_guarded_flow_kernels_read_only_whitelisted_names(predicate):
+    # a traced position predicate is the first test of the flow kernels:
+    # comparisons of +, -, * and negation, and the call that raises outside
+    for model in (parse_lagrangian(ROUND_TRIP_SOURCES[0], dim=2), poincare_disk_lagrangian()):
+        model._domain = predicate
+        guard = model._position_guard()
+        for kind, cyclic in (("el", None), ("reduced-el", 0), ("reduced-el", 1)):
+            kernel = model.expression.jet_kernel(kind, 2, cyclic, guard)
+            assert "_outside(" in kernel.text.splitlines()[2]
+            _assert_whitelisted(kernel, kind, _KERNEL_GLOBALS)
 
 
 def _row_loop(model, xs, ys, order):
@@ -484,7 +503,8 @@ def test_el_kernels_of_the_round_trip_models_equal_the_numpy_path(numpy_el, sour
         assert el_acceleration(model, x, v).tobytes() == numpy_el(model, x, v).tobytes()
         guess = None if rng.random() < 0.5 else rng.uniform(0.5, 1.5, 1)
         red = ReducedLagrangian(model, split, momentum(model, split, x, v), guess=guess)
-        assert red._el_kernel(x[:1], v[:1]) is not None
+        kernel, args = red._el_flow()
+        assert kernel(*x[:1], *v[:1], *args) is not None
         assert el_acceleration(red, x[:1], v[:1]).tobytes() == numpy_el(red, x[:1], v[:1]).tobytes()
 
 
@@ -529,7 +549,8 @@ def test_reduced_el_kernel_of_a_lagrangian_free_in_the_shape_position_keeps_nump
     for _ in range(200):
         x, v = np.array([rng.uniform(-1.0, 1.0), 0.0]), rng.uniform(-1.5, 1.5, 2)
         red = ReducedLagrangian(model, split, momentum(model, split, x, v), guess=[v[1] + 0.125])
-        assert red._el_kernel(x[:1], v[:1]) is not None
+        kernel, args = red._el_flow()
+        assert kernel(*x[:1], *v[:1], *args) is not None
         assert el_acceleration(red, x[:1], v[:1]).tobytes() == numpy_el(red, x[:1], v[:1]).tobytes()
 
 

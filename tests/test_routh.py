@@ -1,5 +1,6 @@
 """Cyclic-coordinate reduction: momenta, Routhian jets, round trips."""
 
+import contextlib
 import functools
 import warnings
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import routhlab as rl
 from routhlab import CyclicSplit
+from routhlab.jets import EVAL_ERRORS
 
 # planar motion in a central potential, polar coordinates (r, theta);
 # theta is cyclic and mu = r^2 v_theta is its conserved momentum
@@ -755,10 +757,13 @@ def _fallback_cases():
 
 @pytest.mark.parametrize("case", list(_fallback_cases()))
 def test_reduced_kernel_falls_back_to_the_numpy_path(numpy_el, case):
-    # where the kernel's two probes do not apply, it declines, and the numpy
-    # path gives its own result or raises its own error
+    # where the kernel's two probes do not apply, it declines: it returns
+    # None, or raises, as at a guard of its jet or of the position predicate;
+    # the numpy path then gives its own result or raises its own error
     red, x, v, error = _fallback_cases()[case]
-    assert red._el_kernel(x, v) is None
+    kernel, args = red._el_flow()
+    with pytest.raises(EVAL_ERRORS) if case in ("backtrack", "outside") else contextlib.nullcontext():
+        assert kernel(*x, *v, *args) is None
     got = _outcome(lambda: rl.el_acceleration(red, x, v))
     assert got == _outcome(lambda: numpy_el(red, x, v))
     assert got[0] is error if error else isinstance(got, list)
