@@ -51,7 +51,7 @@ from .homogenize import (
     solve_energy_scale,
 )
 from .integrators import DenseOutput, IntegratorStats, Trajectory, solve_ode
-from .jets import FD_STEP, ScalarField, SecondJet, chain_jet, fd_jet, jet
+from .jets import FD_STEP, ScalarField, SecondJet, fd_jet, jet
 from .lagrangian import (
     ExpressionLagrangian,
     HomogeneousLagrangian,
@@ -115,7 +115,6 @@ __all__ = [
     "ScalarField",
     "jet",
     "fd_jet",
-    "chain_jet",
     "FD_STEP",
     # expressions
     "Expression",

@@ -18,8 +18,8 @@ differentiated implicitly, never by finite differences), plus closed forms
 for fiberwise-homogeneous and quadratic-plus-linear Lagrangians, gauge
 shifts by exact one-forms (which commute with the level metric), and the
 pointwise positivity check appropriate for degenerate (1-homogeneous)
-velocity Hessians. The lift and a gauge shift write ``expr`` over their
-base's and are traced when built.
+velocity Hessians. The lift, a gauge shift and the closed forms write
+``expr`` and are traced when built.
 """
 
 from __future__ import annotations
@@ -29,15 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import HyperDual, positive, seed_second, value_of
+from .duals import positive, power, sqrt
 from .errors import DomainError, EnergyUnreachable, NoConvergence, PositionDomainError
 from .expressions import SCALE_TOL, Expression, parse_expression, time_derivative, trace_expression
-from .jets import ScalarField, SecondJet, chain_jet, drive, require_expr, run_kernel, stack_rows
+from .jets import ScalarField, SecondJet, drive, require_expr, run_kernel, stack_rows
 from .lagrangian import (
     LagrangianModel,
     MagneticLagrangian,
+    _half_quadratic,
     _normalize_matrix,
     _normalize_vector,
+    _plus_one_form,
 )
 
 __all__ = [
@@ -404,27 +406,18 @@ def jacobi_finsler(L: LagrangianModel, e: float) -> JacobiFinslerModel:
 # -- quadratic-plus-linear closed form ------------------------------------------
 
 
-def _coeff(spec, x: np.ndarray, shape: tuple, grads: bool = False):
-    """A coefficient at x as a float array of ``shape``, and if asked its
-    x-gradients, of shape (n, *shape), from a call on HyperDual seeds."""
-    n = x.shape[0]
+def _coeff(spec, x: np.ndarray, shape: tuple) -> np.ndarray:
+    """A coefficient at x as a float array of ``shape``."""
     if not callable(spec):
-        vals = np.broadcast_to(np.asarray(0.0 if spec is None else spec, float), shape)
-        return vals, (np.zeros((n, *shape)) if grads else None)
+        return np.broadcast_to(np.asarray(0.0 if spec is None else spec, float), shape)
     try:
-        zs = np.array(spec(seed_second(x) if grads else x.tolist()), dtype=object).ravel()
+        return np.array(spec(x.tolist()), float).reshape(shape)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(str(exc)) from exc
-    vals = np.array([value_of(z) for z in zs]).reshape(shape)
-    if not grads:
-        return vals, None
-    dz = [z.g if isinstance(z, HyperDual) else np.zeros(n) for z in zs]
-    # C order, as einsum sums it: a strided view can round differently
-    return vals, np.ascontiguousarray(np.array(dz).T.reshape(n, *shape))
 
 
 class RandersModel(FinslerModel):
-    """F = sqrt(y . G(x) y) + B(x) . y with exact analytic jets.
+    """F = sqrt(y . G(x) y) + B(x) . y, written once as ``expr`` and traced when built.
 
     G must evaluate symmetric positive definite wherever the model is used;
     the one-form B must stay shorter than 1 in the G-inverse norm for the
@@ -441,31 +434,12 @@ class RandersModel(FinslerModel):
         self.metric = _normalize_matrix(metric, self.dim)
         self.beta = _normalize_vector(beta, self.dim)
         self._domain = domain
+        self.expression = trace_expression(self.expr, self.dim, "RandersModel.expr")
 
-    def eval(self, x, y, order: int = 2):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        n, grads = self.dim, order == 2
-        g, dg = _coeff(self.metric, x, (n, n), grads)
-        b, db = _coeff(self.beta, x, (n,), grads)
-        w = g @ y
-        a = float(y @ w)
-        if a <= 0.0:
-            raise DomainError("metric coefficient matrix is not positive along y")
-        root = np.sqrt(a)
-        val = root + float(b @ y)
-        if order == 0:
-            return float(val)
-        d_y = w / root + b
-        d_yy = g / root - np.outer(w, w) / (a * root)
-        if order == 1:
-            return val, d_y, d_yy
-        da = np.einsum("bij,i,j->b", dg, y, y)
-        dgy = np.einsum("bij,j->bi", dg, y)
-        d_x = da / (2.0 * root) + db @ y
-        d_xy = dgy / root - np.outer(da, w) / (2.0 * a * root) + db
-        return SecondJet(value=val, d_x=d_x, d_y=d_y, d_yy=d_yy, d_xy=d_xy)
+    def expr(self, xs, ys):
+        a = 2.0 * _half_quadratic(self.metric, xs, ys)
+        root = sqrt(positive(a, "metric coefficient matrix is not positive along y"))
+        return _plus_one_form(root, self.beta, xs, ys)
 
 
 def randers_closed_form(L: MagneticLagrangian, e: float) -> RandersModel:
@@ -488,9 +462,7 @@ def randers_closed_form(L: MagneticLagrangian, e: float) -> RandersModel:
             pot = v_spec(xs)
         else:
             pot = float(v_spec)
-        f = 2.0 * (e - pot)
-        if value_of(f) <= 0.0:
-            raise ValueError(f"energy level {e} does not dominate the potential here")
+        f = positive(2.0 * (e - pot), f"energy level {e} does not dominate the potential here")
         n = len(xs)
         return [[f * g[i][j] for j in range(n)] for i in range(n)]
 
@@ -507,9 +479,9 @@ def randers_global_criterion(L: MagneticLagrangian, e: float, points) -> tuple[b
     worst = -np.inf
     for p in points:
         x = np.asarray(p, float)
-        g, _ = _coeff(L.metric, x, (L.dim, L.dim))
-        b, _ = _coeff(L.beta, x, (L.dim,))
-        pot = float(_coeff(L.potential, x, ())[0])
+        g = _coeff(L.metric, x, (L.dim, L.dim))
+        b = _coeff(L.beta, x, (L.dim,))
+        pot = float(_coeff(L.potential, x, ()))
         bound = 0.5 * float(b @ np.linalg.solve(g, b)) + pot
         worst = max(worst, bound)
     if not np.isfinite(worst):
@@ -527,16 +499,12 @@ def poincare_randers(tau: float) -> RandersModel:
     tau = float(tau)
 
     def metric(xs):
-        c = 1.0 - (xs[0] * xs[0] + xs[1] * xs[1])
-        if value_of(c) <= 0.0:
-            raise ValueError("outside the unit disk")
+        c = positive(1.0 - (xs[0] * xs[0] + xs[1] * xs[1]), "outside the unit disk")
         w = 1.0 / (4.0 * c * c)
         return [[w, 0.0], [0.0, w]]
 
     def beta(xs):
-        c = 1.0 - (xs[0] * xs[0] + xs[1] * xs[1])
-        if value_of(c) <= 0.0:
-            raise ValueError("outside the unit disk")
+        c = positive(1.0 - (xs[0] * xs[0] + xs[1] * xs[1]), "outside the unit disk")
         return [tau * xs[1] / (2.0 * c), (-tau) * xs[0] / (2.0 * c)]
 
     return RandersModel(
@@ -553,12 +521,14 @@ class PowerScaledFinsler(FinslerModel):
 
     On a degree-k base the energy is (k-1) L, the scale equation solves in
     closed form, and the level metric is a constant multiple of L^{1/k}
-    with c = k ((k-1)/e)^{(1-k)/k}. Defined where L > 0.
+    with c = k ((k-1)/e)^{(1-k)/k}. Defined where L > 0. ``expr`` is
+    written over the base's and traced when built.
     """
 
     family = "power_closed_form"
 
     def __init__(self, base: LagrangianModel, e: float, degree: float):
+        require_expr(base, "the closed form")
         k = float(degree)
         e = float(e)
         if k <= 1.0:
@@ -571,6 +541,7 @@ class PowerScaledFinsler(FinslerModel):
         self.coefficient = k * ((k - 1.0) / e) ** ((1.0 - k) / k)
         self.dim = base.dim
         self._domain = base._domain
+        self.expression = trace_expression(self.expr, self.dim, "PowerScaledFinsler.expr")
 
     def describe(self) -> dict:
         return {
@@ -581,18 +552,9 @@ class PowerScaledFinsler(FinslerModel):
             "base": self.base.describe(),
         }
 
-    def eval(self, x, y, order: int = 2):
-        j = self.base.eval(x, y, order)
-        q = j if order == 0 else j[0] if order == 1 else j.value
-        if q <= 0.0:
-            raise DomainError("the closed form needs a positive base value")
-        p = 1.0 / self.degree
-        c = self.coefficient
-        if order == 0:
-            return c * q**p
-        f1 = c * p * q ** (p - 1.0)
-        f2 = c * p * (p - 1.0) * q ** (p - 2.0)
-        return chain_jet(j, c * q**p, f1, f2)
+    def expr(self, xs, ys):
+        q = positive(self.base.expr(xs, ys), "the closed form needs a positive base value")
+        return self.coefficient * power(q, 1.0 / self.degree)
 
 
 def homogeneous_closed_form(L: LagrangianModel, e: float, degree: float | None = None):
@@ -643,9 +605,10 @@ def gauge_shift(model: ScalarField, f) -> GaugeShiftedModel:
     dimension raises ArityError. The returned model has
     identical motion equations; only values and momenta shift. The energy
     does not change, so shifting commutes with the level metric:
-    ``jacobi_finsler(gauge_shift(L, f), e)`` is F_e + df.y. Shift the
-    Lagrangian, then build the metric: a base with no ``expr`` (a level
-    metric, a closed form, a reduction) raises TypeError.
+    ``jacobi_finsler(gauge_shift(L, f), e)`` is F_e + df.y, and so is the
+    shift of a closed form, which writes ``expr``. A base with no ``expr``
+    (a level metric, a reduction) raises TypeError: shift the Lagrangian,
+    then build the metric.
     """
     if isinstance(f, str):
         f = parse_expression(f)

@@ -13,8 +13,9 @@ the value, order 1 the velocity-only fiber jet (value, d_y, d_yy), and order
 2 the :class:`SecondJet`. A formula is written once, as ``expr``, and
 :meth:`ScalarField.eval` evaluates every one: through its tree's kernels
 where it has a tree, by hyper-duals otherwise; a wrapper with an explicit
-formula writes ``expr`` over its base's (:func:`require_expr`). Implicit
-wrappers and closed forms write their own ``eval``; ``value`` and
+formula writes ``expr`` over its base's (:func:`require_expr`), and the
+closed-form level metrics write one too. Only the implicit wrappers, the
+level metric and the reduction, write their own ``eval``; ``value`` and
 ``fiber_jet`` are one-line wrappers. The sprays run through
 :func:`run_kernel`, and the Euler-Lagrange flows through :func:`flow_kernel`.
 :func:`jet` adds input and output validation, and the independent
@@ -57,7 +58,7 @@ from .duals import seed_second, value_of
 from .errors import DomainError, RouthlabError, StencilDomainError
 from .expressions import _outside, trace_guard
 
-__all__ = ["SecondJet", "ScalarField", "jet", "fd_jet", "chain_jet", "drive", "FD_STEP"]
+__all__ = ["SecondJet", "ScalarField", "jet", "fd_jet", "drive", "FD_STEP"]
 
 #: default finite-difference step scale (cube root of machine epsilon)
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -87,8 +88,8 @@ class ScalarField:
 
     A field writes its formula once, as ``expr`` (generic arithmetic usable
     with floats and dual numbers), and ``expression`` is its tree, parsed or
-    traced, or None; the implicit wrappers and the closed forms override
-    ``eval`` with their own assembly. ``domain_check`` raises
+    traced, or None; only the implicit wrappers (the level metric and the
+    reduction) override ``eval`` with their own assembly. ``domain_check`` raises
     :class:`PositionDomainError` where the position predicate ``_domain``,
     if the model has one, says no; every velocity condition is a guard of
     the formula (see the module docstring).
@@ -408,20 +409,3 @@ def fd_jet(field: ScalarField, x, y, h: float | None = None) -> SecondJet:
 
     return SecondJet(value=val, d_x=d_x, d_y=d_y, d_yy=d_yy, d_xy=d_xy)
 
-
-def chain_jet(j, f0: float, f1: float, f2: float):
-    """Jet of phi(field) from the field's jet and phi's derivatives at its value.
-
-    ``j`` is a SecondJet or a fiber jet (value, d_y, d_yy), and the result
-    is of the same kind.
-    """
-    if not isinstance(j, SecondJet):
-        _, d_y, d_yy = j
-        return f0, f1 * d_y, f1 * d_yy + f2 * np.outer(d_y, d_y)
-    return SecondJet(
-        value=f0,
-        d_x=f1 * j.d_x,
-        d_y=f1 * j.d_y,
-        d_yy=f1 * j.d_yy + f2 * np.outer(j.d_y, j.d_y),
-        d_xy=f1 * j.d_xy + f2 * np.outer(j.d_x, j.d_y),
-    )

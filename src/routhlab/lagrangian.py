@@ -80,6 +80,16 @@ def _half_quadratic(metric, xs, ys):
     return acc
 
 
+def _plus_one_form(acc, beta, xs, ys):
+    """acc + beta(x).y in generic arithmetic, summed from the left; acc where beta is None."""
+    if beta is None:
+        return acc
+    comps = beta(xs) if callable(beta) else beta
+    for i in range(len(ys)):
+        acc = acc + comps[i] * ys[i]
+    return acc
+
+
 # -- model families -----------------------------------------------------------
 
 
@@ -108,12 +118,7 @@ class MagneticLagrangian(LagrangianModel):
         self.expression = trace_expression(self.expr, self.dim, "MagneticLagrangian.expr")
 
     def expr(self, xs, ys):
-        n = self.dim
-        acc = _half_quadratic(self.metric, xs, ys)
-        if self.beta is not None:
-            comps = self.beta(xs) if callable(self.beta) else self.beta
-            for i in range(n):
-                acc = acc + comps[i] * ys[i]
+        acc = _plus_one_form(_half_quadratic(self.metric, xs, ys), self.beta, xs, ys)
         if self.potential is not None:
             pot = self.potential(xs) if callable(self.potential) else self.potential
             acc = acc - pot

@@ -201,53 +201,55 @@ def test_criterion_4_disk_geodesics_are_circles_with_boundary_contact():
     assert ok, msg
 
 
+def _criterion_5_case(rng, k):
+    """Criterion 5's case k, one of four families by k % 4, drawn from rng:
+    (L, e, x0, v_dir, t_end)."""
+    fam = k % 4
+    if fam == 0:
+        L = rl.MechanicalLagrangian(
+            2, np.eye(2),
+            potential=lambda xs: 0.5 * (xs[0] * xs[0] + xs[1] * xs[1]),
+        )
+        e = rng.uniform(1.0, 4.0)
+        t_end = rng.uniform(0.5, 1.0)
+        x0 = rng.uniform(-0.4, 0.4, 2)
+    elif fam == 1:
+        L = rl.poincare_disk_lagrangian()
+        e = rng.uniform(0.8, 2.5)
+        t_end = rng.uniform(0.4, 0.8)
+        x0 = rng.uniform(-0.3, 0.3, 2)
+    elif fam == 2:
+        def metric(xs):
+            c = 1.0 + 0.3 * ((xs[0] * 0.7) * (xs[0] * 0.7) + xs[1] * xs[1])
+            return [[c, 0.0], [0.0, c]]
+
+        L = rl.MagneticLagrangian(
+            2, metric, beta=np.array([0.1, -0.2]),
+            potential=lambda xs: 0.2 * xs[0] * xs[0],
+        )
+        e = rng.uniform(1.0, 3.0)
+        t_end = rng.uniform(0.5, 1.0)
+        x0 = rng.uniform(-0.4, 0.4, 2)
+    else:
+        L = rl.PowerQuadraticLagrangian(2, np.diag([1.0, 1.5]), degree=4.0)
+        e = rng.uniform(0.8, 3.0)
+        t_end = rng.uniform(0.5, 1.0)
+        x0 = rng.uniform(-0.4, 0.4, 2)
+    v_dir = rng.uniform(-1.0, 1.0, 2)
+    while float(v_dir @ v_dir) < 0.05:
+        v_dir = rng.uniform(-1.0, 1.0, 2)
+    return L, e, x0, v_dir, t_end
+
+
 def test_criterion_5_randomized_flow_equivalence_matrix():
     """50 random (family, start, energy) cases: every equivalence metric
     passes, within a two-minute budget."""
     t0 = time.monotonic()
     rng = np.random.default_rng(42)
-
-    def random_case(k):
-        fam = k % 4
-        if fam == 0:
-            L = rl.MechanicalLagrangian(
-                2, np.eye(2),
-                potential=lambda xs: 0.5 * (xs[0] * xs[0] + xs[1] * xs[1]),
-            )
-            e = rng.uniform(1.0, 4.0)
-            t_end = rng.uniform(0.5, 1.0)
-            x0 = rng.uniform(-0.4, 0.4, 2)
-        elif fam == 1:
-            L = rl.poincare_disk_lagrangian()
-            e = rng.uniform(0.8, 2.5)
-            t_end = rng.uniform(0.4, 0.8)
-            x0 = rng.uniform(-0.3, 0.3, 2)
-        elif fam == 2:
-            def metric(xs):
-                c = 1.0 + 0.3 * ((xs[0] * 0.7) * (xs[0] * 0.7) + xs[1] * xs[1])
-                return [[c, 0.0], [0.0, c]]
-
-            L = rl.MagneticLagrangian(
-                2, metric, beta=np.array([0.1, -0.2]),
-                potential=lambda xs: 0.2 * xs[0] * xs[0],
-            )
-            e = rng.uniform(1.0, 3.0)
-            t_end = rng.uniform(0.5, 1.0)
-            x0 = rng.uniform(-0.4, 0.4, 2)
-        else:
-            L = rl.PowerQuadraticLagrangian(2, np.diag([1.0, 1.5]), degree=4.0)
-            e = rng.uniform(0.8, 3.0)
-            t_end = rng.uniform(0.5, 1.0)
-            x0 = rng.uniform(-0.4, 0.4, 2)
-        v_dir = rng.uniform(-1.0, 1.0, 2)
-        while float(v_dir @ v_dir) < 0.05:
-            v_dir = rng.uniform(-1.0, 1.0, 2)
-        return L, e, x0, v_dir, t_end
-
     failures = []
     worst = 0.0
     for k in range(50):
-        L, e, x0, v_dir, t_end = random_case(k)
+        L, e, x0, v_dir, t_end = _criterion_5_case(rng, k)
         v0 = rl.rescale_to_energy(L, x0, v_dir, e)
         report = rl.check_geodesic_equivalence(L, e, x0, v0, t_end, samples=401)
         worst = max(worst, max(abs(m.value) / m.tolerance for m in report.metrics))
@@ -261,6 +263,34 @@ def test_criterion_5_randomized_flow_equivalence_matrix():
                 f"{worst:.3f} of its tolerance, {elapsed:.1f} s (budget 120 s)")
     print(msg)
     assert ok, msg + "".join(f"\ncase {k}:\n{s}" for k, s in failures)
+
+
+def test_closed_forms_flow_as_their_level_metrics_pointwise():
+    """A closed form and the level metric it equals are one F, so their
+    unit-speed geodesics from one start agree pointwise in time, not only
+    as traces: the first 20 cases of criterion 5, within 1e-12 of
+    max(1, |x|). The power-4 family's geodesics are straight lines, whose
+    step counts flip with the last bits of the stages; a flip is reported,
+    not asserted away."""
+    rng = np.random.default_rng(42)
+    worst, flips = 0.0, []
+    for k in range(20):
+        L, e, x0, v_dir, t_end = _criterion_5_case(rng, k)
+        v0 = rl.rescale_to_energy(L, x0, v_dir, e)
+        closed = rl.homogeneous_closed_form(L, e) if k % 4 == 3 else rl.randers_closed_form(L, e)
+        assert closed.expression is not None
+        a = rl.integrate_geodesic(closed, x0, v0, t_end, unit_speed=True)
+        b = rl.integrate_geodesic(rl.jacobi_finsler(L, e), x0, v0, t_end, unit_speed=True)
+        scale = np.maximum(1.0, np.linalg.norm(b.positions, axis=1))
+        worst = max(worst, float(np.max(np.abs(a.positions - b.positions).max(axis=1) / scale)))
+        if a.stats.steps != b.stats.steps:
+            flips.append(f"case {k}: {a.stats.steps} vs {b.stats.steps} steps")
+    ok = worst <= 1e-12
+    msg = _line(ok, "closed-form flows",
+                f"worst pointwise gap {worst:.2e} of max(1, |x|) (tol 1e-12) over 20 cases; "
+                f"step counts differ in {len(flips)}" + "".join(f"; {f}" for f in flips))
+    print(msg)
+    assert ok, msg
 
 
 def test_criterion_6_cyclic_reduction_round_trip():

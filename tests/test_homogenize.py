@@ -191,14 +191,13 @@ class TestHomogenization:
             F.value(np.zeros(3), np.array([-1.0, 1.0, 0.0]))
 
     def test_a_base_without_expr_is_refused(self):
-        # the lift is written over its base's expr; reductions, level
-        # metrics and closed forms have none
+        # the lift is written over its base's expr; reductions and level
+        # metrics have none
         L = conformal_magnetic()
         kepler = rl.parse_lagrangian("0.5*(v1^2 + x1^2*v2^2) + 1/x1", dim=2)
         for base in (
             rl.routhian(kepler, rl.CyclicSplit.of(2, [1]), np.array([0.3]), verify=False),
             rl.jacobi_finsler(L, 2.0),
-            rl.randers_closed_form(L, 2.0),
         ):
             with pytest.raises(TypeError, match="needs a base with an expr"):
                 rl.HomogenizedLagrangian(base)
@@ -644,14 +643,26 @@ class TestGaugeShift:
         np.testing.assert_allclose(a.d_xy, b.d_xy, atol=1e-6)
         np.testing.assert_allclose(a.d_yy, b.d_yy, atol=1e-6)
 
+    def test_the_shift_commutes_with_the_closed_form(self, rng):
+        # a closed form writes expr, so it shifts as a Lagrangian does, and
+        # shifting F_e gives the level metric of the shifted Lagrangian:
+        # criterion 5's magnetic family, every block at 300 points
+        L, f, e = conformal_magnetic(), "0.4*x1*x2 - 0.3*x1", 2.0
+        shifted = rl.gauge_shift(rl.randers_closed_form(L, e), f)
+        level = rl.jacobi_finsler(rl.gauge_shift(L, f), e)
+        for x, y in zip(rng.uniform(-0.4, 0.4, (300, 2)), rng.uniform(-1.0, 1.0, (300, 2))):
+            got, want = shifted.eval(x, y), level.eval(x, y)
+            for block in ("value", "d_x", "d_y", "d_yy", "d_xy"):
+                a, b = getattr(got, block), getattr(want, block)
+                assert np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(b))), (block, x, y)
+
     def test_a_base_without_expr_is_refused(self):
         # the shift is written over its base's expr: shift the Lagrangian,
-        # then build its level metric, closed form or reduction
+        # then build its level metric or reduction
         L = conformal_magnetic()
         kepler = rl.parse_lagrangian("0.5*(v1^2 + x1^2*v2^2) + 1/x1", dim=2)
         for base in (
             rl.jacobi_finsler(L, 2.0),
-            rl.randers_closed_form(L, 2.0),
             rl.routhian(kepler, rl.CyclicSplit.of(2, [1]), np.array([0.3]), verify=False),
         ):
             with pytest.raises(TypeError, match="shift the Lagrangian first, then build the metric"):
