@@ -245,7 +245,7 @@ def cmd_plot(cfg, model, out_dir, seed):
     curves = [{"points": traj.positions, "label": "euler-lagrange", "color": "#1f6feb"}]
     if e is not None:
         metric = jacobi_finsler(model, e)
-        arc = integrate_geodesic(metric, x0, v0, _arc_length(metric, traj), **run, unit_speed=True)
+        arc = integrate_geodesic(metric, x0, v0, _arc_length(model, e, traj), **run, unit_speed=True)
         curves.append({"points": arc.positions, "label": "level-metric geodesic",
                        "color": "#d1242f", "dash": "6,4"})
     path = _outpath(out_dir, "trajectories.svg")

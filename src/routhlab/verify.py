@@ -3,9 +3,10 @@
 The central routine integrates one Euler-Lagrange flow and two geodesic
 runs of the matching energy-level metric (an affine unit-speed run and a
 run reparametrized to hold the Lagrangian energy), then compares traces and
-conservation. Curve comparison is by arc-length resampling, so it is
-insensitive to parametrization and orientation; circle fitting and boundary
-angles quantify the disk-model predictions.
+conservation. Traces are compared as curves, on the runs' dense outputs at
+points of uniform Euclidean arc length, so the comparison is insensitive to
+parametrization; circle fitting and boundary angles quantify the disk-model
+predictions.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ __all__ = [
 ]
 
 _RESAMPLE = 8192
+_SUBINTERVALS = 32  # arc-length table entries per accepted step
+_NEWTON = 2  # Newton steps inverting the arc length inside one sub-interval
+# the 2-point Gauss-Legendre nodes on [0, 1], 1/2 -+ sqrt(3)/6, each of weight 1/2
+_GAUSS = (0.21132486540518713, 0.7886751345948129)
 
 
 def _chord_lengths(pts: np.ndarray) -> np.ndarray:
@@ -88,9 +93,59 @@ def rescale_to_energy(L: LagrangianModel, x0, v0, e: float) -> np.ndarray:
     return np.asarray(v0, float) / res.s
 
 
-def _arc_length(F, traj) -> float:
-    """The F-length of a trajectory's arc: F at its samples, by the trapezoid rule."""
-    return float(np.trapezoid(F.eval_batch(traj.positions, traj.velocities), traj.times))
+def _arc_length(L: LagrangianModel, e: float, traj) -> float:
+    """The level-metric length of an energy-e Euler-Lagrange arc, by the trapezoid rule:
+    on the level F_e = L + e (to second order in the energy drift), one batch of L."""
+    return float(np.trapezoid(L.eval_batch(traj.positions, traj.velocities) + e, traj.times))
+
+
+def _speed(dq, theta):
+    """|dx/dtheta| of quartic pieces at step fractions theta; dq (4, n, ...) holds dx/dtheta."""
+    v = ((dq[3] * theta + dq[2]) * theta + dq[1]) * theta + dq[0]
+    return np.sqrt(np.einsum("i...,i...->...", v, v))
+
+
+def _arc_table(dense, n: int):
+    """The (4, n, steps) coefficients of dx/dtheta of a dense output's first n components
+    (theta the step fraction), and the arc length at every sub-knot: _SUBINTERVALS per
+    step, by 2-point Gauss-Legendre."""
+    m = _SUBINTERVALS
+    dq = (dense.qs[:, :n, :] * (dense.hs[:, None, None] * np.array([1.0, 2.0, 3.0, 4.0]))).T
+    speeds = _speed(dq[..., None], (np.arange(m)[:, None] + np.array(_GAUSS)).ravel() / m)
+    pieces = (speeds[:, 0::2] + speeds[:, 1::2]) * (0.5 / m)
+    return dq, np.concatenate([[0.0], np.cumsum(pieces)])
+
+
+def _at_arc_length(dense, dq, table, s):
+    """The times at which a dense output's arc length reaches s: the sub-interval by
+    search, a linear first guess, then _NEWTON Newton steps on the step fraction."""
+    m = _SUBINTERVALS
+    j = np.clip(np.searchsorted(table, s, side="right") - 1, 0, len(table) - 2)
+    step, lo = np.divmod(j, m)
+    lo = lo / m
+    dq, base = dq[:, :, step], table[j]
+    width = table[j + 1] - base
+    theta = lo + np.divide(s - base, m * width, out=np.zeros_like(s), where=width > 0)
+    for _ in range(_NEWTON):
+        span = theta - lo
+        part = 0.5 * span * (_speed(dq, lo + _GAUSS[0] * span) + _speed(dq, lo + _GAUSS[1] * span))
+        slope = _speed(dq, theta)
+        theta -= np.divide(base + part - s, slope, out=np.zeros_like(s), where=slope > 0)
+        theta = np.clip(theta, lo, lo + 1.0 / m)
+    return dense.ts[step] + theta * dense.hs[step]
+
+
+def _dense_trace_distance(a, b, n: int) -> float:
+    """The largest gap between two dense outputs' first n components, both forward from
+    their start, at _RESAMPLE points of uniform Euclidean arc length up to the shorter."""
+    tables = [_arc_table(d, n) for d in (a, b)]
+    common = min(table[-1] for _, table in tables)
+    if common < 1e-12:
+        raise DegenerateCurve("cannot compare curves of zero arc length")
+    s = np.linspace(0.0, common, _RESAMPLE)
+    pa, pb = (d.sample(_at_arc_length(d, dq, table, s), slice(n))
+              for d, (dq, table) in zip((a, b), tables))
+    return float(np.max(np.linalg.norm(pa - pb, axis=1)))
 
 
 def check_geodesic_equivalence(
@@ -111,10 +166,16 @@ def check_geodesic_equivalence(
     affine geodesic of the level metric from the unit-speed initial ray
     (2 percent past the level-metric length of the Lagrangian arc, so the
     traces overlap fully); and the level-conserving geodesic from (x0, v0)
-    itself, which matches the Lagrangian flow pointwise in time. Numerical
-    failures inside the runs are folded into the report as failures rather
-    than raised, named by the run that raised; a wrong initial energy raises
-    PreconditionError since the comparison is meaningless off the level.
+    itself, which matches the Lagrangian flow pointwise in time.
+
+    ``trace_distance`` is the largest gap between the Lagrangian and affine
+    dense outputs at 8192 points of uniform Euclidean arc length (Gauss-Legendre
+    on each step's interpolant), up to the shorter length. Both runs start at x0
+    along v0, so only the forward orientation is compared: dropping the reversed
+    one can only raise the reading, never hide a gap. Numerical failures inside
+    the runs are folded into the report as failures rather than raised, named by
+    the run that raised; a wrong initial energy raises PreconditionError since
+    the comparison is meaningless off the level.
     """
     x0 = np.asarray(x0, float)
     v0 = np.asarray(v0, float)
@@ -133,7 +194,7 @@ def check_geodesic_equivalence(
         el_drift = float(np.max(np.abs(el.energy_log - e)))
 
         run = "affine geodesic"
-        length = _arc_length(metric, el)
+        length = _arc_length(L, e, el)
 
         arc = integrate_geodesic(
             metric, x0, v0, 1.02 * length, tol=tol, samples=samples, unit_speed=True
@@ -144,15 +205,8 @@ def check_geodesic_equivalence(
         lvl = integrate_geodesic(metric, x0, v0, t_end, tol=tol, samples=samples, level=True)
         lvl_drift = float(np.max(np.abs(lvl.energy_log - e)))
 
-        # trace comparison at high resolution through the dense outputs:
-        # the sampling density scales with the curve length so that chord
-        # sagitta and chord-length parametrization mismatch both stay far
-        # below the tolerance even on long, strongly curved runs
-        n = L.dim
-        fine = int(np.clip(np.ceil(length / 2.5e-5), 4 * samples + 1, 400_000))
-        el_pts = el.dense.sample(np.linspace(0.0, t_end, fine), slice(n))
-        arc_pts = arc.dense.sample(np.linspace(0.0, arc.times[-1], fine), slice(n))
-        trace_gap = point_set_distance(el_pts, arc_pts)
+        # the traces as curves: both interpolants at uniform arc length
+        trace_gap = _dense_trace_distance(el.dense, arc.dense, L.dim)
         pointwise_gap = float(
             np.max(np.linalg.norm(el.positions - lvl.positions, axis=1))
         )

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import routhlab as rl
+from routhlab import verify
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -263,6 +264,29 @@ def test_criterion_5_randomized_flow_equivalence_matrix():
                 f"{worst:.3f} of its tolerance, {elapsed:.1f} s (budget 120 s)")
     print(msg)
     assert ok, msg + "".join(f"\ncase {k}:\n{s}" for k, s in failures)
+
+
+def test_criterion_5_trace_distance_matches_the_polyline_oracle():
+    """The check's trace distance (dense outputs at uniform arc length) is
+    held to _dense_trace_gap, the chord-resampled polyline, on criterion 5's
+    cases: within 1e-8, the polyline's own chord error, far below the 1e-6
+    tolerance."""
+    rng = np.random.default_rng(42)
+    worst = 0.0
+    for k in range(50):
+        L, e, x0, v_dir, t_end = _criterion_5_case(rng, k)
+        v0 = rl.rescale_to_energy(L, x0, v_dir, e)
+        el = rl.integrate_el(L, x0, v0, t_end, samples=401)
+        length = verify._arc_length(L, e, el)
+        arc = rl.integrate_geodesic(rl.jacobi_finsler(L, e), x0, v0, 1.02 * length,
+                                    samples=401, unit_speed=True)
+        new = verify._dense_trace_distance(el.dense, arc.dense, 2)
+        worst = max(worst, abs(new - _dense_trace_gap(el, arc, length)))
+    ok = worst <= 1e-8
+    msg = _line(ok, "trace oracle",
+                f"worst |dense - polyline| {worst:.2e} over 50 cases (tol 1e-8)")
+    print(msg)
+    assert ok, msg
 
 
 def test_closed_forms_flow_as_their_level_metrics_pointwise():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import routhlab as rl
+from routhlab import verify
 
 
 def unit_circle(n=200, t0=0.0, t1=2 * np.pi, r=1.0, c=(0.0, 0.0)):
@@ -50,6 +51,50 @@ class TestPointSetDistance:
             rl.point_set_distance(np.zeros((1, 2)), unit_circle(10))
         with pytest.raises(rl.DegenerateCurve):
             rl.point_set_distance(np.zeros((30, 2)), unit_circle(10))
+
+
+def _circle_run(r, omega, turns, tol=1e-13):
+    """A solve_ode run of the circle of radius r at angular speed omega from (r, 0)."""
+    dense, _ = rl.solve_ode(lambda t, y: [-omega * y[1], omega * y[0]], [r, 0.0],
+                            turns * 2 * np.pi / abs(omega), tol=tol)
+    return dense
+
+
+class TestDenseTraceDistance:
+    def test_table_length_of_a_circle(self):
+        for r, omega in ((1.0, 1.0), (0.3, 5.0), (2.5, -0.7)):
+            _, table = verify._arc_table(_circle_run(r, omega, 1.0), 2)
+            assert table[-1] == pytest.approx(2 * np.pi * r, abs=1e-12)
+
+    def test_runs_of_one_ode_at_two_tolerances_agree(self):
+        def pendulum(t, y):
+            return [y[1], -np.sin(y[0])]
+
+        coarse, _ = rl.solve_ode(pendulum, [2.0, 0.0], 12.0, tol=1e-10)
+        fine, _ = rl.solve_ode(pendulum, [2.0, 0.0], 12.0, tol=1e-12)
+        assert verify._dense_trace_distance(coarse, fine, 2) <= 1e-9
+
+    def test_concentric_arcs_read_their_closed_form_gap(self):
+        # equal turning angle phi: the points at arc length s sit at angles
+        # s/r and s/R, so the gap is largest at the shorter arc's end
+        r, delta, phi = 1.0, 1e-3, 1.5
+        big = r + delta
+        gap = verify._dense_trace_distance(
+            _circle_run(r, 1.0, phi / (2 * np.pi)), _circle_run(big, 0.5, phi / (2 * np.pi)), 2
+        )
+        closed = np.sqrt(r * r + big * big - 2 * r * big * np.cos(phi * (1 - r / big)))
+        assert gap == pytest.approx(closed, abs=1e-12)
+        assert delta < gap < 1.01 * np.hypot(delta, phi * delta)
+
+    def test_slow_parametrization_is_the_same_curve(self):
+        # one circle traced at two speeds reads zero, however uneven the steps
+        fast, slow = _circle_run(1.0, 3.0, 0.4), _circle_run(1.0, 0.2, 0.4)
+        assert verify._dense_trace_distance(fast, slow, 2) <= 1e-11
+
+    def test_zero_length_curves_raise(self):
+        still, _ = rl.solve_ode(lambda t, y: [0.0, 0.0], [0.5, 0.5], 1.0)
+        with pytest.raises(rl.DegenerateCurve):
+            verify._dense_trace_distance(still, _circle_run(1.0, 1.0, 0.5), 2)
 
 
 class TestCircleFit:
@@ -186,3 +231,66 @@ class TestEquivalenceReport:
             assert report.error is not None
             assert "DomainError" in report.error or "StepFailure" in report.error
             assert report.error.startswith(run), report.error
+
+
+# (v0, t_end) from x0 = (0.9, 0.1): a slow start, and a start near the Hill boundary
+OSCILLATOR_CASES = [((0.05, 0.05), 1.0), ((0.05, 0.05), 3.0),
+                    ((0.1, 0.05), 0.5), ((0.1, 0.05), 3.0)]
+
+
+def _oscillator_report(v0, t_end):
+    L = rl.MechanicalLagrangian(
+        2, np.eye(2), potential=lambda xs: 0.5 * (xs[0] * xs[0] + 4.0 * xs[1] * xs[1])
+    )
+    x0, v0 = np.array([0.9, 0.1]), np.array(v0)
+    return rl.check_geodesic_equivalence(L, rl.energy(L, x0, v0), x0, v0, t_end,
+                                         samples=801, tol=1e-10)
+
+
+def _trace_distance(report):
+    return next(m.value for m in report.metrics if m.label == "trace_distance")
+
+
+class TestSlowPointTraces:
+    """Slow points of the Lagrangian flow are fast stretches of the unit-speed
+    geodesic; the trace comparison must not read them as a gap."""
+
+    @pytest.mark.parametrize("v0, t_end", OSCILLATOR_CASES)
+    def test_slow_and_near_hill_cases_pass(self, v0, t_end):
+        report = _oscillator_report(v0, t_end)
+        assert report.overall, report.summary()
+        assert _trace_distance(report) <= 1e-10
+
+    def test_long_near_hill_case_fails_on_the_speed_drift_alone(self):
+        report = _oscillator_report((0.1, 0.05), 6.0)
+        failed = [(m.label, m.tolerance) for m in report.metrics if not m.passed]
+        assert failed == [("geodesic_speed_drift", 1e-8)], report.summary()
+        assert _trace_distance(report) <= 1e-9
+
+    def test_distance_is_converged_in_table_and_newton_steps(self, monkeypatch):
+        before = [_oscillator_report(*case) for case in OSCILLATOR_CASES]
+        monkeypatch.setattr(verify, "_SUBINTERVALS", 2 * verify._SUBINTERVALS)
+        monkeypatch.setattr(verify, "_NEWTON", 2 * verify._NEWTON)
+        after = [_oscillator_report(*case) for case in OSCILLATOR_CASES]
+        for a, b in zip(before, after):
+            assert abs(_trace_distance(a) - _trace_distance(b)) <= 1e-11
+
+    def test_points_drawn_do_not_scale_with_length(self, monkeypatch):
+        # a long arc (metric length 39) drew 400,000 points per curve
+        # on a grid scaled by length; the comparison draws a fixed number
+        drawn = []
+        sample = rl.DenseOutput.sample
+
+        def counted(self, times, components=slice(None)):
+            drawn.append(np.size(times))
+            return sample(self, times, components)
+
+        monkeypatch.setattr(rl.DenseOutput, "sample", counted)
+        L = rl.MechanicalLagrangian(
+            2, np.eye(2), potential=lambda xs: 0.5 * (xs[0] * xs[0] + xs[1] * xs[1])
+        )
+        x0 = np.array([0.3, -0.4])
+        v0 = rl.rescale_to_energy(L, x0, np.array([1.0, 0.7]), 5.0)
+        report = rl.check_geodesic_equivalence(L, 5.0, x0, v0, 8.0, samples=401)
+        assert report.overall, report.summary()
+        assert sum(drawn) <= 2 * verify._RESAMPLE + 3 * 401
