@@ -42,7 +42,7 @@ from .homogenize import jacobi_finsler, quasi_definite_check, randers_closed_for
 from .lagrangian import MagneticLagrangian, energy, integrate_el, strong_convexity_check
 from .routh import _round_trip, check_invariance, momentum, reconstruct
 from .spray import integrate_geodesic
-from .verify import _arc_length, check_geodesic_equivalence
+from .verify import _arc_length, _check_level, check_geodesic_equivalence
 
 __all__ = ["main"]
 
@@ -244,6 +244,11 @@ def cmd_plot(cfg, model, out_dir, seed):
     traj = integrate_el(model, x0, v0, t_end, **run)
     curves = [{"points": traj.positions, "label": "euler-lagrange", "color": "#1f6feb"}]
     if e is not None:
+        # off the level the geodesic traces no part of the Lagrangian arc
+        try:
+            _check_level(float(traj.energy_log[0]), e)
+        except PreconditionError as exc:
+            raise ConfigError(str(exc)) from exc
         metric = jacobi_finsler(model, e)
         arc = integrate_geodesic(metric, x0, v0, _arc_length(model, e, traj), **run, unit_speed=True)
         curves.append({"points": arc.positions, "label": "level-metric geodesic",

@@ -428,7 +428,7 @@ _COMPARE = {"<=": ("{} <= {}", operator.le), "<": ("{} < {}", operator.lt),
             "not <": ("not {} < {}", lambda a, b: not a < b)}
 
 #: the energy-scale solve stops where |E - e| <= SCALE_TOL (1 + |e|), in
-#: ``homogenize._scale_steps`` and in the kernels that write its usual path
+#: ``homogenize.solve_energy_scale`` and in the kernels that write its usual path
 SCALE_TOL = 1e-12
 
 
@@ -554,10 +554,11 @@ class _KernelWriter:
                 self.lines.append(f"    {action}")
             return
         test = text.format(self.lit(a), self.lit(bound))
-        guard = (f"    if _any({test}):" if self.columns else f"    if {test}:", f"        {action}")
-        if guard not in self.guards:  # temporaries are assigned once, so a guard passed holds from here on
-            self.guards.add(guard)
-            self.lines += guard
+        # temporaries are assigned once and every action raises or returns,
+        # so a test passed holds from here on, whatever its action
+        if test not in self.guards:
+            self.guards.add(test)
+            self.lines += [f"    if _any({test}):" if self.columns else f"    if {test}:", f"        {action}"]
 
     # -- derivative entries, structural zeros dropped ---------------------------
 
@@ -803,7 +804,7 @@ class _KernelWriter:
     def scaled(self, tree, e):
         """(s, jet): the root s of E(x, y/s) = e and the tree's fiber jet at (x, y/s).
 
-        It writes the usual path of ``homogenize._scale_steps`` in its float
+        It writes the usual path of ``homogenize.solve_energy_scale`` in its float
         operations: the probe at s = |y|, a model step with k = 2, its probe
         and the refit of k, then, where that probe has not converged (the
         power families), a branch with the second model step and a third
@@ -872,7 +873,7 @@ class _KernelWriter:
         It reads the full point, with 0.0 as the cyclic position and the guess
         as the cyclic velocity, then mu and ``routh._momentum_bounds``, which
         it completes with the shape speed. It writes
-        ``routh._momentum_steps``' first two probes, a fiber jet at the
+        ``routh.solve_momentum``'s first two probes, a fiber jet at the
         guess and, one Newton step on, the full jet, then the float operations
         of ``ReducedLagrangian.eval``'s Schur step. It declines where the solve
         converges at the guess, diverges or needs more steps, or a pivot is zero.

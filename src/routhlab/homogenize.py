@@ -32,11 +32,12 @@ import numpy as np
 from .duals import positive, power, sqrt
 from .errors import DomainError, EnergyUnreachable, NoConvergence, PositionDomainError
 from .expressions import SCALE_TOL, Expression, parse_expression, time_derivative, trace_expression
-from .jets import ScalarField, SecondJet, drive, require_expr, run_kernel, stack_rows
+from .jets import ScalarField, SecondJet, require_expr, run_kernel, stack_rows
 from .lagrangian import (
     LagrangianModel,
     MagneticLagrangian,
     _half_quadratic,
+    _literal_zero,
     _normalize_matrix,
     _normalize_vector,
     _plus_one_form,
@@ -162,32 +163,14 @@ def solve_energy_scale(
     cannot see. If that end meets the upper one at adjacent floats, the
     level is unreachable.
 
-    These rules are written once, in the step routine ``_scale_steps``, which
-    :func:`jets.drive` feeds one fiber jet per probe. The level-metric
-    kernels of a traced base (``expressions._KernelWriter.scaled``) write
-    its usual path, two or three probes, in float code, and run this solve
-    wherever they leave that path.
+    The level-metric kernels of a traced base
+    (``expressions._KernelWriter.scaled``) write this solve's usual path,
+    two or three probes, in float code, and run the solve wherever they
+    leave that path.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    steps = _scale_steps(float(np.linalg.norm(y)), e)
-    return drive(steps, lambda s: _scale_probe(L, x, y, s, e))
-
-
-def _scale_probe(L, x, y, s: float, e: float):
-    """(r, q) = (E(x, v) - e, v.L_vv.v) at v = y/s, from one fiber jet."""
-    w = y / s
-    val, d_y, d_yy = L.fiber_jet(x, w)
-    return float(w @ d_y) - val - e, float(w @ (d_yy @ w))
-
-
-def _scale_steps(s: float, e: float):
-    """The rules of :func:`solve_energy_scale` as a routine driven probe by probe.
-
-    A generator that starts from s = |y|: it yields each scale to probe,
-    receives (r, q) there or has the probe's DomainError thrown in, and
-    returns the EnergyScaleResult.
-    """
+    s = float(np.linalg.norm(y))
     if s == 0.0:
         raise DomainError("the energy scale is undefined on the zero velocity")
     atol = SCALE_TOL * (1.0 + abs(e))
@@ -198,7 +181,7 @@ def _scale_steps(s: float, e: float):
     floor, first_error = 0.0, None
     for _ in range(FIRST_PROBE_TRIES):
         try:
-            r, q = yield s
+            r, q = _scale_probe(L, x, y, s, e)
             break
         except PositionDomainError:
             raise
@@ -256,7 +239,7 @@ def _scale_steps(s: float, e: float):
                 raise EnergyUnreachable(f"energy level {e} is unreachable along this ray")
             t = 2.0 * s if r > 0.0 else 0.5 * s
         try:
-            r_t, q_t = yield t
+            r_t, q_t = _scale_probe(L, x, y, t, e)
         except DomainError as exc:
             if not (model or bracketed):
                 raise EnergyUnreachable(
@@ -293,6 +276,13 @@ def _scale_steps(s: float, e: float):
         else:
             hi, r_hi = s, r
     return EnergyScaleResult(s=float(s), residual=float(r), iterations=evals)
+
+
+def _scale_probe(L, x, y, s: float, e: float):
+    """(r, q) = (E(x, v) - e, v.L_vv.v) at v = y/s, from one fiber jet."""
+    w = y / s
+    val, d_y, d_yy = L.fiber_jet(x, w)
+    return float(w @ d_y) - val - e, float(w @ (d_yy @ w))
 
 
 # -- the energy-level Finsler function ------------------------------------------
@@ -464,7 +454,8 @@ def randers_closed_form(L: MagneticLagrangian, e: float) -> RandersModel:
             pot = float(v_spec)
         f = positive(2.0 * (e - pot), f"energy level {e} does not dominate the potential here")
         n = len(xs)
-        return [[f * g[i][j] for j in range(n)] for i in range(n)]
+        # a literal zero of g stays one, so the quadratic form skips it
+        return [[0.0 if _literal_zero(g[i][j]) else f * g[i][j] for j in range(n)] for i in range(n)]
 
     return RandersModel(L.dim, metric, b_spec, domain=L._domain)
 

@@ -41,11 +41,11 @@ kernel and a solver's probes meet it as ``eval`` does. A predicate that
 traces (:func:`~routhlab.expressions.trace_guard`) is the first guard of the
 Euler-Lagrange kernels and runs on columns in batches; others run in Python.
 
-The implicit solves (energy scale, cyclic velocities) write their rules
-once, as step routines, and :func:`drive` runs one of them at one point. A
-batch of cyclic velocities runs on numpy columns, and only its rows at
-fault run the routine. The level-metric kernels write the energy scale's
-usual path in float code and run the routine where they leave it.
+The implicit solves (energy scale, cyclic velocities) are plain loops
+that call one fiber jet per probe at one point. A batch of cyclic
+velocities runs on numpy columns, and only its rows at fault run the
+solve. The level-metric kernels write the energy scale's usual path in
+float code and run the solve where they leave it.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .duals import seed_second, value_of
 from .errors import DomainError, RouthlabError, StencilDomainError
 from .expressions import _outside, trace_guard
 
-__all__ = ["SecondJet", "ScalarField", "jet", "fd_jet", "drive", "FD_STEP"]
+__all__ = ["SecondJet", "ScalarField", "jet", "fd_jet", "FD_STEP"]
 
 #: default finite-difference step scale (cube root of machine epsilon)
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -302,26 +302,6 @@ def flow_kernel(field: ScalarField, kind: str, cyclic: int | None = None):
         return kernel(*args)
 
     return checked
-
-
-def drive(routine, probe):
-    """Run a step routine to its return; what it returns.
-
-    A step routine is a generator that yields the point it needs probed, is
-    sent ``probe(point)`` or has the probe's DomainError thrown in, and
-    returns its answer. Any other error propagates.
-    """
-    try:
-        point = next(routine)
-        while True:
-            try:
-                result = probe(point)
-            except DomainError as exc:
-                point = routine.throw(exc)
-            else:
-                point = routine.send(result)
-    except StopIteration as done:
-        return done.value
 
 
 def jet(field: ScalarField, x, y) -> SecondJet:

@@ -67,6 +67,11 @@ def _normalize_vector(spec, dim: int):
     return b
 
 
+def _literal_zero(a) -> bool:
+    """Is a a plain number equal to zero, rather than a dual or a traced node?"""
+    return isinstance(a, (int, float)) and a == 0.0
+
+
 def _half_quadratic(metric, xs, ys):
     """1/2 y.g(x).y in generic arithmetic, skipping literal zero entries of g."""
     rows = metric(xs) if callable(metric) else metric
@@ -74,7 +79,7 @@ def _half_quadratic(metric, xs, ys):
     for i in range(len(ys)):
         for j in range(len(ys)):
             gij = rows[i][j]
-            if isinstance(gij, (int, float)) and gij == 0.0:
+            if _literal_zero(gij):
                 continue
             acc = acc + 0.5 * gij * ys[i] * ys[j]
     return acc

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .expressions import _footprint
 from .integrators import Trajectory
-from .jets import EVAL_ERRORS, SecondJet, batch_rows, drive, flow_kernel, solve_linear
+from .jets import EVAL_ERRORS, SecondJet, batch_rows, flow_kernel, solve_linear
 from .lagrangian import LagrangianModel, energies, integrate_el
 from .reporting import VerificationReport
 
@@ -165,12 +165,12 @@ def solve_momentum(
     MOMENTUM_MAX_ITER iterations or where the iterates diverge (an
     unreachable momentum target).
 
-    The rules are written once, in the step routine ``_momentum_steps``: on
-    one point :func:`jets.drive` feeds it one fiber jet per iterate. With
-    one cyclic coordinate, as in every shipped reduction, it runs on floats,
-    and :func:`_solve_momenta` runs those float rules on numpy columns for
-    :meth:`ReducedLagrangian.eval_batch` and :func:`reconstruct`, with the
-    same bits; only the rows at fault run the routine.
+    With one cyclic coordinate, as in every shipped reduction, it runs on
+    floats and a step divides, as LAPACK does for a 1x1 system (see
+    :func:`solve_linear`); with more, on arrays, with ``np.linalg.norm``'s
+    sqrt(r @ r) and ``np.linalg.solve``. :func:`_solve_momenta` runs the
+    float rules on numpy columns, with the same bits, and only its rows at
+    fault run this solve.
     """
     mu = np.asarray(mu, float)
     x_shape = np.asarray(x_shape, float)
@@ -181,49 +181,14 @@ def solve_momentum(
     full_x = split.embed(x_shape, np.zeros(m))
     full_y = split.embed(y_shape, z)
     one = m == 1
-    c = split.cyclic[0] if one else split.cyc_idx
+    c, mu, z = (split.cyclic[0], mu.item(), z.item()) if one else (split.cyc_idx, mu, z)
     # np.linalg.norm's own sqrt of a dot product, without its overhead
-    steps = _momentum_steps(L, c, mu.item() if one else mu, full_x, full_y,
-                            z.item() if one else z, math.sqrt(y_shape @ y_shape))
-    z = drive(steps, lambda _: _cyclic_jet(L, c, full_x, full_y))
-    return np.array([z]) if one else z
-
-
-def _check_shapes(m: int, **arrays) -> None:
-    """Raise a ValueError naming the first of arrays whose shape is not (m,)."""
-    for name, a in arrays.items():
-        if a.shape != (m,):
-            raise ValueError(f"{name} must have shape ({m},)")
-
-
-def _cyclic_jet(L, c, x, y):
-    """(d_y[c], d_yy[c, c]) of L's fiber jet at (x, y); floats where c is one index."""
-    _, d_y, d_yy = L.fiber_jet(x, y)
-    if isinstance(c, np.ndarray):
-        return d_y[c], d_yy[c[:, None], c]
-    return d_y.item(c), d_yy.item(c, c)
-
-
-def _momentum_steps(L, c, mu, full_x, full_y, z, shape_norm):
-    """The rules of :func:`solve_momentum` as a step routine, driven jet by jet.
-
-    It writes each iterate z into full_y[c] and yields it, receives
-    (d_y[c], d_yy[c, c]) there or the jet's DomainError, and returns the
-    solved z; ``shape_norm`` is the norm of the shape velocity. With one
-    cyclic velocity, mu, z and the jet's entries are floats, a norm is
-    sqrt(r * r) and a step divides, as LAPACK does for a 1x1 system (see
-    :func:`solve_linear`); with more they are arrays, a norm is sqrt(r @ r),
-    as ``np.linalg.norm`` takes it, and a step is ``np.linalg.solve``.
-    """
-    one = isinstance(z, float)
-    scale, ceiling = _momentum_bounds(mu, z, shape_norm)
-    r = None
-    full_y[c] = z
-    p, h = yield z
+    scale, ceiling = _momentum_bounds(mu, z, math.sqrt(y_shape @ y_shape))
+    p, h = _cyclic_jet(L, c, full_x, full_y)
     for it in range(MOMENTUM_MAX_ITER):
         r = p - mu
         if math.sqrt(r * r if one else r @ r) <= scale:
-            return z
+            return np.array([z]) if one else z
         try:
             step = r / h if one else np.linalg.solve(h, r)
         except (ZeroDivisionError, np.linalg.LinAlgError) as exc:
@@ -239,7 +204,7 @@ def _momentum_steps(L, c, mu, full_x, full_y, z, shape_norm):
             if it + 1 == MOMENTUM_MAX_ITER:
                 break
             try:
-                p, h = yield trial
+                p, h = _cyclic_jet(L, c, full_x, full_y)
                 break
             except DomainError:
                 pass
@@ -249,6 +214,21 @@ def _momentum_steps(L, c, mu, full_x, full_y, z, shape_norm):
         z = trial
     raise NoConvergence(f"momentum solve did not converge in {MOMENTUM_MAX_ITER} iterations "
                         f"(residual {math.sqrt(r * r if one else r @ r):.3e})")
+
+
+def _check_shapes(m: int, **arrays) -> None:
+    """Raise a ValueError naming the first of arrays whose shape is not (m,)."""
+    for name, a in arrays.items():
+        if a.shape != (m,):
+            raise ValueError(f"{name} must have shape ({m},)")
+
+
+def _cyclic_jet(L, c, x, y):
+    """(d_y[c], d_yy[c, c]) of L's fiber jet at (x, y); floats where c is one index."""
+    _, d_y, d_yy = L.fiber_jet(x, y)
+    if isinstance(c, np.ndarray):
+        return d_y[c], d_yy[c[:, None], c]
+    return d_y.item(c), d_yy.item(c, c)
 
 
 def _momentum_bounds(mu, z, shape_norm):
@@ -283,12 +263,12 @@ def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_sh
 
 
 def _column_momenta(L, c, mu: float, full_x, full_y, z0: float, norms):
-    """The float rules of ``_momentum_steps`` on columns: the roots, and the rows at fault.
+    """The float rules of :func:`solve_momentum` on columns: the roots, and the rows at fault.
 
     Each round takes one batched fiber jet of the pending rows' iterates,
     written into full_y's column c, and runs the tests and the step
     elementwise, rounding as one row's floats do. A row whose jet raises or
-    is not finite (the routine would backtrack), whose pivot is zero, whose
+    is not finite (the solve would backtrack), whose pivot is zero, whose
     step passes the ceiling or that runs out of iterations is at fault.
     """
     k = len(full_x)

@@ -148,6 +148,15 @@ def _dense_trace_distance(a, b, n: int) -> float:
     return float(np.max(np.linalg.norm(pa - pb, axis=1)))
 
 
+def _check_level(e0: float, e: float) -> None:
+    """Raise PreconditionError unless the initial energy e0 lies on the level e."""
+    if abs(e0 - e) > 1e-10 * (1.0 + abs(e)):
+        raise PreconditionError(
+            f"initial energy {e0!r} is not on the requested level {e!r}; "
+            "rescale the velocity first"
+        )
+
+
 def check_geodesic_equivalence(
     L: LagrangianModel,
     e: float,
@@ -179,12 +188,7 @@ def check_geodesic_equivalence(
     """
     x0 = np.asarray(x0, float)
     v0 = np.asarray(v0, float)
-    e0 = energy(L, x0, v0)
-    if abs(e0 - e) > 1e-10 * (1.0 + abs(e)):
-        raise PreconditionError(
-            f"initial energy {e0!r} is not on the requested level {e!r}; "
-            "rescale the velocity first"
-        )
+    _check_level(energy(L, x0, v0), e)
 
     report = VerificationReport(name=f"geodesic equivalence at e={e}")
     metric = jacobi_finsler(L, e)

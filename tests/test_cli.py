@@ -82,6 +82,16 @@ class TestExitCodes:
         assert r.exit_code == 1
         assert "[FAIL]" in r.output
 
+    def test_plot_off_the_level_exits_two_and_draws_nothing(self, tmp_path):
+        # off the level the geodesic traces no part of the Lagrangian arc
+        r = invoke(
+            ["plot", "--config", str(CONFIGS / "tamper_wrong_energy.json"),
+             "--out", str(tmp_path)]
+        )
+        assert r.exit_code == 2
+        assert "config error: initial energy 0.87 is not on the requested level 5.0" in r.output
+        assert list(tmp_path.iterdir()) == []
+
     def test_noncyclic_declaration_exits_two(self, tmp_path):
         r = invoke(
             ["routh-reduce", "--config", str(CONFIGS / "tamper_bad_cyclic.json"),

@@ -36,6 +36,7 @@ from routhlab import (
     parse_expression,
     parse_lagrangian,
     poincare_disk_lagrangian,
+    randers_closed_form,
     seed_second,
 )
 from routhlab.duals import power
@@ -415,13 +416,23 @@ def test_kernels_write_each_right_hand_side_once():
         assert len(sides) > 20 and len(set(sides)) == len(sides), kind
 
 
+def _oscillator_closed_form():
+    """The Randers closed form of the unit-mass oscillator, whose metric has literal zeros."""
+    oscillator = MechanicalLagrangian(2, np.eye(2),
+                                      potential=lambda xs: 0.5 * (xs[0] * xs[0] + xs[1] * xs[1]))
+    return randers_closed_form(oscillator, 2.0)
+
+
 @pytest.mark.parametrize("kind, cyclic", [("el", None), ("reduced-el", 1), ("level-value", None),
                                           ("level-fiber", None), ("level-full", None), ("spray", None),
-                                          ("level-spray", None), ("fiber", None), ("full", None)])
+                                          ("level-spray", None), ("fiber", None), ("full", None),
+                                          ("columns", None)])
 def test_kernels_assign_nothing_unread_that_cannot_raise(kind, cyclic):
     # an assignment of +, -, * or negation that nothing reads is dropped; one
-    # that can raise (a division, a power, a call) stays, and no guard repeats
-    for model in (parse_lagrangian(ROUND_TRIP_SOURCES[0], dim=2), poincare_disk_lagrangian()):
+    # that can raise (a division, a power, a call) stays, and no guard's test
+    # repeats: the closed form's positivity guard covers the sqrt beneath it
+    for model in (parse_lagrangian(ROUND_TRIP_SOURCES[0], dim=2), poincare_disk_lagrangian(),
+                  _oscillator_closed_form()):
         tree = ast.parse(inspect.getsource(model.expression.jet_kernel(kind, 2, cyclic)))
         body = tree.body[0].body
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
@@ -430,8 +441,15 @@ def test_kernels_assign_nothing_unread_that_cannot_raise(kind, cyclic):
                 assert any(isinstance(n, ast.Call) or isinstance(n, ast.BinOp) and
                            isinstance(n.op, (ast.Div, ast.Pow)) for n in ast.walk(node.value)), \
                     ast.unparse(node)
-        guards = [ast.unparse(node) for node in body if isinstance(node, ast.If)]
-        assert len(set(guards)) == len(guards), kind
+        tests = [ast.unparse(node.test) for node in body if isinstance(node, ast.If)]
+        assert len(set(tests)) == len(tests), kind
+
+
+@pytest.mark.parametrize("kind", ["fiber", "full", "columns"])
+def test_closed_form_kernels_multiply_by_no_literal_zero(kind):
+    # the oscillator's identity metric keeps its off-diagonal zeros as 0.0,
+    # which the quadratic form skips
+    assert "* 0.0" not in inspect.getsource(_oscillator_closed_form().expression.jet_kernel(kind, 2))
 
 
 def test_kernel_tracebacks_name_the_generated_file():

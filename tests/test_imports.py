@@ -5,8 +5,8 @@ tree. Every name a module imports is used there: it counts as used if the
 module reads it anywhere, or re-exports it through ``__all__``, so every
 name in a module's ``__all__`` must resolve on the imported module. And no
 module evaluates a model once per sample in a loop: per-sample diagnostics
-go through ``eval_batch``. And only ``jets`` drives step routines: their
-``send`` and ``throw`` calls live in ``jets.drive``.
+go through ``eval_batch``. And no module yields: the implicit solves are
+loops that call their probes.
 And only ``expressions`` turns text into code, with ``compile`` and
 ``exec``: kernel text is written from expression trees and the step text
 from the integrator's tableau, never from the source of a callable. And
@@ -151,39 +151,15 @@ def test_the_guard_flags_a_per_sample_loop():
                                        (9, "solve_momentum")]
 
 
-# what drives a step routine: sending it a probe's result, or throwing in its error
-ROUTINE_CALLS = {"send", "throw"}
+def _yields(tree):
+    """Line of each ``yield`` and ``yield from``."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Yield, ast.YieldFrom)))
 
 
-def _routine_calls(tree):
-    """(line, name) of each ``.send(...)`` or ``.throw(...)`` call."""
-    return sorted(
-        (node.lineno, node.func.attr)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ROUTINE_CALLS
-    )
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_only_jets_drives_step_routines(path):
-    calls = _routine_calls(ast.parse(path.read_text(), filename=str(path)))
-    if path.name == "jets.py":
-        assert calls, "jets.py no longer drives the step routines"
-    else:
-        assert not calls, f"{path.name} drives a step routine by hand: {calls}; use jets.drive"
-
-
-def test_the_guard_flags_a_routine_driven_by_hand():
-    tree = ast.parse(
-        "pending[i] = steps[i].send((r, q))\n"
-        "s = lockstep(steps, probe, batch)\n"
-        "point = routine.throw(exc)\n"
-        "sock.sendall(data)\n"
-        "send(x)\n"
-    )
-    assert _routine_calls(tree) == [(1, "send"), (3, "throw")]
+def test_no_module_yields():
+    found = {path.name: lines for path in MODULES
+             if (lines := _yields(ast.parse(path.read_text(), filename=str(path))))}
+    assert found == {}, f"generators in the package: {found}"
 
 
 # the builtins that turn text into code

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import warnings
 
 import numpy as np
@@ -372,7 +373,7 @@ def _outcome(f):
 
 @pytest.mark.parametrize("source", [POLAR, OSCILLATOR, COUPLED, TWO_CYCLIC])
 def test_float_momentum_solve_and_reduced_jets_equal_the_lapack_path(source):
-    # v2 and v3 are cyclic in TWO_CYCLIC, whose solve runs the step routine on arrays
+    # v2 and v3 are cyclic in TWO_CYCLIC, whose solve runs on arrays
     dim = 3 if source == TWO_CYCLIC else 2
     L = rl.parse_lagrangian(source, dim=dim, domain=lambda x: x[0] > 0.1)
     split = CyclicSplit.of(dim, range(1, dim))
@@ -702,19 +703,20 @@ def test_column_momentum_solve_equals_the_rows(source, mu, guess, points):
 
 
 def test_column_momentum_solve_runs_only_the_rows_at_fault(monkeypatch):
-    # a Kepler reconstruction solves its 301 samples and 300 midpoints with
-    # no step routine, where the lockstep rounds made one per point
-    steps, routines = rl.routh._momentum_steps, []
-    monkeypatch.setattr(rl.routh, "_momentum_steps",
-                        lambda *args: routines.append(args) or steps(*args))
+    # a Kepler reconstruction solves its 301 samples and 300 midpoints on
+    # columns, with no single-point solve, where the lockstep rounds made
+    # one per point
+    solve, solves = rl.routh.solve_momentum, []
+    monkeypatch.setattr(rl.routh, "solve_momentum",
+                        lambda *args, **kw: solves.append(args) or solve(*args, **kw))
     L, split = polar_model(), CyclicSplit.of(2, [1])
     x0, v0 = np.array([1.0, 0.3]), np.array([0.3, 1.2])
     mu = rl.momentum(L, split, x0, v0)
     red = rl.routhian(L, split, mu, guess=v0[1:], verify=False)
     traj = rl.integrate_el(red, x0[:1], v0[:1], 1.5, tol=1e-11, samples=301)
-    routines.clear()
+    solves.clear()
     rl.reconstruct(L, split, mu, traj, cyclic_start=x0[1:], guess=v0[1:])
-    assert routines == []
+    assert solves == []
     # on the bounded fiber, Newton steps past |v2| = 1 send rounds row by
     # row and their rows to the row path; the lockstep rounds took 5,575
     # single fiber jets on this batch
@@ -726,6 +728,61 @@ def test_column_momentum_solve_runs_only_the_rows_at_fault(monkeypatch):
     got = _rows(lambda: red.eval_batch(xs, ys, 1))
     assert 0 < sizes.count(0) <= 5575, sizes.count(0)
     assert got == _rows(lambda: _row_loop(red, xs, ys, 1))
+
+
+def _momentum_sweeps():
+    """name: (model, split, [(x_shape, y_shape, mu, guess), ...]) of each pinned sweep."""
+    one = CyclicSplit.of(2, [1])
+    rng = np.random.default_rng(8)
+    kepler = [(rng.uniform(0.2, 2.5, 1), rng.uniform(-1.5, 1.5, 1), rng.uniform(-2.0, 2.0, 1),
+               None if rng.random() < 0.5 else rng.uniform(-3.0, 3.0, 1)) for _ in range(200)]
+    points = np.random.default_rng(3).uniform([0.3, -1.5], [2.0, 1.5], (400, 2))
+    bounded = [(p[:1], p[1:], np.array([0.9]), None) for p in points]
+    rng = np.random.default_rng(8)
+    two = [(rng.uniform(0.2, 2.5, 1), rng.uniform(-1.5, 1.5, 1), rng.uniform(-2.0, 2.0, 2),
+            None if rng.random() < 0.5 else rng.uniform(-3.0, 3.0, 2)) for _ in range(200)]
+    wells = [(np.array([x]), np.array([y]), np.array([mu]), np.array([guess]))
+             for mu, guess, points in ((0.0, 1.0, [(0.5, 0.2), (1.0, -0.4), (1.5, 0.7)]),
+                                       (-2.0, 0.0, [(0.5, 0.2), (2 / 3, 0.1), (1.5, 0.7)]))
+             for x, y in points]
+    return {
+        "kepler": (polar_model(), one, kepler),
+        "bounded fiber": (rl.parse_lagrangian(BOUNDED_FIBER, dim=2, domain=lambda x: x[0] > 0.1),
+                          one, bounded),
+        "two cyclic": (rl.parse_lagrangian(TWO_CYCLIC, dim=3, domain=lambda x: x[0] > 0.1),
+                       CyclicSplit.of(3, [1, 2]), two),
+        "double well": (_model(DOUBLE_WELL), one, wells),
+    }
+
+
+def test_momentum_sweeps_keep_their_solves(monkeypatch):
+    # each point's root bytes, or its error's type and message, and the
+    # fiber jets the sweep took, as the solve gave them when its rules were
+    # a routine driven jet by jet; on the bounded fiber 653 of the 3,391
+    # jets raise and the step is halved
+    jet, jets = rl.routh._cyclic_jet, [0]
+
+    def counting(*args):
+        jets[0] += 1
+        return jet(*args)
+
+    monkeypatch.setattr(rl.routh, "_cyclic_jet", counting)
+    got = {}
+    for name, (L, split, cases) in _momentum_sweeps().items():
+        h, jets[0] = hashlib.sha256(), 0
+        for x, y, mu, guess in cases:
+            try:
+                h.update(rl.solve_momentum(L, split, mu, x, y, guess=guess).tobytes())
+            except rl.RouthlabError as exc:
+                h.update(repr((type(exc).__name__, str(exc))).encode())
+        got[name] = (h.hexdigest()[:16], jets[0])
+    assert got == {
+        "kepler": ("0e6e9684bea242da", 400),
+        "bounded fiber": ("110c9833ef83bdfd", 3391),
+        "two cyclic": ("bddfa41d46927b60", 400),
+        # a singular block at x1 = 1 and a Newton cycle at x1 = 2/3
+        "double well": ("e20b9b32b98ac5bd", 90),
+    }
 
 
 # -- the generated reduced right-hand side against the numpy path ---------------
