@@ -8,7 +8,6 @@ geodesics trace the fixed-energy dynamics, geodesic sprays with projective
 reparametrization, and verification tooling comparing all of these flows.
 """
 
-from .duals import HyperDual, seed_second
 from .errors import (
     ArityError,
     ConfigError,
@@ -109,8 +108,6 @@ __all__ = [
     "ArityError",
     "ConfigError",
     # calculus
-    "HyperDual",
-    "seed_second",
     "SecondJet",
     "ScalarField",
     "jet",

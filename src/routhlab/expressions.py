@@ -18,18 +18,20 @@ the same kind of tree from generic arithmetic run once on symbols, and
 :func:`time_derivative` writes df/dt of a position-only tree. Two
 evaluators derive from a tree:
 
-* ``Expression.__call__`` runs over plain floats, HyperDual numbers or
-  Symbols, so one parse serves values, the hyper-dual jet that tests use as
-  the oracle, and a trace into a larger tree.
+* ``Expression.__call__`` runs over plain floats, Symbols or any number
+  type with the methods that the :mod:`routhlab.duals` functions call, so
+  one parse serves values, a trace into a larger tree, and the hyper-dual
+  jet that the tests keep as the kernels' oracle.
 * :meth:`Expression.jet_kernel` generates and compiles, once per expression
   and dimension, a straight-line Python function on plain floats. The
   ``"fiber"`` kernel seeds the n velocities and returns (value, d_y, d_yy);
   the ``"full"`` kernel seeds all 2n slots and returns the blocks of a
   :class:`~routhlab.jets.SecondJet`, skipping the position Hessian. Each
   derivative entry is computed by the rule and summation order of the
-  :class:`~routhlab.duals.HyperDual` operation it mirrors, with only
-  structural-zero terms dropped, so a kernel jet equals the dual jet bit for
-  bit wherever the dual jet is finite (zero entries may differ in sign).
+  hyper-dual operation it mirrors (forward-mode propagation of a value, its
+  gradient and its Hessian over the seeded slots), with only structural-zero
+  terms dropped, so a kernel jet equals the hyper-dual jet bit for bit
+  wherever that is finite (zero entries may differ in sign).
   Positions stay plain floats in the fiber kernel, as velocity-free
   subexpressions follow the float rules there. The ``"columns"`` kernel is
   the fiber kernel over columns: each argument holds one coordinate of many
@@ -230,7 +232,7 @@ class _Parser:
 
 
 def _evaluator(node):
-    """Nested closures evaluating node over floats, HyperDual numbers or Symbols."""
+    """Nested closures evaluating node over floats, Symbols or another number type of generic arithmetic."""
     tag = node[0]
     if tag == "num":
         return lambda xs, ys, c=node[1]: c
@@ -257,7 +259,7 @@ def _evaluator(node):
         return lambda xs, ys, f=_OPS[tag]: f(a(xs, ys), b(xs, ys))
     if tag == "^":
         return lambda xs, ys, pw=duals.power: pw(a(xs, ys), b(xs, ys))
-    # a variable exponent takes the exp-log form on floats and duals alike,
+    # a variable exponent takes the exp-log form on every number type,
     # so a position-only power rounds the same either way
     return lambda xs, ys, exp=duals.exp, log=duals.log: exp(b(xs, ys) * log(a(xs, ys)))
 
@@ -271,7 +273,7 @@ def time_derivative(form: "Expression") -> "Expression":
     """df/dt = sum_i df/dx_i v_i along (x, v), for a form f of the positions only.
 
     Each x_i becomes v_i, and each node takes the gradient rule of its
-    HyperDual operation. Every guard of f stays a guard: sqrt and division
+    hyper-dual operation. Every guard of f stays a guard: sqrt and division
     keep their operand, log and a fractional power below 2 (whose second
     derivative is undefined at 0) guard theirs as positive, ``pos(a)`` stays
     as ``pos(a) - a``, and a constant that raises as ``0 * c``. A velocity
@@ -302,14 +304,14 @@ def time_derivative(form: "Expression") -> "Expression":
             return ("neg", da)
         if tag == "pos":
             return ("+", da, ("-", node, a))
-        if tag == "call":  # HyperDual's chain: f'(a) * da
+        if tag == "call":  # the hyper-dual chain: f'(a) * da
             a = node[2]
             return ("*", {"sqrt": ("/", ("num", 0.5), node), "exp": node,
                           "log": ("/", ("num", 1.0), ("pos", a, "log of non-positive value")),
                           "sin": ("call", "cos", a), "cos": ("neg", ("call", "sin", a))}[node[1]], da)
         if tag == "^v":
             return d(("call", "exp", ("*", node[2], ("call", "log", a))))
-        if tag == "^":  # duals._pow_const
+        if tag == "^":  # the hyper-dual constant power
             p = _evaluator(node[2])((), ()) if ds[1] is None else math.nan
             if not math.isfinite(p):
                 return ("*", _ZERO, node)  # the power raises wherever it is evaluated
@@ -320,7 +322,7 @@ def time_derivative(form: "Expression") -> "Expression":
             f1 = ("*", ("num", 2.0), a) if p == 2.0 else ("*", ("num", p), ("^", a, ("num", p - 1.0)))
             return ("*", f1, da)
         b, db = node[2], ds[1]
-        if da is None or db is None:  # a float operand, as HyperDual's float rules take it
+        if da is None or db is None:  # a float operand, as the hyper-dual float rules take it
             return {"+": da or db, "-": da or ("neg", db), "*": ("*", da or db, b if da else a),
                     "/": ("/", da, b) if da else ("/", ("*", ("neg", node), db), b)}[tag]
         return {"+": ("+", da, db), "-": ("-", da, db), "*": ("+", ("*", da, b), ("*", db, a)),
@@ -464,8 +466,8 @@ class _KernelWriter:
     A jet is ``(value, g, h)``: ``g`` lists one operand per seeded slot and
     ``h`` one per entry of ``self.pairs``, or both are None for a node that
     reads no seeded variable and so evaluates as a plain float, as it does
-    on the dual path. Values and chain-rule coefficients are computed exactly
-    as the dual path computes them, so they raise where it raises; derivative
+    under the hyper-dual rules. Values and chain-rule coefficients are computed
+    exactly as those rules compute them, so they raise where they raise; derivative
     entries only add, subtract, multiply and divide by values, which cannot
     raise, and drop terms that are structural zeros.
     """
@@ -525,11 +527,13 @@ class _KernelWriter:
         return name
 
     def op(self, sym: str, a, b):
-        """a sym b, rounded as the dual path rounds it: values and coefficients."""
+        """a sym b, rounded as the hyper-dual rules round it: values and coefficients."""
         if sym == "**" and _is(b, 0.0):
             return 1.0  # float_pow returns 1.0 for any base
-        if sym == "**" and _is(b, 1.0):
-            return a  # and the base itself, as duals._pow_const uses at p = 2
+        if sym in ("*", "**") and _is(b, 1.0):
+            return a  # a * 1.0 is a, and so is a ** 1.0, which the hyper-dual square uses at p = 2
+        if sym == "*" and _is(a, 1.0):
+            return b
         if _const(a) and _const(b):
             c = _fold(_OPS[sym], a, b)
             if c is not None:
@@ -547,7 +551,7 @@ class _KernelWriter:
         return self.emit(f"_{name}({self.lit(a)})")
 
     def require(self, a, cmp: str, action: str, bound=0.0):
-        """Run action, a call that raises or a return, where ``a cmp bound``: a guard of the dual path."""
+        """Run action, a call that raises or a return, where ``a cmp bound``: a guard of the hyper-dual rules."""
         text, holds = _COMPARE[cmp]
         if _const(a) and _const(bound):
             if holds(a, bound):
@@ -745,7 +749,7 @@ class _KernelWriter:
             f0 = self.emit(f"_power({self.lit(v)}, {self.lit(p)})")
             return f0, g, h
         if g is not None and p == 1.0:
-            return a  # _pow_const returns z itself; z ** 1 cannot raise
+            return a  # the hyper-dual power returns z itself; z ** 1 cannot raise
         f0 = self.power_value(v, p)
         if g is None:
             return f0, None, None
@@ -805,9 +809,9 @@ class _KernelWriter:
         """(s, jet): the root s of E(x, y/s) = e and the tree's fiber jet at (x, y/s).
 
         It writes the usual path of ``homogenize.solve_energy_scale`` in its float
-        operations: the probe at s = |y|, a model step with k = 2, its probe
-        and the refit of k, then, where that probe has not converged (the
-        power families), a branch with the second model step and a third
+        operations: the probe at s = |y|, a model step with k = 2 and its
+        probe, then, where that probe has not converged (the power families),
+        a branch with the refit of k, the second model step and a third
         probe. It declines with ``return None`` wherever the rules leave that
         path, a NaN included, and at a zero velocity.
         """
@@ -838,7 +842,6 @@ class _KernelWriter:
         lo, hi = self.choose(f"0.0 < {self.lit(r)}", [s, math.inf], [0.0, s])
         t = step(s, r, q, 2.0, lo, hi)
         r_t, q_t, jet_t = self.probe(tree, t, e)
-        k = refit(s, q, t, q_t)
         test = f"{self.lit(atol)} < {self.lit(fabs(r_t))}"
         # the branch's temporaries and guards do not hold after it
         mark, names, guards = len(self.lines), dict(self.names), set(self.guards)
@@ -847,11 +850,11 @@ class _KernelWriter:
                        f"        if {self.lit(half)} < {self.lit(fabs(r_t))}:", "            return None"]
         lo, hi = self.choose(f"0.0 < {self.lit(r_t)}", [t, hi], [lo, t])
         self.require(self.emit(f"_nextafter({self.lit(lo)}, {self.lit(hi)})"), "not <", decline, hi)
+        k = refit(s, q, t, q_t)
         self.require(1.0, "not <", decline, k)
         self.require(k, "not <", decline, 64.0)
         t_3 = step(t, r_t, q_t, k, lo, hi)
         r_3, q_3, jet_3 = self.probe(tree, t_3, e)
-        refit(t, q_t, t_3, q_3)
         self.require(atol, "<", decline, fabs(r_3))
         body = self.lines[mark:]
         del self.lines[mark:]
@@ -1081,7 +1084,7 @@ def define(text: str, filename: str, name: str, names: dict):
 class Expression:
     """A parsed expression with its variable footprint.
 
-    Calling it evaluates the tree over floats or dual numbers;
+    Calling it evaluates the tree over floats or Symbols;
     :meth:`jet_kernel` gives the compiled float kernels.
     """
 
@@ -1164,21 +1167,32 @@ def _footprint(tree) -> tuple[int, int, int, set]:
     return max(read["x"], default=-1) + 1, max(read["v"], default=-1) + 1, depth, read["x"]
 
 
-def trace_expression(fn, dim: int, source: str) -> Expression | None:
-    """The Expression that ``fn(xs, ys)`` records on Symbol stand-ins, or None.
+def trace_expression(fn, dim: int, source: str) -> Expression:
+    """The Expression that ``fn(xs, ys)`` records on Symbol stand-ins, run once.
 
-    fn runs once. None means that it needs numbers (``float()``, a branch
-    on a value, numpy ufuncs, ``math`` functions), raised, returned neither
-    a symbol nor a number, or built a tree deeper than MAX_TRACE_DEPTH.
+    A formula that does not trace raises TypeError that names the cause: it
+    needs a number (a branch on a value, ``float()``, a ``math`` function),
+    calls a function that does not trace (``abs``, a numpy ufunc other than
+    sqrt, exp, log, sin and cos), has a constant subtree that raises, so it
+    is undefined at every point, or builds a tree deeper than MAX_TRACE_DEPTH.
+    Any other error fn raises passes through.
     """
     xs, ys = ([duals.Symbol((kind, i)) for i in range(dim)] for kind in "xv")
+    too_deep = f"MAX_TRACE_DEPTH = {MAX_TRACE_DEPTH}"
     try:
         out = fn(xs, ys)
         tree = out.node if isinstance(out, duals.Symbol) else ("num", float(out))
         max_x, max_v, depth, _ = _footprint(tree)
-    except Exception:  # raised again on numbers, where the hyper-dual path reports it
-        return None
-    return Expression(source, tree, max_x, max_v) if depth <= MAX_TRACE_DEPTH else None
+        cause = None if depth <= MAX_TRACE_DEPTH else f"its {depth} levels are more than {too_deep}"
+    except TypeError as exc:
+        cause = str(exc)
+    except (ArithmeticError, ValueError) as exc:
+        cause = f"a constant subtree raises {type(exc).__name__}({exc}), so it is undefined at every point"
+    except RecursionError:
+        cause = f"its tree is too deep to walk, past {too_deep}"
+    if cause is not None:
+        raise TypeError(f"{source} does not trace: {cause}")
+    return Expression(source, tree, max_x, max_v)
 
 
 # -- position guards ------------------------------------------------------------
@@ -1188,7 +1202,7 @@ class _Positions(tuple):
     """Position symbols that index and slice, and nothing more: numpy's sums and products, ``@``
     among them, may round otherwise than a guard, and a tuple's + and * are not an array's."""
 
-    __add__ = __mul__ = __rmul__ = __array__ = duals._untraceable
+    __add__ = __mul__ = __rmul__ = __array__ = duals._untraceable("a sum, product or array of positions")
 
     def __getitem__(self, i):
         return _Positions(tuple.__getitem__(self, i)) if isinstance(i, slice) else tuple.__getitem__(self, i)

@@ -32,7 +32,7 @@ import numpy as np
 from .duals import positive, power, sqrt
 from .errors import DomainError, EnergyUnreachable, NoConvergence, PositionDomainError
 from .expressions import SCALE_TOL, Expression, parse_expression, time_derivative, trace_expression
-from .jets import ScalarField, SecondJet, require_expr, run_kernel, stack_rows
+from .jets import ScalarField, SecondJet, require_expr, stack_rows, tree_kernel
 from .lagrangian import (
     LagrangianModel,
     MagneticLagrangian,
@@ -93,7 +93,7 @@ class HomogenizedLagrangian(FinslerModel):
         self.dim = base.dim + 1
         if base._domain is not None:
             self._domain = lambda x: base._domain(x[1:])
-        self.expression = trace_expression(self.expr, self.dim, "HomogenizedLagrangian.expr")
+        self._trace()
 
     def describe(self) -> dict:
         return {"family": self.family, "dim": self.dim, "base": self.base.describe()}
@@ -287,6 +287,9 @@ def _scale_probe(L, x, y, s: float, e: float):
 
 # -- the energy-level Finsler function ------------------------------------------
 
+#: the level kernel of each order of ``JacobiFinslerModel.eval``
+_LEVEL_KINDS = ("level-value", "level-fiber", "level-full")
+
 
 class JacobiFinslerModel(FinslerModel):
     """F_e(x, y) = s (L(x, y/s) + e) with s the root of E(x, y/s) = e.
@@ -300,10 +303,12 @@ class JacobiFinslerModel(FinslerModel):
     Over a base with a tree each order of ``eval`` is one kernel call, and
     where it declines or a guard of it raises, :func:`solve_energy_scale` and
     the numpy assembly run and raise what they raise; a batch is that, row
-    by row, and the row loop over an untraced base.
+    by row. Over a base with no tree, a reduction, every order is the solve
+    and the numpy assembly.
     """
 
     family = "jacobi"
+    _rows_in_turn = True
 
     def __init__(self, base: LagrangianModel, e: float):
         self.base = base
@@ -323,34 +328,33 @@ class JacobiFinslerModel(FinslerModel):
         """The eliminated scale s at (x, y)."""
         return solve_energy_scale(self.base, x, y, self.e).s
 
-    def _rows_at_once(self) -> bool:
-        return self.base.expression is not None
-
     def _eval_rows(self, xs, ys, order: int):
         """``eval`` past the position check on each row in turn."""
-        return stack_rows([self._level(x, y, order) for x, y in zip(xs, ys)], order, self.dim)
+        return stack_rows([self._level(x, y, order) for x, y in zip(xs.tolist(), ys.tolist())], order, self.dim)
 
     def eval(self, x, y, order: int = 2):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         self.domain_check(x, y)
-        return self._level(x, y, order)
+        return self._level(x.tolist(), y.tolist(), order)
 
     def _level_kernel(self, kind: str, x: list, y: list):
-        """The base tree's ``kind`` kernel at lists (x, y), with no position check; None where the
-        base has no tree or the kernel declines or raises DomainError."""
-        if self.base.expression is None:
+        """The base tree's ``kind`` kernel at lists x and y, with no position check; None where the base has
+        no tree (a reduction), or the kernel declines or a guard of it raises."""
+        kernel = tree_kernel(self.base, kind)
+        if kernel is None:
             return None
         try:
-            return run_kernel(self.base, kind, *x, *y, self.e)
-        except DomainError:
+            return kernel(*x, *y, self.e)
+        except (ValueError, ZeroDivisionError, DomainError):
             return None
 
-    def _level(self, x, y, order: int):
-        """``eval`` past the position check: the level kernel, or ``_solved`` where it gives None."""
-        out = self._level_kernel(("level-value", "level-fiber", "level-full")[order], x.tolist(), y.tolist())
+    def _level(self, x: list, y: list, order: int):
+        """``eval`` past the position check at lists x and y: the level kernel, or ``_solved`` where it
+        gives None."""
+        out = self._level_kernel(_LEVEL_KINDS[order], x, y)
         if out is None:
-            return self._solved(x, y, order)
+            return self._solved(np.array(x), np.array(y), order)
         return SecondJet(*out) if order == 2 else out
 
     def _solved(self, x, y, order: int):
@@ -424,7 +428,7 @@ class RandersModel(FinslerModel):
         self.metric = _normalize_matrix(metric, self.dim)
         self.beta = _normalize_vector(beta, self.dim)
         self._domain = domain
-        self.expression = trace_expression(self.expr, self.dim, "RandersModel.expr")
+        self._trace()
 
     def expr(self, xs, ys):
         a = 2.0 * _half_quadratic(self.metric, xs, ys)
@@ -532,7 +536,7 @@ class PowerScaledFinsler(FinslerModel):
         self.coefficient = k * ((k - 1.0) / e) ** ((1.0 - k) / k)
         self.dim = base.dim
         self._domain = base._domain
-        self.expression = trace_expression(self.expr, self.dim, "PowerScaledFinsler.expr")
+        self._trace()
 
     def describe(self) -> dict:
         return {
@@ -577,7 +581,7 @@ class GaugeShiftedModel(ScalarField):
         self.source = form.source
         self.rate = time_derivative(form)
         self.family = f"{base.family}+exact_form"
-        self.expression = trace_expression(self.expr, self.dim, "GaugeShiftedModel.expr")
+        self._trace()
 
     def describe(self) -> dict:
         return {"family": self.family, "dim": self.dim, "form": self.source, "base": self.base.describe()}
@@ -604,10 +608,8 @@ def gauge_shift(model: ScalarField, f) -> GaugeShiftedModel:
     if isinstance(f, str):
         f = parse_expression(f)
     elif callable(f) and not isinstance(f, Expression):
-        name = getattr(f, "__name__", "<callable>")
-        f = trace_expression(lambda xs, ys, form=f: form(xs), model.dim, name)
-        if f is None:
-            raise TypeError(f"the gauge form {name} does not trace: write it in generic arithmetic")
+        f = trace_expression(lambda xs, ys, form=f: form(xs), model.dim,
+                             f"the gauge form {getattr(f, '__name__', '<callable>')}")
     if not isinstance(f, Expression):
         raise TypeError("f must be an expression string, Expression, or callable")
     return GaugeShiftedModel(model, f.checked(model.dim, allow_velocity=False))

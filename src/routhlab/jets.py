@@ -10,14 +10,18 @@ Index convention: ``d_xy[i, j]`` is the derivative first in ``x[i]``, then in
 
 Every field evaluates through one method, ``eval(x, y, order)``: order 0 is
 the value, order 1 the velocity-only fiber jet (value, d_y, d_yy), and order
-2 the :class:`SecondJet`. A formula is written once, as ``expr``, and
-:meth:`ScalarField.eval` evaluates every one: through its tree's kernels
-where it has a tree, by hyper-duals otherwise; a wrapper with an explicit
+2 the :class:`SecondJet`. A formula is written once, as ``expr``, and traced
+to its tree when its field is built (:meth:`ScalarField._trace`), or at its
+first evaluation where a subclass is built without that; a formula that
+does not trace is refused then (:func:`~routhlab.expressions.trace_expression`).
+:meth:`ScalarField.eval` evaluates every tree, through its float closures
+at order 0 and its compiled kernels above. A wrapper with an explicit
 formula writes ``expr`` over its base's (:func:`require_expr`), and the
 closed-form level metrics write one too. Only the implicit wrappers, the
 level metric and the reduction, write their own ``eval``; ``value`` and
-``fiber_jet`` are one-line wrappers. The sprays run through
-:func:`run_kernel`, and the Euler-Lagrange flows through :func:`flow_kernel`.
+``fiber_jet`` are one-line wrappers. A level metric takes its base tree's
+kernels from :func:`tree_kernel`, and the Euler-Lagrange flows run
+through :func:`flow_kernel`: only this module calls ``jet_kernel``.
 :func:`jet` adds input and output validation, and the independent
 finite-difference oracle :func:`fd_jet` cross-checks every family in the tests.
 
@@ -29,8 +33,8 @@ checks the order, checks the rows once with ``_rows_in_domain``, and calls
 a row fails that check, or ``_eval_rows`` raises one of ``EVAL_ERRORS`` or
 gives an entry that is not finite, it runs the rows in order through
 ``value`` or ``fiber_jet`` (``_row_loop``), so the first failing row raises.
-Where ``_eval_rows`` is that row loop (``_rows_at_once`` says no), the batch
-runs it once, with no domain pass and no second run.
+A level metric's ``_eval_rows`` already runs its rows in turn
+(``_rows_in_turn``), so its batch runs them once.
 
 A field's domain is one rule: its position predicate ``_domain``, which
 ``domain_check`` applies and a wrapper takes from its base when it is
@@ -54,9 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import seed_second, value_of
 from .errors import DomainError, RouthlabError, StencilDomainError
-from .expressions import _outside, trace_guard
+from .expressions import _outside, trace_expression, trace_guard
 
 __all__ = ["SecondJet", "ScalarField", "jet", "fd_jet", "FD_STEP"]
 
@@ -86,13 +89,15 @@ class SecondJet:
 class ScalarField:
     """A scalar function of (x, y) on an n-dimensional configuration space.
 
-    A field writes its formula once, as ``expr`` (generic arithmetic usable
-    with floats and dual numbers), and ``expression`` is its tree, parsed or
-    traced, or None; only the implicit wrappers (the level metric and the
-    reduction) override ``eval`` with their own assembly. ``domain_check`` raises
-    :class:`PositionDomainError` where the position predicate ``_domain``,
-    if the model has one, says no; every velocity condition is a guard of
-    the formula (see the module docstring).
+    A field writes its formula once, as ``expr`` (generic arithmetic over
+    :mod:`routhlab.duals`), and ``expression`` is its tree, parsed or traced
+    by :meth:`_trace` when it is built, as the families do; a subclass built
+    without it is traced at its first evaluation. Only the implicit wrappers
+    (the level metric and the reduction), which have no tree, override
+    ``eval`` with their own assembly. ``domain_check`` raises :class:`PositionDomainError`
+    where the position predicate ``_domain``, if the model has one, says no;
+    every velocity condition is a guard of the formula (see the module
+    docstring).
     """
 
     dim: int = 0
@@ -100,6 +105,7 @@ class ScalarField:
     _domain = None
     expression = None
     _traced = (None, None)  # the predicate last traced, and its guard
+    _rows_in_turn = False  # whether ``_eval_rows`` runs the rows in turn, as ``eval`` does
 
     # -- domain ---------------------------------------------------------
 
@@ -124,48 +130,34 @@ class ScalarField:
     def expr(self, x, y):
         raise NotImplementedError(f"{type(self).__name__} defines no expression form")
 
+    def _trace(self):
+        """Set ``expression`` to ``expr``'s tree, named for the class that writes ``expr``, and return it;
+        TypeError names the cause where ``expr`` does not trace (:func:`~routhlab.expressions.trace_expression`)."""
+        self.expression = trace_expression(self.expr, self.dim, self.expr.__qualname__)
+        return self.expression
+
     def eval(self, x: np.ndarray, y: np.ndarray, order: int = 2):
         """Value (order 0), fiber jet (order 1) or SecondJet (order 2).
 
-        A field with a tree runs its float closures at order 0 and its fiber
-        or full kernel above. Without one, ``expr`` runs on floats at order 0
-        and on hyper-duals above: order 1 seeds the velocities, order 2 all 2n
-        slots. The kernels give the hyper-dual bits wherever those are finite,
-        up to the sign of zeros. Order 1 keeps the positions floats, so
-        ``sqrt(x1)`` at x1 = 0 is 0.0 there, while order 2 raises DomainError.
+        Order 0 runs the tree's float closures, and orders 1 and 2 its fiber
+        and full kernels, which give the bits of the hyper-dual rules wherever
+        those are finite, up to the sign of zeros. The fiber kernel keeps the
+        positions floats, so ``sqrt(x1)`` at x1 = 0 is 0.0 there, while order
+        2 raises DomainError.
         """
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         self.domain_check(x, y)
-        n, tree = self.dim, self.expression
-        if tree is not None and order:
-            kernel = tree.jet_kernel("fiber" if order == 1 else "full", n)
+        tree = self.expression
+        if tree is None:
+            tree = self._trace()
         try:
             if order == 0:
-                fn = self.expr if tree is None else tree.fn
-                return float(value_of(fn(x.tolist(), y.tolist())))
-            if tree is not None:
-                out = kernel(*x.tolist(), *y.tolist())
-                return out if order == 1 else SecondJet(*out)
-            if order == 1:
-                out = self.expr(x.tolist(), seed_second(y))
-            else:
-                seeds = seed_second(np.concatenate([x, y]))
-                out = self.expr(seeds[:n], seeds[n:])
+                return float(tree.fn(x.tolist(), y.tolist()))
+            out = tree.jet_kernel("fiber" if order == 1 else "full", self.dim)(*x.tolist(), *y.tolist())
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(str(exc)) from exc
-        val = value_of(out)
-        m = n if order == 1 else 2 * n
-        g, h = (out.g, out.h) if hasattr(out, "h") else (np.zeros(m), np.zeros((m, m)))
-        if order == 1:
-            return val, np.array(g), np.array(h)
-        return SecondJet(
-            value=val,
-            d_x=np.array(g[:n]),
-            d_y=np.array(g[n:]),
-            d_yy=np.array(h[n:, n:]),
-            d_xy=np.array(h[:n, n:]),
-        )
+        return out if order == 1 else SecondJet(*out)
 
     def _el_flow(self):
         """(kernel, args after the state) of the Euler-Lagrange flow (:func:`flow_kernel`), or None."""
@@ -189,7 +181,9 @@ class ScalarField:
         if order not in (0, 1):
             raise ValueError(f"eval_batch evaluates orders 0 and 1, not {order}")
         xs, ys = batch_rows(xs, ys)
-        if self._rows_at_once() and self._rows_in_domain(xs, ys):
+        if self._rows_in_domain(xs, ys):
+            if self._rows_in_turn:
+                return self._eval_rows(xs, ys, order)
             try:
                 out = self._eval_rows(xs, ys, order)
                 if all(np.isfinite(a).all() for a in (out if order else (out,))):
@@ -201,15 +195,15 @@ class ScalarField:
     def _eval_rows(self, xs, ys, order: int):
         """``eval_batch``'s results on rows that passed ``_rows_in_domain``.
 
-        A field with a tree runs its ``"columns"`` kernel on all rows, under
-        ``np.errstate(all="raise")``; where ``_rows_at_once`` says no, this is
-        the row loop. A family may override it to give the same bits at once,
-        skipping the position predicate; a failing row may raise or give
-        non-finite entries.
+        A field runs its tree's ``"columns"`` kernel on all rows, under
+        ``np.errstate(all="raise")``. An implicit wrapper overrides it to give
+        the same bits, skipping the position predicate; a failing row may
+        raise or give non-finite entries. One that runs the rows in turn, as
+        ``eval`` does, sets ``_rows_in_turn``, and its batch is then its
+        result, as its first error is the first failing row's.
         """
-        if not self._rows_at_once():
-            return self._row_loop(xs, ys, order)
-        kernel = self.expression.jet_kernel("columns", self.dim)
+        tree = self.expression
+        kernel = (self._trace() if tree is None else tree).jet_kernel("columns", self.dim)
         with np.errstate(all="raise"):
             val, d_y, d_yy = kernel(*xs.T, *ys.T)
         return val if order == 0 else (val, d_y, d_yy)
@@ -218,10 +212,6 @@ class ScalarField:
         """``value`` or ``fiber_jet`` on each row in turn, stacked."""
         at = self.fiber_jet if order else self.value
         return stack_rows([at(x, y) for x, y in zip(xs, ys)], order, ys.shape[1])
-
-    def _rows_at_once(self) -> bool:
-        """Whether ``_eval_rows`` evaluates the rows at once, not by the row loop."""
-        return type(self)._eval_rows is not ScalarField._eval_rows or self.expression is not None
 
     def _rows_in_domain(self, xs, ys) -> bool:
         """Whether the position predicate holds on every row, run once on xs's columns where it traces; a
@@ -276,16 +266,10 @@ def solve_linear(a: np.ndarray, b: np.ndarray, fail):
         raise fail() from exc
 
 
-def run_kernel(field: ScalarField, kind: str, *args):
-    """The ``kind`` kernel of field's tree on args (:meth:`Expression.jet_kernel`).
-
-    A guard's error raises DomainError; no position predicate is checked.
-    """
-    kernel = field.expression.jet_kernel(kind, field.dim)
-    try:
-        return kernel(*args)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(str(exc)) from exc
+def tree_kernel(field: ScalarField, kind: str):
+    """The ``kind`` kernel of field's tree (:meth:`Expression.jet_kernel`), or None where it has none."""
+    tree = field.expression
+    return None if tree is None else tree.jet_kernel(kind, field.dim)
 
 
 def flow_kernel(field: ScalarField, kind: str, cyclic: int | None = None):

@@ -6,10 +6,11 @@ potential) that are constants or position callables. At construction
 ``expr`` is traced once into an expression tree, which calls each callable
 once, so callables must be pure. The model then evaluates through
 :meth:`~routhlab.jets.ScalarField.eval`, the one evaluator of every field,
-which runs the tree's compiled kernels as it does for DSL models. A callable
-that needs numbers (``float()``, a branch on a value, ``math`` or numpy
-functions) leaves the model untraced, and the same evaluator propagates
-hyper-duals through ``expr``.
+which runs the tree's compiled kernels as it does for DSL models. numpy's
+sqrt, exp, log, sin and cos trace as the :mod:`routhlab.duals` functions do;
+a callable that needs numbers (``float()``, a branch on a value, ``math``
+functions) does not trace, and the model raises TypeError when built
+(:func:`~routhlab.expressions.trace_expression`).
 
 The mixed-derivative convention follows :mod:`routhlab.jets`:
 ``d_xy[i, j]`` differentiates first in ``x[i]``, then in ``v[j]``.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .duals import positive, power
 from .errors import DomainError, PreconditionError, SingularHessian
-from .expressions import Expression, parse_expression, trace_expression
+from .expressions import Expression, parse_expression
 from .integrators import Trajectory, integrate_sampled
 from .jets import EVAL_ERRORS, ScalarField, batch_rows, require_expr, solve_linear
 
@@ -68,7 +69,7 @@ def _normalize_vector(spec, dim: int):
 
 
 def _literal_zero(a) -> bool:
-    """Is a a plain number equal to zero, rather than a dual or a traced node?"""
+    """Is a a plain number equal to zero, rather than a traced node?"""
     return isinstance(a, (int, float)) and a == 0.0
 
 
@@ -120,7 +121,7 @@ class MagneticLagrangian(LagrangianModel):
         self.beta = _normalize_vector(beta, self.dim)
         self.potential = potential
         self._domain = domain
-        self.expression = trace_expression(self.expr, self.dim, "MagneticLagrangian.expr")
+        self._trace()
 
     def expr(self, xs, ys):
         acc = _plus_one_form(_half_quadratic(self.metric, xs, ys), self.beta, xs, ys)
@@ -156,7 +157,7 @@ class PowerQuadraticLagrangian(LagrangianModel):
         self.metric = _normalize_matrix(metric, self.dim)
         self.degree = int(degree)
         self._domain = domain
-        self.expression = trace_expression(self.expr, self.dim, "PowerQuadraticLagrangian.expr")
+        self._trace()
 
     def expr(self, xs, ys):
         q = _half_quadratic(self.metric, xs, ys)

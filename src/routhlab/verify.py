@@ -106,11 +106,12 @@ def _speed(dq, theta):
 
 
 def _arc_table(dense, n: int):
-    """The (4, n, steps) coefficients of dx/dtheta of a dense output's first n components
-    (theta the step fraction), and the arc length at every sub-knot: _SUBINTERVALS per
-    step, by 2-point Gauss-Legendre."""
+    """The C-ordered (4, n, steps) coefficients of dx/dtheta of a dense output's first n
+    components (theta the step fraction), and the arc length at every sub-knot:
+    _SUBINTERVALS per step, by 2-point Gauss-Legendre."""
     m = _SUBINTERVALS
-    dq = (dense.qs[:, :n, :] * (dense.hs[:, None, None] * np.array([1.0, 2.0, 3.0, 4.0]))).T
+    dq = dense.qs[:, :n, :] * (dense.hs[:, None, None] * np.array([1.0, 2.0, 3.0, 4.0]))
+    dq = np.ascontiguousarray(dq.T)
     speeds = _speed(dq[..., None], (np.arange(m)[:, None] + np.array(_GAUSS)).ravel() / m)
     pieces = (speeds[:, 0::2] + speeds[:, 1::2]) * (0.5 / m)
     return dq, np.concatenate([[0.0], np.cumsum(pieces)])
@@ -123,7 +124,7 @@ def _at_arc_length(dense, dq, table, s):
     j = np.clip(np.searchsorted(table, s, side="right") - 1, 0, len(table) - 2)
     step, lo = np.divmod(j, m)
     lo = lo / m
-    dq, base = dq[:, :, step], table[j]
+    dq, base = np.take(dq, step, axis=2), table[j]
     width = table[j + 1] - base
     theta = lo + np.divide(s - base, m * width, out=np.zeros_like(s), where=width > 0)
     for _ in range(_NEWTON):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from routhlab import ScalarField, SingularHessian
+from hyperdual import dual_eval
+from routhlab import SingularHessian
 from routhlab.jets import solve_linear
 
 settings.register_profile(
@@ -22,21 +23,11 @@ def rng():
     return np.random.default_rng(12345)
 
 
-class _Untraced(ScalarField):
-    """A model's domain and ``expr`` without its tree, so ``eval`` runs hyper-duals."""
-
-    def __init__(self, model):
-        self.model, self.dim, self._domain = model, model.dim, model._domain
-
-    def expr(self, xs, ys):
-        return self.model.expr(xs, ys)
-
-
 @pytest.fixture(scope="session")
 def hyper_dual():
     """``hyper_dual(model, x, y, order=2)``: the hyper-dual jet of the model's
-    ``expr``, the oracle of its compiled kernels."""
-    return lambda model, x, y, order=2: _Untraced(model).eval(x, y, order)
+    ``expr`` (:func:`hyperdual.dual_eval`), the oracle of its compiled kernels."""
+    return dual_eval
 
 
 @pytest.fixture(scope="session")

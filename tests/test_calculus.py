@@ -262,8 +262,8 @@ def test_fiber_jet_agrees_with_full_jet(rng, hyper_dual):
 
 
 # the classes that write an eval: the one evaluator of every field with an
-# expr, which runs its tree's kernels or hyper-duals, and the implicit
-# wrappers; the closed forms write expr
+# expr, which runs its tree's kernels, and the implicit wrappers; the closed
+# forms write expr
 EVAL_CLASSES = {rl.ScalarField, rl.JacobiFinslerModel, rl.ReducedLagrangian}
 
 
@@ -520,7 +520,7 @@ def test_batched_coefficients_round_as_the_rows(rng):
     # math functions refuse arrays: both must still give the rows' bits
     powered = rl.MagneticLagrangian(
         2,
-        lambda xs: [[1.0 + xs[0] ** 2 + 0.1 * abs(xs[1]) ** 1.5, 0.0],
+        lambda xs: [[1.0 + xs[0] ** 2 + 0.1 * xs[1] ** 1.5, 0.0],
                     [0.0, 2.0 + xs[1] ** 3 / (2.0 + xs[0] ** -2)]],
         beta=lambda xs: [xs[1] ** 0.5, -xs[0]],
         potential=lambda xs: 0.3 * xs[0] ** 2.5 - xs[1],
@@ -540,7 +540,7 @@ def test_batched_coefficients_round_as_the_rows(rng):
 
 def test_kernels_match_the_oracle_with_non_finite_literals(hyper_dual):
     # 1e999 is inf; the kernels bind it by name, and their structural zeros
-    # times inf give the same nan entries as the dual path's arrays
+    # times inf give the same nan entries as the hyper-dual oracle's arrays
     model = rl.parse_lagrangian("1e999*v1^2 + x1", dim=1)
     x, y = [0.5], [0.3]
     with np.errstate(invalid="ignore"):

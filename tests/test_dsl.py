@@ -14,18 +14,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperdual import HyperDual, seed_second
 from routhlab import (
     ArityError,
     CyclicSplit,
     DomainError,
     Expression,
-    HyperDual,
     MagneticLagrangian,
     MechanicalLagrangian,
     ParseError,
     ReducedLagrangian,
     RouthlabError,
-    ScalarField,
     SecondJet,
     SingularHessian,
     StencilDomainError,
@@ -37,7 +36,6 @@ from routhlab import (
     parse_lagrangian,
     poincare_disk_lagrangian,
     randers_closed_form,
-    seed_second,
 )
 from routhlab.duals import power
 from routhlab.expressions import _COLUMN_GLOBALS, _KERNEL_GLOBALS
@@ -124,8 +122,6 @@ def test_random_arithmetic_matches_python(a, b):
 
 
 def test_expression_works_on_dual_inputs():
-    from routhlab import seed_second
-
     e = parse_expression("x1^2 * v1 + sin(x1)")
     x1, v1 = seed_second([0.5, 2.0])
     out = e([x1], [v1])
@@ -138,8 +134,6 @@ def test_expression_works_on_dual_inputs():
 
 
 def test_power_follows_one_rule_for_floats_and_duals():
-    from routhlab import seed_second
-
     # exponent 2 is a product on every path, so float and dual values agree;
     # pow(x, 2.0) rounds this x one ulp away from x * x
     x = 0.7559376686872161
@@ -268,16 +262,21 @@ def test_traced_coefficients_equal_the_hyper_dual_oracle(hyper_dual, sources):
     # random trees as the metric, one-form and potential callables of a
     # magnetic model, config-style; the traced tree reuses each one's nodes
     g, b, p = (parse_expression(s.replace("v", "x"), dim=2, allow_velocity=False) for s in sources)
-    model = MagneticLagrangian(
-        2,
-        lambda xs: [[g(xs, ()), b(xs, ())], [b(xs, ()), 1.5]],
-        beta=lambda xs: [b(xs, ()), g(xs, ())],
-        potential=lambda xs: p(xs, ()),
-    )
-    if model.expression is None:
+    try:
+        model = MagneticLagrangian(
+            2,
+            lambda xs: [[g(xs, ()), b(xs, ())], [b(xs, ()), 1.5]],
+            beta=lambda xs: [b(xs, ()), g(xs, ())],
+            potential=lambda xs: p(xs, ()),
+        )
+    except TypeError as exc:
         # tracing runs a constant subtree on floats, and one that raises
-        # there, such as the log(0) of 0^x1, raises at every point
-        assert all(_outcome(lambda: ScalarField.eval(model, x, y, 0))[1] for x, y in _points())
+        # there, such as the log(0) of 0^x1, raises at every point, so the
+        # model is refused when built
+        assert "a constant subtree raises" in str(exc), sources
+        for x, _ in _points():
+            with pytest.raises((ArithmeticError, ValueError)):
+                [f(x.tolist(), ()) for f in (g, b, p)]
         return
     for x, y in _points():
         for order in (0, 1, 2):
@@ -308,14 +307,24 @@ _DECLINING = {"reduced-el", "level-value", "level-fiber", "level-full", "spray",
 _GAUGE_BASE = "0.5*(v1^2 + 2*v2^2) + 0.3*x1*v2 - x2^2"
 
 
+def _shift(form):
+    """The gauge shift of _GAUGE_BASE by form, or None where a constant subtree of the form
+    raises, so that it is undefined at every point, and the shift is refused."""
+    try:
+        return gauge_shift(parse_lagrangian(_GAUGE_BASE, dim=2), form)
+    except TypeError as exc:
+        assert "a constant subtree raises" in str(exc), exc
+        return None
+
+
 @settings(max_examples=100)
 @given(source=_SOURCES)
 def test_kernel_code_reads_only_whitelisted_names(source):
     # the tree of a DSL model, and the traced tree of a shift by the same
-    # source as a form, unless the form raises everywhere and so stays
-    # untraced; each tree's reduced kernels by either coordinate too
-    shifted = gauge_shift(parse_lagrangian(_GAUGE_BASE, dim=2), source.replace("v", "x"))
-    expressions = [e for e in (parse_expression(source, dim=2), shifted.expression) if e is not None]
+    # source as a form, unless the form raises everywhere and so is
+    # refused; each tree's reduced kernels by either coordinate too
+    shifted = _shift(source.replace("v", "x"))
+    expressions = [parse_expression(source, dim=2)] + ([] if shifted is None else [shifted.expression])
     for (kind, cyclic, names), expression in itertools.product(
             (("fiber", None, _KERNEL_GLOBALS), ("full", None, _KERNEL_GLOBALS),
              ("columns", None, _COLUMN_GLOBALS), ("level-value", None, _KERNEL_GLOBALS),
@@ -416,11 +425,14 @@ def test_kernels_write_each_right_hand_side_once():
         assert len(sides) > 20 and len(set(sides)) == len(sides), kind
 
 
+def _oscillator():
+    """The unit-mass isotropic oscillator, a quadratic Lagrangian."""
+    return MechanicalLagrangian(2, np.eye(2), potential=lambda xs: 0.5 * (xs[0] * xs[0] + xs[1] * xs[1]))
+
+
 def _oscillator_closed_form():
     """The Randers closed form of the unit-mass oscillator, whose metric has literal zeros."""
-    oscillator = MechanicalLagrangian(2, np.eye(2),
-                                      potential=lambda xs: 0.5 * (xs[0] * xs[0] + xs[1] * xs[1]))
-    return randers_closed_form(oscillator, 2.0)
+    return randers_closed_form(_oscillator(), 2.0)
 
 
 @pytest.mark.parametrize("kind, cyclic", [("el", None), ("reduced-el", 1), ("level-value", None),
@@ -448,8 +460,26 @@ def test_kernels_assign_nothing_unread_that_cannot_raise(kind, cyclic):
 @pytest.mark.parametrize("kind", ["fiber", "full", "columns"])
 def test_closed_form_kernels_multiply_by_no_literal_zero(kind):
     # the oscillator's identity metric keeps its off-diagonal zeros as 0.0,
-    # which the quadratic form skips
-    assert "* 0.0" not in inspect.getsource(_oscillator_closed_form().expression.jet_kernel(kind, 2))
+    # which the quadratic form skips, and its diagonal ones as 1.0, which a
+    # product drops
+    text = inspect.getsource(_oscillator_closed_form().expression.jet_kernel(kind, 2))
+    assert "* 0.0" not in text and "* 1.0" not in text and "1.0 *" not in text
+
+
+@pytest.mark.parametrize("kind", ["level-value", "level-fiber", "level-full", "spray", "level-spray"])
+def test_level_kernels_of_a_quadratic_base_refit_k_only_for_a_third_probe(kind):
+    # the second probe converges on a quadratic base, and only a third model
+    # step reads the refit of k, so its logs are written in the one branch
+    # that takes the third probe, and nowhere else
+    for model in (_oscillator(), poincare_disk_lagrangian()):
+        body = ast.parse(model.expression.jet_kernel(kind, 2).text).body[0].body
+
+        def logs(node):
+            return [n for n in ast.walk(node) if isinstance(n, ast.Call) and getattr(n.func, "id", "") == "_log"]
+
+        branches = [stmt for stmt in body if isinstance(stmt, ast.If) and logs(stmt)]
+        assert len(branches) == 1 and len(logs(branches[0])) == 2, kind
+        assert not [stmt for stmt in body if stmt not in branches and logs(stmt)], kind
 
 
 def test_kernel_tracebacks_name_the_generated_file():
@@ -667,11 +697,12 @@ def test_gauge_shifts_equal_the_form_jet_assembly(source):
     # reaches 1.1e-15, as p - 1 and the power each round a^(p-1) by an ulp
     base = parse_lagrangian(_GAUGE_BASE, dim=2)
     form = parse_expression(source.replace("v", "x"), dim=2, allow_velocity=False)
-    shifted = gauge_shift(base, form)
-    if shifted.expression is None:
+    shifted = _shift(form)
+    if shifted is None:
         # tracing runs a constant subtree on floats, and one that raises
-        # there raises at every point
-        assert all(_outcome(lambda: shifted.value(x, y))[1] for x, y in _points())
+        # there raises at every point, where the assembly raises too
+        assert all(_outcome(lambda: _form_jet_assembly(base, form, x, y, 0))[1] for x, y in _points())
+        return
     for x, y in _points():
         for order in (0, 1, 2):
             want, want_err = _outcome(lambda: _form_jet_assembly(base, form, x, y, order))

@@ -1,4 +1,5 @@
-"""Forward-mode hyper-dual numbers against hand-written derivatives."""
+"""The tests' forward-mode hyper-dual numbers, through the routhlab.duals functions, against
+hand-written derivatives."""
 
 import math
 import struct
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from routhlab import HyperDual, seed_second
-from routhlab.duals import cos, exp, log, sin, sqrt, value_of
+from hyperdual import HyperDual, seed_second, value_of
+from routhlab.duals import cos, exp, log, sin, sqrt
 
 floats = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 pos_floats = st.floats(min_value=0.1, max_value=3.0, allow_nan=False)

@@ -2,11 +2,14 @@
 
 import hashlib
 import importlib
+import re
 
 import numpy as np
 import pytest
 
 import routhlab as rl
+from hyperdual import seed_second
+from routhlab.jets import tree_kernel
 
 
 def conformal_magnetic():
@@ -202,24 +205,22 @@ class TestHomogenization:
             with pytest.raises(TypeError, match="needs a base with an expr"):
                 rl.HomogenizedLagrangian(base)
 
-    def test_the_lift_of_an_untraced_base_equals_its_traced_twin(self, rng):
-        # numpy's sin leaves the base, and so its lift, untraced, on the
-        # hyper-dual path; the twin's lift runs the kernels
+    def test_the_lift_of_a_numpy_coefficient_is_its_twins_lift(self, rng):
+        # numpy's sin traces as duals.sin does, so a base that calls it, and
+        # its lift, has its twin's tree, and every order gives the twin's bits
         L = rl.MagneticLagrangian(2, np.eye(2), potential=lambda xs: 0.3 * np.sin(xs[0]))
         T = rl.MagneticLagrangian(2, np.eye(2), potential=lambda xs: 0.3 * rl.duals.sin(xs[0]))
         lifted, twin = rl.HomogenizedLagrangian(L), rl.HomogenizedLagrangian(T)
-        assert lifted.expression is None and twin.expression is not None
+        assert lifted.expression.tree == twin.expression.tree
         xs = rng.uniform(-2.0, 2.0, (50, 3))
         ys = np.column_stack([rng.uniform(0.2, 2.0, 50), rng.uniform(-1.0, 1.0, (50, 2))])
         for x, y in zip(xs, ys):
             a, b = lifted.eval(x, y), twin.eval(x, y)
             for block in ("value", "d_x", "d_y", "d_yy", "d_xy"):
                 np.testing.assert_array_equal(getattr(a, block), getattr(b, block), err_msg=block)
-            # orders 0 and 1 read the positions as floats, where numpy's sin
-            # may round apart from libm's
-            assert lifted.value(x, y) == pytest.approx(twin.value(x, y), rel=1e-15, abs=1e-15)
+            assert lifted.value(x, y) == twin.value(x, y)
             for p, q in zip(lifted.fiber_jet(x, y), twin.fiber_jet(x, y)):
-                np.testing.assert_allclose(p, q, rtol=1e-15, atol=1e-15)
+                np.testing.assert_array_equal(p, q)
 
 
 class TestEnergyScale:
@@ -379,15 +380,21 @@ class TestEnergyScale:
         assert rl.jacobi_finsler(osc, 2.0)._level_kernel("level-value", [0.3, 0.4], [0.0, 0.0]) is None
 
     def test_a_batch_over_an_untraced_base_evaluates_as_its_rows(self):
-        # numpy's sin leaves the base untraced, so a batch is the row loop; a
-        # row whose first probe raises (0.1/x2 at x2 = 0) costs its own solve
+        # a reduction has no tree, so its level metric runs the scale solve on
+        # every row; a batch gives the rows' bits, and a row whose first probe
+        # raises (1/x1 at x1 = 0) raises what it raises and costs its own solve
         # and the rows before it, nothing more
-        L = rl.MechanicalLagrangian(2, np.eye(2), potential=lambda xs: 0.3 * np.sin(xs[0]) + 0.1 / xs[1])
-        assert L.expression is None
-        F = rl.jacobi_finsler(L, 2.0)
+        kepler = rl.parse_lagrangian("0.5*(v1^2 + x1^2*v2^2) + 1/x1", dim=2)
+        L = rl.routhian(kepler, rl.CyclicSplit.of(2, [1]), np.array([0.3]), verify=False)
+        F = rl.jacobi_finsler(L, 0.5)
+        assert tree_kernel(L, "level-value") is None
         rng = np.random.default_rng(6)
-        xs, ys = rng.uniform(0.2, 0.5, (100, 2)), rng.uniform(-1.0, 1.0, (100, 2))
-        xs[60, 1] = 0.0
+        xs, ys = rng.uniform(0.5, 1.5, (100, 1)), rng.uniform(0.2, 1.0, (100, 1))
+        np.testing.assert_array_equal(F.eval_batch(xs, ys, 0), [F.value(x, y) for x, y in zip(xs, ys)])
+        rows = [F.fiber_jet(x, y) for x, y in zip(xs, ys)]
+        for got, want in zip(F.eval_batch(xs, ys, 1), zip(*rows), strict=True):
+            np.testing.assert_array_equal(got, np.array(want))
+        xs[60, 0] = 0.0
         calls, evaluate = [0], L.eval
 
         def counted(*args):
@@ -395,13 +402,33 @@ class TestEnergyScale:
             return evaluate(*args)
 
         L.eval = counted
-        with pytest.raises(rl.DomainError):
+        with pytest.raises(rl.DomainError) as batch:
             F.eval_batch(xs, ys)
-        batch, calls[0] = calls[0], 0
-        with pytest.raises(rl.DomainError):
+        batch_calls, calls[0] = calls[0], 0
+        with pytest.raises(rl.DomainError) as row:
             for x, y in zip(xs, ys):
                 F.value(x, y)
-        assert 0 < batch <= calls[0]
+        assert str(batch.value) == str(row.value)
+        assert 0 < batch_calls <= calls[0]
+
+    def test_a_level_batch_runs_its_rows_once(self):
+        # over a traced base too, a failing row does not send the rows before
+        # it through their level kernels a second time
+        L = rl.MagneticLagrangian(2, np.eye(2), potential=lambda xs: 0.5 * xs[0] * xs[0] + 0.1 / xs[1])
+        F = rl.jacobi_finsler(L, 2.0)
+        rng = np.random.default_rng(6)
+        xs, ys = rng.uniform(0.2, 0.5, (100, 2)), rng.uniform(-1.0, 1.0, (100, 2))
+        xs[60, 1] = 0.0
+        calls, level = [0], F._level_kernel
+
+        def counted(*args):
+            calls[0] += 1
+            return level(*args)
+
+        F._level_kernel = counted
+        with pytest.raises(rl.DomainError):
+            F.eval_batch(xs, ys)
+        assert calls[0] == 61
 
     def test_solves_are_independent_of_call_order(self, rng):
         Fe = rl.jacobi_finsler(conformal_magnetic(), 2.0)
@@ -681,11 +708,13 @@ class TestGaugeShift:
 
     def test_a_callable_form_that_does_not_trace_is_refused(self):
         # the form becomes a tree when the shift is built; one that needs
-        # numbers (a branch on a value, numpy ufuncs) has none
+        # numbers (a branch on a value), or calls abs or a numpy ufunc other
+        # than sqrt, exp, log, sin and cos, has none
         L = conformal_magnetic()
-        for form in (lambda xs: 0.2 * xs[0] * xs[1] if rl.duals.value_of(xs[0]) > -1 else 0.0,
-                     lambda xs: np.sin(xs[0]) * xs[1]):
-            with pytest.raises(TypeError, match="does not trace"):
+        for form, cause in ((lambda xs: 0.2 * xs[0] * xs[1] if xs[0] > -1 else 0.0, "a branch on a value"),
+                            (lambda xs: np.tanh(xs[0]) * xs[1], "numpy's tanh"),
+                            (lambda xs: abs(xs[0]) * xs[1], "abs()")):
+            with pytest.raises(TypeError, match=f"does not trace: .*{re.escape(cause)}"):
                 rl.gauge_shift(L, form)
 
     def test_the_level_metric_of_a_shift_is_the_shifted_level_metric(self, rng):
@@ -697,7 +726,7 @@ class TestGaugeShift:
         r, t = np.sqrt(rng.uniform(0.0, 0.5, 401)), rng.uniform(0.0, 2 * np.pi, 401)
         xs = np.column_stack([r * np.cos(t), r * np.sin(t)])
         ys = rng.uniform(-1.0, 1.0, (401, 2))
-        grads = np.array([form(rl.seed_second(x), ()).g for x in xs])
+        grads = np.array([form(seed_second(x), ()).g for x in xs])
         val, d_y, d_yy = shifted.eval_batch(xs, ys, 1)
         want_val, want_d_y, want_d_yy = plain.eval_batch(xs, ys, 1)
         for got, want in ((val, want_val + np.sum(grads * ys, axis=1)), (d_y, want_d_y + grads),

@@ -11,7 +11,8 @@ And only ``expressions`` turns text into code, with ``compile`` and
 ``exec``: kernel text is written from expression trees and the step text
 from the integrator's tableau, never from the source of a callable. And
 only ``jets`` calls ``jet_kernel``: every field runs its kernels through
-``ScalarField``'s one evaluator. And in the kernel writer only the
+``ScalarField``'s one evaluator, and a level metric binds its base's
+through ``jets.tree_kernel``. And in the kernel writer only the
 Euler-Lagrange step ``el`` calls ``solve``: every acceleration kind is
 that step over a jet source. And ``solve_ode``'s step loop calls no numpy,
 and ``integrate_sampled`` calls ``solve_ode`` by its global name. And

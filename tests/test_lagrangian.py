@@ -8,9 +8,7 @@ import pytest
 
 import routhlab as rl
 from routhlab.config import build_model
-from routhlab.duals import cos, sin
-
-from conftest import _Untraced
+from routhlab.duals import cos, exp, log, sin, sqrt
 
 # Reference values for the hyperbolic-disk Lagrangian with rotation number 1,
 #   L = |v|^2 / (4 (1-|x|^2)^2) + (x2 v1 - x1 v2) / (2 (1-|x|^2)),
@@ -119,12 +117,15 @@ def test_homogeneous_wrapper_verifies_degree():
 
 @pytest.mark.parametrize("failure", ["raises", "not finite"])
 def test_row_loop_batch_evaluates_each_row_once(failure):
-    # a model without a tree has no batched evaluation, so its batch is the
-    # row loop: it stops at the first raising row and keeps a non-finite one, once
-    model = _Untraced(rl.parse_lagrangian("(v1^2 + 2*v2^2)^2", dim=2))
+    # where evaluating the rows at once fails, the batch is the row loop: it
+    # stops at the first raising row and keeps a non-finite one, once
+    model = rl.parse_lagrangian("(v1^2 + 2*v2^2)^2", dim=2)
     rng = np.random.default_rng(3)
     xs, ys = rng.uniform(-1.0, 1.0, (2, 100, 2))
     calls = []
+
+    def at_once(*args):
+        raise rl.DomainError("a row fails")
 
     def counted(x, y, order=2):
         calls.append(len(calls))
@@ -134,7 +135,7 @@ def test_row_loop_batch_evaluates_each_row_once(failure):
             return math.nan
         return type(model).eval(model, x, y, order)
 
-    model.eval = counted
+    model.eval, model._eval_rows = counted, at_once
     if failure == "raises":
         with pytest.raises(rl.DomainError, match="row 60"):
             model.eval_batch(xs, ys, 0)
@@ -245,15 +246,6 @@ def test_configured_coefficients_are_traced():
             np.testing.assert_allclose(getattr(a, block), getattr(b, block), rtol=1e-14)
 
 
-# coefficient callables that need numbers, each beside a traceable twin
-UNTRACEABLE = [
-    (lambda xs: 0.3 * np.sin(xs[0]) * np.cos(xs[1]), lambda xs: 0.3 * sin(xs[0]) * cos(xs[1])),
-    (lambda xs: 0.2 * xs[0] * xs[0] if xs[0] > 0.0 else 0.0, lambda xs: 0.2 * xs[0] * xs[0]),
-    (lambda xs: 0.4 * math.cos(xs[1]) * xs[0], lambda xs: 0.4 * cos(xs[1]) * xs[0]),
-    (lambda xs: 0.2 * float(xs[0]) * xs[1], lambda xs: 0.2 * xs[0] * xs[1]),
-]
-
-
 def _row_loop(model, xs, ys, order):
     """eval_batch's reference: each row's eval in turn, stacked."""
     rows = [model.eval(x, y, order) for x, y in zip(xs, ys)]
@@ -263,62 +255,112 @@ def _row_loop(model, xs, ys, order):
     return tuple(np.array([r[i] for r in rows], float).reshape(k, *[n] * i) for i in range(3))
 
 
-@pytest.mark.parametrize("potential, twin", UNTRACEABLE)
-def test_untraceable_callables_fall_back_to_the_hyper_dual_defaults(rng, potential, twin):
-    metric = lambda xs: [[1.0 + 0.25 * xs[1] * xs[1], 0.0], [0.0, 1.5]]  # noqa: E731
-    L = rl.MagneticLagrangian(2, metric, beta=[0.1, -0.2], potential=potential)
-    T = rl.MagneticLagrangian(2, metric, beta=[0.1, -0.2], potential=twin)
-    assert L.expression is None and T.expression is not None
-    xs = rng.uniform(0.1, 0.9, (40, 2))  # x1 > 0, where the branch takes the twin's arm
-    ys = rng.uniform(-1.0, 1.0, (40, 2))
-    for x, y in zip(xs, ys):
-        # orders 0 and 1 read the positions as floats, and agree with the
-        # twin's kernels (numpy's sin may round apart from libm's)
-        assert L.value(x, y) == pytest.approx(T.value(x, y), rel=1e-15, abs=1e-15)
-        for a, b in zip(L.fiber_jet(x, y), T.fiber_jet(x, y)):
-            np.testing.assert_allclose(a, b, rtol=1e-15, atol=1e-15)
-        assert L.eval(x, y, 1)[0] == rl.ScalarField.eval(L, x, y, 1)[0]
+def _parts(out):
+    """The arrays of an eval result at any order, in a fixed order."""
+    if isinstance(out, rl.SecondJet):
+        return [out.value, out.d_x, out.d_y, out.d_yy, out.d_xy]
+    return list(out) if isinstance(out, tuple) else [out]
+
+
+def test_numpy_elementary_functions_trace_as_the_duals_functions(rng):
+    # numpy's sqrt, exp, log, sin and cos record the calls duals.sqrt, ...
+    # record, and a numpy scalar's operators the float's, so a callable
+    # written with them has its twin's tree, and batches give the rows' bits
+    metric = lambda xs: [[1.0 + np.float64(0.25) * xs[1] * xs[1], 0.0], [0.0, 1.5]]  # noqa: E731
+    L = rl.MagneticLagrangian(2, metric, beta=[0.1, -0.2], potential=lambda xs: (
+        0.3 * np.sin(xs[0]) * np.cos(xs[1]) + np.sqrt(2.0 + np.exp(xs[0])) - np.log(3.0 + xs[1])))
+    T = rl.MagneticLagrangian(2, lambda xs: [[1.0 + 0.25 * xs[1] * xs[1], 0.0], [0.0, 1.5]],
+                              beta=[0.1, -0.2], potential=lambda xs: (
+        0.3 * sin(xs[0]) * cos(xs[1]) + sqrt(2.0 + exp(xs[0])) - log(3.0 + xs[1])))
+    assert L.expression.tree == T.expression.tree
+    xs, ys = rng.uniform(-0.9, 0.9, (40, 2)), rng.uniform(-1.0, 1.0, (40, 2))
     for order in (0, 1):
         got = L.eval_batch(xs, ys, order)
         want = _row_loop(L, xs, ys, order)
         for a, b in zip(*(o if order else (o,) for o in (got, want))):
             np.testing.assert_array_equal(a, b)
-    # a level metric over the fallback model still solves and evaluates
-    F = rl.jacobi_finsler(L, 2.0)
-    np.testing.assert_allclose(
-        F.eval_batch(xs, ys, 0), rl.jacobi_finsler(T, 2.0).eval_batch(xs, ys, 0), rtol=1e-13)
 
 
-def test_numpy_callables_have_an_order_two_jet(rng):
-    # numpy's object loops call the dual's sin method, which is duals.sin, so
-    # the untraced model's hyper-dual jet is the traced twin's kernel jet
+@pytest.mark.parametrize("potential, cause", [
+    (lambda xs: 0.2 * xs[0] * xs[0] if xs[0] > 0.0 else 0.0, "a branch on a value"),
+    (lambda xs: 0.4 * math.cos(xs[1]) * xs[0], "float() or a math function"),
+    (lambda xs: 0.2 * float(xs[0]) * xs[1], "float() or a math function"),
+    (lambda xs: 0.2 * abs(xs[0]) * xs[1], "abs()"),
+    (lambda xs: 0.2 * np.tanh(xs[0]), "numpy's tanh does not trace"),
+    (lambda xs: rl.parse_expression("x1 + log(1 - 1)")(xs, ()), "a constant subtree raises ValueError"),
+], ids=["branch", "math", "float", "abs", "ufunc", "constant"])
+def test_callables_that_do_not_trace_are_refused_when_built(potential, cause):
+    # a model's formula becomes its tree when it is built, and one that does
+    # not trace has no evaluator: TypeError names what stopped the trace
+    with pytest.raises(TypeError, match="MagneticLagrangian.expr does not trace: .*" + re.escape(cause)):
+        rl.MagneticLagrangian(2, np.eye(2), beta=[0.1, -0.2], potential=potential)
+
+
+def test_a_subclass_that_writes_only_expr_is_traced_or_refused(rng):
+    # a subclass that does not trace its expr when built, as the families
+    # do, is traced at its first evaluation, single or batched, and one
+    # whose expr does not trace is refused then, with the families' TypeError
+    class Pendulum(rl.LagrangianModel):
+        dim = 2
+
+        def expr(self, xs, ys):
+            return 0.5 * (ys[0] * ys[0] + ys[1] * ys[1]) + 0.3 * np.cos(xs[0])
+
+    class Branching(Pendulum):
+        def expr(self, xs, ys):
+            return 0.5 * ys[0] * ys[0] if xs[0] > 0.0 else 0.5 * ys[1] * ys[1]
+
+    class Built(Pendulum):
+        def __init__(self):
+            self._trace()
+
+    T = Built()
+    xs, ys = rng.uniform(-1.0, 1.0, (20, 2)), rng.uniform(-1.0, 1.0, (20, 2))
+    for evaluate in (lambda L: L.eval_batch(xs, ys, 1), lambda L: L.eval(xs[0], ys[0])):
+        L = Pendulum()
+        assert L.expression is None
+        got = _parts(evaluate(L))
+        assert L.expression.tree == T.expression.tree
+        for p, q in zip(got, _parts(evaluate(T)), strict=True):
+            np.testing.assert_array_equal(p, q)
+        with pytest.raises(TypeError, match="Branching.expr does not trace: .*a branch on a value"):
+            evaluate(Branching())
+
+
+def test_numpy_callables_have_an_order_two_jet(rng, hyper_dual):
+    # numpy's object loops call the dual's sin method, so the hyper-dual
+    # oracle runs the same expr; the traced model's kernels equal it entry by
+    # entry, and its flow is its twin's
     L = rl.MagneticLagrangian(2, np.eye(2), potential=lambda xs: 0.3 * np.sin(xs[0]))
     T = rl.MagneticLagrangian(2, np.eye(2), potential=lambda xs: 0.3 * sin(xs[0]))
-    assert L.expression is None and T.expression is not None
     for x, y in zip(rng.uniform(-2.0, 2.0, (50, 2)), rng.uniform(-1.0, 1.0, (50, 2))):
-        a, b = L.eval(x, y), T.eval(x, y)
-        for block in ("value", "d_x", "d_y", "d_yy", "d_xy"):
-            np.testing.assert_array_equal(getattr(a, block), getattr(b, block), err_msg=block)
+        for order in (0, 1, 2):
+            for p, q in zip(*map(_parts, (L.eval(x, y, order), hyper_dual(L, x, y, order))), strict=True):
+                np.testing.assert_array_equal(p, q, err_msg=str(order))
     x0, v0 = np.array([0.4, -0.1]), np.array([0.5, 0.3])
     traj = rl.integrate_el(L, x0, v0, 3.0, samples=101)
     twin = rl.integrate_el(T, x0, v0, 3.0, samples=101)
-    np.testing.assert_array_equal(traj.positions, twin.positions)
-    np.testing.assert_array_equal(traj.velocities, twin.velocities)
-    # the energy log reads positions as floats, where numpy's sin may round apart
-    np.testing.assert_allclose(traj.energy_log, twin.energy_log, rtol=1e-15, atol=1e-15)
+    for part in ("positions", "velocities", "energy_log"):
+        np.testing.assert_array_equal(getattr(traj, part), getattr(twin, part))
 
 
-def test_a_tree_too_deep_for_the_kernel_writer_falls_back():
-    def deep(xs):
-        acc = xs[0]
-        for _ in range(rl.expressions.MAX_TRACE_DEPTH):
-            acc = 0.5 * acc + xs[1]
-        return acc
+def test_a_tree_too_deep_for_the_kernel_writer_is_refused():
+    # past MAX_TRACE_DEPTH levels the recursive kernel writer could not walk
+    # the tree; further down, walking it while tracing runs out of stack
+    def deep(levels):
+        def potential(xs):
+            acc = xs[0]
+            for _ in range(levels):
+                acc = 0.5 * acc + xs[1]
+            return acc
+        return potential
 
-    L = rl.MechanicalLagrangian(2, np.eye(2), potential=deep)
-    assert L.expression is None
-    j = L.eval([0.1, 0.2], [0.3, 0.4])
-    assert j.value == rl.ScalarField.eval(L, [0.1, 0.2], [0.3, 0.4]).value
+    for levels, cause in ((rl.expressions.MAX_TRACE_DEPTH // 2 + 1, r"its \d+ levels are more than"),
+                          (5000, "its tree is too deep to walk")):
+        with pytest.raises(TypeError, match=f"{cause}.*MAX_TRACE_DEPTH = 200"):
+            rl.MechanicalLagrangian(2, np.eye(2), potential=deep(levels))
+    L = rl.MechanicalLagrangian(2, np.eye(2), potential=deep(rl.expressions.MAX_TRACE_DEPTH // 2 - 2))
+    assert np.isfinite(L.eval([0.1, 0.2], [0.3, 0.4]).value)
 
 
 @pytest.mark.parametrize("degree", [3, 4, 5])

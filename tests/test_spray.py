@@ -334,9 +334,9 @@ def test_only_traced_level_metrics_with_their_own_level_run_the_kernel(monkeypat
     traced = rl.jacobi_finsler(_TRACED_BASES["oscillator"][0], 2.0)
     for level in (False, True):
         assert _assembly_calls(monkeypatch, traced, level) == (0.0, 0.0)
-    # a base without a tree
-    untraced = rl.jacobi_finsler(
-        rl.MagneticLagrangian(2, np.eye(2), potential=lambda xs: 0.3 * np.sin(xs[0])), 2.0)
+    # a base without a tree: a reduction, here by the cyclic x3
+    base = rl.parse_lagrangian("0.5*(v1^2 + v2^2 + (2 + x1^2)*v3^2) - 0.5*(x1^2 + x2^2)", dim=3)
+    untraced = rl.jacobi_finsler(rl.routhian(base, rl.CyclicSplit.of(3, [2]), np.array([0.3])), 2.0)
     assert untraced.base.expression is None
     for level in (False, True):
         half, evals = _assembly_calls(monkeypatch, untraced, level)

@@ -1,10 +1,13 @@
 """Curve comparison, circle fitting, and the flow-equivalence report."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import routhlab as rl
 from routhlab import verify
+from test_acceptance import _criterion_5_case
 
 
 def unit_circle(n=200, t0=0.0, t1=2 * np.pi, r=1.0, c=(0.0, 0.0)):
@@ -294,3 +297,21 @@ class TestSlowPointTraces:
         report = rl.check_geodesic_equivalence(L, 5.0, x0, v0, 8.0, samples=401)
         assert report.overall, report.summary()
         assert sum(drawn) <= 2 * verify._RESAMPLE + 3 * 401
+
+
+#: sha256 of the trace_distance readings of criterion 5's first eight cases
+TRACE_DIGEST = "0aa14414c5291d8b1731de902fc109dcbbbdea5245a81d5d12c7979d6fb0b5ca"
+
+
+def test_trace_distance_keeps_its_bits_on_criterion_5_cases():
+    # the layout of the arc-length tables and their gathers changes no bit of
+    # a reading: the digest pins the readings of eight fixed cases
+    rng = np.random.default_rng(42)
+    readings = []
+    for k in range(8):
+        L, e, x0, v_dir, t_end = _criterion_5_case(rng, k)
+        report = rl.check_geodesic_equivalence(L, e, x0, rl.rescale_to_energy(L, x0, v_dir, e), t_end,
+                                               samples=401)
+        readings += [m.value for m in report.metrics if m.label == "trace_distance"]
+    assert len(readings) == 8
+    assert hashlib.sha256(np.array(readings).tobytes()).hexdigest() == TRACE_DIGEST
