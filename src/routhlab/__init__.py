@@ -53,7 +53,6 @@ from .integrators import DenseOutput, IntegratorStats, Trajectory, solve_ode
 from .jets import FD_STEP, ScalarField, SecondJet, fd_jet, jet
 from .lagrangian import (
     ExpressionLagrangian,
-    HomogeneousLagrangian,
     LagrangianModel,
     MagneticLagrangian,
     MechanicalLagrangian,
@@ -126,7 +125,6 @@ __all__ = [
     "MagneticLagrangian",
     "MechanicalLagrangian",
     "PowerQuadraticLagrangian",
-    "HomogeneousLagrangian",
     "ExpressionLagrangian",
     "parse_lagrangian",
     "poincare_disk_lagrangian",

@@ -133,7 +133,8 @@ def _domain_spec(entry, dim: int):
         raise ConfigError("domain must be an object with exactly one of: ball, positive")
     if "ball" in entry:
         r = _number(entry["ball"], "domain ball radius", above=0)
-        return lambda x: float(x @ x) < r * r
+        # |x|^2 < r^2 as a sum of products, from the left, which traces into a kernel guard
+        return lambda x: reduce(operator.add, [x[i] * x[i] for i in range(dim)]) < r * r
     if "positive" in entry:
         if not isinstance(entry["positive"], list):
             raise ConfigError("domain 'positive' must be a list of 1-based coordinate indices")

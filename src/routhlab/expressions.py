@@ -1202,7 +1202,8 @@ class _Positions(tuple):
     """Position symbols that index and slice, and nothing more: numpy's sums and products, ``@``
     among them, may round otherwise than a guard, and a tuple's + and * are not an array's."""
 
-    __add__ = __mul__ = __rmul__ = __array__ = duals._untraceable("a sum, product or array of positions")
+    __add__ = __mul__ = __rmul__ = __matmul__ = __rmatmul__ = __array__ = duals._untraceable(
+        "a sum, product or array of positions")
 
     def __getitem__(self, i):
         return _Positions(tuple.__getitem__(self, i)) if isinstance(i, slice) else tuple.__getitem__(self, i)
@@ -1216,7 +1217,8 @@ def _guard_code(node, x: list, condition: bool = True) -> str:
         return _KernelWriter.lit(node[1] if tag == "num" else x[node[1]])
     joins = tag in ("&", "<", "<=", ">", ">=")
     if condition != joins or not joins and tag not in ("+", "-", "*", "neg"):
-        raise TypeError("not a condition on the positions")
+        raise TypeError(f"a guard is comparisons joined by &, of +, -, * and negation over the positions "
+                        f"and constants, not {tag!r}")
     args = [_guard_code(c, x, tag == "&") for c in node[1:]]
     if tag == "neg":
         return f"(-{args[0]})"
@@ -1224,16 +1226,25 @@ def _guard_code(node, x: list, condition: bool = True) -> str:
     return f"({a} {tag.replace('>', '<')} {b})"
 
 
-def trace_guard(predicate, n: int) -> Expression | None:
-    """The condition that a position predicate, run once on n position symbols, returns, or None.
+def trace_guard(predicate, n: int) -> Expression:
+    """The condition that a position predicate, run once on n position symbols, returns.
 
-    It is comparisons joined by ``&``, of terms of +, -, * and negation,
-    which raise on no float and which numpy rounds as floats, so it keeps the
-    predicate's verdict everywhere, NaN included; its source is its code over
-    t0, t1, ..., and called on (n, k) columns it checks k points.
+    It is comparisons joined by ``&``, of terms of +, -, * and negation
+    over the positions and constants, which raise on no float and which
+    numpy rounds as floats, so it keeps the predicate's verdict everywhere,
+    NaN included. Its source is its code over t0, t1, ...; called on a
+    position it gives its verdict, and on the (n, k) columns of k positions
+    theirs. Any other predicate raises TypeError that names the cause: it
+    needs a number (a branch, ``all()``, ``float()``, ``==``), sums or
+    multiplies the positions as an array (``@``, ``np.sum``), or returns
+    something else (a division, a function, a constant). Any other error
+    the predicate raises passes through.
     """
     try:
-        tree = predicate(_Positions(duals.Symbol(("x", i)) for i in range(n))).node
-        return Expression(_guard_code(tree, [f"t{i}" for i in range(n)]), tree, n, 0)
-    except Exception:  # it keeps running as it is written, on numbers
-        return None
+        out = predicate(_Positions(duals.Symbol(("x", i)) for i in range(n)))
+        if not isinstance(out, duals.Symbol):
+            raise TypeError(f"it returns {out!r}, not a condition on the positions")
+        return Expression(_guard_code(out.node, [f"t{i}" for i in range(n)]), out.node, n, 0)
+    except TypeError as exc:
+        name = getattr(predicate, "__qualname__", type(predicate).__name__)
+        raise TypeError(f"the position predicate {name} does not trace: {exc}") from None

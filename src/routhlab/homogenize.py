@@ -82,7 +82,7 @@ class HomogenizedLagrangian(FinslerModel):
     must stay positive, a guard of ``expr``. The momentum conjugate to
     coordinate 0 equals minus the energy of the base Lagrangian. ``expr``
     writes the lift over the base's ``expr`` and is traced at construction,
-    as the families are; the position predicate is the base's on x[1:].
+    as the families are; the position guard is the base's on x[1:].
     """
 
     family = "homogenized"
@@ -91,7 +91,7 @@ class HomogenizedLagrangian(FinslerModel):
         require_expr(base, "the lift")
         self.base = base
         self.dim = base.dim + 1
-        if base._domain is not None:
+        if base._domain is not None:  # traced once, through the base's guard
             self._domain = lambda x: base._domain(x[1:])
         self._trace()
 
@@ -300,11 +300,12 @@ class JacobiFinslerModel(FinslerModel):
     the eliminated scale, so root-solve error enters the value only at
     second order.
 
-    Over a base with a tree each order of ``eval`` is one kernel call, and
-    where it declines or a guard of it raises, :func:`solve_energy_scale` and
-    the numpy assembly run and raise what they raise; a batch is that, row
-    by row. Over a base with no tree, a reduction, every order is the solve
-    and the numpy assembly.
+    Over a base with a tree each order of ``eval`` is one kernel call, whose
+    first test is the base's position guard, and where it declines or a
+    guard of the formula raises, :func:`solve_energy_scale` and the numpy
+    assembly run and raise what they raise; a batch is that, row by row.
+    Over a base with no tree, a reduction, every order is the solve and the
+    numpy assembly.
     """
 
     family = "jacobi"
@@ -329,36 +330,36 @@ class JacobiFinslerModel(FinslerModel):
         return solve_energy_scale(self.base, x, y, self.e).s
 
     def _eval_rows(self, xs, ys, order: int):
-        """``eval`` past the position check on each row in turn."""
+        """``eval`` on each row in turn."""
         return stack_rows([self._level(x, y, order) for x, y in zip(xs.tolist(), ys.tolist())], order, self.dim)
 
     def eval(self, x, y, order: int = 2):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        self.domain_check(x, y)
-        return self._level(x.tolist(), y.tolist(), order)
+        return self._level(np.asarray(x, float).tolist(), np.asarray(y, float).tolist(), order)
 
     def _level_kernel(self, kind: str, x: list, y: list):
-        """The base tree's ``kind`` kernel at lists x and y, with no position check; None where the base has
-        no tree (a reduction), or the kernel declines or a guard of it raises."""
+        """The base tree's ``kind`` kernel at lists x and y, which raises PositionDomainError outside the
+        base's position guard; None where the base has no tree (a reduction), or the kernel declines or a
+        guard of the formula raises."""
         kernel = tree_kernel(self.base, kind)
         if kernel is None:
             return None
         try:
             return kernel(*x, *y, self.e)
+        except PositionDomainError:
+            raise
         except (ValueError, ZeroDivisionError, DomainError):
             return None
 
     def _level(self, x: list, y: list, order: int):
-        """``eval`` past the position check at lists x and y: the level kernel, or ``_solved`` where it
-        gives None."""
+        """``eval`` at lists x and y: the level kernel, or ``_solved`` where it gives None."""
         out = self._level_kernel(_LEVEL_KINDS[order], x, y)
         if out is None:
             return self._solved(np.array(x), np.array(y), order)
         return SecondJet(*out) if order == 2 else out
 
     def _solved(self, x, y, order: int):
-        """``eval`` past the position check by :func:`solve_energy_scale` and the numpy assembly."""
+        """``eval`` by :func:`solve_energy_scale`, whose first probe checks the position, and the numpy
+        assembly."""
         s = self.energy_scale(x, y)
         v = y / s
         j = self.base.eval(x, v, order)
@@ -504,7 +505,7 @@ def poincare_randers(tau: float) -> RandersModel:
 
     return RandersModel(
         2, metric, beta if tau != 0.0 else None,
-        domain=lambda x: float(x @ x) < 1.0,
+        domain=lambda x: x[0] * x[0] + x[1] * x[1] < 1.0,
     )
 
 

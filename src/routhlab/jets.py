@@ -20,8 +20,8 @@ formula writes ``expr`` over its base's (:func:`require_expr`), and the
 closed-form level metrics write one too. Only the implicit wrappers, the
 level metric and the reduction, write their own ``eval``; ``value`` and
 ``fiber_jet`` are one-line wrappers. A level metric takes its base tree's
-kernels from :func:`tree_kernel`, and the Euler-Lagrange flows run
-through :func:`flow_kernel`: only this module calls ``jet_kernel``.
+kernels from :func:`tree_kernel`, and so do the Euler-Lagrange flows:
+only this module calls ``jet_kernel``.
 :func:`jet` adds input and output validation, and the independent
 finite-difference oracle :func:`fd_jet` cross-checks every family in the tests.
 
@@ -36,14 +36,18 @@ gives an entry that is not finite, it runs the rows in order through
 A level metric's ``_eval_rows`` already runs its rows in turn
 (``_rows_in_turn``), so its batch runs them once.
 
-A field's domain is one rule: its position predicate ``_domain``, which
-``domain_check`` applies and a wrapper takes from its base when it is
-built, plus the guards of its formula. No class overrides ``domain_check``;
-a velocity condition is a guard of the formula (``duals.positive``, ``sqrt``,
-``log``) or is raised where the value is computed, so a batch's columns
-kernel and a solver's probes meet it as ``eval`` does. A predicate that
-traces (:func:`~routhlab.expressions.trace_guard`) is the first guard of the
-Euler-Lagrange kernels and runs on columns in batches; others run in Python.
+A field's domain is one rule: its position guard ``_domain``, plus the
+guards of its formula. A position predicate is traced to its guard
+(:func:`~routhlab.expressions.trace_guard`) once, where ``_domain`` is set:
+when the field is built, or when it is assigned; a predicate that does not
+trace is refused there with TypeError. A wrapper takes its base's guard
+when it is built. The guard is the first test of the level, spray and
+Euler-Lagrange kernels (:func:`tree_kernel`), ``domain_check`` runs its
+float code, and a batch runs it once on the position columns. No class
+overrides ``domain_check``; a velocity condition is a guard of the formula
+(``duals.positive``, ``sqrt``, ``log``) or is raised where the value is
+computed, so a batch's columns kernel and a solver's probes meet it as
+``eval`` does.
 
 The implicit solves (energy scale, cyclic velocities) are plain loops
 that call one fiber jet per probe at one point. A batch of cyclic
@@ -95,32 +99,34 @@ class ScalarField:
     without it is traced at its first evaluation. Only the implicit wrappers
     (the level metric and the reduction), which have no tree, override
     ``eval`` with their own assembly. ``domain_check`` raises :class:`PositionDomainError`
-    where the position predicate ``_domain``, if the model has one, says no;
+    where the position guard ``_domain``, if the model has one, says no;
     every velocity condition is a guard of the formula (see the module
     docstring).
     """
 
     dim: int = 0
     family: str = "custom"
-    _domain = None
+    _guard = None
     expression = None
-    _traced = (None, None)  # the predicate last traced, and its guard
     _rows_in_turn = False  # whether ``_eval_rows`` runs the rows in turn, as ``eval`` does
 
     # -- domain ---------------------------------------------------------
 
-    def domain_check(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Raise PositionDomainError where ``_domain`` says no, in Python, as ``eval`` and the sprays
-        check; the flow kernels check a predicate that traces as their guard (:func:`flow_kernel`)."""
-        if self._domain is not None and not self._domain(np.asarray(x, float)):
-            _outside(*x)
+    @property
+    def _domain(self):
+        """The position guard, an Expression of the positions (:func:`~routhlab.expressions.trace_guard`),
+        or None. Setting a position predicate traces it, once; TypeError names the cause where it does not."""
+        return self._guard
 
-    def _position_guard(self):
-        """The guard ``_domain`` traces to (:func:`~routhlab.expressions.trace_guard`), or None where
-        there is no predicate or it does not trace; traced again whenever ``_domain`` is another object."""
-        if self._traced[0] is not self._domain:
-            self._traced = self._domain, trace_guard(self._domain, self.dim)
-        return self._traced[1]
+    @_domain.setter
+    def _domain(self, predicate):
+        self._guard = None if predicate is None else trace_guard(predicate, self.dim)
+
+    def domain_check(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Raise PositionDomainError where the position guard says no, by its float code, as the kernels
+        that take it raise (:func:`tree_kernel`)."""
+        if self._guard is not None and not self._guard(np.asarray(x, float).tolist()):
+            _outside(*x)
 
     def describe(self) -> dict:
         return {"family": self.family, "dim": self.dim}
@@ -160,8 +166,8 @@ class ScalarField:
         return out if order == 1 else SecondJet(*out)
 
     def _el_flow(self):
-        """(kernel, args after the state) of the Euler-Lagrange flow (:func:`flow_kernel`), or None."""
-        return None if self.expression is None else (flow_kernel(self, "el"), ())
+        """(kernel, args after the state) of the Euler-Lagrange flow (:func:`tree_kernel`), or None."""
+        return None if self.expression is None else (tree_kernel(self, "el"), ())
 
     def value(self, x, y) -> float:
         """The value at (x, y): ``eval`` at order 0."""
@@ -197,7 +203,7 @@ class ScalarField:
 
         A field runs its tree's ``"columns"`` kernel on all rows, under
         ``np.errstate(all="raise")``. An implicit wrapper overrides it to give
-        the same bits, skipping the position predicate; a failing row may
+        the same bits; a failing row may
         raise or give non-finite entries. One that runs the rows in turn, as
         ``eval`` does, sets ``_rows_in_turn``, and its batch is then its
         result, as its first error is the first failing row's.
@@ -214,16 +220,9 @@ class ScalarField:
         return stack_rows([at(x, y) for x, y in zip(xs, ys)], order, ys.shape[1])
 
     def _rows_in_domain(self, xs, ys) -> bool:
-        """Whether the position predicate holds on every row, run once on xs's columns where it traces; a
-        row that raises says no."""
-        guard = self._position_guard()
-        if guard is not None:
-            with np.errstate(all="ignore"):
-                return bool(np.all(guard(xs.T)))
-        try:
-            return self._domain is None or all(self._domain(x) for x in xs)
-        except Exception:
-            return False
+        """Whether the position guard holds on every row, run once on xs's columns."""
+        with np.errstate(all="ignore"):
+            return self._guard is None or bool(np.all(self._guard(xs.T)))
 
 
 def require_expr(base: ScalarField, wrapper: str, hint: str = "") -> None:
@@ -266,26 +265,12 @@ def solve_linear(a: np.ndarray, b: np.ndarray, fail):
         raise fail() from exc
 
 
-def tree_kernel(field: ScalarField, kind: str):
-    """The ``kind`` kernel of field's tree (:meth:`Expression.jet_kernel`), or None where it has none."""
+def tree_kernel(field: ScalarField, kind: str, cyclic: int | None = None):
+    """The ``kind`` kernel of field's tree (:meth:`Expression.jet_kernel`), or None where it has none: a
+    level, spray or flow kind, whose first test is field's position guard (a batch checks its columns
+    with ``_rows_in_domain`` instead)."""
     tree = field.expression
-    return None if tree is None else tree.jet_kernel(kind, field.dim)
-
-
-def flow_kernel(field: ScalarField, kind: str, cyclic: int | None = None):
-    """The ``kind`` flow kernel of field's tree, which checks field's position predicate first: as its
-    guard where it traces, else by ``domain_check`` at the full position, the cyclic slot's 0.0 put back."""
-    guard = field._position_guard()
-    kernel = field.expression.jet_kernel(kind, field.dim, cyclic, guard)
-    if guard is not None or field._domain is None:
-        return kernel
-    n = field.dim if cyclic is None else field.dim - 1
-
-    def checked(*args):
-        field.domain_check(args[:n] if cyclic is None else [*args[:cyclic], 0.0, *args[cyclic:n]], ())
-        return kernel(*args)
-
-    return checked
+    return None if tree is None else tree.jet_kernel(kind, field.dim, cyclic, field._guard)
 
 
 def jet(field: ScalarField, x, y) -> SecondJet:

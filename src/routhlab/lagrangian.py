@@ -24,14 +24,13 @@ from .duals import positive, power
 from .errors import DomainError, PreconditionError, SingularHessian
 from .expressions import Expression, parse_expression
 from .integrators import Trajectory, integrate_sampled
-from .jets import EVAL_ERRORS, ScalarField, batch_rows, require_expr, solve_linear
+from .jets import EVAL_ERRORS, ScalarField, batch_rows, solve_linear
 
 __all__ = [
     "LagrangianModel",
     "MagneticLagrangian",
     "MechanicalLagrangian",
     "PowerQuadraticLagrangian",
-    "HomogeneousLagrangian",
     "ExpressionLagrangian",
     "poincare_disk_lagrangian",
     "parse_lagrangian",
@@ -41,11 +40,6 @@ __all__ = [
     "el_acceleration",
     "integrate_el",
 ]
-
-
-#: in-domain sample points of HomogeneousLagrangian's degree check, and their seed
-VERIFY_SAMPLES = 25
-VERIFY_SEED = 7
 
 
 def _normalize_matrix(spec, dim: int):
@@ -107,8 +101,10 @@ class MagneticLagrangian(LagrangianModel):
     """L = 1/2 v.g(x).v + beta(x).v - V(x).
 
     ``metric`` must evaluate symmetric positive definite on the domain;
-    ``domain`` is an optional predicate on position, and evaluation outside
-    it raises DomainError.
+    ``domain`` is an optional position predicate, traced to a guard when the
+    model is built (:func:`~routhlab.expressions.trace_guard`, which refuses
+    one that does not trace), and evaluation outside it raises
+    PositionDomainError.
     """
 
     family = "magnetic"
@@ -167,55 +163,6 @@ class PowerQuadraticLagrangian(LagrangianModel):
         return power(positive(q, slit), 0.5 * self.degree)
 
 
-class HomogeneousLagrangian(LagrangianModel):
-    """Wraps a field positively homogeneous of integer degree k in velocity.
-
-    The scaling degree is verified on random sample points at construction;
-    a wrapped field that fails the Euler scaling test is rejected. The
-    wrapper takes its base's ``expr`` and tree, so it evaluates as its base.
-    """
-
-    family = "k_homogeneous"
-
-    def __init__(self, base: ScalarField, degree: int):
-        require_expr(base, "HomogeneousLagrangian")
-        if degree < 1:
-            raise ValueError("degree must be at least 1")
-        self.base = base
-        self.dim = base.dim
-        self._domain = base._domain
-        self.expression = base.expression
-        self.degree = int(degree)
-        self._verify_degree()
-
-    def _verify_degree(self):
-        rng = np.random.default_rng(VERIFY_SEED)
-        checked = 0
-        for _ in range(40 * VERIFY_SAMPLES):
-            if checked >= VERIFY_SAMPLES:
-                return
-            x = rng.uniform(-0.8, 0.8, self.dim)
-            y = rng.uniform(0.5, 1.5, self.dim) * rng.choice([-1.0, 1.0], self.dim)
-            lam = rng.uniform(0.5, 2.0)
-            try:
-                a = self.base.value(x, lam * y)
-                b = self.base.value(x, y)
-            except DomainError:
-                continue
-            checked += 1
-            if abs(a - lam**self.degree * b) > 1e-10 * (1.0 + abs(a)):
-                raise PreconditionError(
-                    f"field is not homogeneous of degree {self.degree} in velocity"
-                )
-        if checked == 0:
-            raise PreconditionError(
-                "could not find in-domain sample points for the degree check"
-            )
-
-    def expr(self, xs, ys):
-        return self.base.expr(xs, ys)
-
-
 class ExpressionLagrangian(LagrangianModel):
     """Lagrangian defined by parsed expression text in x1..xn, v1..vn."""
 
@@ -258,7 +205,7 @@ def poincare_disk_lagrangian() -> MagneticLagrangian:
         metric=metric,
         beta=beta,
         potential=None,
-        domain=lambda x: float(x @ x) < 1.0,
+        domain=lambda x: x[0] * x[0] + x[1] * x[1] < 1.0,
     )
     model.family = "poincare_magnetic"
     return model

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .expressions import _footprint
 from .integrators import Trajectory
-from .jets import EVAL_ERRORS, SecondJet, batch_rows, flow_kernel, solve_linear
+from .jets import EVAL_ERRORS, SecondJet, batch_rows, solve_linear, tree_kernel
 from .lagrangian import LagrangianModel, energies, integrate_el
 from .reporting import VerificationReport
 
@@ -243,7 +243,7 @@ def _solve_momenta(L: LagrangianModel, split: CyclicSplit, mu: np.ndarray, xs_sh
     """:func:`solve_momentum` on every row, each from the one guess of shape (m,); a (k, m) array.
 
     With one cyclic coordinate and every row's position inside L's position
-    predicate, checked once as the positions never change, Newton's method
+    guard, checked once as the positions never change, Newton's method
     runs on numpy columns (:func:`_column_momenta`), and only the rows at
     fault run ``solve_momentum``; otherwise every row does. They run in row
     order, so the first failing row raises.
@@ -351,7 +351,7 @@ class ReducedLagrangian(LagrangianModel):
             return None
         z, mu = self.guess.item(), self.mu.item()
         bound, _ = _momentum_bounds(mu, z, 0.0)
-        return flow_kernel(base, "reduced-el", split.cyclic[0]), (z, mu, bound, 1.0 + math.sqrt(z * z))
+        return tree_kernel(base, "reduced-el", split.cyclic[0]), (z, mu, bound, 1.0 + math.sqrt(z * z))
 
     def _eval_rows(self, xs, ys, order: int):
         """Orders 0 and 1: one column momentum solve, then stacked Schur steps.
@@ -364,7 +364,7 @@ class ReducedLagrangian(LagrangianModel):
         """
         split = self.split
         z = _solve_momenta(self.base, split, self.mu, xs, ys, self.guess)
-        # every row passed the base's position predicate in the solve
+        # every row passed the base's position guard in the solve
         j = self.base._eval_rows(_embed_rows(split, xs, 0.0), _embed_rows(split, ys, z), order)
         mu_z = (self.mu[None, None, :] @ z[:, :, None])[:, 0, 0]
         if order == 0:

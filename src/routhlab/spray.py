@@ -15,11 +15,12 @@ level run holds the base energy of an energy-level metric, which reproduces
 the Lagrangian flow pointwise in its own time, and logs that energy.
 
 A :class:`~routhlab.homogenize.JacobiFinslerModel` over a traced base runs
-its spray, or its level spray, as one position check, where the base has a
-predicate, and one generated kernel that solves for the energy scale and
-writes this assembly in float code. Where that kernel declines or a guard of
-it raises, and for any other metric, the energy-scale solve and the numpy
-assembly run; the tests keep them as the kernel's oracle.
+its spray, or its level spray, as one generated kernel, whose first test is
+the base's position guard, that solves for the energy scale and writes this
+assembly in float code. Where that kernel declines or a guard of the
+formula raises, and for any other metric, the energy-scale solve and the
+numpy assembly run, through ``eval`` and its position check; the tests keep
+them as the kernel's oracle.
 """
 
 from __future__ import annotations
@@ -71,11 +72,8 @@ def _spray(F: ScalarField, level: bool):
     accel = _assembled_spray(F)
     accel = projective_shift(accel, F.level_jet) if level else accel
     kind, generated = "level-spray" if level else "spray", isinstance(F, JacobiFinslerModel)
-    check = generated and F.base.expression is not None and F._domain is not None
 
     def rhs(x, y):
-        if check:
-            F.domain_check(x, y)
         out = F._level_kernel(kind, x, y) if generated else None
         return accel(np.array(x, float), np.array(y, float)).tolist() if out is None else out
 

@@ -95,8 +95,19 @@ def rescale_to_energy(L: LagrangianModel, x0, v0, e: float) -> np.ndarray:
 
 def _arc_length(L: LagrangianModel, e: float, traj) -> float:
     """The level-metric length of an energy-e Euler-Lagrange arc, by the trapezoid rule:
-    on the level F_e = L + e (to second order in the energy drift), one batch of L."""
-    return float(np.trapezoid(L.eval_batch(traj.positions, traj.velocities) + e, traj.times))
+    on the level F_e = L + e (to second order in the energy drift), one batch of L.
+
+    Where F_e is not positive at a sample, the level metric is no metric
+    along the arc, as for a magnetic Lagrangian below its critical energy,
+    and PreconditionError names the first such time.
+    """
+    f = L.eval_batch(traj.positions, traj.velocities) + e
+    bad = np.flatnonzero(f <= 0.0)
+    if bad.size:
+        raise PreconditionError(
+            f"the level metric is not positive along the Euler-Lagrange arc from t={traj.times[bad[0]]:.6g}; "
+            f"e = {e:.6g} is below the critical value there")
+    return float(np.trapezoid(f, traj.times))
 
 
 def _speed(dq, theta):
@@ -184,8 +195,10 @@ def check_geodesic_equivalence(
     along v0, so only the forward orientation is compared: dropping the reversed
     one can only raise the reading, never hide a gap. Numerical failures inside
     the runs are folded into the report as failures rather than raised, named by
-    the run that raised; a wrong initial energy raises PreconditionError since
-    the comparison is meaningless off the level.
+    the run that raised, and so is a level metric that is not positive on the
+    Euler-Lagrange samples, found before the geodesics run; a wrong initial
+    energy raises PreconditionError since the comparison is meaningless off
+    the level.
     """
     x0 = np.asarray(x0, float)
     v0 = np.asarray(v0, float)

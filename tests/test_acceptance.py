@@ -45,7 +45,7 @@ def test_criterion_1_flat_potential_flow_matches_closed_form_metric():
         2,
         np.eye(2),
         potential=lambda xs: 0.5 * (xs[0] * xs[0] + xs[1] * xs[1]),
-        domain=lambda x: float(x @ x) < 9.0,  # chart |x| < 3, max V = 4.5
+        domain=lambda x: x[0] * x[0] + x[1] * x[1] < 9.0,  # chart |x| < 3, max V = 4.5
     )
     e = 5.0  # above the potential ceiling of the chart
     x0 = np.array([0.6, 0.0])

@@ -170,7 +170,6 @@ def _every_family(rng):
     return [
         conformal, disk, rl.MechanicalLagrangian(2, np.diag([1.0, 2.0])),
         quartic, cubic, rl.PowerQuadraticLagrangian(2, np.eye(2), degree=2),
-        rl.HomogeneousLagrangian(cubic, degree=3),
         parsed, kepler,
         rl.HomogenizedLagrangian(conformal), rl.HomogenizedLagrangian(kepler),
         level, rl.jacobi_finsler(disk, 2.0), rl.jacobi_finsler(cubic, 1.5),
@@ -188,7 +187,7 @@ def _every_family(rng):
 
 FAMILY_CLASSES = [
     rl.ScalarField, rl.MagneticLagrangian, rl.PowerQuadraticLagrangian,
-    rl.HomogeneousLagrangian, rl.ExpressionLagrangian, rl.HomogenizedLagrangian,
+    rl.ExpressionLagrangian, rl.HomogenizedLagrangian,
     rl.JacobiFinslerModel, rl.RandersModel,
     importlib.import_module("routhlab.homogenize").PowerScaledFinsler,
     rl.GaugeShiftedModel, rl.ReducedLagrangian,
@@ -318,10 +317,10 @@ def test_traced_families_equal_the_hyper_dual_oracle(rng, hyper_dual):
     traced = [m for m in _every_family(rng) if m.expression is not None]
     assert {type(m) for m in traced} == {rl.MagneticLagrangian, rl.MechanicalLagrangian,
                                          rl.PowerQuadraticLagrangian, rl.ExpressionLagrangian,
-                                         rl.HomogenizedLagrangian, rl.HomogeneousLagrangian,
+                                         rl.HomogenizedLagrangian,
                                          rl.GaugeShiftedModel, rl.RandersModel,
                                          importlib.import_module("routhlab.homogenize").PowerScaledFinsler}
-    assert len(traced) == 16
+    assert len(traced) == 15
     for model in traced:
         name = type(model).__name__
         n = model.dim
@@ -352,11 +351,10 @@ def test_traced_families_equal_the_hyper_dual_oracle(rng, hyper_dual):
 
 
 def test_the_lifts_of_the_formula_wrappers_equal_the_hyper_dual_oracle(rng, hyper_dual):
-    # a gauge shift and a HomogeneousLagrangian write expr over their base's,
-    # so both lift, and the lifts run traced kernels
-    conformal, quartic = _models(rng)[:2]
-    for base in (rl.gauge_shift(conformal, "0.2*x1*x2 + sin(x2)"),
-                 rl.HomogeneousLagrangian(quartic, degree=4)):
+    # a gauge shift writes expr over its base's, so it lifts, and the lift
+    # runs traced kernels
+    conformal = _models(rng)[0]
+    for base in (rl.gauge_shift(conformal, "0.2*x1*x2 + sin(x2)"),):
         lift = rl.HomogenizedLagrangian(base)
         assert lift.expression is not None
         xs = rng.uniform(-0.9, 0.9, (40, 3))

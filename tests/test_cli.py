@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import routhlab as rl
 from routhlab.cli import main
 from routhlab.config import verify_tolerances
+from test_verify import MAGNETIC_QUARTIC
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -99,6 +100,25 @@ class TestExitCodes:
         )
         assert r.exit_code == 2
         assert "not cyclic" in r.output
+
+    def test_a_level_metric_that_is_not_positive_fails_verify_and_plot(self, tmp_path):
+        # a failed verification: the report names the time from which the
+        # level metric is not positive along the Euler-Lagrange arc, and the
+        # plot, which has no geodesic length to draw to, a numerical failure
+        cfg = {"lagrangian": {"family": "expression", "dim": 2, "source": MAGNETIC_QUARTIC},
+               "initial": {"x": [-0.0876, 0.2383], "v": [0.1771, -1.4868], "rescale": True},
+               "energy": 1.14214, "time": {"t_end": 2.0}}
+        path = tmp_path / "critical.json"
+        path.write_text(json.dumps(cfg))
+        r = invoke(["verify", "--config", str(path), "--out", str(tmp_path)])
+        assert r.exit_code == 1, r.output
+        assert "the level metric is not positive along the Euler-Lagrange arc from t=1.94" in r.output
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["overall"] is False and "below the critical value" in report["error"]
+        r = invoke(["plot", "--config", str(path), "--out", str(tmp_path)])
+        assert r.exit_code == 3, r.output
+        assert "numerical failure (PreconditionError): the level metric is not positive" in r.output
+        assert not (tmp_path / "trajectories.svg").exists()
 
     def test_unreachable_energy_exits_three(self, tmp_path):
         r = invoke(

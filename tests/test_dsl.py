@@ -362,13 +362,14 @@ def _assert_whitelisted(kernel, kind, names):
     lambda x: x[0] > 0.1, lambda x: x[1] <= -2.0, lambda x: (x[0] > 0) & (x[0] * x[1] - 1 < x[1]),
     lambda x: -x[1] >= float("-inf")], ids=["greater", "at most", "conjunction", "infinite bound"])
 def test_guarded_flow_kernels_read_only_whitelisted_names(predicate):
-    # a traced position predicate is the first test of the flow kernels:
-    # comparisons of +, -, * and negation, and the call that raises outside
+    # a traced position predicate is the first test of the flow and level
+    # kernels: comparisons of +, -, * and negation, and the call that raises outside
     for model in (parse_lagrangian(ROUND_TRIP_SOURCES[0], dim=2), poincare_disk_lagrangian()):
         model._domain = predicate
-        guard = model._position_guard()
-        for kind, cyclic in (("el", None), ("reduced-el", 0), ("reduced-el", 1)):
-            kernel = model.expression.jet_kernel(kind, 2, cyclic, guard)
+        for kind, cyclic in (("el", None), ("reduced-el", 0), ("reduced-el", 1), ("level-value", None),
+                             ("level-fiber", None), ("level-full", None), ("spray", None),
+                             ("level-spray", None)):
+            kernel = model.expression.jet_kernel(kind, 2, cyclic, model._domain)
             assert "_outside(" in kernel.text.splitlines()[2]
             _assert_whitelisted(kernel, kind, _KERNEL_GLOBALS)
 

@@ -82,12 +82,6 @@ def test_el_runs_reproduce_their_pinned_bits(case):
     assert (_digest(full), _digest(reduced)) == DIGESTS[case]
 
 
-def test_an_untraced_predicate_gives_the_same_bits():
-    # the same predicate with a truth test runs in Python before each kernel
-    full, reduced = _runs(*dict(_cases())["criterion 6"], domain=lambda x: bool(x[0] > 0.1))
-    assert (_digest(full), _digest(reduced)) == DIGESTS["criterion 6"]
-
-
 def _error(f):
     try:
         f()
@@ -99,11 +93,10 @@ def _error(f):
 def test_el_acceleration_errors_keep_their_type_and_message():
     bare = rl.parse_lagrangian(KEPLER, dim=2)
     singular = rl.parse_lagrangian("0.5*v1^2 + x1*v2", dim=2)
-    for predicate in (lambda x: x[0] > 0.1, lambda x: bool(x[0] > 0.1)):  # traced and not
-        kepler = rl.parse_lagrangian(KEPLER, dim=2, domain=predicate)
-        reduced = rl.ReducedLagrangian(kepler, CyclicSplit.of(2, [1]), np.array([1.0]))
-        assert _error(lambda: rl.el_acceleration(kepler, [0.05, 0.3], [0.2, 0.4])) == ERRORS["outside"]
-        assert _error(lambda: rl.el_acceleration(reduced, [0.05], [0.2])) == ERRORS["outside reduced"]
+    kepler = rl.parse_lagrangian(KEPLER, dim=2, domain=lambda x: x[0] > 0.1)
+    reduced = rl.ReducedLagrangian(kepler, CyclicSplit.of(2, [1]), np.array([1.0]))
+    assert _error(lambda: rl.el_acceleration(kepler, [0.05, 0.3], [0.2, 0.4])) == ERRORS["outside"]
+    assert _error(lambda: rl.el_acceleration(reduced, [0.05], [0.2])) == ERRORS["outside reduced"]
     assert _error(lambda: rl.el_acceleration(bare, [0.0, 0.3], [0.2, 0.4])) == ERRORS["division"]
     assert _error(lambda: rl.el_acceleration(singular, [0.5, 0.3], [0.2, 0.4])) == ERRORS["singular"]
 
@@ -122,12 +115,10 @@ ERRORS = {
 VETO_DIGEST = "b38b6157eef990309b823da9e7901f30134912d759bf7e2c9b2cbd337351f682"
 
 
-def test_an_untraced_predicate_still_vetoes_steps_outside_it():
+def test_a_predicate_still_vetoes_steps_outside_it():
     runs = {}
-    for name, predicate in (("untraced", lambda x: bool(x[0] < 1.000001)),
-                            ("traced", lambda x: x[0] < 1.000001), ("none", None)):
+    for name, predicate in (("traced", lambda x: x[0] < 1.000001), ("none", None)):
         L = rl.parse_lagrangian("0.5*v1^2 - 0.5*x1^2", dim=1, domain=predicate)
-        assert (L._position_guard() is None) is (name != "traced")
         runs[name] = rl.integrate_el(L, [0.0], [1.0], 3.0, tol=1e-10, samples=101)
-    assert _digest(runs["untraced"]) == _digest(runs["traced"]) == VETO_DIGEST
-    assert runs["untraced"].stats.rejected == 2 and runs["none"].stats.rejected == 0
+    assert _digest(runs["traced"]) == VETO_DIGEST
+    assert runs["traced"].stats.rejected == 2 and runs["none"].stats.rejected == 0

@@ -560,11 +560,9 @@ class TestClosedForms:
         L = rl.PowerQuadraticLagrangian(2, np.eye(2), degree=4)
         with pytest.raises(ValueError):
             rl.homogeneous_closed_form(L, e=-1.0)
-        one = rl.HomogeneousLagrangian(
-            rl.parse_lagrangian("sqrt(v1^2 + v2^2)", dim=2), degree=1
-        )
+        one = rl.parse_lagrangian("sqrt(v1^2 + v2^2)", dim=2)
         with pytest.raises(ValueError):
-            rl.homogeneous_closed_form(one, e=1.0)
+            rl.homogeneous_closed_form(one, e=1.0, degree=1)
 
     def test_magnetic_family_reduces_to_randers(self, rng):
         L = conformal_magnetic()

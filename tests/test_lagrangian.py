@@ -107,14 +107,6 @@ def test_strong_convexity_check_flags_degenerate_directions():
     assert lam == pytest.approx(-1.0)
 
 
-def test_homogeneous_wrapper_verifies_degree():
-    base = rl.parse_lagrangian("(v1^2 + 2*v2^2)^2", dim=2)
-    H = rl.HomogeneousLagrangian(base, degree=4)
-    assert H.degree == 4
-    with pytest.raises(rl.PreconditionError):
-        rl.HomogeneousLagrangian(base, degree=3)
-
-
 @pytest.mark.parametrize("failure", ["raises", "not finite"])
 def test_row_loop_batch_evaluates_each_row_once(failure):
     # where evaluating the rows at once fails, the batch is the row loop: it

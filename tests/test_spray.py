@@ -345,8 +345,8 @@ def test_only_traced_level_metrics_with_their_own_level_run_the_kernel(monkeypat
 
 def test_a_position_outside_the_domain_raises_at_the_first_probe():
     # no scale of the velocity moves a position, so a generated right-hand
-    # side checks the position once, before its kernel, and runs no jet of
-    # the base outside the kernel, inside the domain or out of it
+    # side checks the position once, as its kernel's guard, and runs no jet
+    # of the base outside the kernel, inside the domain or out of it
     L = rl.poincare_disk_lagrangian()
     calls = {"domain": 0, "jets": 0}
     predicate, fiber_jet = L._domain, L.fiber_jet
@@ -359,7 +359,8 @@ def test_a_position_outside_the_domain_raises_at_the_first_probe():
         calls["jets"] += 1
         return fiber_jet(x, y)
 
-    # the level metric takes the base's predicate when it is built
+    # the predicate is traced once, when it is set, and the level metric
+    # takes the base's guard when it is built
     L._domain, L.fiber_jet = counted_predicate, counted_jet
     accel = rl.canonical_spray(rl.jacobi_finsler(L, 2.0))
     with pytest.raises(rl.PositionDomainError):
@@ -369,4 +370,4 @@ def test_a_position_outside_the_domain_raises_at_the_first_probe():
     rng = np.random.default_rng(5)
     for x, y in zip(rng.uniform(-0.5, 0.5, (50, 2)), rng.uniform(-1.0, 1.0, (50, 2))):
         accel(x, y)
-    assert calls == {"domain": 50, "jets": 0}
+    assert calls == {"domain": 0, "jets": 0}

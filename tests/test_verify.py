@@ -235,6 +235,25 @@ class TestEquivalenceReport:
             assert "DomainError" in report.error or "StepFailure" in report.error
             assert report.error.startswith(run), report.error
 
+    def test_report_fails_where_the_level_metric_is_not_positive(self):
+        # below the magnetic term's critical energy F_e = L + e turns negative
+        # along a regular Euler-Lagrange arc (min -0.0223, first at t = 1.94);
+        # the report says so before a geodesic runs into a step underflow
+        L = rl.parse_lagrangian(MAGNETIC_QUARTIC, dim=2)
+        x0, v0 = np.array([-0.0876, 0.2383]), np.array([0.1771, -1.4868])
+        e = rl.energy(L, x0, v0)
+        assert round(e, 5) == 1.14214
+        report = rl.check_geodesic_equivalence(L, e, x0, v0, 2.0)
+        assert not report.overall and report.metrics == []
+        assert report.error == (
+            "affine geodesic: PreconditionError: the level metric is not positive along the "
+            "Euler-Lagrange arc from t=1.94; e = 1.14214 is below the critical value there")
+
+
+#: a quartic kinetic term with a magnetic one: convex, but its level metric is
+#: a Finsler metric only above a critical energy
+MAGNETIC_QUARTIC = "0.5*(v1^2+v2^2) + 0.1*v1^4 + 0.2*(x2*v1 - x1*v2) - (0.5*x1^2 + 0.3*x2^2)"
+
 
 # (v0, t_end) from x0 = (0.9, 0.1): a slow start, and a start near the Hill boundary
 OSCILLATOR_CASES = [((0.05, 0.05), 1.0), ((0.05, 0.05), 3.0),
